@@ -23,6 +23,7 @@ from .core import (
 )
 from .lp import FEAS_TOL_DEFAULT
 from .solver import (
+    extrema_dominated,
     is_optimal_dominated,
     row_optima_column_extrema,
     solve_game,
@@ -375,10 +376,7 @@ def check_positive_dominated(
         base["reason"] = "value escapes the Perron bracket"
         return _not_applicable(ClaimId.POSITIVE_DOMINATED_THM4, A, base, tol)
     mins, maxs = row_optima_column_extrema(A, sol.value, tol, feas_tol=lp_tol)
-    slack = tol + lp_tol
-    dominated = bool(
-        np.all(maxs <= sol.value + slack) and np.all(mins >= sol.value - slack)
-    )
+    dominated = extrema_dominated(mins, maxs, sol.value, tol, lp_tol)
     base["column_payoff_minima"] = _listify(mins)
     base["column_payoff_maxima"] = _listify(maxs)
     return ClaimReport(

@@ -263,8 +263,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
             )
         )
     reports = []
-    for A in matrices:
-        reports.extend(run_checker(claim, A, tol=args.tol, lambdas=args.lambdas))
+    for i, A in enumerate(matrices):
+        try:
+            reports.extend(run_checker(claim, A, tol=args.tol, lambdas=args.lambdas))
+        except RuntimeError as exc:
+            raise RuntimeError(f"trial {i}, input {A.digest()}: {exc}") from exc
     counts = {v: 0 for v in Verdict}
     for rep in reports:
         counts[rep.verdict] += 1

