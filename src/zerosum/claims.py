@@ -24,6 +24,7 @@ from .core import (
 from .lp import FEAS_TOL_DEFAULT
 from .solver import (
     extrema_dominated,
+    game_value,
     is_optimal_dominated,
     row_optima_column_extrema,
     solve_game,
@@ -169,20 +170,24 @@ def _skew_gate(
     return residual, None
 
 
-def check_skew(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+def _skew_optima_report(
+    claim: ClaimId, A: GameMatrix, tol: float, lp_tol: float, holds
 ) -> ClaimReport:
-    """Skew matrices: value is zero and each optimum serves both players."""
-    residual, na = _skew_gate(ClaimId.SKEW_ZERO_COR3, A, tol)
+    """Shared body of the two skew-game corollaries.
+
+    Solves A and plays each optimum as the other player's strategy: the row
+    optimum's ceiling over A's rows and the column optimum's floor over A's
+    columns.  `holds(value, ceiling, floor)` decides the verdict.
+    """
+    residual, na = _skew_gate(claim, A, tol)
     if na is not None:
         return na
     sol = solve_game(A, feas_tol=lp_tol)
     V = A.values
     ceiling = float((V @ sol.row_strategy.weights).max())
     floor = float((sol.col_strategy.weights @ V).min())
-    holds = abs(sol.value) <= tol and ceiling <= tol and floor >= -tol
     return ClaimReport(
-        claim_id=ClaimId.SKEW_ZERO_COR3,
+        claim_id=claim,
         input_digest=A.digest(),
         computed={
             "skew_residual": residual,
@@ -190,8 +195,25 @@ def check_skew(
             "row_optimum_as_column_ceiling": ceiling,
             "col_optimum_as_row_floor": floor,
         },
-        verdict=Verdict.HOLDS if holds else Verdict.VIOLATED,
+        verdict=(
+            Verdict.HOLDS if holds(sol.value, ceiling, floor) else Verdict.VIOLATED
+        ),
         tolerance=tol,
+    )
+
+
+def check_skew(
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+) -> ClaimReport:
+    """Skew matrices: value is zero and each optimum serves both players."""
+    return _skew_optima_report(
+        ClaimId.SKEW_ZERO_COR3,
+        A,
+        tol,
+        lp_tol,
+        lambda value, ceiling, floor: (
+            abs(value) <= tol and ceiling <= tol and floor >= -tol
+        ),
     )
 
 
@@ -202,25 +224,14 @@ def check_shared_optima(
 
     Tested against the observed value rather than assuming it is zero.
     """
-    residual, na = _skew_gate(ClaimId.SHARED_OPTIMA_COR4, A, tol)
-    if na is not None:
-        return na
-    sol = solve_game(A, feas_tol=lp_tol)
-    V = A.values
-    ceiling = float((V @ sol.row_strategy.weights).max())
-    floor = float((sol.col_strategy.weights @ V).min())
-    holds = ceiling <= sol.value + tol and floor >= sol.value - tol
-    return ClaimReport(
-        claim_id=ClaimId.SHARED_OPTIMA_COR4,
-        input_digest=A.digest(),
-        computed={
-            "skew_residual": residual,
-            "value": sol.value,
-            "row_optimum_as_column_ceiling": ceiling,
-            "col_optimum_as_row_floor": floor,
-        },
-        verdict=Verdict.HOLDS if holds else Verdict.VIOLATED,
-        tolerance=tol,
+    return _skew_optima_report(
+        ClaimId.SHARED_OPTIMA_COR4,
+        A,
+        tol,
+        lp_tol,
+        lambda value, ceiling, floor: (
+            ceiling <= value + tol and floor >= value - tol
+        ),
     )
 
 
@@ -228,8 +239,8 @@ def check_neg_transpose(
     A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
 ) -> ClaimReport:
     """Value identity v(A) = -v(-A^T) for matrices of any shape."""
-    v1 = solve_game(A, feas_tol=lp_tol).value
-    v2 = solve_game(GameMatrix(-A.values.T), feas_tol=lp_tol).value
+    v1 = game_value(A, feas_tol=lp_tol)
+    v2 = game_value(GameMatrix(-A.values.T), feas_tol=lp_tol)
     identity_residual = abs(v1 + v2)
     return ClaimReport(
         claim_id=ClaimId.NEG_TRANSPOSE_THM2,
@@ -362,21 +373,21 @@ def check_positive_dominated(
             tol,
         )
     cert = perron(A)
-    sol = solve_game(A, feas_tol=lp_tol)
+    value = game_value(A, feas_tol=lp_tol)
     bracket_low = cert.perron_root * float(cert.perron_vector.min())
     bracket_high = cert.perron_root * float(cert.perron_vector.max())
     base = {
         "perron_root": cert.perron_root,
         "perron_vector": _listify(cert.perron_vector),
-        "value": sol.value,
+        "value": value,
         "bracket_low": bracket_low,
         "bracket_high": bracket_high,
     }
-    if sol.value < bracket_low - tol or sol.value > bracket_high + tol:
+    if value < bracket_low - tol or value > bracket_high + tol:
         base["reason"] = "value escapes the Perron bracket"
         return _not_applicable(ClaimId.POSITIVE_DOMINATED_THM4, A, base, tol)
-    mins, maxs = row_optima_column_extrema(A, sol.value, tol, feas_tol=lp_tol)
-    dominated = extrema_dominated(mins, maxs, sol.value, tol, lp_tol)
+    mins, maxs = row_optima_column_extrema(A, value, tol, feas_tol=lp_tol)
+    dominated = extrema_dominated(mins, maxs, value, tol, lp_tol)
     base["column_payoff_minima"] = _listify(mins)
     base["column_payoff_maxima"] = _listify(maxs)
     return ClaimReport(
@@ -418,11 +429,11 @@ def check_shifted_eigen(
             tol,
         )
     B = GameMatrix(A.values - lam * np.eye(A.rows))
-    sol = solve_game(B, feas_tol=lp_tol)
+    value = game_value(B, feas_tol=lp_tol)
     row_dev = float(np.max(np.abs(row_witness.weights @ B.values)))
     col_dev = float(np.max(np.abs(B.values @ col_witness.weights)))
     holds = (
-        abs(sol.value) <= tol
+        abs(value) <= tol
         and is_optimal_dominated(B, row_witness, 0.0, tol)
         and is_optimal_dominated(B, col_witness, 0.0, tol)
     )
@@ -431,7 +442,7 @@ def check_shifted_eigen(
         input_digest=A.digest(),
         computed={
             "lambda": lam,
-            "shifted_value": sol.value,
+            "shifted_value": value,
             "row_witness": _listify(row_witness.weights),
             "col_witness": _listify(col_witness.weights),
             "row_witness_max_deviation": row_dev,

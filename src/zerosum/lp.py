@@ -9,6 +9,16 @@ The implementation favors simplicity over speed: desk-scale instances only
 reuse is across objectives: `maximize_each` runs phase 1 once per region and
 starts each objective's phase 2 from the previous objective's final basis;
 `solve_lp` is its one-objective case.
+
+Every Optimal solution also carries `ineq_duals`, the multipliers y >= 0 of
+the caller's `G z <= h` rows, read off the final phase-2 cost row: the
+reduced cost of row i's slack is -y_i.  A row flipped to make its rhs
+nonnegative has its slack negated with it, so the same reading holds there.
+At the optimum y may sit up to PIVOT_TOL below zero.  Up to roundoff it is
+complementary to the point's slacks, and when the region has only `G z <= h`
+rows and z >= 0 bounds, strong duality reads c.z = h.y.  Nothing here
+re-certifies the duals against the original data; a caller that builds on
+them checks its own certificate.
 """
 
 from __future__ import annotations
@@ -137,6 +147,9 @@ class LPSolution:
     point: np.ndarray | None = None
     objective_value: float | None = None
     primal_residual: float = 0.0
+    # Multipliers of the caller's inequality rows (Optimal only); see the
+    # module docstring.
+    ineq_duals: np.ndarray | None = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -373,6 +386,7 @@ def _two_phase(
 
     # Phase 2 per objective, each from the basis the previous one left.
     results = []
+    n_caller_ineq = region.ineq_lhs.shape[0]
     phase2_costs = np.zeros(N + n_ineq)
     for c in costs:
         phase2_costs[:N] = c @ std.selection
@@ -401,6 +415,7 @@ def _two_phase(
                 point=z,
                 objective_value=float(c @ z),
                 primal_residual=residual,
+                ineq_duals=-T[-1, N : N + n_caller_ineq],
             )
         )
     return results

@@ -1,6 +1,11 @@
 """Game value and optimal strategies via linear programming, plus an
 independent support-enumeration oracle for small games and the
 optimal-dominated decision procedures.
+
+`game_value` certifies a value with one LP: the row player's value LP,
+whose inequality multipliers are a column strategy (LP duality is the
+minimax theorem).  `solve_game` returns a strategy pair and solves the
+column player's LP as well; see its docstring for why.
 """
 
 from __future__ import annotations
@@ -55,9 +60,12 @@ def _positivity_shift(values: np.ndarray) -> float:
     return 1.0 - lo if lo < 1.0 else 0.0
 
 
-def _value_lp(B: np.ndarray, feas_tol: float) -> tuple[np.ndarray, float]:
+def _value_lp(
+    B: np.ndarray, feas_tol: float
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
-    x >= 0, v free.  Returns (x, v)."""
+    x >= 0, v free.  Returns (x, v, y), y the multipliers of the n column
+    rows: up to roundoff a column strategy holding B's payoffs to v."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
@@ -78,7 +86,52 @@ def _value_lp(B: np.ndarray, feas_tol: float) -> tuple[np.ndarray, float]:
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
         )
-    return sol.point[:m], float(sol.point[m])
+    return sol.point[:m], float(sol.point[m]), sol.ineq_duals
+
+
+def _certify(
+    V: np.ndarray, x: np.ndarray, y: np.ndarray, value: float, tol: float
+) -> float:
+    """Check the strategy pair (x, y) against the original payoffs V.
+
+    x must guarantee the row player at least value - tol (floor), y must
+    hold the row player to value + tol (ceiling), and the two may differ by
+    at most tol.  Returns that duality gap; raises RuntimeError otherwise.
+    """
+    floor = float((x @ V).min())
+    ceiling = float((V @ y).max())
+    gap = max(ceiling - floor, 0.0)
+    # Written so that a NaN anywhere fails the certificate.
+    if not (floor >= value - tol and ceiling <= value + tol and gap <= tol):
+        raise RuntimeError(
+            f"game solution violates its certificates: floor={floor!r} "
+            f"ceiling={ceiling!r} value={value!r} tol={tol:g}"
+        )
+    return gap
+
+
+def game_value(
+    A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT, feas_tol: float = FEAS_TOL_DEFAULT
+) -> float:
+    """Value of the matrix game A, certified with one LP.
+
+    Equal bit for bit to `solve_game(A, tol, feas_tol).value`: both come from
+    the same row LP.  The column certificate is that LP's inequality
+    multipliers, clipped at 0 and normalized, instead of a second LP.  The
+    pair passes the same floor/ceiling check as in `solve_game`, against the
+    original payoffs, or RuntimeError is raised.
+    """
+    if tol <= 0.0:
+        raise InputError("tol must be positive")
+    V = A.values
+    shift = _positivity_shift(V)
+    x, v_row, duals = _value_lp(V + shift, feas_tol)
+    value = v_row - shift
+    # Duals may sit about PIVOT_TOL below zero, which validate_strategy's
+    # clamp (1e-12) would reject; the certificate is what vouches for y.
+    y = np.clip(duals, 0.0, None)
+    _certify(V, validate_strategy(x, Player.ROW).weights, y / y.sum(), value, tol)
+    return value
 
 
 def solve_game(
@@ -90,6 +143,13 @@ def solve_game(
     positive, the row player's value LP and the column player's symmetric LP
     are solved independently, and the value is un-shifted.  The returned
     solution satisfies the GameSolution floor/ceiling invariants at `tol`.
+
+    The row LP's multipliers would give a column strategy without the second
+    LP (see `game_value`, which does that for callers needing only the
+    value).  solve_game keeps the second LP because the strategy it returns
+    is reported digit for digit: on rock-paper-scissors the multipliers give
+    one weight as 0.33333333333333343 where the column LP gives
+    0.33333333333333331.
 
     All tolerances are absolute and sized for desk-scale payoffs.  For
     entries far beyond ~1e4 in magnitude, normalize first: solve A / max|A|
@@ -103,27 +163,18 @@ def solve_game(
     shift = _positivity_shift(V)
     B = V + shift
 
-    x, v_row = _value_lp(B, feas_tol)
+    x, v_row, _ = _value_lp(B, feas_tol)
     # Column player: v(B) = -v(-B^T), so the symmetric LP on -B^T yields y.
-    y, w_neg = _value_lp(-B.T, feas_tol)
+    y, _, _ = _value_lp(-B.T, feas_tol)
 
     value = v_row - shift
     row = validate_strategy(x, Player.ROW)
     col = validate_strategy(y, Player.COL)
-
-    floor = float((row.weights @ V).min())
-    ceiling = float((V @ col.weights).max())
-    gap = max(ceiling - floor, 0.0)
-    if floor < value - tol or ceiling > value + tol or gap > tol:
-        raise RuntimeError(
-            f"game solution violates its certificates: floor={floor!r} "
-            f"ceiling={ceiling!r} value={value!r} tol={tol:g}"
-        )
     return GameSolution(
         value=value,
         row_strategy=row,
         col_strategy=col,
-        duality_gap=gap,
+        duality_gap=_certify(V, row.weights, col.weights, value, tol),
         tolerance=tol,
     )
 

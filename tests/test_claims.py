@@ -113,6 +113,13 @@ class TestCheckNegTranspose:
         rep = check_neg_transpose(GameMatrix(rng.uniform(-2, 2, (2, 4))))
         assert rep.verdict is Verdict.HOLDS
 
+    def test_large_general_game(self):
+        # The column LP solve_game runs on -B^T stalls here: its phase 1
+        # exhausts the 18,200-pivot budget.  The audit needs values only, so
+        # it never runs that LP.
+        A = GameMatrix(np.random.default_rng(4).uniform(-10, 10, (120, 120)))
+        assert check_neg_transpose(A).verdict is Verdict.HOLDS
+
 
 class TestEigenspaceLemma5:
     def test_rps_zero_witness_is_optimal(self, rps):

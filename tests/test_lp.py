@@ -8,7 +8,7 @@ from zerosum import (
     LPStatus,
     solve_lp,
 )
-from zerosum.lp import maximize_each
+from zerosum.lp import PIVOT_TOL, maximize_each
 
 FEAS_TOL = 1e-9
 
@@ -276,3 +276,78 @@ def test_maximize_each_unbounded_objective_mid_sequence():
     assert abs(sols[2].objective_value - 3.0) <= 1e-9
     assert abs(sols[3].objective_value) <= 1e-9
     _assert_matches_solve_lp(region, [np.array(c, dtype=float) for c in objectives])
+
+
+def _random_leq_program(rng):
+    """maximize c.z s.t. G z <= h, z >= 0, bounded by one all-positive row.
+
+    h is G z0 plus a positive gap at a known z0 > 0, so some rows start with
+    a negative right-hand side and are flipped by the simplex.
+    """
+    n = int(rng.integers(1, 6))
+    mg = int(rng.integers(0, 5))
+    z0 = rng.uniform(0.2, 1.0, n)
+    G = np.vstack([rng.uniform(-2, 2, (mg, n)), rng.uniform(0.5, 2, (1, n))])
+    h = G @ z0 + rng.uniform(0.05, 1.0, mg + 1)
+    return LinearProgram(objective=rng.uniform(-2, 2, n), ineq_lhs=G, ineq_rhs=h)
+
+
+def test_ineq_duals_nonnegative_and_complementary():
+    rng = np.random.default_rng(31)
+    programs = [_random_feasible_program(rng)[0] for _ in range(40)]
+    programs += [_random_leq_program(rng) for _ in range(40)]
+    for p in programs:
+        sol = solve_lp(p)
+        assert sol.status is LPStatus.OPTIMAL
+        y = sol.ineq_duals
+        assert y.shape == (p.ineq_lhs.shape[0],)
+        assert np.all(y >= -PIVOT_TOL)
+        slack = p.ineq_rhs - p.ineq_lhs @ sol.point
+        assert np.all(np.abs(y * slack) <= 1e-9)
+
+
+def test_ineq_duals_strong_duality():
+    rng = np.random.default_rng(32)
+    flipped = 0
+    for _ in range(60):
+        p = _random_leq_program(rng)
+        flipped += int(np.sum(p.ineq_rhs < 0))
+        sol = solve_lp(p)
+        assert sol.status is LPStatus.OPTIMAL
+        assert abs(sol.objective_value - p.ineq_rhs @ sol.ineq_duals) <= 1e-9
+        # dual feasibility: G^T y >= c, since every z_j >= 0
+        assert np.all(p.ineq_lhs.T @ sol.ineq_duals >= p.objective - 1e-9)
+    assert flipped > 0
+
+
+def test_ineq_duals_from_maximize_each():
+    rng = np.random.default_rng(33)
+    region = _random_leq_program(rng)
+    objectives = rng.uniform(-2, 2, (5, region.n_vars))
+    for sol in maximize_each(region, objectives):
+        assert abs(sol.objective_value - region.ineq_rhs @ sol.ineq_duals) <= 1e-9
+
+
+def test_ineq_duals_against_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        p = _random_leq_program(rng)
+        sol = solve_lp(p)
+        res = linprog(
+            -p.objective,
+            A_ub=p.ineq_lhs,
+            b_ub=p.ineq_rhs,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert res.status == 0
+        # HiGHS minimizes -c.z; its marginals are d(min)/dh = -y.
+        np.testing.assert_allclose(
+            sol.ineq_duals, -res.ineqlin.marginals, rtol=0, atol=1e-8
+        )
+
+
+def test_no_ineq_rows_gives_empty_duals():
+    sol = solve_lp(LinearProgram(objective=[1, 1], eq_lhs=[[1, 1]], eq_rhs=[1]))
+    assert sol.ineq_duals.shape == (0,)

@@ -10,6 +10,7 @@ from zerosum import (
     OracleSizeError,
     Player,
     all_row_optima_dominated,
+    game_value,
     generate_ensemble,
     is_optimal_dominated,
     oracle_solve,
@@ -61,6 +62,53 @@ class TestSolveGame:
     def test_bad_tol(self, rps):
         with pytest.raises(InputError):
             solve_game(rps, tol=-1.0)
+
+
+class TestGameValue:
+    """game_value reads the column certificate from the row LP's duals; its
+    value comes from the same row LP as solve_game's, so it is equal bit for
+    bit."""
+
+    @pytest.mark.parametrize(
+        "family,size,seed",
+        [("Positive", 10, 1), ("General", 30, 7), ("General", 6, 3), ("Skew", 7, 1)],
+    )
+    def test_equals_solve_game_on_ensembles(self, family, size, seed):
+        spec = EnsembleSpec(
+            Family(family), size=size, trials=25, seed=seed,
+            entry_range=DEFAULT_RANGES[family],
+        )
+        for A in generate_ensemble(spec):
+            assert game_value(A) == solve_game(A).value
+
+    def test_equals_solve_game_on_degenerate_games(self, rps, saddle):
+        rng = np.random.default_rng(109)
+        games = [rps, saddle, GameMatrix(np.eye(4)), GameMatrix(np.zeros((2, 3)))]
+        for _ in range(150):
+            m, n = (int(k) for k in rng.integers(1, 6, 2))
+            games.append(GameMatrix(rng.integers(-2, 3, (m, n))))
+            games.append(GameMatrix(rng.integers(0, 2, (m, n))))
+            games.append(GameMatrix(np.full((m, n), float(rng.integers(-3, 4)))))
+        for A in games:
+            assert game_value(A) == solve_game(A).value
+
+    def test_refuses_a_bad_column_certificate(self, rps, monkeypatch):
+        import zerosum.solver as solver_mod
+
+        value_lp = solver_mod._value_lp
+
+        def pure_column_duals(B, feas_tol):
+            x, v, y = value_lp(B, feas_tol)
+            return x, v, np.eye(len(y))[0]
+
+        monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
+        with pytest.raises(RuntimeError, match="violates its certificates"):
+            game_value(rps)
+
+    def test_bad_tol(self, rps):
+        for tol in (0.0, -1.0):
+            with pytest.raises(InputError):
+                game_value(rps, tol=tol)
 
 
 class TestOracle:
