@@ -25,6 +25,6 @@ oracle = oracle_solve(A)
 print("oracle supports:", oracle.row_support, oracle.col_support)
 print("oracle value:", oracle.value)
 
-# Playing uniformly against any pure strategy scores exactly zero.
+# Playing uniformly against any pure strategy scores zero, up to roundoff.
 print("uniform vs uniform payoff:", payoff(A, sol.row_strategy, sol.col_strategy))
 assert np.max(np.abs(sol.row_strategy.weights - 1 / 3)) < 1e-7

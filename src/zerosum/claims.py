@@ -24,7 +24,6 @@ from .core import (
 from .lp import FEAS_TOL_DEFAULT
 from .solver import (
     extrema_dominated,
-    game_value,
     is_optimal_dominated,
     row_optima_column_extrema,
     solve_game,
@@ -239,8 +238,8 @@ def check_neg_transpose(
     A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
 ) -> ClaimReport:
     """Value identity v(A) = -v(-A^T) for matrices of any shape."""
-    v1 = game_value(A, feas_tol=lp_tol)
-    v2 = game_value(GameMatrix(-A.values.T), feas_tol=lp_tol)
+    v1 = solve_game(A, feas_tol=lp_tol).value
+    v2 = solve_game(GameMatrix(-A.values.T), feas_tol=lp_tol).value
     identity_residual = abs(v1 + v2)
     return ClaimReport(
         claim_id=ClaimId.NEG_TRANSPOSE_THM2,
@@ -324,9 +323,10 @@ def check_gordan_theorem3(
         return na
     verdict_branch = gordan(A, feas_tol=lp_tol)
     positive_image = verdict_branch.branch is GordanBranch.POSITIVE_IMAGE
-    witness = stochastic_eigenvector(A, 0.0, Player.COL, feas_tol=lp_tol)
-    exists = bool(
-        witness is not None and _is_optimal_at_zero(A, witness.weights, tol)
+    # For square A, gordan's kernel LP is the stochastic-eigenvector LP at
+    # eigenvalue 0, and its witness is normalized the same way.
+    exists = not positive_image and _is_optimal_at_zero(
+        A, verdict_branch.witness, tol
     )
     as_stated = exists == positive_image
     reversed_form = exists == (not positive_image)
@@ -373,7 +373,7 @@ def check_positive_dominated(
             tol,
         )
     cert = perron(A)
-    value = game_value(A, feas_tol=lp_tol)
+    value = solve_game(A, feas_tol=lp_tol).value
     bracket_low = cert.perron_root * float(cert.perron_vector.min())
     bracket_high = cert.perron_root * float(cert.perron_vector.max())
     base = {
@@ -429,7 +429,7 @@ def check_shifted_eigen(
             tol,
         )
     B = GameMatrix(A.values - lam * np.eye(A.rows))
-    value = game_value(B, feas_tol=lp_tol)
+    value = solve_game(B, feas_tol=lp_tol).value
     row_dev = float(np.max(np.abs(row_witness.weights @ B.values)))
     col_dev = float(np.max(np.abs(B.values @ col_witness.weights)))
     holds = (

@@ -2,10 +2,9 @@
 independent support-enumeration oracle for small games and the
 optimal-dominated decision procedures.
 
-`game_value` certifies a value with one LP: the row player's value LP,
-whose inequality multipliers are a column strategy (LP duality is the
-minimax theorem).  `solve_game` returns a strategy pair and solves the
-column player's LP as well; see its docstring for why.
+`solve_game` solves one LP per game: the row player's value LP, whose
+inequality multipliers are a column strategy (LP duality is the minimax
+theorem).
 """
 
 from __future__ import annotations
@@ -110,46 +109,18 @@ def _certify(
     return gap
 
 
-def game_value(
-    A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT, feas_tol: float = FEAS_TOL_DEFAULT
-) -> float:
-    """Value of the matrix game A, certified with one LP.
-
-    Equal bit for bit to `solve_game(A, tol, feas_tol).value`: both come from
-    the same row LP.  The column certificate is that LP's inequality
-    multipliers, clipped at 0 and normalized, instead of a second LP.  The
-    pair passes the same floor/ceiling check as in `solve_game`, against the
-    original payoffs, or RuntimeError is raised.
-    """
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
-    V = A.values
-    shift = _positivity_shift(V)
-    x, v_row, duals = _value_lp(V + shift, feas_tol)
-    value = v_row - shift
-    # Duals may sit about PIVOT_TOL below zero, which validate_strategy's
-    # clamp (1e-12) would reject; the certificate is what vouches for y.
-    y = np.clip(duals, 0.0, None)
-    _certify(V, validate_strategy(x, Player.ROW).weights, y / y.sum(), value, tol)
-    return value
-
-
 def solve_game(
     A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT, feas_tol: float = FEAS_TOL_DEFAULT
 ) -> GameSolution:
     """Value and one optimal strategy pair for the matrix game A.
 
     The matrix is shifted by c = 1 - min entry so the shifted value is
-    positive, the row player's value LP and the column player's symmetric LP
-    are solved independently, and the value is un-shifted.  The returned
-    solution satisfies the GameSolution floor/ceiling invariants at `tol`.
-
-    The row LP's multipliers would give a column strategy without the second
-    LP (see `game_value`, which does that for callers needing only the
-    value).  solve_game keeps the second LP because the strategy it returns
-    is reported digit for digit: on rock-paper-scissors the multipliers give
-    one weight as 0.33333333333333343 where the column LP gives
-    0.33333333333333331.
+    positive, and the row player's value LP is solved once.  Its point gives
+    the row strategy and the value (un-shifted); its inequality multipliers,
+    clipped at 0 and normalized, give the column strategy.  The pair is
+    checked against the original payoffs, so the returned solution satisfies
+    the GameSolution floor/ceiling invariants at `tol`, or RuntimeError is
+    raised.
 
     All tolerances are absolute and sized for desk-scale payoffs.  For
     entries far beyond ~1e4 in magnitude, normalize first: solve A / max|A|
@@ -161,20 +132,19 @@ def solve_game(
         raise InputError("tol must be positive")
     V = A.values
     shift = _positivity_shift(V)
-    B = V + shift
-
-    x, v_row, _ = _value_lp(B, feas_tol)
-    # Column player: v(B) = -v(-B^T), so the symmetric LP on -B^T yields y.
-    y, _, _ = _value_lp(-B.T, feas_tol)
-
+    x, v_row, duals = _value_lp(V + shift, feas_tol)
     value = v_row - shift
     row = validate_strategy(x, Player.ROW)
-    col = validate_strategy(y, Player.COL)
+    # Duals may sit about PIVOT_TOL below zero, which validate_strategy's
+    # clamp (1e-12) would reject; the certificate is what vouches for y.
+    y = np.clip(duals, 0.0, None)
+    y /= y.sum()
+    gap = _certify(V, row.weights, y, value, tol)
     return GameSolution(
         value=value,
         row_strategy=row,
-        col_strategy=col,
-        duality_gap=_certify(V, row.weights, col.weights, value, tol),
+        col_strategy=MixedStrategy(Player.COL, y),
+        duality_gap=gap,
         tolerance=tol,
     )
 

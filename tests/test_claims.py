@@ -114,9 +114,7 @@ class TestCheckNegTranspose:
         assert rep.verdict is Verdict.HOLDS
 
     def test_large_general_game(self):
-        # The column LP solve_game runs on -B^T stalls here: its phase 1
-        # exhausts the 18,200-pivot budget.  The audit needs values only, so
-        # it never runs that LP.
+        # A column LP on -B^T used to exhaust the 18,200-pivot budget here.
         A = GameMatrix(np.random.default_rng(4).uniform(-10, 10, (120, 120)))
         assert check_neg_transpose(A).verdict is Verdict.HOLDS
 

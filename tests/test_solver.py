@@ -10,7 +10,6 @@ from zerosum import (
     OracleSizeError,
     Player,
     all_row_optima_dominated,
-    game_value,
     generate_ensemble,
     is_optimal_dominated,
     oracle_solve,
@@ -65,23 +64,30 @@ class TestSolveGame:
 
 
 class TestGameValue:
-    """game_value reads the column certificate from the row LP's duals; its
-    value comes from the same row LP as solve_game's, so it is equal bit for
-    bit."""
+    """solve_game solves one LP: the row value LP gives the value and the row
+    strategy, and its inequality multipliers give the column strategy."""
+
+    @staticmethod
+    def assert_certified(A, sol):
+        floor = (sol.row_strategy.weights @ A.values).min()
+        ceiling = (A.values @ sol.col_strategy.weights).max()
+        assert floor >= sol.value - sol.tolerance
+        assert ceiling <= sol.value + sol.tolerance
+        assert sol.duality_gap <= sol.tolerance
 
     @pytest.mark.parametrize(
         "family,size,seed",
         [("Positive", 10, 1), ("General", 30, 7), ("General", 6, 3), ("Skew", 7, 1)],
     )
-    def test_equals_solve_game_on_ensembles(self, family, size, seed):
+    def test_certifies_ensembles(self, family, size, seed):
         spec = EnsembleSpec(
             Family(family), size=size, trials=25, seed=seed,
             entry_range=DEFAULT_RANGES[family],
         )
         for A in generate_ensemble(spec):
-            assert game_value(A) == solve_game(A).value
+            self.assert_certified(A, solve_game(A))
 
-    def test_equals_solve_game_on_degenerate_games(self, rps, saddle):
+    def test_certifies_degenerate_games(self, rps, saddle):
         rng = np.random.default_rng(109)
         games = [rps, saddle, GameMatrix(np.eye(4)), GameMatrix(np.zeros((2, 3)))]
         for _ in range(150):
@@ -90,7 +96,13 @@ class TestGameValue:
             games.append(GameMatrix(rng.integers(0, 2, (m, n))))
             games.append(GameMatrix(np.full((m, n), float(rng.integers(-3, 4)))))
         for A in games:
-            assert game_value(A) == solve_game(A).value
+            self.assert_certified(A, solve_game(A))
+
+    def test_large_general_game(self):
+        # A second LP for the column player, on -B^T, used to exhaust the
+        # 18,200-pivot budget in phase 1 on this game.
+        A = GameMatrix(np.random.default_rng(4).uniform(-10, 10, (120, 120)))
+        self.assert_certified(A, solve_game(A))
 
     def test_refuses_a_bad_column_certificate(self, rps, monkeypatch):
         import zerosum.solver as solver_mod
@@ -103,12 +115,12 @@ class TestGameValue:
 
         monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
         with pytest.raises(RuntimeError, match="violates its certificates"):
-            game_value(rps)
+            solve_game(rps)
 
     def test_bad_tol(self, rps):
         for tol in (0.0, -1.0):
             with pytest.raises(InputError):
-                game_value(rps, tol=tol)
+                solve_game(rps, tol=tol)
 
 
 class TestOracle:
