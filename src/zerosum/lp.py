@@ -2,7 +2,7 @@
 
 Solves  maximize c.z  subject to  G z <= h,  E z = f,  lb <= z <= ub,
 where individual bounds may be -inf/+inf.  Strict inequalities cannot be
-expressed here; callers reduce them by positive scaling (see spectral.gordan).
+expressed here; an Infeasible result's `farkas` answers them (see spectral.gordan).
 
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau, no factorization.  The one
@@ -19,6 +19,12 @@ complementary to the point's slacks, and when the region has only `G z <= h`
 rows and z >= 0 bounds, strong duality reads c.z = h.y.  Nothing here
 re-certifies the duals against the original data; a caller that builds on
 them checks its own certificate.
+
+Every Infeasible solution carries `farkas`, the phase-1 multipliers w of the
+caller's `[G; E]` rows, read off the final phase-1 cost row: row i's slack
+has reduced cost -w_i, its artificial (cost -1) -1 - w_i, and a flipped row
+gets its sign back.  Under the default z >= 0 bounds w is, up to roundoff, a
+Farkas certificate: w_G >= 0, [G; E]^T w >= 0 and h.w_G + f.w_E < 0.
 """
 
 from __future__ import annotations
@@ -150,6 +156,8 @@ class LPSolution:
     # Multipliers of the caller's inequality rows (Optimal only); see the
     # module docstring.
     ineq_duals: np.ndarray | None = None
+    # Phase-1 multipliers of the caller's rows (Infeasible only); see above.
+    farkas: np.ndarray | None = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -177,7 +185,9 @@ def _run_simplex(
     With `bounded` (phase 1, whose objective is at most 0) an improving
     column without a positive entry can only be roundoff dust: its reduced
     cost is zeroed and pricing goes on.  That is Bland's rule on an objective
-    perturbed in one nonbasic cost, so it still terminates.
+    perturbed in one nonbasic cost, so it still terminates.  Its ratio test
+    also scales PIVOT_TOL by the column's largest magnitude: a pivot on the
+    roundoff of a zero would spoil its verdict and multipliers, unchecked.
     """
     for _ in range(iter_limit):
         reduced = T[-1, :-1]
@@ -186,7 +196,8 @@ def _run_simplex(
             return "optimal"
         enter = int(improving[0])
         col = T[:-1, enter]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
+        tol = PIVOT_TOL * max(1.0, np.abs(col).max()) if bounded else PIVOT_TOL
+        rows = np.nonzero(col > tol)[0]
         if rows.size == 0:
             if bounded:
                 T[-1, enter] = 0.0
@@ -287,8 +298,8 @@ def _residual(p: LinearProgram, z: np.ndarray) -> float:
 
 def solve_lp(p: LinearProgram, feas_tol: float = FEAS_TOL_DEFAULT) -> LPSolution:
     """Two-phase simplex.  Returns Optimal with a feasible point, Infeasible
-    when the phase-1 optimum exceeds feas_tol, or Unbounded when an improving
-    ray is certified.
+    with `farkas` when the phase-1 optimum exceeds feas_tol, or Unbounded
+    when an improving ray is certified.
     """
     return _two_phase(p, p.objective[np.newaxis], feas_tol)[0]
 
@@ -361,8 +372,15 @@ def _two_phase(
     T[-1] = _priced_cost_row(T, basis, phase1_costs)
     _run_simplex(T, basis, iter_limit, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
+    n_caller_ineq = region.ineq_lhs.shape[0]
     if art_sum > feas_tol:
-        return [LPSolution(status=LPStatus.INFEASIBLE) for _ in costs]
+        w = np.empty(m)
+        w[:n_ineq] = -T[-1, N : N + n_ineq]
+        # A flipped inequality row's artificial overrides its slack's reading.
+        w[art_rows] = -1.0 - T[-1, N + n_ineq : total]
+        w[flipped] *= -1.0
+        farkas = np.concatenate([w[:n_caller_ineq], w[n_ineq:]])
+        return [LPSolution(status=LPStatus.INFEASIBLE, farkas=farkas) for _ in costs]
 
     # Drive leftover artificials out of the basis; rows where that is
     # impossible are redundant and dropped.  A lingering artificial sits at a
@@ -386,7 +404,6 @@ def _two_phase(
 
     # Phase 2 per objective, each from the basis the previous one left.
     results = []
-    n_caller_ineq = region.ineq_lhs.shape[0]
     phase2_costs = np.zeros(N + n_ineq)
     for c in costs:
         phase2_costs[:N] = c @ std.selection

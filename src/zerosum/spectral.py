@@ -18,7 +18,7 @@ from .core import (
     Player,
     validate_strategy,
 )
-from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPStatus, solve_lp
+from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPSolution, LPStatus, solve_lp
 
 PERRON_RESIDUAL_TOL = 1e-10
 PERRON_STEP_TOL = 1e-14
@@ -35,7 +35,7 @@ class ConvergenceError(RuntimeError):
 
 
 class InconsistentAlternativesError(RuntimeError):
-    """Both or neither Gordan branch came back feasible; tolerances are off."""
+    """A Gordan witness failed its certificate on A; tolerances are off."""
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,14 @@ def null_space(A: GameMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> KernelBasis
     return KernelBasis(dimension=len(free), basis_vectors=tuple(basis))
 
 
+def _stochastic_kernel(M: np.ndarray, feas_tol: float) -> LPSolution:
+    """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0."""
+    m, n = M.shape
+    E = np.vstack([M, np.ones((1, n))])
+    f = np.append(np.zeros(m), 1.0)
+    return solve_lp(LinearProgram(np.zeros(n), eq_lhs=E, eq_rhs=f), feas_tol=feas_tol)
+
+
 def stochastic_eigenvector(
     A: GameMatrix,
     eigenvalue: float,
@@ -188,13 +196,7 @@ def stochastic_eigenvector(
         raise InvalidMatrixError(
             f"stochastic_eigenvector requires a square matrix, got {A.rows}x{A.cols}"
         )
-    n = A.rows
-    E = np.vstack([A.values - eigenvalue * np.eye(n), np.ones((1, n))])
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    sol = solve_lp(
-        LinearProgram(objective=np.zeros(n), eq_lhs=E, eq_rhs=f), feas_tol=feas_tol
-    )
+    sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows), feas_tol)
     if sol.status is not LPStatus.OPTIMAL:
         return None
     return validate_strategy(np.clip(sol.point, 0.0, None), player)
@@ -203,39 +205,16 @@ def stochastic_eigenvector(
 def gordan(A: GameMatrix, feas_tol: float = FEAS_TOL_DEFAULT) -> GordanVerdict:
     """Decide which Gordan alternative holds for A and return its witness.
 
-    Branch 1: A x = 0 has a nonzero nonnegative solution (normalized to a
-    stochastic x).  Branch 2: A^T y > 0 has a solution; the strict system is
-    reduced by positive scaling to A^T y >= 1 with y free.  Exactly one
-    branch is feasible; anything else raises InconsistentAlternativesError.
+    One LP decides: [A; 1^T] x = e_{m+1}, x >= 0.  Branch 1, when it is
+    feasible: A x = 0 has a nonzero nonnegative solution, the stochastic x.
+    Branch 2, when it is infeasible: its Farkas multipliers w satisfy
+    A^T w[:m] >= -w[m] > 0, so y = w[:m] solves A^T y > 0; y is certified on
+    A and scaled so that min(A^T y) = 1.  A witness that fails its
+    certificate raises InconsistentAlternativesError.
     """
     V = A.values
-    m, n = V.shape
-
-    E = np.vstack([V, np.ones((1, n))])
-    f = np.zeros(m + 1)
-    f[m] = 1.0
-    kernel = solve_lp(
-        LinearProgram(objective=np.zeros(n), eq_lhs=E, eq_rhs=f), feas_tol=feas_tol
-    )
-
-    image = solve_lp(
-        LinearProgram(
-            objective=np.zeros(m),
-            ineq_lhs=-V.T,
-            ineq_rhs=-np.ones(n),
-            lower_bounds=np.full(m, -np.inf),
-        ),
-        feas_tol=feas_tol,
-    )
-
-    kernel_ok = kernel.status is LPStatus.OPTIMAL
-    image_ok = image.status is LPStatus.OPTIMAL
-    if kernel_ok == image_ok:
-        raise InconsistentAlternativesError(
-            f"kernel branch {kernel.status.value}, image branch {image.status.value}; "
-            "exactly one must be feasible"
-        )
-    if kernel_ok:
+    kernel = _stochastic_kernel(V, feas_tol)
+    if kernel.status is LPStatus.OPTIMAL:
         x = np.clip(kernel.point, 0.0, None)
         x /= x.sum()
         if float(np.max(np.abs(V @ x))) > GORDAN_WITNESS_TOL:
@@ -244,10 +223,12 @@ def gordan(A: GameMatrix, feas_tol: float = FEAS_TOL_DEFAULT) -> GordanVerdict:
             )
         x.setflags(write=False)
         return GordanVerdict(branch=GordanBranch.NONNEGATIVE_KERNEL, witness=x)
-    y = image.point.copy()
-    if float((V.T @ y).min()) < 1.0 - GORDAN_WITNESS_TOL:
+    y = kernel.farkas[: V.shape[0]]
+    floor = float((V.T @ y).min())
+    if not floor > 0.0:
         raise InconsistentAlternativesError(
-            "image witness fails A^T y >= 1 - 1e-9"
+            f"Farkas witness fails A^T y > 0: min(A^T y) = {floor:g}"
         )
+    y = y / floor
     y.setflags(write=False)
     return GordanVerdict(branch=GordanBranch.POSITIVE_IMAGE, witness=y)

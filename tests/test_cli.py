@@ -293,6 +293,14 @@ class TestExitCodes:
             "synthetic inconsistency\n"
         )
 
+    def test_gordan_skew_15_seed_1_exits_0_or_1(self, capsys):
+        # trial 87 used to end in "solver bug" (exit 3) in gordan's image LP
+        code, _, err = run(
+            capsys, "verify", "--claim", "GordanTheorem3", "--ensemble", "Skew",
+            "--size", "15", "--trials", "200", "--seed", "1",
+        )
+        assert code in (0, 1) and err == ""
+
     def test_violated_ensemble_is_1(self, capsys):
         code, out, _ = run(
             capsys,

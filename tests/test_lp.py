@@ -351,3 +351,59 @@ def test_ineq_duals_against_highs():
 def test_no_ineq_rows_gives_empty_duals():
     sol = solve_lp(LinearProgram(objective=[1, 1], eq_lhs=[[1, 1]], eq_rhs=[1]))
     assert sol.ineq_duals.shape == (0,)
+
+
+def _random_infeasible_programs(rng, count):
+    """`count` LPs over z >= 0 with <= and = rows that solve_lp reports
+    Infeasible.  Right-hand sides of both signs make the simplex flip rows."""
+    programs = []
+    while len(programs) < count:
+        n = int(rng.integers(1, 5))
+        mg = int(rng.integers(0, 4))
+        me = int(rng.integers(0, 3))
+        if mg + me == 0:
+            continue
+        p = LinearProgram(
+            objective=rng.uniform(-1, 1, n),
+            ineq_lhs=rng.uniform(-2, 2, (mg, n)) if mg else None,
+            ineq_rhs=rng.uniform(-2, 1, mg) if mg else None,
+            eq_lhs=rng.uniform(-2, 2, (me, n)) if me else None,
+            eq_rhs=rng.uniform(-2, 2, me) if me else None,
+        )
+        sol = solve_lp(p)
+        if sol.status is LPStatus.INFEASIBLE:
+            programs.append((p, sol))
+    return programs
+
+
+def test_farkas_certifies_infeasibility():
+    rng = np.random.default_rng(35)
+    flipped_ineq = flipped_eq = mixed = 0
+    for p, sol in _random_infeasible_programs(rng, 300):
+        mg = p.ineq_lhs.shape[0]
+        w = sol.farkas
+        assert w.shape == (mg + p.eq_lhs.shape[0],)
+        tol = 1e-9 * np.max(np.abs(w))
+        assert np.all(w[:mg] >= -tol)
+        assert np.all(np.vstack([p.ineq_lhs, p.eq_lhs]).T @ w >= -tol)
+        assert p.ineq_rhs @ w[:mg] + p.eq_rhs @ w[mg:] < 0.0
+        flipped_ineq += int(np.sum(p.ineq_rhs < 0))
+        flipped_eq += int(np.sum(p.eq_rhs < 0))
+        mixed += int(mg > 0 and p.eq_lhs.shape[0] > 0)
+    assert flipped_ineq > 0 and flipped_eq > 0 and mixed > 0
+
+
+def test_farkas_from_maximize_each():
+    rng = np.random.default_rng(36)
+    p, sol = _random_infeasible_programs(rng, 1)[0]
+    objectives = rng.uniform(-1, 1, (3, p.n_vars))
+    for got in maximize_each(p, objectives):
+        assert got.status is LPStatus.INFEASIBLE
+        np.testing.assert_array_equal(got.farkas, sol.farkas)
+
+
+def test_farkas_only_on_infeasible():
+    optimal = solve_lp(LinearProgram(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1]))
+    unbounded = solve_lp(LinearProgram(objective=[1], ineq_lhs=[[-1]], ineq_rhs=[1]))
+    assert optimal.status is LPStatus.OPTIMAL and optimal.farkas is None
+    assert unbounded.status is LPStatus.UNBOUNDED and unbounded.farkas is None

@@ -1,11 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import zerosum.spectral as spectral_mod
 from zerosum import (
+    EnsembleSpec,
+    Family,
     GameMatrix,
+    InconsistentAlternativesError,
     InputError,
     InvalidMatrixError,
     Player,
+    generate_ensemble,
     gordan,
     GordanBranch,
     matrix_rank,
@@ -13,6 +20,7 @@ from zerosum import (
     perron,
     stochastic_eigenvector,
 )
+from zerosum.cli import DEFAULT_RANGES
 from conftest import random_skew
 
 
@@ -193,11 +201,64 @@ class TestGordan:
                 V = rng.uniform(0.01, 4, (m, n))
             else:
                 V = np.diag(rng.uniform(-4, 4, int(rng.integers(1, 7))))
-            verdict = gordan(GameMatrix(V))  # raising would fail the test
-            if verdict.branch is GordanBranch.NONNEGATIVE_KERNEL:
-                x = verdict.witness
-                assert np.all(x >= 0.0)
-                assert abs(x.sum() - 1.0) <= 1e-9
-                assert np.max(np.abs(V @ x)) <= 1e-9
-            else:
-                assert np.all(V.T @ verdict.witness >= 1.0 - 1e-9)
+            assert_certified(V, gordan(GameMatrix(V)))  # raising fails too
+
+    @pytest.mark.parametrize(
+        "size,seed,trial",
+        [
+            # the image LP this replaced took a 7.1e-11 phase-1 pivot and
+            # reported a point that missed feasibility (exit 3 in `verify`)
+            (15, 1, 87), (25, 5, 61), (25, 4, 35),
+            # the kernel LP's phase 1 pivoted on a 2e-11 to 5e-11 entry, the
+            # roundoff of a zero in a column whose largest entry was 78 to
+            # 690, and its multipliers then certified nothing
+            (15, 5, 39), (12, 6, 85), (15, 10, 40),
+        ],
+    )
+    def test_skew_ensemble_regressions(self, size, seed, trial):
+        spec = EnsembleSpec(
+            Family.SKEW, size=size, trials=trial + 1, seed=seed,
+            entry_range=DEFAULT_RANGES["Skew"],
+        )
+        A = generate_ensemble(spec)[trial]
+        assert_certified(A.values, gordan(A))
+
+    def test_one_lp_per_matrix(self, monkeypatch, rps):
+        real = spectral_mod.solve_lp
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_mod, "solve_lp", counting)
+        matrices = [rps, GameMatrix(np.eye(2)), GameMatrix([[1, 2], [3, 4]])]
+        matrices += [random_skew(np.random.default_rng(k), 6) for k in range(6)]
+        branches = set()
+        for A in matrices:
+            calls.clear()
+            branches.add(gordan(A).branch)
+            assert len(calls) == 1
+        assert branches == set(GordanBranch)
+
+    def test_refuses_non_positive_ray(self, monkeypatch):
+        real = spectral_mod.solve_lp
+
+        def flipped_ray(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            return dataclasses.replace(sol, farkas=-sol.farkas)
+
+        monkeypatch.setattr(spectral_mod, "solve_lp", flipped_ray)
+        with pytest.raises(InconsistentAlternativesError):
+            gordan(GameMatrix(np.eye(2)))
+
+
+def assert_certified(V, verdict):
+    """The witness proves its branch on V itself."""
+    if verdict.branch is GordanBranch.NONNEGATIVE_KERNEL:
+        x = verdict.witness
+        assert np.all(x >= 0.0)
+        assert abs(x.sum() - 1.0) <= 1e-9
+        assert np.max(np.abs(V @ x)) <= 1e-9
+    else:
+        assert np.all(V.T @ verdict.witness >= 1.0 - 1e-9)
