@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Dense two-phase primal simplex: Dantzig pricing with a Bland fallback.
 
 Solves  maximize c.z  subject to  G z <= h,  E z = f,  lb <= z <= ub,
 where individual bounds may be -inf/+inf.  Strict inequalities cannot be
@@ -39,13 +39,17 @@ from .core import DimensionMismatchError, InputError
 FEAS_TOL_DEFAULT = 1e-9
 # Entries at or below this magnitude are treated as zero during pivoting.
 PIVOT_TOL = 1e-11
-# Iteration budget factor; Bland's rule terminates, so hitting the budget
+# Consecutive degenerate pivots after which pricing falls back from Dantzig's
+# largest reduced cost to Bland's smallest index (see _run_simplex).
+DEGENERATE_STALL = 50
+# Iteration budget factor; the pricing rule terminates, so hitting the budget
 # signals a solver bug rather than a hard instance.
 ITERATION_FACTOR = 50
 
 
 class IterationLimitError(RuntimeError):
-    """Simplex exceeded 50*(variables+constraints) pivots; solver bug."""
+    """Simplex exceeded 50*(variables+constraints) pivots; solver bug, since
+    Dantzig pricing with its Bland fallback terminates."""
 
 
 class LPStatus(enum.Enum):
@@ -179,22 +183,31 @@ def _run_simplex(
     """Pivot to optimality ('optimal') or detect an improving ray ('unbounded').
 
     Last tableau row holds reduced costs for maximization plus -objective in
-    the rhs slot.  Bland's rule: entering = smallest improving column index,
-    leaving = minimum ratio with ties broken by smallest basic variable.
+    the rhs slot.  Entering = the largest reduced cost (Dantzig's rule);
+    after DEGENERATE_STALL consecutive degenerate pivots (minimum ratio <=
+    PIVOT_TOL) it is the smallest improving column index (Bland's rule)
+    until a pivot moves the point again.  Leaving = minimum ratio with ties
+    broken by smallest basic variable.  This terminates: a nondegenerate
+    pivot strictly raises the objective, so no basis repeats across one, and
+    within a degenerate stretch Bland's rule ends any cycle.
 
     With `bounded` (phase 1, whose objective is at most 0) an improving
     column without a positive entry can only be roundoff dust: its reduced
-    cost is zeroed and pricing goes on.  That is Bland's rule on an objective
-    perturbed in one nonbasic cost, so it still terminates.  Its ratio test
-    also scales PIVOT_TOL by the column's largest magnitude: a pivot on the
-    roundoff of a zero would spoil its verdict and multipliers, unchecked.
+    cost is zeroed and pricing goes on.  That is the same pricing on an
+    objective perturbed in one nonbasic cost, so it still terminates.  Its
+    ratio test also scales PIVOT_TOL by the column's largest magnitude: a
+    pivot on the roundoff of a zero would spoil its verdict and multipliers,
+    unchecked.
     """
+    stalled = 0
     for _ in range(iter_limit):
         reduced = T[-1, :-1]
-        improving = np.nonzero(reduced > PIVOT_TOL)[0]
-        if improving.size == 0:
+        if stalled < DEGENERATE_STALL:
+            enter = int(np.argmax(reduced))
+        else:
+            enter = int(np.argmax(reduced > PIVOT_TOL))  # first improving
+        if reduced[enter] <= PIVOT_TOL:
             return "optimal"
-        enter = int(improving[0])
         col = T[:-1, enter]
         tol = PIVOT_TOL * max(1.0, np.abs(col).max()) if bounded else PIVOT_TOL
         rows = np.nonzero(col > tol)[0]
@@ -205,23 +218,20 @@ def _run_simplex(
             return "unbounded"
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
+        stalled = stalled + 1 if best <= PIVOT_TOL else 0
         ties = rows[ratios == best]
         leave = int(ties[np.argmin([basis[i] for i in ties])])
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise IterationLimitError(
         f"simplex did not finish within {iter_limit} pivots; "
-        "this signals a bug since Bland's rule terminates"
+        "this signals a bug since the pricing rule terminates"
     )
 
 
 def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.ndarray:
     """Reduced-cost row (with -objective in the rhs slot) for the given basis."""
-    row = np.append(costs, 0.0)
-    for r, b in enumerate(basis):
-        if costs[b] != 0.0:
-            row -= costs[b] * T[r]
-    return row
+    return np.append(costs, 0.0) - costs[basis] @ T[:-1]
 
 
 @dataclass

@@ -63,7 +63,8 @@ def _value_lp(
     B: np.ndarray, feas_tol: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
-    x >= 0, v free.  Returns (x, v, y), y the multipliers of the n column
+    x >= 0, v >= 0.  The bound on v is never active, since callers pass
+    B >= 1, so v >= 1.  Returns (x, v, y), y the multipliers of the n column
     rows: up to roundoff a column strategy holding B's payoffs to v."""
     m, n = B.shape
     c = np.zeros(m + 1)
@@ -73,12 +74,8 @@ def _value_lp(
     E = np.zeros((1, m + 1))
     E[0, :m] = 1.0
     f = np.ones(1)
-    lb = np.zeros(m + 1)
-    lb[m] = -np.inf
     sol = solve_lp(
-        LinearProgram(
-            objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f, lower_bounds=lb
-        ),
+        LinearProgram(objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f),
         feas_tol=feas_tol,
     )
     if sol.status is not LPStatus.OPTIMAL:

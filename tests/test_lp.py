@@ -3,14 +3,39 @@ import pytest
 
 from zerosum import (
     DimensionMismatchError,
+    GameMatrix,
     InputError,
     LinearProgram,
     LPStatus,
+    solve_game,
     solve_lp,
 )
-from zerosum.lp import PIVOT_TOL, maximize_each
+from zerosum.lp import (
+    DEGENERATE_STALL,
+    PIVOT_TOL,
+    _priced_cost_row,
+    maximize_each,
+)
 
 FEAS_TOL = 1e-9
+
+
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """One (entered the largest reduced cost, degenerate) pair per pivot."""
+    import zerosum.lp as lp_mod
+
+    log = []
+    pivot = lp_mod._pivot
+
+    def recording(T, row, col):
+        reduced = T[-1, :-1]
+        ratio = T[row, -1] / T[row, col]
+        log.append((reduced[col] == reduced.max(), ratio <= PIVOT_TOL))
+        pivot(T, row, col)
+
+    monkeypatch.setattr(lp_mod, "_pivot", recording)
+    return log
 
 
 class TestBasicOutcomes:
@@ -60,8 +85,9 @@ class TestBasicOutcomes:
         sol = solve_lp(p)
         assert abs(sol.objective_value - 1.7) <= 1e-9
 
-    def test_beale_cycling_terminates(self):
-        # Classic instance on which Dantzig's rule cycles; Bland must not.
+    def test_beale_cycling_terminates(self, pivot_log):
+        # Classic instance on which Dantzig's rule cycles; the Bland
+        # fallback after DEGENERATE_STALL degenerate pivots must end it.
         p = LinearProgram(
             objective=[0.75, -150, 0.02, -6],
             ineq_lhs=[
@@ -74,6 +100,13 @@ class TestBasicOutcomes:
         sol = solve_lp(p)
         assert sol.status is LPStatus.OPTIMAL
         assert abs(sol.objective_value - 0.05) <= 1e-9
+        # Dantzig's rule through the whole degenerate stretch ...
+        assert pivot_log[:DEGENERATE_STALL] == [(True, True)] * DEGENERATE_STALL
+        # ... then Bland's smallest index, which leaves it within a few pivots.
+        fallback = pivot_log[DEGENERATE_STALL:]
+        assert 0 < len(fallback) <= 10
+        assert not all(dantzig for dantzig, _ in fallback)
+        assert not all(degenerate for _, degenerate in fallback)
 
 
 class TestValidation:
@@ -179,6 +212,32 @@ def test_iteration_limit_error_is_distinct(monkeypatch):
     p = LinearProgram(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1])
     with pytest.raises(lp_mod.IterationLimitError):
         solve_lp(p)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_game_pivot_budget(pivot_log, seed):
+    # Smallest-index pricing alone took 594, 1222 and 693 pivots on these
+    # games; the largest reduced cost takes 167, 240 and 207.
+    A = np.random.default_rng(seed).uniform(-10, 10, (80, 80))
+    solve_game(GameMatrix(A))
+    assert 0 < len(pivot_log) <= 350
+
+
+def test_priced_cost_row_matches_row_by_row_elimination():
+    # The cost row is one matrix product; the row-by-row elimination below
+    # sums the same terms in another order, so they agree up to roundoff.
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        m, k = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+        T = rng.uniform(-5, 5, (m + 1, k + m + 1))
+        basis = [int(b) for b in rng.permutation(k + m)[:m]]
+        costs = rng.uniform(-2, 2, k + m) * (rng.random(k + m) < 0.7)
+        want = np.append(costs, 0.0)
+        for r, b in enumerate(basis):
+            want -= costs[b] * T[r]
+        scale = np.abs(costs[basis]) @ np.abs(T[:-1]) + np.abs(want)
+        got = _priced_cost_row(T, basis, costs)
+        assert np.all(np.abs(got - want) <= 2 * m * np.finfo(float).eps * scale)
 
 
 def test_degenerate_equalities_and_redundant_rows():
