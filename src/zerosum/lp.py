@@ -1,7 +1,7 @@
 """Dense two-phase primal simplex: Dantzig pricing with a Bland fallback.
 
-Solves  maximize c.z  subject to  G z <= h,  E z = f,  lb <= z <= ub,
-where individual bounds may be -inf/+inf.  Strict inequalities cannot be
+Solves  maximize c.z  subject to  G z <= h,  E z = f,  z >= 0.
+Other bounds are written as rows of G.  Strict inequalities cannot be
 expressed here; an Infeasible result's `farkas` answers them (see spectral.gordan).
 
 The implementation favors simplicity over speed: desk-scale instances only
@@ -11,20 +11,19 @@ starts each objective's phase 2 from the previous objective's final basis;
 `solve_lp` is its one-objective case.
 
 Every Optimal solution also carries `ineq_duals`, the multipliers y >= 0 of
-the caller's `G z <= h` rows, read off the final phase-2 cost row: the
-reduced cost of row i's slack is -y_i.  A row flipped to make its rhs
-nonnegative has its slack negated with it, so the same reading holds there.
-At the optimum y may sit up to PIVOT_TOL below zero.  Up to roundoff it is
-complementary to the point's slacks, and when the region has only `G z <= h`
-rows and z >= 0 bounds, strong duality reads c.z = h.y.  Nothing here
-re-certifies the duals against the original data; a caller that builds on
-them checks its own certificate.
+the `G z <= h` rows, read off the final phase-2 cost row: the reduced cost of
+row i's slack is -y_i.  A row flipped to make its rhs nonnegative has its
+slack negated with it, so the same reading holds there.  At the optimum y may
+sit up to PIVOT_TOL below zero.  Up to roundoff it is complementary to the
+point's slacks, and when the region has only `G z <= h` rows, strong duality
+reads c.z = h.y.  Nothing here re-certifies the duals against the original
+data; a caller that builds on them checks its own certificate.
 
 Every Infeasible solution carries `farkas`, the phase-1 multipliers w of the
-caller's `[G; E]` rows, read off the final phase-1 cost row: row i's slack
-has reduced cost -w_i, its artificial (cost -1) -1 - w_i, and a flipped row
-gets its sign back.  Under the default z >= 0 bounds w is, up to roundoff, a
-Farkas certificate: w_G >= 0, [G; E]^T w >= 0 and h.w_G + f.w_E < 0.
+`[G; E]` rows, read off the final phase-1 cost row: row i's slack has reduced
+cost -w_i, its artificial (cost -1) -1 - w_i, and a flipped row gets its sign
+back.  Up to roundoff w is a Farkas certificate: w_G >= 0, [G; E]^T w >= 0
+and h.w_G + f.w_E < 0.
 """
 
 from __future__ import annotations
@@ -73,13 +72,11 @@ def _as_matrix(M, n_cols: int, name: str) -> np.ndarray:
     return arr
 
 
-def _as_vector(v, n: int, name: str, allow_inf: bool = False) -> np.ndarray:
+def _as_vector(v, n: int, name: str) -> np.ndarray:
     arr = np.array(v, dtype=float)
     if arr.ndim != 1 or arr.size != n:
         raise DimensionMismatchError(f"{name} must be a vector of length {n}")
-    if np.any(np.isnan(arr)):
-        raise InputError(f"{name} contains NaN")
-    if not allow_inf and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} must have finite entries")
     return arr
 
@@ -87,10 +84,9 @@ def _as_vector(v, n: int, name: str, allow_inf: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective.z  s.t.  ineq_lhs z <= ineq_rhs,  eq_lhs z = eq_rhs,
-    lower_bounds <= z <= upper_bounds.
+    z >= 0.
 
-    Bounds default to z >= 0 (lower 0, upper +inf).  Use -inf lower bounds
-    for free variables.
+    Every variable is nonnegative; write any other bound as a row of ineq_lhs.
     """
 
     objective: np.ndarray
@@ -98,8 +94,6 @@ class LinearProgram:
     ineq_rhs: np.ndarray | None = None
     eq_lhs: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
-    lower_bounds: np.ndarray | None = None
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = _as_vector(self.objective, np.asarray(self.objective).size, "objective")
@@ -122,26 +116,12 @@ class LinearProgram:
             if self.eq_rhs is not None
             else np.zeros(0)
         )
-        lb = (
-            _as_vector(self.lower_bounds, n, "lower_bounds", allow_inf=True)
-            if self.lower_bounds is not None
-            else np.zeros(n)
-        )
-        ub = (
-            _as_vector(self.upper_bounds, n, "upper_bounds", allow_inf=True)
-            if self.upper_bounds is not None
-            else np.full(n, np.inf)
-        )
-        if np.any(lb > ub):
-            raise InputError("lower bound exceeds upper bound")
         for name, val in (
             ("objective", c),
             ("ineq_lhs", G),
             ("ineq_rhs", h),
             ("eq_lhs", E),
             ("eq_rhs", f),
-            ("lower_bounds", lb),
-            ("upper_bounds", ub),
         ):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -234,75 +214,13 @@ def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.n
     return np.append(costs, 0.0) - costs[basis] @ T[:-1]
 
 
-@dataclass
-class _StandardForm:
-    """Nonnegative-variable rewrite of a LinearProgram."""
-
-    matrix: np.ndarray  # stacked [ineq; eq] rows over standard variables
-    rhs: np.ndarray
-    n_ineq: int
-    selection: np.ndarray  # z = offsets + selection @ u
-    offsets: np.ndarray
-
-
-def _standardize(p: LinearProgram) -> _StandardForm:
-    n = p.n_vars
-    lb, ub = p.lower_bounds, p.upper_bounds
-    columns: list[tuple[int, float]] = []  # (original var, sign)
-    offsets = np.zeros(n)
-    bound_rows: list[tuple[int, float]] = []  # (standard col, cap)
-    for i in range(n):
-        lo, hi = lb[i], ub[i]
-        if np.isfinite(lo):
-            offsets[i] = lo
-            if np.isfinite(hi):
-                bound_rows.append((len(columns), hi - lo))
-            columns.append((i, 1.0))
-        elif np.isfinite(hi):
-            offsets[i] = hi
-            columns.append((i, -1.0))
-        else:
-            columns.append((i, 1.0))
-            columns.append((i, -1.0))
-    N = len(columns)
-    S = np.zeros((n, N))
-    for k, (i, sign) in enumerate(columns):
-        S[i, k] = sign
-
-    G = p.ineq_lhs @ S
-    h = p.ineq_rhs - p.ineq_lhs @ offsets
-    if bound_rows:
-        extra = np.zeros((len(bound_rows), N))
-        caps = np.zeros(len(bound_rows))
-        for r, (k, cap) in enumerate(bound_rows):
-            extra[r, k] = 1.0
-            caps[r] = cap
-        G = np.vstack([G, extra])
-        h = np.concatenate([h, caps])
-    E = p.eq_lhs @ S
-    f = p.eq_rhs - p.eq_lhs @ offsets
-
-    return _StandardForm(
-        matrix=np.vstack([G, E]),
-        rhs=np.concatenate([h, f]),
-        n_ineq=G.shape[0],
-        selection=S,
-        offsets=offsets,
-    )
-
-
 def _residual(p: LinearProgram, z: np.ndarray) -> float:
     parts = [0.0]
     if p.ineq_lhs.shape[0]:
         parts.append(float(np.max(p.ineq_lhs @ z - p.ineq_rhs)))
     if p.eq_lhs.shape[0]:
         parts.append(float(np.max(np.abs(p.eq_lhs @ z - p.eq_rhs))))
-    finite_lo = np.isfinite(p.lower_bounds)
-    finite_hi = np.isfinite(p.upper_bounds)
-    if np.any(finite_lo):
-        parts.append(float(np.max(p.lower_bounds[finite_lo] - z[finite_lo])))
-    if np.any(finite_hi):
-        parts.append(float(np.max(z[finite_hi] - p.upper_bounds[finite_hi])))
+    parts.append(float(np.max(-z)))  # z >= 0
     return max(parts)
 
 
@@ -337,18 +255,16 @@ def _two_phase(
     """`maximize_each` over already validated objective rows `costs`."""
     if feas_tol <= 0.0:
         raise InputError("feas_tol must be positive")
-    std = _standardize(region)
-    m, N = std.matrix.shape
-
-    M = std.matrix.copy()
-    b = std.rhs.copy()
+    M = np.vstack([region.ineq_lhs, region.eq_lhs])
+    b = np.concatenate([region.ineq_rhs, region.eq_rhs])
+    m, N = M.shape
     flipped = b < 0.0
     M[flipped] *= -1.0
     b[flipped] *= -1.0
 
     # Slack columns for inequality rows; +1 slack on an unflipped row can
     # serve as the initial basis, everything else takes an artificial.
-    n_ineq = std.n_ineq
+    n_ineq = region.ineq_lhs.shape[0]
     slack = np.zeros((m, n_ineq))
     for i in range(n_ineq):
         slack[i, i] = -1.0 if flipped[i] else 1.0
@@ -382,15 +298,13 @@ def _two_phase(
     T[-1] = _priced_cost_row(T, basis, phase1_costs)
     _run_simplex(T, basis, iter_limit, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
-    n_caller_ineq = region.ineq_lhs.shape[0]
     if art_sum > feas_tol:
         w = np.empty(m)
         w[:n_ineq] = -T[-1, N : N + n_ineq]
         # A flipped inequality row's artificial overrides its slack's reading.
         w[art_rows] = -1.0 - T[-1, N + n_ineq : total]
         w[flipped] *= -1.0
-        farkas = np.concatenate([w[:n_caller_ineq], w[n_ineq:]])
-        return [LPSolution(status=LPStatus.INFEASIBLE, farkas=farkas) for _ in costs]
+        return [LPSolution(status=LPStatus.INFEASIBLE, farkas=w) for _ in costs]
 
     # Drive leftover artificials out of the basis; rows where that is
     # impossible are redundant and dropped.  A lingering artificial sits at a
@@ -416,20 +330,20 @@ def _two_phase(
     results = []
     phase2_costs = np.zeros(N + n_ineq)
     for c in costs:
-        phase2_costs[:N] = c @ std.selection
+        phase2_costs[:N] = c
         T[-1] = _priced_cost_row(T, basis, phase2_costs)
         if _run_simplex(T, basis, iter_limit) == "unbounded":
             results.append(LPSolution(status=LPStatus.UNBOUNDED))
             continue
         u = np.zeros(N + n_ineq)
         u[basis] = T[:-1, -1]
-        z = std.offsets + std.selection @ u[:N]
+        z = u[:N]
         residual = _residual(region, z)
         if residual > feas_tol:
             # The tableau carries roundoff from every pivot so far; solve
             # for x_B against the original rows of the final basis instead.
             u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
-            z = std.offsets + std.selection @ u[:N]
+            z = u[:N]
             residual = _residual(region, z)
         if residual > feas_tol:
             raise RuntimeError(
@@ -442,7 +356,7 @@ def _two_phase(
                 point=z,
                 objective_value=float(c @ z),
                 primal_residual=residual,
-                ineq_duals=-T[-1, N : N + n_caller_ineq],
+                ineq_duals=-T[-1, N : N + n_ineq],
             )
         )
     return results

@@ -294,15 +294,3 @@ def extrema_dominated(
     slack = tol + feas_tol
     return bool(np.all(maxs <= v + slack) and np.all(mins >= v - slack))
 
-
-def all_row_optima_dominated(
-    A: GameMatrix, v: float, tol: float, feas_tol: float = FEAS_TOL_DEFAULT
-) -> bool:
-    """Whether every optimal row strategy is optimal-dominated.
-
-    True iff for each column the extreme payoffs over the optimal-strategy
-    polytope stay within tol of v (see `extrema_dominated`), so no optimal
-    strategy can pay anything other than v against any column.
-    """
-    mins, maxs = row_optima_column_extrema(A, v, tol, feas_tol)
-    return extrema_dominated(mins, maxs, v, tol, feas_tol)

@@ -14,6 +14,7 @@ from zerosum.lp import (
     DEGENERATE_STALL,
     PIVOT_TOL,
     _priced_cost_row,
+    _residual,
     maximize_each,
 )
 
@@ -54,33 +55,13 @@ class TestBasicOutcomes:
         p = LinearProgram(objective=[1])
         assert solve_lp(p).status is LPStatus.UNBOUNDED
 
-    def test_free_variable(self):
-        p = LinearProgram(
-            objective=[-1],
-            ineq_lhs=[[-1]],
-            ineq_rhs=[-3],
-            lower_bounds=[-np.inf],
-        )
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        assert abs(sol.point[0] - 3.0) <= 1e-9
-
-    def test_negative_box(self):
-        p = LinearProgram(
-            objective=[1],
-            lower_bounds=[-np.inf],
-            upper_bounds=[-2.5],
-        )
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        assert abs(sol.point[0] + 2.5) <= 1e-9
-
     def test_equality_with_bounds(self):
         p = LinearProgram(
             objective=[1, 2],
             eq_lhs=[[1, 1]],
             eq_rhs=[1],
-            upper_bounds=[0.7, 0.7],
+            ineq_lhs=np.eye(2),
+            ineq_rhs=[0.7, 0.7],
         )
         sol = solve_lp(p)
         assert abs(sol.objective_value - 1.7) <= 1e-9
@@ -118,10 +99,6 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             LinearProgram(objective=[1], ineq_lhs=[[1]])
 
-    def test_bad_bounds(self):
-        with pytest.raises(InputError):
-            LinearProgram(objective=[1], lower_bounds=[2.0], upper_bounds=[1.0])
-
     def test_nan_rejected(self):
         with pytest.raises(InputError):
             LinearProgram(objective=[float("nan")])
@@ -136,7 +113,8 @@ class TestValidation:
 
 
 def _random_feasible_program(rng):
-    """LP with a known interior point z0 inside the box [0, 2]^n."""
+    """LP with a known interior point z0 inside the box [0, 2]^n, whose upper
+    side is written as the last n rows of G."""
     n = int(rng.integers(1, 5))
     mg = int(rng.integers(0, 5))
     me = int(rng.integers(0, 2))
@@ -148,11 +126,10 @@ def _random_feasible_program(rng):
     c = rng.uniform(-2, 2, n)
     p = LinearProgram(
         objective=c,
-        ineq_lhs=G if mg else None,
-        ineq_rhs=h if mg else None,
+        ineq_lhs=np.vstack([G, np.eye(n)]),
+        ineq_rhs=np.concatenate([h, np.full(n, 2.0)]),
         eq_lhs=E if me else None,
         eq_rhs=f if me else None,
-        upper_bounds=np.full(n, 2.0),
     )
     return p, z0
 
@@ -163,8 +140,7 @@ def _feasible_mask(p, points, tol):
         ok &= np.all(points @ p.ineq_lhs.T <= p.ineq_rhs + tol, axis=1)
     if p.eq_lhs.shape[0]:
         ok &= np.all(np.abs(points @ p.eq_lhs.T - p.eq_rhs) <= tol, axis=1)
-    ok &= np.all(points >= p.lower_bounds - tol, axis=1)
-    ok &= np.all(points <= p.upper_bounds + tol, axis=1)
+    ok &= np.all(points >= -tol, axis=1)
     return ok
 
 
@@ -193,9 +169,8 @@ def test_infeasible_reports_confirmed_by_rejection_sampling():
         h = rng.uniform(-3.0, -1.5, mg)  # likely contradicts the [0,1] box
         p = LinearProgram(
             objective=rng.uniform(-1, 1, n),
-            ineq_lhs=G,
-            ineq_rhs=h,
-            upper_bounds=np.ones(n),
+            ineq_lhs=np.vstack([G, np.eye(n)]),
+            ineq_rhs=np.concatenate([h, np.ones(n)]),
         )
         sol = solve_lp(p)
         if sol.status is not LPStatus.INFEASIBLE:
@@ -240,6 +215,11 @@ def test_priced_cost_row_matches_row_by_row_elimination():
         assert np.all(np.abs(got - want) <= 2 * m * np.finfo(float).eps * scale)
 
 
+def test_residual_counts_negative_coordinates():
+    # z >= 0 is part of every region, so a negative coordinate is infeasible.
+    assert _residual(LinearProgram(objective=[1, 1]), np.array([0.5, -1e-3])) == 1e-3
+
+
 def test_degenerate_equalities_and_redundant_rows():
     # Duplicated equality rows force redundant phase-1 rows to be dropped.
     p = LinearProgram(
@@ -264,8 +244,6 @@ def _assert_matches_solve_lp(region, objectives):
                 ineq_rhs=region.ineq_rhs,
                 eq_lhs=region.eq_lhs,
                 eq_rhs=region.eq_rhs,
-                lower_bounds=region.lower_bounds,
-                upper_bounds=region.upper_bounds,
             )
         )
         assert sol.status is fresh.status

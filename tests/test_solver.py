@@ -9,7 +9,6 @@ from zerosum import (
     MixedStrategy,
     OracleSizeError,
     Player,
-    all_row_optima_dominated,
     generate_ensemble,
     is_optimal_dominated,
     oracle_solve,
@@ -17,6 +16,8 @@ from zerosum import (
     solve_game,
 )
 from zerosum.cli import DEFAULT_RANGES
+from zerosum.lp import FEAS_TOL_DEFAULT
+from zerosum.solver import extrema_dominated
 from conftest import random_matrix, random_skew
 
 
@@ -189,16 +190,21 @@ class TestOptimalDominated:
             is_optimal_dominated(rps, MixedStrategy(Player.ROW, [1.0]), 0.0, 1e-7)
 
 
+def _all_row_optima_dominated(A, v, tol):
+    mins, maxs = row_optima_column_extrema(A, v, tol)
+    return extrema_dominated(mins, maxs, v, tol, FEAS_TOL_DEFAULT)
+
+
 class TestAllRowOptimaDominated:
     def test_equalizing_game(self):
-        assert all_row_optima_dominated(GameMatrix([[2, 1], [1, 2]]), 1.5, 1e-7)
+        assert _all_row_optima_dominated(GameMatrix([[2, 1], [1, 2]]), 1.5, 1e-7)
 
     def test_saddle_counterexample(self, saddle):
-        assert not all_row_optima_dominated(saddle, 3.0, 1e-7)
+        assert not _all_row_optima_dominated(saddle, 3.0, 1e-7)
 
     def test_identity_boundary(self):
         # Optimal set degenerates to the equalizer; extrema touch v +/- tol.
-        assert all_row_optima_dominated(GameMatrix(np.diag([1.0, 1.0])), 0.5, 1e-7)
+        assert _all_row_optima_dominated(GameMatrix(np.diag([1.0, 1.0])), 0.5, 1e-7)
 
     def test_extrema_against_highs(self, rps, saddle):
         linprog = pytest.importorskip("scipy.optimize").linprog
