@@ -26,5 +26,5 @@ for d in ([-1.0, 2.0], [0.0, 5.0], [-3.0, 0.5, 4.0]):
 
 # The claim checker packages both cases into a single verdict.
 for d in ([1.0, 2.0, 3.0], [-1.0, 2.0], [4.0, -4.0, 0.0]):
-    rep = check_diagonal(d)
+    rep = check_diagonal(GameMatrix(np.diag(d)))
     print(f"check_diagonal({d}): {rep.verdict.value}")

@@ -14,20 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GameMatrix,
-    InputError,
-    InvalidMatrixError,
-    Player,
-    canonical_json,
-)
+from .core import GameMatrix, InputError, Player, canonical_json
 from .lp import FEAS_TOL_DEFAULT
-from .solver import (
-    extrema_dominated,
-    is_optimal_dominated,
-    row_optima_column_extrema,
-    solve_game,
-)
+from .solver import extrema_dominated, row_optima_column_extrema, solve_game
 from .spectral import GordanBranch, gordan, perron, stochastic_eigenvector
 
 CLAIM_TOL_DEFAULT = 1e-7
@@ -80,22 +69,42 @@ def _listify(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
+def _not_applicable(claim: ClaimId, A: GameMatrix, computed: dict, tol: float) -> ClaimReport:
+    return ClaimReport(
+        claim_id=claim,
+        input_digest=A.digest(),
+        computed=computed,
+        verdict=Verdict.NOT_APPLICABLE,
+        tolerance=tol,
+    )
+
+
 def check_diagonal(
-    d, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
 ) -> ClaimReport:
     """Audit the diagonal-game summary theorem.
 
-    Definite diagonal (all entries one strict sign): the value must match the
-    harmonic formula 1/sum(1/d_i) and the row optimum must match v/d_i
+    Applies to square matrices whose off-diagonal entries are all within
+    DIAG_SIGN_TOL of zero; any other matrix is NotApplicable.  The game
+    solved and digested is A itself, off-diagonal dust included.
+
+    Definite diagonal (all entries one strict sign): the value must match
+    the harmonic formula 1/sum(1/d_i) and the row optimum must match v/d_i
     coordinatewise.  Otherwise the value must vanish and the row optimum may
     put no weight on negative diagonal entries.
     """
-    d = np.array(d, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise InputError("diagonal must be a nonempty vector")
-    if not np.all(np.isfinite(d)):
-        raise InputError("diagonal entries must be finite")
-    A = GameMatrix(np.diag(d))
+    claim = ClaimId.DIAGONAL_THEOREM1
+    if not A.is_square:
+        return _not_applicable(claim, A, {"reason": "matrix is not square"}, tol)
+    d = np.diag(A.values)
+    max_off = float(np.max(np.abs(A.values - np.diag(d))))
+    if max_off > DIAG_SIGN_TOL:
+        return _not_applicable(
+            claim,
+            A,
+            {"reason": "matrix is not diagonal", "max_offdiagonal": max_off},
+            tol,
+        )
     sol = solve_game(A, feas_tol=lp_tol)
     x = sol.row_strategy.weights
 
@@ -130,7 +139,7 @@ def check_diagonal(
             "negative_index_weight": negative_weight,
         }
     return ClaimReport(
-        claim_id=ClaimId.DIAGONAL_THEOREM1,
+        claim_id=claim,
         input_digest=A.digest(),
         computed=computed,
         verdict=Verdict.HOLDS if holds else Verdict.VIOLATED,
@@ -142,16 +151,6 @@ def _skew_residual(A: GameMatrix) -> float | None:
     if not A.is_square:
         return None
     return float(np.max(np.abs(A.values + A.values.T)))
-
-
-def _not_applicable(claim: ClaimId, A: GameMatrix, computed: dict, tol: float) -> ClaimReport:
-    return ClaimReport(
-        claim_id=claim,
-        input_digest=A.digest(),
-        computed=computed,
-        verdict=Verdict.NOT_APPLICABLE,
-        tolerance=tol,
-    )
 
 
 def _skew_gate(
@@ -406,11 +405,15 @@ def check_shifted_eigen(
     lp_tol: float = FEAS_TOL_DEFAULT,
 ) -> ClaimReport:
     """Stochastic eigenvectors of A and A^T at a shared eigenvalue force
-    v(A - lambda I) = 0 with both witnesses optimal-dominated there."""
+    v(A - lambda I) = 0 with both witnesses optimal-dominated there.
+
+    Optimal-dominated at value 0 means each witness's largest deviation,
+    max_j |(x^T B)_j| for the row witness and max_i |(B y)_i| for the column
+    witness, is at most tol.  A non-square A is NotApplicable.
+    """
+    claim = ClaimId.SHIFTED_EIGEN_THM4_GENERAL
     if not A.is_square:
-        raise InvalidMatrixError(
-            f"check_shifted_eigen requires a square matrix, got {A.rows}x{A.cols}"
-        )
+        return _not_applicable(claim, A, {"reason": "matrix is not square"}, tol)
     lam = float(eigenvalue)
     col_witness = stochastic_eigenvector(A, lam, Player.COL, feas_tol=lp_tol)
     row_witness = stochastic_eigenvector(
@@ -418,7 +421,7 @@ def check_shifted_eigen(
     )
     if col_witness is None or row_witness is None:
         return _not_applicable(
-            ClaimId.SHIFTED_EIGEN_THM4_GENERAL,
+            claim,
             A,
             {
                 "lambda": lam,
@@ -432,13 +435,9 @@ def check_shifted_eigen(
     value = solve_game(B, feas_tol=lp_tol).value
     row_dev = float(np.max(np.abs(row_witness.weights @ B.values)))
     col_dev = float(np.max(np.abs(B.values @ col_witness.weights)))
-    holds = (
-        abs(value) <= tol
-        and is_optimal_dominated(B, row_witness, 0.0, tol)
-        and is_optimal_dominated(B, col_witness, 0.0, tol)
-    )
+    holds = abs(value) <= tol and row_dev <= tol and col_dev <= tol
     return ClaimReport(
-        claim_id=ClaimId.SHIFTED_EIGEN_THM4_GENERAL,
+        claim_id=claim,
         input_digest=A.digest(),
         computed={
             "lambda": lam,
@@ -453,6 +452,17 @@ def check_shifted_eigen(
     )
 
 
+# The claims whose checker needs nothing but (A, tol, lp_tol).
+_CHECKERS = {
+    ClaimId.DIAGONAL_THEOREM1: check_diagonal,
+    ClaimId.SKEW_ZERO_COR3: check_skew,
+    ClaimId.SHARED_OPTIMA_COR4: check_shared_optima,
+    ClaimId.NEG_TRANSPOSE_THM2: check_neg_transpose,
+    ClaimId.GORDAN_THEOREM3: check_gordan_theorem3,
+    ClaimId.POSITIVE_DOMINATED_THM4: check_positive_dominated,
+}
+
+
 def run_checker(
     claim: ClaimId,
     A: GameMatrix,
@@ -462,47 +472,21 @@ def run_checker(
 ) -> list[ClaimReport]:
     """Dispatch a claim checker on a concrete matrix.
 
-    Returns a list because the shifted-eigenvalue claim emits one report per
-    supplied eigenvalue; every other claim yields exactly one report.
+    Each checker decides its own applicability, so this is a lookup.  Only
+    the two eigenvalue claims read `lambdas`: EigenspaceLemma5 adds them to
+    its candidates, and ShiftedEigenThm4General requires at least one and
+    emits one report per supplied eigenvalue.  Every other claim yields
+    exactly one report.
     """
-    if claim is ClaimId.DIAGONAL_THEOREM1:
-        if not A.is_square:
-            return [
-                _not_applicable(claim, A, {"reason": "matrix is not square"}, tol)
-            ]
-        off = A.values - np.diag(np.diag(A.values))
-        max_off = float(np.max(np.abs(off)))
-        if max_off > DIAG_SIGN_TOL:
-            return [
-                _not_applicable(
-                    claim,
-                    A,
-                    {"reason": "matrix is not diagonal", "max_offdiagonal": max_off},
-                    tol,
-                )
-            ]
-        return [check_diagonal(np.diag(A.values), tol, lp_tol)]
-    if claim is ClaimId.SKEW_ZERO_COR3:
-        return [check_skew(A, tol, lp_tol)]
-    if claim is ClaimId.SHARED_OPTIMA_COR4:
-        return [check_shared_optima(A, tol, lp_tol)]
-    if claim is ClaimId.NEG_TRANSPOSE_THM2:
-        return [check_neg_transpose(A, tol, lp_tol)]
     if claim is ClaimId.EIGENSPACE_LEMMA5:
         return [check_eigenspace_lemma5(A, tol, lambdas, lp_tol)]
-    if claim is ClaimId.GORDAN_THEOREM3:
-        return [check_gordan_theorem3(A, tol, lp_tol)]
-    if claim is ClaimId.POSITIVE_DOMINATED_THM4:
-        return [check_positive_dominated(A, tol, lp_tol)]
     if claim is ClaimId.SHIFTED_EIGEN_THM4_GENERAL:
         if not lambdas:
             raise InputError(
                 "ShiftedEigenThm4General requires at least one eigenvalue "
                 "(pass lambdas / --lambda)"
             )
-        if not A.is_square:
-            return [
-                _not_applicable(claim, A, {"reason": "matrix is not square"}, tol)
-            ]
         return [check_shifted_eigen(A, lam, tol, lp_tol) for lam in lambdas]
-    raise InputError(f"unknown claim {claim!r}")
+    if claim not in _CHECKERS:
+        raise InputError(f"unknown claim {claim!r}")
+    return [_CHECKERS[claim](A, tol, lp_tol)]

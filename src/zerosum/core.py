@@ -203,16 +203,6 @@ def validate_strategy(weights, player: Player = Player.ROW) -> MixedStrategy:
     return MixedStrategy(player, w / total)
 
 
-def uniform_strategy(n: int, player: Player) -> MixedStrategy:
-    return MixedStrategy(player, np.full(n, 1.0 / n))
-
-
-def pure_strategy(n: int, index: int, player: Player) -> MixedStrategy:
-    w = np.zeros(n)
-    w[index] = 1.0
-    return MixedStrategy(player, w)
-
-
 def payoff(A: GameMatrix, x: MixedStrategy, y: MixedStrategy) -> float:
     """Expected row-player payoff x^T A y; bilinear in x and y."""
     if x.player is not Player.ROW or y.player is not Player.COL:

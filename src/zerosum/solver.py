@@ -225,29 +225,6 @@ def oracle_solve(A: GameMatrix) -> OracleSolution:
     raise RuntimeError("no valid support pair found; oracle bug")
 
 
-def is_optimal_dominated(
-    A: GameMatrix, s: MixedStrategy, v: float, tol: float
-) -> bool:
-    """Whether s achieves exactly v against every opposing pure strategy.
-
-    Row side: max_j |(s^T A)_j - v| <= tol; column side: max_i |(A s)_i - v|
-    <= tol.
-    """
-    if s.player is Player.ROW:
-        if len(s) != A.rows:
-            raise InputError(
-                f"row strategy length {len(s)} does not match {A.rows} rows"
-            )
-        against = s.weights @ A.values
-    else:
-        if len(s) != A.cols:
-            raise InputError(
-                f"column strategy length {len(s)} does not match {A.cols} columns"
-            )
-        against = A.values @ s.weights
-    return float(np.max(np.abs(against - v))) <= tol
-
-
 def row_optima_column_extrema(
     A: GameMatrix, v: float, tol: float, feas_tol: float = FEAS_TOL_DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:

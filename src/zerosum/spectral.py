@@ -116,12 +116,6 @@ def perron(A: GameMatrix, tol: float = PERRON_RESIDUAL_TOL) -> SpectralCert:
     )
 
 
-def matrix_rank(values: np.ndarray, rank_tol: float = RANK_TOL_DEFAULT) -> int:
-    """Rank by Gaussian elimination with partial pivoting; pivots at or below
-    rank_tol * max|A| count as zero."""
-    return len(_row_reduce(values, rank_tol)[1])
-
-
 def _row_reduce(values: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns under the rank tolerance."""
     R = np.array(values, dtype=float)

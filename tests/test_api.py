@@ -1,0 +1,35 @@
+"""The package's public surface: what `zerosum.__all__` promises, and the
+hooks the benchmark's tracer wraps."""
+
+import importlib
+from pathlib import Path
+
+import zerosum
+
+REMOVED = ("is_optimal_dominated", "matrix_rank", "uniform_strategy", "pure_strategy")
+
+
+def test_every_exported_name_resolves_once():
+    assert len(zerosum.__all__) == len(set(zerosum.__all__))
+    for name in zerosum.__all__:
+        assert hasattr(zerosum, name), name
+
+
+def test_removed_names_stay_removed():
+    for name in REMOVED:
+        assert name not in zerosum.__all__
+        assert not hasattr(zerosum, name), name
+
+
+def test_bench_tracer_finds_every_hook(monkeypatch):
+    # A renamed zerosum function would otherwise only go untraced, and the
+    # benchmark's per-layer metrics would silently stop covering its layer.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(zerosum)
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        assert tracer.counts_pivots
+    finally:
+        tracer.uninstall()

@@ -23,7 +23,7 @@ from conftest import random_skew
 
 class TestCheckDiagonal:
     def test_positive_definite_formula(self):
-        rep = check_diagonal([1.0, 2.0, 3.0])
+        rep = check_diagonal(GameMatrix(np.diag([1.0, 2.0, 3.0])))
         assert rep.verdict is Verdict.HOLDS
         assert rep.computed["predicted_value"] == pytest.approx(6 / 11, abs=1e-15)
         np.testing.assert_allclose(
@@ -31,7 +31,7 @@ class TestCheckDiagonal:
         )
 
     def test_mixed_signs(self):
-        rep = check_diagonal([-1.0, 2.0])
+        rep = check_diagonal(GameMatrix(np.diag([-1.0, 2.0])))
         assert rep.verdict is Verdict.HOLDS
         assert rep.computed["predicted_value"] == 0.0
         assert rep.computed["negative_index_weight"] <= 1e-7
@@ -40,21 +40,32 @@ class TestCheckDiagonal:
         )
 
     def test_zero_entry(self):
-        rep = check_diagonal([0.0, 5.0])
+        rep = check_diagonal(GameMatrix(np.diag([0.0, 5.0])))
         assert rep.verdict is Verdict.HOLDS
         assert abs(rep.computed["observed_value"]) <= 1e-7
 
     def test_negative_definite_formula(self):
-        rep = check_diagonal([-1.0, -2.0])
+        rep = check_diagonal(GameMatrix(np.diag([-1.0, -2.0])))
         assert rep.verdict is Verdict.HOLDS
         assert rep.computed["predicted_value"] == pytest.approx(-2 / 3, abs=1e-15)
         np.testing.assert_allclose(
             rep.computed["predicted_row_strategy"], [2 / 3, 1 / 3], atol=1e-15
         )
 
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            check_diagonal([])
+    def test_near_diagonal_input_is_audited_as_given(self):
+        # An off-diagonal entry inside DIAG_SIGN_TOL passes the gate; the
+        # report must still describe the input, not its diagonal part.
+        A = GameMatrix([[1.0, 1e-13], [0.0, 2.0]])
+        rep = run_checker(ClaimId.DIAGONAL_THEOREM1, A)[0]
+        assert rep.input_digest == A.digest()
+        assert rep.verdict is Verdict.HOLDS
+
+    def test_gate_lives_in_the_checker(self, saddle):
+        rep = check_diagonal(saddle)
+        assert rep.verdict is Verdict.NOT_APPLICABLE
+        assert rep.computed == {"reason": "matrix is not diagonal", "max_offdiagonal": 3.0}
+        wide = check_diagonal(GameMatrix(np.ones((2, 3))))
+        assert wide.computed == {"reason": "matrix is not square"}
 
     def test_agrees_with_oracle_up_to_five(self):
         rng = np.random.default_rng(77)
@@ -63,9 +74,10 @@ class TestCheckDiagonal:
             d = rng.uniform(-5, 5, n)
             if trial % 3 == 0:
                 d = np.abs(d) + 0.1
-            rep = check_diagonal(d)
+            A = GameMatrix(np.diag(d))
+            rep = check_diagonal(A)
             assert rep.verdict is Verdict.HOLDS
-            oracle_value = oracle_solve(GameMatrix(np.diag(d))).value
+            oracle_value = oracle_solve(A).value
             predicted = rep.computed["predicted_value"]
             assert abs(oracle_value - predicted) <= 1e-7
 
@@ -211,6 +223,11 @@ class TestShiftedEigen:
 
     def test_identity(self):
         assert check_shifted_eigen(GameMatrix(np.eye(4)), 1.0).verdict is Verdict.HOLDS
+
+    def test_nonsquare_is_not_applicable(self):
+        rep = check_shifted_eigen(GameMatrix(np.ones((2, 3))), 0.0)
+        assert rep.verdict is Verdict.NOT_APPLICABLE
+        assert rep.computed == {"reason": "matrix is not square"}
 
     def test_missing_witness(self, saddle):
         rep = check_shifted_eigen(saddle, 1.0)

@@ -358,6 +358,26 @@ class TestExitCodes:
             "NotApplicable",
         ]
 
+    def test_shifted_eigen_nonsquare_reports_each_lambda(self, capsys, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3\n4,5,6\n")
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--claim",
+            "ShiftedEigenThm4General",
+            "--input",
+            str(wide),
+            "--lambda",
+            "0",
+            "--lambda",
+            "1",
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["verdict"] for r in reports] == ["NotApplicable"] * 2
+        assert all(r["computed"] == {"reason": "matrix is not square"} for r in reports)
+
     def test_holds_ensemble_is_0(self, capsys):
         code, out, _ = run(
             capsys,

@@ -13,8 +13,6 @@ from zerosum import (
     MixedStrategy,
     Player,
     payoff,
-    pure_strategy,
-    uniform_strategy,
     validate_strategy,
 )
 
@@ -96,15 +94,15 @@ class TestValidateStrategy:
 
 class TestPayoff:
     def test_rps_uniform_is_zero(self, rps):
-        x = uniform_strategy(3, Player.ROW)
-        y = uniform_strategy(3, Player.COL)
+        x = MixedStrategy(Player.ROW, np.full(3, 1 / 3))
+        y = MixedStrategy(Player.COL, np.full(3, 1 / 3))
         assert abs(payoff(rps, x, y)) <= 1e-15
 
     def test_pure_strategies_pick_entries(self, rps):
         for i in range(3):
             for j in range(3):
-                x = pure_strategy(3, i, Player.ROW)
-                y = pure_strategy(3, j, Player.COL)
+                x = MixedStrategy(Player.ROW, np.eye(3)[i])
+                y = MixedStrategy(Player.COL, np.eye(3)[j])
                 assert payoff(rps, x, y) == rps.entry(i, j)
 
     def test_direct_substitution(self, saddle):
@@ -119,7 +117,7 @@ class TestPayoff:
 
     def test_dimension_mismatch(self, rps):
         x = MixedStrategy(Player.ROW, [0.5, 0.5])
-        y = uniform_strategy(3, Player.COL)
+        y = MixedStrategy(Player.COL, np.full(3, 1 / 3))
         with pytest.raises(DimensionMismatchError):
             payoff(rps, x, y)
 

@@ -6,11 +6,8 @@ from zerosum import (
     Family,
     GameMatrix,
     InputError,
-    MixedStrategy,
     OracleSizeError,
-    Player,
     generate_ensemble,
-    is_optimal_dominated,
     oracle_solve,
     row_optima_column_extrema,
     solve_game,
@@ -164,30 +161,6 @@ class TestOracle:
             sol = oracle_solve(A)
             assert (sol.row_strategy.weights @ A.values).min() >= sol.value - 1e-8
             assert (A.values @ sol.col_strategy.weights).max() <= sol.value + 1e-8
-
-
-class TestOptimalDominated:
-    def test_diagonal_equalizer(self):
-        A = GameMatrix(np.diag([1.0, 2.0]))
-        s = MixedStrategy(Player.ROW, [2 / 3, 1 / 3])
-        assert is_optimal_dominated(A, s, 2 / 3, 1e-9)
-
-    def test_saddle_not_dominated(self, saddle):
-        s = MixedStrategy(Player.ROW, [0.0, 1.0])
-        assert not is_optimal_dominated(saddle, s, 3.0, 1e-7)
-
-    def test_rps_uniform(self, rps):
-        s = MixedStrategy(Player.ROW, np.full(3, 1 / 3))
-        assert is_optimal_dominated(rps, s, 0.0, 1e-12)
-
-    def test_column_side(self):
-        A = GameMatrix(np.diag([1.0, 2.0]))
-        y = MixedStrategy(Player.COL, [2 / 3, 1 / 3])
-        assert is_optimal_dominated(A, y, 2 / 3, 1e-9)
-
-    def test_dimension_check(self, rps):
-        with pytest.raises(InputError):
-            is_optimal_dominated(rps, MixedStrategy(Player.ROW, [1.0]), 0.0, 1e-7)
 
 
 def _all_row_optima_dominated(A, v, tol):

@@ -15,7 +15,6 @@ from zerosum import (
     generate_ensemble,
     gordan,
     GordanBranch,
-    matrix_rank,
     null_space,
     perron,
     stochastic_eigenvector,
@@ -132,7 +131,6 @@ class TestNullSpace:
             # independent rank computation on the same tolerance
             svd_rank = np.linalg.matrix_rank(A.values, tol=1e-9 * scale)
             assert svd_rank + basis.dimension == n
-            assert matrix_rank(A.values) == svd_rank
 
 
 class TestStochasticEigenvector:
