@@ -209,7 +209,6 @@ def _cmd_analyze(args) -> tuple[int, dict]:
             "root": cert.perron_root,
             "vector": [float(v) for v in cert.perron_vector],
             "residual": cert.residual,
-            "iterations": cert.iterations,
         }
     else:
         report["perron"] = None

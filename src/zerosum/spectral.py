@@ -21,8 +21,6 @@ from .core import (
 from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPSolution, LPStatus, solve_lp
 
 PERRON_RESIDUAL_TOL = 1e-10
-PERRON_STEP_TOL = 1e-14
-PERRON_MAX_ITER = 100_000
 RANK_TOL_DEFAULT = 1e-9
 GORDAN_WITNESS_TOL = 1e-9
 # Absolute slack on the row-sum bracket: the bracket is an exact statement
@@ -31,7 +29,7 @@ BRACKET_ROUNDOFF = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration failed to certify a Perron pair; pathological input."""
+    """A computed Perron pair failed its certificate; pathological input."""
 
 
 class InconsistentAlternativesError(RuntimeError):
@@ -40,13 +38,13 @@ class InconsistentAlternativesError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralCert:
-    """Certified Perron pair: positive root, positive stochastic vector, and
-    the infinity-norm residual of A v - root v."""
+    """Certified Perron pair of a strictly positive matrix: positive root,
+    positive stochastic vector, and the infinity-norm residual of
+    A v - root v, at most PERRON_RESIDUAL_TOL."""
 
     perron_root: float
     perron_vector: np.ndarray
     residual: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -68,40 +66,33 @@ class GordanVerdict:
     witness: np.ndarray
 
 
-def perron(A: GameMatrix, tol: float = PERRON_RESIDUAL_TOL) -> SpectralCert:
+def perron(A: GameMatrix) -> SpectralCert:
     """Dominant eigenpair of a strictly positive square matrix.
 
-    Power iteration from the uniform vector with L1 renormalization; stops
-    once successive iterates agree to 1e-14 in infinity norm.  The root is
-    the component-sum ratio sum(A v)/sum(v), which is robust when individual
-    components are small.  Raises ConvergenceError rather than returning a
-    certificate whose residual exceeds `tol`.
+    The vector is the eigenvector of np.linalg.eig's eigenvalue with the
+    largest real part, made positive and refined by one step v <- A v with
+    L1 renormalization.  The root is the component-sum ratio sum(A v)/sum(v),
+    which is robust when individual components are small.  Raises
+    ConvergenceError rather than returning a pair whose vector is not
+    positive, whose residual exceeds PERRON_RESIDUAL_TOL, or whose root
+    escapes the row-sum bracket.
     """
     if not A.is_square:
         raise InvalidMatrixError(f"perron requires a square matrix, got {A.rows}x{A.cols}")
     V = A.values
     if V.min() <= 0.0:
         raise InputError("perron requires strictly positive entries")
-    n = A.rows
-    v = np.full(n, 1.0 / n)
-    iterations = 0
-    converged = False
-    for _ in range(PERRON_MAX_ITER):
-        w = V @ v
-        w /= w.sum()
-        iterations += 1
-        if np.max(np.abs(w - v)) < PERRON_STEP_TOL:
-            v = w
-            converged = True
-            break
-        v = w
+    eigenvalues, eigenvectors = np.linalg.eig(V)
+    v = np.abs(eigenvectors[:, int(np.argmax(eigenvalues.real))].real)
+    v = V @ (v / v.sum())
+    v /= v.sum()
     Av = V @ v
     root = float(Av.sum() / v.sum())
     residual = float(np.max(np.abs(Av - root * v)))
-    if not converged or residual > tol:
+    if not (v.min() > 0.0 and residual <= PERRON_RESIDUAL_TOL):
         raise ConvergenceError(
-            f"power iteration residual {residual:g} after {iterations} steps "
-            f"(tol {tol:g}); matrix is pathologically conditioned"
+            f"Perron pair fails its certificate: min(v) = {v.min():g}, "
+            f"residual {residual:g} (tol {PERRON_RESIDUAL_TOL:g})"
         )
     row_sums = V.sum(axis=1)
     if not (row_sums.min() - BRACKET_ROUNDOFF <= root <= row_sums.max() + BRACKET_ROUNDOFF):
@@ -109,11 +100,8 @@ def perron(A: GameMatrix, tol: float = PERRON_RESIDUAL_TOL) -> SpectralCert:
             f"estimated root {root!r} escapes the row-sum bracket "
             f"[{row_sums.min()!r}, {row_sums.max()!r}]"
         )
-    vec = v / v.sum()
-    vec.setflags(write=False)
-    return SpectralCert(
-        perron_root=root, perron_vector=vec, residual=residual, iterations=iterations
-    )
+    v.setflags(write=False)
+    return SpectralCert(perron_root=root, perron_vector=v, residual=residual)
 
 
 def _row_reduce(values: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:

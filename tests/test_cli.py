@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,25 @@ class TestGoldenFiles:
         )
         assert code == 0 and out == ""
         assert target.read_text() == (GOLDEN / "solve_rps.json").read_text()
+
+
+def test_module_entry_point_is_warning_free():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerosum", "solve", "--input", str(DATA / "rps.csv")],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "solve_rps.json").read_text()
+    assert proc.stderr == ""
 
 
 class TestExitCodes:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from zerosum import (
     perron,
     stochastic_eigenvector,
 )
-from zerosum.cli import DEFAULT_RANGES
+from zerosum.cli import DEFAULT_RANGES, run_cli
 from conftest import random_skew
 
 
@@ -28,6 +30,14 @@ def perron_2x2_oracle(a, b, c, d):
     lam = (a + d + np.sqrt((a - d) ** 2 + 4 * b * c)) / 2
     vec = np.array([b, lam - a])
     return lam, vec / vec.sum()
+
+
+def exact_2x2_root(a, b, c, d):
+    """The quadratic-formula root of a positive 2x2 matrix, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, d = (Decimal(float(x)) for x in (a, b, c, d))
+        return (a + d + ((a - d) ** 2 + 4 * b * c).sqrt()) / 2
 
 
 class TestPerron:
@@ -56,6 +66,46 @@ class TestPerron:
     def test_requires_positive(self):
         with pytest.raises(InputError):
             perron(GameMatrix([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_small_gap_pair_certifies(self, tmp_path):
+        # The two eigenvalues differ by about 2e-6: power iteration from the
+        # uniform vector cannot settle in any reasonable number of steps.
+        entries = [[1.0, 1e-6], [1e-6, 1.0000001]]
+        lam, _ = perron_2x2_oracle(1.0, 1e-6, 1e-6, 1.0000001)
+        cert = perron(GameMatrix(entries))
+        assert abs(cert.perron_root - lam) <= 1e-12
+        assert cert.residual <= 1e-10
+        csv = tmp_path / "small_gap.csv"
+        csv.write_text("\n".join(",".join(repr(x) for x in row) for row in entries))
+        assert run_cli(["analyze", "--input", str(csv)]) == 0
+
+    @pytest.mark.parametrize(
+        "entries,expected,atol",
+        [
+            # A = I + E: A v = v holds to roundoff for every stochastic v,
+            # but the Perron vector is E's, [1, sqrt(2)] normalized.
+            ([[1.0, 1e-20], [2e-20, 1.0]], [math.sqrt(2) - 1, 2 - math.sqrt(2)], 1e-12),
+            (
+                [[1.0, 1e-3], [1e-4, 1.0]],
+                [math.sqrt(10) / (1 + math.sqrt(10)), 1 / (1 + math.sqrt(10))],
+                1e-14,
+            ),
+        ],
+    )
+    def test_closed_form_vector(self, entries, expected, atol):
+        cert = perron(GameMatrix(entries))
+        np.testing.assert_allclose(cert.perron_vector, expected, rtol=0, atol=atol)
+
+    def test_root_within_4_ulp_of_quadratic_formula(self):
+        rng = np.random.default_rng(44)
+        worst = 0.0
+        for _ in range(2000):
+            a, b, c, d = rng.uniform(0.1, 10.0, 4)
+            exact = exact_2x2_root(a, b, c, d)
+            root = perron(GameMatrix([[a, b], [c, d]])).perron_root
+            ulps = float(abs(Decimal(root) - exact)) / math.ulp(float(exact))
+            worst = max(worst, ulps)
+        assert worst <= 4.0
 
     def test_random_certificates(self):
         rng = np.random.default_rng(42)
