@@ -237,8 +237,9 @@ def check_neg_transpose(
     A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
 ) -> ClaimReport:
     """Value identity v(A) = -v(-A^T) for matrices of any shape."""
-    v1 = solve_game(A, feas_tol=lp_tol).value
-    v2 = solve_game(GameMatrix(-A.values.T), feas_tol=lp_tol).value
+    sol = solve_game(A, feas_tol=lp_tol)
+    v1 = sol.value
+    v2 = solve_game(GameMatrix(-A.values.T), feas_tol=lp_tol, dual_of=sol).value
     identity_residual = abs(v1 + v2)
     return ClaimReport(
         claim_id=ClaimId.NEG_TRANSPOSE_THM2,
@@ -372,7 +373,8 @@ def check_positive_dominated(
             tol,
         )
     cert = perron(A)
-    value = solve_game(A, feas_tol=lp_tol).value
+    sol = solve_game(A, feas_tol=lp_tol)
+    value = sol.value
     bracket_low = cert.perron_root * float(cert.perron_vector.min())
     bracket_high = cert.perron_root * float(cert.perron_vector.max())
     base = {
@@ -385,7 +387,9 @@ def check_positive_dominated(
     if value < bracket_low - tol or value > bracket_high + tol:
         base["reason"] = "value escapes the Perron bracket"
         return _not_applicable(ClaimId.POSITIVE_DOMINATED_THM4, A, base, tol)
-    mins, maxs = row_optima_column_extrema(A, value, tol, feas_tol=lp_tol)
+    mins, maxs = row_optima_column_extrema(
+        A, value, tol, feas_tol=lp_tol, solution=sol
+    )
     dominated = extrema_dominated(mins, maxs, value, tol, lp_tol)
     base["column_payoff_minima"] = _listify(mins)
     base["column_payoff_maxima"] = _listify(maxs)

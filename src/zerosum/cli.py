@@ -24,7 +24,7 @@ from .core import (
     GameMatrix,
     InputError,
     canonical_json,
-    canonical_float,
+    canonical_rows,
 )
 from .solver import SOLVE_TOL_DEFAULT, oracle_solve, solve_game
 from .spectral import (
@@ -160,10 +160,7 @@ def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
 def render_matrix(A: GameMatrix, fmt: str = "csv") -> str:
     """Inverse of parse_matrix; round-trips entrywise exactly."""
     if fmt == "csv":
-        lines = [
-            ",".join(canonical_float(v) for v in row) for row in A.values
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(canonical_rows(A.values)) + "\n"
     if fmt == "json":
         return canonical_json(
             {

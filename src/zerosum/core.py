@@ -53,6 +53,14 @@ def canonical_float(x: float) -> str:
     return "%.17g" % x
 
 
+def canonical_rows(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D array as its entries' `canonical_float` renderings
+    joined by commas: one format string per row, not one call per entry."""
+    fmt = ",".join(["%.17g"] * values.shape[1])
+    # Adding 0.0 maps -0.0 to 0.0, as canonical_float does.
+    return [fmt % tuple(row) for row in (values + 0.0).tolist()]
+
+
 def canonical_json(obj, indent: int = 2) -> str:
     """Deterministic JSON: fixed key order (insertion), floats at 17
     significant digits, no platform-dependent repr involved."""
@@ -134,9 +142,7 @@ class GameMatrix:
 
     def digest(self) -> str:
         """Canonical text rendering, e.g. "2x2[1,2;3,4]"."""
-        body = ";".join(
-            ",".join(canonical_float(v) for v in row) for row in self.values
-        )
+        body = ";".join(canonical_rows(self.values))
         return f"{self.rows}x{self.cols}[{body}]"
 
     def __repr__(self) -> str:
@@ -232,6 +238,9 @@ class GameSolution:
     col_strategy: MixedStrategy
     duality_gap: float
     tolerance: float
+    # Final basis of the value LP that produced the pair, in the solver's
+    # column layout; the solver starts related LPs from it.
+    lp_basis: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:

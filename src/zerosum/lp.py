@@ -5,10 +5,21 @@ Other bounds are written as rows of G.  Strict inequalities cannot be
 expressed here; an Infeasible result's `farkas` answers them (see spectral.gordan).
 
 The implementation favors simplicity over speed: desk-scale instances only
-(tens of variables and constraints), dense tableau, no factorization.  The one
-reuse is across objectives: `maximize_each` runs phase 1 once per region and
-starts each objective's phase 2 from the previous objective's final basis;
-`solve_lp` is its one-objective case.
+(tens of variables and constraints), dense tableau.  `maximize_each` runs
+phase 1 once per region and starts each objective's phase 2 from the previous
+objective's final basis; `solve_lp` is its one-objective case.
+
+Both take an optional starting basis.  Every Optimal solution returns its
+final `basis`: one column of [G; E | slacks] per row, where z_k is column k
+and the slack of inequality row i is column n_vars + i.  (When phase 1 drops
+a redundant row, the basis is one entry short and no longer a valid start.)
+A start is factored against the original rows with one dense solve and
+accepted when its x_B >= -feas_tol; phase 2 then runs from it and phase 1 is
+skipped.  A start of the wrong length, a singular one or an infeasible one
+runs the cold two-phase path unchanged, so a start never changes which
+problems are solved, only where phase 2 begins.  A caller that knows a
+related LP's optimal basis (its dual, or a region around its optimum) passes
+that basis in, and every check on the result stays as on a cold start.
 
 Every Optimal solution also carries `ineq_duals`, the multipliers y >= 0 of
 the `G z <= h` rows, read off the final phase-2 cost row: the reduced cost of
@@ -29,6 +40,7 @@ and h.w_G + f.w_E < 0.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +154,8 @@ class LPSolution:
     ineq_duals: np.ndarray | None = None
     # Phase-1 multipliers of the caller's rows (Infeasible only); see above.
     farkas: np.ndarray | None = None
+    # Final basis (Optimal only), a valid `start`; see the module docstring.
+    basis: tuple[int, ...] | None = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -200,7 +214,8 @@ def _run_simplex(
         best = ratios.min()
         stalled = stalled + 1 if best <= PIVOT_TOL else 0
         ties = rows[ratios == best]
-        leave = int(ties[np.argmin([basis[i] for i in ties])])
+        # Ties almost always hold one row; skip the key lookup then.
+        leave = int(ties[0] if ties.size == 1 else min(ties, key=basis.__getitem__))
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise IterationLimitError(
@@ -224,33 +239,48 @@ def _residual(p: LinearProgram, z: np.ndarray) -> float:
     return max(parts)
 
 
-def solve_lp(p: LinearProgram, feas_tol: float = FEAS_TOL_DEFAULT) -> LPSolution:
-    """Two-phase simplex.  Returns Optimal with a feasible point, Infeasible
-    with `farkas` when the phase-1 optimum exceeds feas_tol, or Unbounded
-    when an improving ray is certified.
+def solve_lp(
+    p: LinearProgram,
+    feas_tol: float = FEAS_TOL_DEFAULT,
+    start: Sequence[int] | None = None,
+) -> LPSolution:
+    """Two-phase simplex.  Returns Optimal with a feasible point and its
+    final `basis`, Infeasible with `farkas` when the phase-1 optimum exceeds
+    feas_tol, or Unbounded when an improving ray is certified.
+
+    `start`, a basis in the layout of `LPSolution.basis`, skips phase 1 when
+    it is primal feasible; any other start is ignored (module docstring).
     """
-    return _two_phase(p, p.objective[np.newaxis], feas_tol)[0]
+    return _two_phase(p, p.objective[np.newaxis], feas_tol, start)[0]
 
 
 def maximize_each(
-    region: LinearProgram, objectives, feas_tol: float = FEAS_TOL_DEFAULT
+    region: LinearProgram,
+    objectives,
+    feas_tol: float = FEAS_TOL_DEFAULT,
+    start: Sequence[int] | None = None,
 ) -> list[LPSolution]:
     """Maximize each objective in turn over the feasible region of `region`.
 
     `region.objective` only fixes the number of variables; `objectives` holds
-    one vector of that length per row.  Phase 1 runs once: when the region
-    is infeasible every objective reports Infeasible.  Each phase 2 starts
-    from the basis the previous one ended on (an Unbounded objective ends on
-    a feasible basis too), so later objectives are unaffected by it.  Results
-    are in the order of `objectives`.
+    one vector of that length per row.  The first phase 2 starts at `start`
+    when it is a primal feasible basis (see `solve_lp`); otherwise phase 1
+    runs once, and when the region is infeasible every objective reports
+    Infeasible.  Each later phase 2 starts from the basis the previous one
+    ended on (an Unbounded objective ends on a feasible basis too), so later
+    objectives are unaffected by it.  Results are in the order of
+    `objectives`.
     """
     return _two_phase(
-        region, _as_matrix(objectives, region.n_vars, "objectives"), feas_tol
+        region, _as_matrix(objectives, region.n_vars, "objectives"), feas_tol, start
     )
 
 
 def _two_phase(
-    region: LinearProgram, costs: np.ndarray, feas_tol: float
+    region: LinearProgram,
+    costs: np.ndarray,
+    feas_tol: float,
+    start: Sequence[int] | None,
 ) -> list[LPSolution]:
     """`maximize_each` over already validated objective rows `costs`."""
     if feas_tol <= 0.0:
@@ -262,69 +292,24 @@ def _two_phase(
     M[flipped] *= -1.0
     b[flipped] *= -1.0
 
-    # Slack columns for inequality rows; +1 slack on an unflipped row can
-    # serve as the initial basis, everything else takes an artificial.
+    # Slack columns for inequality rows, negated on a flipped row.
     n_ineq = region.ineq_lhs.shape[0]
     slack = np.zeros((m, n_ineq))
     for i in range(n_ineq):
         slack[i, i] = -1.0 if flipped[i] else 1.0
     body = np.hstack([M, slack])
+    # Every row but an unflipped inequality takes an artificial in phase 1.
+    n_art = m - int(np.count_nonzero(~flipped[:n_ineq]))
+    iter_limit = ITERATION_FACTOR * (N + n_ineq + n_art + m)
 
-    basis: list[int] = []
-    art_rows = []
-    for i in range(m):
-        if i < n_ineq and not flipped[i]:
-            basis.append(N + i)
-        else:
-            art_rows.append(i)
-            basis.append(-1)  # placeholder, filled below
-    n_art = len(art_rows)
-    art = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-        basis[i] = N + n_ineq + k
-    total = N + n_ineq + n_art
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, : N + n_ineq] = body
-    T[:m, N + n_ineq : total] = art
-    T[:m, -1] = b
-
-    iter_limit = ITERATION_FACTOR * (total + m)
-
-    # Phase 1: maximize -(sum of artificials).
-    phase1_costs = np.zeros(total)
-    phase1_costs[N + n_ineq :] = -1.0
-    T[-1] = _priced_cost_row(T, basis, phase1_costs)
-    _run_simplex(T, basis, iter_limit, bounded=True)
-    art_sum = T[-1, -1]  # -objective = sum of artificials
-    if art_sum > feas_tol:
-        w = np.empty(m)
-        w[:n_ineq] = -T[-1, N : N + n_ineq]
-        # A flipped inequality row's artificial overrides its slack's reading.
-        w[art_rows] = -1.0 - T[-1, N + n_ineq : total]
-        w[flipped] *= -1.0
-        return [LPSolution(status=LPStatus.INFEASIBLE, farkas=w) for _ in costs]
-
-    # Drive leftover artificials out of the basis; rows where that is
-    # impossible are redundant and dropped.  A lingering artificial sits at a
-    # value <= feas_tol, which we are entitled to round to zero, keeping the
-    # rhs nonnegative through the degenerate pivot.
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= N + n_ineq:
-            T[r, -1] = 0.0
-            row_body = np.abs(T[r, : N + n_ineq])
-            col = int(np.argmax(row_body))
-            if row_body[col] > PIVOT_TOL:
-                _pivot(T, r, col)
-                basis[r] = col
-            else:
-                keep[r] = False
-    if not np.all(keep):
-        T = np.vstack([T[:-1][keep], T[-1]])
-        basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
-    T = np.delete(T, np.s_[N + n_ineq : total], axis=1)
+    started = _warm_start(body, b, start, feas_tol)
+    if started is None:
+        started = _phase_one(body, b, N, n_ineq, flipped, iter_limit, feas_tol)
+        if isinstance(started, np.ndarray):  # Farkas multipliers
+            return [
+                LPSolution(status=LPStatus.INFEASIBLE, farkas=started) for _ in costs
+            ]
+    T, basis, keep = started
 
     # Phase 2 per objective, each from the basis the previous one left.
     results = []
@@ -357,6 +342,109 @@ def _two_phase(
                 objective_value=float(c @ z),
                 primal_residual=residual,
                 ineq_duals=-T[-1, N : N + n_ineq],
+                basis=tuple(basis),
             )
         )
     return results
+
+
+def _warm_start(
+    body: np.ndarray, b: np.ndarray, start: Sequence[int] | None, feas_tol: float
+) -> tuple[np.ndarray, list[int], np.ndarray] | None:
+    """Phase-2 tableau at the basis `start`, or None to start cold.
+
+    The basis columns of `body` are factored against the original rows;
+    the start is refused when it has the wrong length, repeats or misses a
+    column, is singular, or puts x_B below -feas_tol.  Entries of x_B in
+    [-feas_tol, 0) are rounded to zero, which the phase-2 residual gate
+    vouches for.
+    """
+    m, width = body.shape
+    if start is None or len(start) != m or m == 0:
+        return None
+    basis = [int(j) for j in start]
+    if len(set(basis)) != m or not all(0 <= j < width for j in basis):
+        return None
+    try:
+        T_body = np.linalg.solve(body[:, basis], np.column_stack([body, b]))
+    except np.linalg.LinAlgError:
+        return None
+    x_B = T_body[:, -1]
+    if not (np.all(np.isfinite(T_body)) and x_B.min() >= -feas_tol):
+        return None
+    T = np.zeros((m + 1, width + 1))
+    T[:m] = T_body
+    # Exact unit columns at the basis, as a pivot would leave them.
+    T[:m, basis] = np.eye(m)
+    np.maximum(x_B, 0.0, out=T[:m, -1])
+    return T, basis, np.ones(m, dtype=bool)
+
+
+def _phase_one(
+    body: np.ndarray,
+    b: np.ndarray,
+    N: int,
+    n_ineq: int,
+    flipped: np.ndarray,
+    iter_limit: int,
+    feas_tol: float,
+) -> tuple[np.ndarray, list[int], np.ndarray] | np.ndarray:
+    """Cold start: the phase-2 tableau, basis and kept rows of a feasible
+    region, or the Farkas multipliers of an infeasible one."""
+    m = body.shape[0]
+    # +1 slack on an unflipped row can serve as the initial basis,
+    # everything else takes an artificial.
+    basis: list[int] = []
+    art_rows = []
+    for i in range(m):
+        if i < n_ineq and not flipped[i]:
+            basis.append(N + i)
+        else:
+            art_rows.append(i)
+            basis.append(-1)  # placeholder, filled below
+    n_art = len(art_rows)
+    art = np.zeros((m, n_art))
+    for k, i in enumerate(art_rows):
+        art[i, k] = 1.0
+        basis[i] = N + n_ineq + k
+    total = N + n_ineq + n_art
+
+    T = np.zeros((m + 1, total + 1))
+    T[:m, : N + n_ineq] = body
+    T[:m, N + n_ineq : total] = art
+    T[:m, -1] = b
+
+    # Phase 1: maximize -(sum of artificials).
+    phase1_costs = np.zeros(total)
+    phase1_costs[N + n_ineq :] = -1.0
+    T[-1] = _priced_cost_row(T, basis, phase1_costs)
+    _run_simplex(T, basis, iter_limit, bounded=True)
+    art_sum = T[-1, -1]  # -objective = sum of artificials
+    if art_sum > feas_tol:
+        w = np.empty(m)
+        w[:n_ineq] = -T[-1, N : N + n_ineq]
+        # A flipped inequality row's artificial overrides its slack's reading.
+        w[art_rows] = -1.0 - T[-1, N + n_ineq : total]
+        w[flipped] *= -1.0
+        return w
+
+    # Drive leftover artificials out of the basis; rows where that is
+    # impossible are redundant and dropped.  A lingering artificial sits at a
+    # value <= feas_tol, which we are entitled to round to zero, keeping the
+    # rhs nonnegative through the degenerate pivot.
+    keep = np.ones(m, dtype=bool)
+    for r in range(m):
+        if basis[r] >= N + n_ineq:
+            T[r, -1] = 0.0
+            row_body = np.abs(T[r, : N + n_ineq])
+            col = int(np.argmax(row_body))
+            if row_body[col] > PIVOT_TOL:
+                _pivot(T, r, col)
+                basis[r] = col
+            else:
+                keep[r] = False
+    if not np.all(keep):
+        T = np.vstack([T[:-1][keep], T[-1]])
+        basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
+    T = np.delete(T, np.s_[N + n_ineq : total], axis=1)
+    return T, basis, keep

@@ -4,12 +4,16 @@ optimal-dominated decision procedures.
 
 `solve_game` solves one LP per game: the row player's value LP, whose
 inequality multipliers are a column strategy (LP duality is the minimax
-theorem).
+theorem).  The value LP's final basis is kept on the solution: the value LP
+of -A^T is its dual, so it starts at the complement of that basis
+(`solve_game`'s `dual_of`), and the optimal-strategy region starts one
+column away from it (`row_optima_column_extrema`'s `solution`).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +64,15 @@ def _positivity_shift(values: np.ndarray) -> float:
 
 
 def _value_lp(
-    B: np.ndarray, feas_tol: float
-) -> tuple[np.ndarray, float, np.ndarray]:
+    B: np.ndarray, feas_tol: float, start: Sequence[int] | None
+) -> tuple[np.ndarray, float, np.ndarray, tuple[int, ...]]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
     x >= 0, v >= 0.  The bound on v is never active, since callers pass
-    B >= 1, so v >= 1.  Returns (x, v, y), y the multipliers of the n column
-    rows: up to roundoff a column strategy holding B's payoffs to v."""
+    B >= 1, so v >= 1.  Returns (x, v, y, basis), y the multipliers of the n
+    column rows: up to roundoff a column strategy holding B's payoffs to v.
+
+    Columns of the basis (and of `start`): x_i is i, v is m, and the slack
+    of column j's row is m + 1 + j."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
@@ -77,12 +84,34 @@ def _value_lp(
     sol = solve_lp(
         LinearProgram(objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f),
         feas_tol=feas_tol,
+        start=start,
     )
     if sol.status is not LPStatus.OPTIMAL:
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
         )
-    return sol.point[:m], float(sol.point[m]), sol.ineq_duals
+    return sol.point[:m], float(sol.point[m]), sol.ineq_duals, sol.basis
+
+
+def _complement_basis(sol: GameSolution) -> list[int] | None:
+    """Value-LP start for -A^T from the value-LP basis of A's solution.
+
+    The two value LPs are dual to each other (the shifts move only v and w),
+    so complementary slackness maps an optimal basis of one to an optimal
+    basis of the other: w, each y_j whose row slack s_j is nonbasic on A,
+    and the slack t_i of each row whose x_i is nonbasic on A.  Under
+    degeneracy the complement may be singular; the LP then starts cold.
+    """
+    if sol.lp_basis is None:
+        return None
+    m, n = len(sol.row_strategy), len(sol.col_strategy)
+    basic = set(sol.lp_basis)
+    # The value LP of -A^T (n x m): y_j is j, w is n, t_i is n + 1 + i.
+    return (
+        [n]
+        + [j for j in range(n) if m + 1 + j not in basic]
+        + [n + 1 + i for i in range(m) if i not in basic]
+    )
 
 
 def _certify(
@@ -107,7 +136,10 @@ def _certify(
 
 
 def solve_game(
-    A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT, feas_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix,
+    tol: float = SOLVE_TOL_DEFAULT,
+    feas_tol: float = FEAS_TOL_DEFAULT,
+    dual_of: GameSolution | None = None,
 ) -> GameSolution:
     """Value and one optimal strategy pair for the matrix game A.
 
@@ -124,12 +156,18 @@ def solve_game(
     and multiply the value back (strategies are unchanged; the game value is
     exactly scale-covariant).  Feeding huge payoffs directly makes the
     certificate checks refuse rather than return degraded certificates.
+
+    `dual_of`, a solution of the game -A^T, starts the value LP at the
+    complement of its basis (optimal by LP duality, so no pivots are left
+    when it is nonsingular and feasible).  The result is certified against
+    A's own payoffs exactly as on a cold start.
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
     V = A.values
     shift = _positivity_shift(V)
-    x, v_row, duals = _value_lp(V + shift, feas_tol)
+    start = None if dual_of is None else _complement_basis(dual_of)
+    x, v_row, duals, basis = _value_lp(V + shift, feas_tol, start)
     value = v_row - shift
     row = validate_strategy(x, Player.ROW)
     # Duals may sit about PIVOT_TOL below zero, which validate_strategy's
@@ -143,6 +181,7 @@ def solve_game(
         col_strategy=MixedStrategy(Player.COL, y),
         duality_gap=gap,
         tolerance=tol,
+        lp_basis=basis,
     )
 
 
@@ -225,15 +264,44 @@ def oracle_solve(A: GameMatrix) -> OracleSolution:
     raise RuntimeError("no valid support pair found; oracle bug")
 
 
+def _region_start(sol: GameSolution) -> list[int] | None:
+    """Start for the optimal-strategy region of `row_optima_column_extrema`
+    from the value-LP basis of the game's solution.
+
+    v is swapped for the slack of the binding column (nonbasic slack) with
+    the largest dual y_j.  Summing the binding rows with weights y shows that
+    slack is tol / y_j > 0 at the region's basic point, and x_B moves by
+    O(tol), so in a nondegenerate game the start is feasible.
+    """
+    if sol.lp_basis is None:
+        return None
+    m, n = len(sol.row_strategy), len(sol.col_strategy)
+    basic = set(sol.lp_basis)
+    binding = [j for j in range(n) if m + 1 + j not in basic]
+    if not binding:
+        return None
+    y = sol.col_strategy.weights
+    j = max(binding, key=lambda k: y[k])
+    # Region columns: x_i is i, the slack of column k's row is m + k.
+    return [m + j if b == m else b if b < m else b - 1 for b in sol.lp_basis]
+
+
 def row_optima_column_extrema(
-    A: GameMatrix, v: float, tol: float, feas_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix,
+    v: float,
+    tol: float,
+    feas_tol: float = FEAS_TOL_DEFAULT,
+    solution: GameSolution | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column extremes of (x^T A)_j over the row player's optimal set.
 
     The optimal set is modeled as {x stochastic : (x^T A)_k >= v - tol for
     all k}; for each column the payoff is maximized and minimized by LP.  All
     2n LPs share that one region, so they run as one `maximize_each` call:
-    one phase 1, then each phase 2 warm-started from the previous basis.
+    one start, then each phase 2 warm-started from the previous basis.
+    `solution`, `solve_game`'s solution of A at value v, gives the start
+    (`_region_start`); without it, or when that start is refused, phase 1
+    runs.
     """
     V = A.values
     m, n = V.shape
@@ -249,7 +317,8 @@ def row_optima_column_extrema(
     # +V[:, j] and -V[:, j] alternate.
     objectives = [sign * V[:, j] for sign in (1.0, -1.0) for j in range(n)]
     extrema = np.empty(2 * n)
-    for k, sol in enumerate(maximize_each(region, objectives, feas_tol)):
+    start = None if solution is None else _region_start(solution)
+    for k, sol in enumerate(maximize_each(region, objectives, feas_tol, start)):
         if sol.status is not LPStatus.OPTIMAL:
             raise RuntimeError(
                 f"optimal-set LP reported {sol.status.value}; the optimal "

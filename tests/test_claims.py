@@ -17,8 +17,11 @@ from zerosum import (
     null_space,
     oracle_solve,
     run_checker,
+    solve_game,
 )
-from conftest import random_skew
+from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
+from zerosum.solver import row_optima_column_extrema
+from conftest import RPS_ENTRIES, random_skew
 
 
 class TestCheckDiagonal:
@@ -129,6 +132,57 @@ class TestCheckNegTranspose:
         # A column LP on -B^T used to exhaust the 18,200-pivot budget here.
         A = GameMatrix(np.random.default_rng(4).uniform(-10, 10, (120, 120)))
         assert check_neg_transpose(A).verdict is Verdict.HOLDS
+
+    def test_negated_transpose_lp_starts_optimal(self, monkeypatch):
+        import zerosum.claims as claims_mod
+        import zerosum.lp as lp_mod
+
+        pivots = []  # one count per solve_game call
+        pivot, solve = lp_mod._pivot, claims_mod.solve_game
+
+        def counted_pivot(*args):
+            pivots[-1] += 1
+            pivot(*args)
+
+        def counted_solve(*args, **kwargs):
+            pivots.append(0)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp_mod, "_pivot", counted_pivot)
+        monkeypatch.setattr(claims_mod, "solve_game", counted_solve)
+        spec = EnsembleSpec(Family.GENERAL, 30, 20, 7, DEFAULT_RANGES["General"])
+        for A in generate_ensemble(spec):
+            pivots.clear()
+            rep = check_neg_transpose(A)
+            assert pivots[0] > 0 and pivots[1] == 0
+            cold = solve(GameMatrix(-A.values.T)).value
+            assert abs(rep.computed["neg_transpose_value"] - cold) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "values,start_refused",
+        [
+            (RPS_ENTRIES, False),
+            ([[1, 2], [3, 4]], False),
+            (np.eye(4), False),
+            (np.zeros((2, 3)), False),
+            (np.random.default_rng(3).uniform(-2, 2, (3, 5)), False),
+            # Degenerate: the region start is infeasible, so phase 1 runs.
+            ([[-1, 1, -1, 0], [0, 1, -1, 1]], True),
+        ],
+    )
+    def test_warm_started_solves_certify(self, values, start_refused):
+        A = GameMatrix(values)
+        sol = solve_game(A)
+        # solve_game raises unless the warm-started pair certifies.
+        dual = solve_game(GameMatrix(-A.values.T), dual_of=sol)
+        assert abs(sol.value + dual.value) <= 1e-9
+        assert check_neg_transpose(A).verdict is Verdict.HOLDS
+        warm = row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
+        cold = row_optima_column_extrema(A, sol.value, 1e-7)
+        if start_refused:
+            np.testing.assert_array_equal(warm, cold)
+        else:
+            np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-9)
 
 
 class TestEigenspaceLemma5:

@@ -49,6 +49,17 @@ class TestGameMatrix:
     def test_digest_is_canonical(self, saddle):
         assert saddle.digest() == "2x2[1,2;3,4]"
 
+    def test_digest_and_csv_render_entries_as_canonical_float(self):
+        from zerosum.cli import render_matrix
+        from zerosum.core import canonical_float
+
+        entries = [[-0.0, 5e-324], [1e17, math.pi]]
+        A = GameMatrix(entries)
+        rows = [",".join(canonical_float(v) for v in row) for row in entries]
+        assert rows == ["0,4.9406564584124654e-324", "1e+17,3.1415926535897931"]
+        assert A.digest() == "2x2[" + ";".join(rows) + "]"
+        assert render_matrix(A, "csv") == "\n".join(rows) + "\n"
+
 
 class TestMixedStrategy:
     def test_rejects_negative(self):

@@ -107,9 +107,9 @@ class TestGameValue:
 
         value_lp = solver_mod._value_lp
 
-        def pure_column_duals(B, feas_tol):
-            x, v, y = value_lp(B, feas_tol)
-            return x, v, np.eye(len(y))[0]
+        def pure_column_duals(B, feas_tol, start):
+            x, v, y, basis = value_lp(B, feas_tol, start)
+            return x, v, np.eye(len(y))[0], basis
 
         monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
         with pytest.raises(RuntimeError, match="violates its certificates"):
