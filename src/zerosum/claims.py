@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameMatrix, InputError, Player, canonical_json
+from .core import GameMatrix, InputError, Player, canonical_json, check_tolerance
 from .lp import FEAS_TOL_DEFAULT
 from .solver import extrema_dominated, row_optima_column_extrema, solve_game
 from .spectral import GordanBranch, gordan, perron, stochastic_eigenvector
@@ -51,6 +51,11 @@ class ClaimReport:
     computed: dict
     verdict: Verdict
     tolerance: float
+
+    def __post_init__(self) -> None:
+        # A verdict decided against a NaN, zero or infinite tolerance means
+        # nothing; this also covers checkers called without run_checker.
+        check_tolerance(self.tolerance, "tol")
 
     def to_json_dict(self) -> dict:
         return {
@@ -482,6 +487,8 @@ def run_checker(
     emits one report per supplied eigenvalue.  Every other claim yields
     exactly one report.
     """
+    check_tolerance(tol, "tol")
+    check_tolerance(lp_tol, "lp_tol")
     if claim is ClaimId.EIGENSPACE_LEMMA5:
         return [check_eigenspace_lemma5(A, tol, lambdas, lp_tol)]
     if claim is ClaimId.SHIFTED_EIGEN_THM4_GENERAL:

@@ -37,6 +37,15 @@ class InvalidStrategyError(InputError):
     """Weight vector is not an acceptable probability distribution."""
 
 
+def check_tolerance(value: float, name: str) -> None:
+    """Raise InputError unless the tolerance `value` is finite and positive.
+
+    The chained comparison is False for NaN, which `value <= 0.0` lets by.
+    """
+    if not 0.0 < value < float("inf"):
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
 class Player(enum.Enum):
     ROW = "row"
     COL = "col"
@@ -243,7 +252,6 @@ class GameSolution:
     lp_basis: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise InputError("tolerance must be positive")
+        check_tolerance(self.tolerance, "tolerance")
         if self.duality_gap < 0.0:
             raise InputError("duality gap cannot be negative")

@@ -9,6 +9,15 @@ The implementation favors simplicity over speed: desk-scale instances only
 phase 1 once per region and starts each objective's phase 2 from the previous
 objective's final basis; `solve_lp` is its one-objective case.
 
+At this scale a pivot is a few thousand flops, so numpy's Python-level
+wrappers (`np.max`, `np.argmax`, `np.outer`, `np.append`, `np.vstack`, ...)
+cost more than the arithmetic.  Code that runs per pivot, per objective or
+per call therefore uses ndarray methods (`a.max()`, `a.argmax()`,
+`a.nonzero()`), ufuncs and `np.concatenate`, each doing the same IEEE
+operations in the same order as the wrapper, so results stay bit-identical.
+`_pivot` stays a module attribute that `_run_simplex` looks up once per
+pivot: tests and the benchmark's tracer count pivots by replacing it.
+
 Both take an optional starting basis.  Every Optimal solution returns its
 final `basis`: one column of [G; E | slacks] per row, where z_k is column k
 and the slack of inequality row i is column n_vars + i.  (When phase 1 drops
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, InputError
+from .core import DimensionMismatchError, InputError, check_tolerance
 
 FEAS_TOL_DEFAULT = 1e-9
 # Entries at or below this magnitude are treated as zero during pivoting.
@@ -79,7 +88,7 @@ def _as_matrix(M, n_cols: int, name: str) -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} has {arr.shape[1]} columns, expected {n_cols}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} must have finite entries")
     return arr
 
@@ -88,7 +97,7 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     arr = np.array(v, dtype=float)
     if arr.ndim != 1 or arr.size != n:
         raise DimensionMismatchError(f"{name} must be a vector of length {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} must have finite entries")
     return arr
 
@@ -162,7 +171,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
     # Kill roundoff dust so the basic column is an exact unit vector and the
     # ratio test never sees a slightly negative rhs.
     T[:, col] = 0.0
@@ -197,14 +206,14 @@ def _run_simplex(
     for _ in range(iter_limit):
         reduced = T[-1, :-1]
         if stalled < DEGENERATE_STALL:
-            enter = int(np.argmax(reduced))
+            enter = int(reduced.argmax())
         else:
-            enter = int(np.argmax(reduced > PIVOT_TOL))  # first improving
+            enter = int((reduced > PIVOT_TOL).argmax())  # first improving
         if reduced[enter] <= PIVOT_TOL:
             return "optimal"
         col = T[:-1, enter]
         tol = PIVOT_TOL * max(1.0, np.abs(col).max()) if bounded else PIVOT_TOL
-        rows = np.nonzero(col > tol)[0]
+        rows = (col > tol).nonzero()[0]
         if rows.size == 0:
             if bounded:
                 T[-1, enter] = 0.0
@@ -226,16 +235,19 @@ def _run_simplex(
 
 def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.ndarray:
     """Reduced-cost row (with -objective in the rhs slot) for the given basis."""
-    return np.append(costs, 0.0) - costs[basis] @ T[:-1]
+    row = np.zeros(T.shape[1])
+    row[:-1] = costs
+    row -= costs[basis] @ T[:-1]
+    return row
 
 
 def _residual(p: LinearProgram, z: np.ndarray) -> float:
     parts = [0.0]
     if p.ineq_lhs.shape[0]:
-        parts.append(float(np.max(p.ineq_lhs @ z - p.ineq_rhs)))
+        parts.append(float((p.ineq_lhs @ z - p.ineq_rhs).max()))
     if p.eq_lhs.shape[0]:
-        parts.append(float(np.max(np.abs(p.eq_lhs @ z - p.eq_rhs))))
-    parts.append(float(np.max(-z)))  # z >= 0
+        parts.append(float(np.abs(p.eq_lhs @ z - p.eq_rhs).max()))
+    parts.append(float((-z).max()))  # z >= 0
     return max(parts)
 
 
@@ -283,9 +295,8 @@ def _two_phase(
     start: Sequence[int] | None,
 ) -> list[LPSolution]:
     """`maximize_each` over already validated objective rows `costs`."""
-    if feas_tol <= 0.0:
-        raise InputError("feas_tol must be positive")
-    M = np.vstack([region.ineq_lhs, region.eq_lhs])
+    check_tolerance(feas_tol, "feas_tol")
+    M = np.concatenate([region.ineq_lhs, region.eq_lhs])
     b = np.concatenate([region.ineq_rhs, region.eq_rhs])
     m, N = M.shape
     flipped = b < 0.0
@@ -297,9 +308,9 @@ def _two_phase(
     slack = np.zeros((m, n_ineq))
     for i in range(n_ineq):
         slack[i, i] = -1.0 if flipped[i] else 1.0
-    body = np.hstack([M, slack])
+    body = np.concatenate([M, slack], axis=1)
     # Every row but an unflipped inequality takes an artificial in phase 1.
-    n_art = m - int(np.count_nonzero(~flipped[:n_ineq]))
+    n_art = m - int((~flipped[:n_ineq]).sum())
     iter_limit = ITERATION_FACTOR * (N + n_ineq + n_art + m)
 
     started = _warm_start(body, b, start, feas_tol)
@@ -366,11 +377,13 @@ def _warm_start(
     if len(set(basis)) != m or not all(0 <= j < width for j in basis):
         return None
     try:
-        T_body = np.linalg.solve(body[:, basis], np.column_stack([body, b]))
+        T_body = np.linalg.solve(
+            body[:, basis], np.concatenate([body, b[:, None]], axis=1)
+        )
     except np.linalg.LinAlgError:
         return None
     x_B = T_body[:, -1]
-    if not (np.all(np.isfinite(T_body)) and x_B.min() >= -feas_tol):
+    if not (np.isfinite(T_body).all() and x_B.min() >= -feas_tol):
         return None
     T = np.zeros((m + 1, width + 1))
     T[:m] = T_body
@@ -437,14 +450,14 @@ def _phase_one(
         if basis[r] >= N + n_ineq:
             T[r, -1] = 0.0
             row_body = np.abs(T[r, : N + n_ineq])
-            col = int(np.argmax(row_body))
+            col = int(row_body.argmax())
             if row_body[col] > PIVOT_TOL:
                 _pivot(T, r, col)
                 basis[r] = col
             else:
                 keep[r] = False
-    if not np.all(keep):
-        T = np.vstack([T[:-1][keep], T[-1]])
+    if not keep.all():
+        T = np.concatenate([T[:-1][keep], T[-1:]])
         basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
-    T = np.delete(T, np.s_[N + n_ineq : total], axis=1)
+    T = np.concatenate([T[:, : N + n_ineq], T[:, total:]], axis=1)
     return T, basis, keep

@@ -24,6 +24,7 @@ from .core import (
     InputError,
     MixedStrategy,
     Player,
+    check_tolerance,
     validate_strategy,
 )
 from .lp import (
@@ -162,8 +163,7 @@ def solve_game(
     when it is nonsingular and feasible).  The result is certified against
     A's own payoffs exactly as on a cold start.
     """
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
+    check_tolerance(tol, "tol")
     V = A.values
     shift = _positivity_shift(V)
     start = None if dual_of is None else _complement_basis(dual_of)

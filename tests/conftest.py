@@ -4,6 +4,8 @@ import pytest
 from zerosum import GameMatrix
 
 RPS_ENTRIES = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+# Tolerances every entry point must reject: not finite, or not positive.
+BAD_TOLERANCES = [0.0, -1.0, float("nan"), float("inf"), -float("inf")]
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from zerosum import (
 )
 from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
 from zerosum.solver import row_optima_column_extrema
-from conftest import RPS_ENTRIES, random_skew
+from conftest import BAD_TOLERANCES, RPS_ENTRIES, random_skew
 
 
 class TestCheckDiagonal:
@@ -335,6 +335,30 @@ class TestReportMechanics:
         assert reports[0].verdict is Verdict.NOT_APPLICABLE
         good = run_checker(ClaimId.DIAGONAL_THEOREM1, GameMatrix(np.diag([1.0, 2.0])))
         assert good[0].verdict is Verdict.HOLDS
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    @pytest.mark.parametrize("which", ["tol", "lp_tol"])
+    def test_non_finite_or_non_positive_tolerances_rejected(self, rps, which, bad):
+        # NaN or 0 used to reach the checkers, where every "<= tol" test fails
+        # and the claim read Violated; inf made every such test pass.
+        for claim, lambdas in [
+            (ClaimId.NEG_TRANSPOSE_THM2, None),
+            (ClaimId.GORDAN_THEOREM3, None),
+            (ClaimId.SHIFTED_EIGEN_THM4_GENERAL, [0.0]),
+        ]:
+            with pytest.raises(InputError, match=which):
+                run_checker(claim, rps, lambdas=lambdas, **{which: bad})
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    def test_direct_checker_calls_reject_bad_tolerances(self, rps, saddle, bad):
+        # NaN used to read Violated and inf Holds, straight from the checker.
+        for check, A in [
+            (check_neg_transpose, rps),
+            (check_skew, rps),
+            (check_diagonal, saddle),  # NotApplicable reports are checked too
+        ]:
+            with pytest.raises(InputError, match="tol"):
+                check(A, tol=bad)
 
     def test_dispatch_shifted_requires_lambdas(self, rps):
         with pytest.raises(InputError):

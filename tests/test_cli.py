@@ -25,6 +25,13 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _ensemble_argv(claim, family, size, trials, seed):
+    return (
+        f"verify --claim {claim} --ensemble {family} --size {size} "
+        f"--trials {trials} --seed {seed}"
+    ).split()
+
+
 class TestParseMatrix:
     def test_rps_csv(self, rps):
         parsed = parse_matrix("0,-1,1\n1,0,-1\n-1,1,0")
@@ -192,6 +199,22 @@ class TestGoldenFiles:
             ),
             ("oracle_rps.json", ["oracle", "--input", str(DATA / "rps.csv")], 0),
             ("oracle_saddle.json", ["oracle", "--input", str(DATA / "saddle.csv")], 0),
+            # The three bench ensembles, so a last-digit drift there shows.
+            (
+                "verify_positive10_posdom.json",
+                _ensemble_argv("PositiveDominatedThm4", "Positive", 10, 5, 1),
+                1,
+            ),
+            (
+                "verify_general30_negt.json",
+                _ensemble_argv("NegTransposeThm2", "General", 30, 2, 7),
+                0,
+            ),
+            (
+                "verify_skew7_gordan.json",
+                _ensemble_argv("GordanTheorem3", "Skew", 7, 5, 1),
+                1,
+            ),
         ],
     )
     def test_golden(self, capsys, golden, argv, code):
@@ -278,6 +301,16 @@ class TestExitCodes:
         big.write_text(render_matrix(GameMatrix(np.ones((6, 2)))))
         code, _, err = run(capsys, "oracle", "--input", str(big))
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_is_2(self, capsys, tol):
+        verify = _ensemble_argv("NegTransposeThm2", "General", 3, 2, 1)
+        code, _, err = run(capsys, *verify, "--tol", tol)
+        assert code == 2 and "tol must be finite and positive" in err
+        code, _, err = run(
+            capsys, "solve", "--input", str(DATA / "saddle.csv"), "--tol", tol
+        )
+        assert code == 2 and "tol must be finite and positive" in err
 
     def test_internal_error_is_3(self, capsys, monkeypatch):
         import zerosum.cli as cli_mod

@@ -15,10 +15,12 @@ from zerosum import (
 from zerosum.lp import (
     DEGENERATE_STALL,
     PIVOT_TOL,
+    _pivot,
     _priced_cost_row,
     _residual,
     maximize_each,
 )
+from conftest import BAD_TOLERANCES
 
 FEAS_TOL = 1e-9
 
@@ -112,6 +114,19 @@ class TestValidation:
     def test_objective_length_checked(self):
         with pytest.raises(DimensionMismatchError):
             maximize_each(LinearProgram(objective=[1, 2]), [[1, 2, 3]])
+
+    @pytest.mark.parametrize("feas_tol", BAD_TOLERANCES)
+    def test_non_finite_or_non_positive_feas_tol_rejected(self, feas_tol):
+        # z <= 1 and z = 2 is infeasible; a NaN tolerance used to make every
+        # "> feas_tol" gate False and return Optimal at z = 1.
+        p = LinearProgram(
+            [1.0], ineq_lhs=[[1.0]], ineq_rhs=[1.0], eq_lhs=[[1.0]], eq_rhs=[2.0]
+        )
+        assert solve_lp(p).status is LPStatus.INFEASIBLE
+        with pytest.raises(InputError, match="feas_tol"):
+            solve_lp(p, feas_tol=feas_tol)
+        with pytest.raises(InputError, match="feas_tol"):
+            maximize_each(p, [[1.0]], feas_tol=feas_tol)
 
 
 def _random_feasible_program(rng):
@@ -215,6 +230,53 @@ def test_priced_cost_row_matches_row_by_row_elimination():
         scale = np.abs(costs[basis]) @ np.abs(T[:-1]) + np.abs(want)
         got = _priced_cost_row(T, basis, costs)
         assert np.all(np.abs(got - want) <= 2 * m * np.finfo(float).eps * scale)
+
+
+def _textbook_pivot(T, row, col):
+    """Gauss-Jordan step as written in textbooks, plus `_pivot`'s cleanup."""
+    prow = T[row] / T[row, col]
+    factors = T[:, col].copy()
+    want = T - np.outer(factors, prow)
+    want[row] = prow
+    want[:, col] = 0.0
+    want[row, col] = 1.0
+    rhs = want[:-1, -1]
+    rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
+    return want
+
+
+def test_pivot_is_the_textbook_elimination_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        m, k = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+        T = rng.uniform(-5, 5, (m + 1, k + m + 1))
+        row, col = int(rng.integers(m)), int(rng.integers(k + m))
+        want = _textbook_pivot(T, row, col)
+        _pivot(T, row, col)
+        assert T.tobytes() == want.tobytes()
+        unit = np.zeros(m + 1)
+        unit[row] = 1.0
+        assert T[:, col].tobytes() == unit.tobytes()
+
+
+def test_pivot_rhs_dust_rule():
+    # Column 0 is zero off the pivot row, so every other rhs passes through
+    # the elimination unchanged and meets the dust rule as written here.
+    below = -PIVOT_TOL
+    dust = [-PIVOT_TOL / 2, np.nextafter(-PIVOT_TOL, 0.0), -5e-324]
+    kept = [below, np.nextafter(below, -1.0), -1e-6, 0.0, 3.0]
+    rhs = [2.0, *dust, *kept, -PIVOT_TOL / 2]  # pivot row, rows, cost row
+    T = np.zeros((len(rhs), 3))
+    T[:, 1] = np.linspace(-1.0, 1.0, len(rhs))
+    T[:, -1] = rhs
+    T[0, 0] = 2.0
+    _pivot(T, 0, 0)
+    assert T[0, -1] == 1.0
+    assert T[1 : 1 + len(dust), -1].tolist() == [0.0] * len(dust)
+    assert T[1 + len(dust) : -1, -1].tolist() == kept
+    # The cost row is not a rhs: its dust is kept.
+    assert T[-1, -1] == -PIVOT_TOL / 2
+    assert T[:, 0].tolist() == [1.0] + [0.0] * (len(rhs) - 1)
 
 
 def test_residual_counts_negative_coordinates():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from zerosum import (
 from zerosum.cli import DEFAULT_RANGES
 from zerosum.lp import FEAS_TOL_DEFAULT
 from zerosum.solver import extrema_dominated
-from conftest import random_matrix, random_skew
+from conftest import BAD_TOLERANCES, random_matrix, random_skew
 
 
 def saddle_point_value(values):
@@ -59,6 +61,16 @@ class TestSolveGame:
     def test_bad_tol(self, rps):
         with pytest.raises(InputError):
             solve_game(rps, tol=-1.0)
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    def test_non_finite_or_non_positive_tolerances_rejected(self, rps, bad):
+        with pytest.raises(InputError, match="tol"):
+            solve_game(rps, tol=bad)
+        with pytest.raises(InputError, match="feas_tol"):
+            solve_game(rps, feas_tol=bad)
+        sol = solve_game(rps)
+        with pytest.raises(InputError, match="tolerance"):
+            dataclasses.replace(sol, tolerance=bad)
 
 
 class TestGameValue:
