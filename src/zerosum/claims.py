@@ -155,7 +155,7 @@ def check_diagonal(
 def _skew_residual(A: GameMatrix) -> float | None:
     if not A.is_square:
         return None
-    return float(np.max(np.abs(A.values + A.values.T)))
+    return float(np.abs(A.values + A.values.T).max())
 
 
 def _skew_gate(

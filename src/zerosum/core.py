@@ -122,7 +122,7 @@ class GameMatrix:
             raise InvalidMatrixError(
                 f"expected a nonempty 2-D matrix, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidMatrixError("matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -169,7 +169,7 @@ class MixedStrategy:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidStrategyError("strategy must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise InvalidStrategyError("strategy weights must be finite")
         if np.any(w < 0.0):
             raise InvalidStrategyError(
@@ -203,7 +203,7 @@ def validate_strategy(weights, player: Player = Player.ROW) -> MixedStrategy:
     w = np.array(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidStrategyError("strategy must be a nonempty vector")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InvalidStrategyError("strategy weights must be finite")
     if np.any(w < -NEGATIVE_CLAMP_TOL):
         raise InvalidStrategyError(

@@ -6,8 +6,12 @@ expressed here; an Infeasible result's `farkas` answers them (see spectral.gorda
 
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau.  `maximize_each` runs
-phase 1 once per region and starts each objective's phase 2 from the previous
-objective's final basis; `solve_lp` is its one-objective case.
+phase 1 once per region.  From that start it first answers, without a pivot,
+every objective whose optimum it can certify at the start vertex or at one of
+the vertices one pivot away (`_lookahead`).  Only the objectives left over run
+phase 2, in order: the first from the start basis, each later one from the
+basis the previous phase 2 ended on.  `solve_lp` runs one phase 2 and no
+lookahead.
 
 At this scale a pivot is a few thousand flops, so numpy's Python-level
 wrappers (`np.max`, `np.argmax`, `np.outer`, `np.append`, `np.vstack`, ...)
@@ -172,10 +176,10 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     factors = T[:, col].copy()
     factors[row] = 0.0
     T -= factors[:, None] * T[row]
-    # Kill roundoff dust so the basic column is an exact unit vector and the
-    # ratio test never sees a slightly negative rhs.
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    # The entering column is now an exact unit vector without cleanup: the
+    # division left T[row, col] = x / x = 1.0, so every other entry became
+    # a - a * 1.0 = +0.0.  Rhs dust is killed so the ratio test never sees
+    # a slightly negative rhs.
     rhs = T[:-1, -1]
     rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
 
@@ -241,14 +245,15 @@ def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.n
     return row
 
 
-def _residual(p: LinearProgram, z: np.ndarray) -> float:
-    parts = [0.0]
+def _residual(p: LinearProgram, z: np.ndarray) -> np.ndarray:
+    """Largest violation of p's constraints, z >= 0 included, at the point z,
+    or at each row of a 2-D z; 0.0 when feasible."""
+    worst = (-z).max(axis=-1)
     if p.ineq_lhs.shape[0]:
-        parts.append(float((p.ineq_lhs @ z - p.ineq_rhs).max()))
+        worst = np.maximum(worst, (z @ p.ineq_lhs.T - p.ineq_rhs).max(axis=-1))
     if p.eq_lhs.shape[0]:
-        parts.append(float(np.abs(p.eq_lhs @ z - p.eq_rhs).max()))
-    parts.append(float((-z).max()))  # z >= 0
-    return max(parts)
+        worst = np.maximum(worst, np.abs(z @ p.eq_lhs.T - p.eq_rhs).max(axis=-1))
+    return np.maximum(worst, 0.0)
 
 
 def solve_lp(
@@ -263,7 +268,7 @@ def solve_lp(
     `start`, a basis in the layout of `LPSolution.basis`, skips phase 1 when
     it is primal feasible; any other start is ignored (module docstring).
     """
-    return _two_phase(p, p.objective[np.newaxis], feas_tol, start)[0]
+    return _two_phase(p, p.objective[np.newaxis], feas_tol, start, False)[0]
 
 
 def maximize_each(
@@ -272,19 +277,31 @@ def maximize_each(
     feas_tol: float = FEAS_TOL_DEFAULT,
     start: Sequence[int] | None = None,
 ) -> list[LPSolution]:
-    """Maximize each objective in turn over the feasible region of `region`.
+    """Maximize each objective over the feasible region of `region`.
 
     `region.objective` only fixes the number of variables; `objectives` holds
-    one vector of that length per row.  The first phase 2 starts at `start`
-    when it is a primal feasible basis (see `solve_lp`); otherwise phase 1
-    runs once, and when the region is infeasible every objective reports
-    Infeasible.  Each later phase 2 starts from the basis the previous one
-    ended on (an Unbounded objective ends on a feasible basis too), so later
-    objectives are unaffected by it.  Results are in the order of
-    `objectives`.
+    one vector of that length per row.  The start is `start` when it is a
+    primal feasible basis (see `solve_lp`); otherwise phase 1 runs once, and
+    when the region is infeasible every objective reports Infeasible.
+
+    All objectives are then priced at once at the start and at each vertex
+    one pivot from it.  An objective whose best such vertex has every
+    reduced cost <= PIVOT_TOL, and whose point passes the residual gate, is
+    answered there with no pivot.  When the region is a nondegenerate
+    simplex, as the optimal-strategy polytope of a nondegenerate game is,
+    every vertex is one pivot from the start, so every objective with a
+    unique optimal vertex is answered this way.  Each other objective runs
+    phase 2, in the order of `objectives`: the first from the start basis,
+    each later one from the basis the previous phase 2 ended on (an
+    Unbounded objective ends on a feasible basis too, so later objectives
+    are unaffected by it).  Results are in the order of `objectives`.
     """
     return _two_phase(
-        region, _as_matrix(objectives, region.n_vars, "objectives"), feas_tol, start
+        region,
+        _as_matrix(objectives, region.n_vars, "objectives"),
+        feas_tol,
+        start,
+        True,
     )
 
 
@@ -293,8 +310,10 @@ def _two_phase(
     costs: np.ndarray,
     feas_tol: float,
     start: Sequence[int] | None,
+    lookahead: bool,
 ) -> list[LPSolution]:
-    """`maximize_each` over already validated objective rows `costs`."""
+    """`maximize_each` over already validated objective rows `costs`;
+    `lookahead` tries `_lookahead` before any phase 2."""
     check_tolerance(feas_tol, "feas_tol")
     M = np.concatenate([region.ineq_lhs, region.eq_lhs])
     b = np.concatenate([region.ineq_rhs, region.eq_rhs])
@@ -322,39 +341,134 @@ def _two_phase(
             ]
     T, basis, keep = started
 
-    # Phase 2 per objective, each from the basis the previous one left.
-    results = []
+    results = (
+        _lookahead(region, T, basis, costs, feas_tol)
+        if lookahead
+        else [None] * len(costs)
+    )
+    # Phase 2 per objective left open, each from the basis the previous one
+    # left.
     phase2_costs = np.zeros(N + n_ineq)
-    for c in costs:
+    for k, c in enumerate(costs):
+        if results[k] is not None:
+            continue
         phase2_costs[:N] = c
         T[-1] = _priced_cost_row(T, basis, phase2_costs)
         if _run_simplex(T, basis, iter_limit) == "unbounded":
-            results.append(LPSolution(status=LPStatus.UNBOUNDED))
+            results[k] = LPSolution(status=LPStatus.UNBOUNDED)
             continue
         u = np.zeros(N + n_ineq)
         u[basis] = T[:-1, -1]
         z = u[:N]
-        residual = _residual(region, z)
+        residual = float(_residual(region, z))
         if residual > feas_tol:
             # The tableau carries roundoff from every pivot so far; solve
             # for x_B against the original rows of the final basis instead.
             u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
             z = u[:N]
-            residual = _residual(region, z)
+            residual = float(_residual(region, z))
         if residual > feas_tol:
             raise RuntimeError(
                 f"optimal point violates feasibility by {residual:g} > "
                 f"{feas_tol:g}; solver bug"
             )
-        results.append(
-            LPSolution(
-                status=LPStatus.OPTIMAL,
-                point=z,
-                objective_value=float(c @ z),
-                primal_residual=residual,
-                ineq_duals=-T[-1, N : N + n_ineq],
-                basis=tuple(basis),
-            )
+        results[k] = LPSolution(
+            status=LPStatus.OPTIMAL,
+            point=z,
+            objective_value=float(c @ z),
+            primal_residual=residual,
+            ineq_duals=-T[-1, N : N + n_ineq],
+            basis=tuple(basis),
+        )
+    return results
+
+
+def _lookahead(
+    region: LinearProgram,
+    T: np.ndarray,
+    basis: list[int],
+    costs: np.ndarray,
+    feas_tol: float,
+) -> list[LPSolution | None]:
+    """Answer objectives at the basis of the phase-2 tableau T or one pivot
+    from it, without pivoting; None marks an objective left to phase 2.
+
+    Every objective is priced at the start at once.  Each nonbasic column
+    with a positive entry has one neighbour vertex, found by the min-ratio
+    test of `_run_simplex` (ties to the first row; any tie is valid).  Each
+    objective takes its best vertex of the start and the neighbours by c.z,
+    read off the reduced costs.  It is answered only when that vertex's
+    reduced costs, the cost row a pivot there would leave, are all
+    <= PIVOT_TOL (the test `_run_simplex` stops on) and its point passes the
+    residual gate.  Neither T nor `basis` changes.
+    """
+    N = region.n_vars
+    n_ineq = region.ineq_lhs.shape[0]
+    basic = np.array(basis, dtype=int)
+    body, rhs = T[:-1, :-1], T[:-1, -1]
+    C = np.zeros((costs.shape[0], T.shape[1]))
+    C[:, :N] = costs
+    reduced = C - C[:, basic] @ T[:-1]
+
+    # Neighbours: nonbasic column cols[i], which has a positive entry, enters
+    # at row leave[i] with step theta[i].  A boolean mask rather than
+    # np.setdiff1d keeps this free of lazily imported numpy modules.
+    positive = body > PIVOT_TOL
+    open_cols = positive.any(axis=0)
+    open_cols[basic] = False
+    cols = open_cols.nonzero()[0]
+    entering = body[:, cols]
+    ratios = np.full(entering.shape, np.inf)
+    np.divide(rhs[:, None], entering, out=ratios, where=positive[:, cols])
+    # (Without rows there is no neighbour, and nothing for argmin to scan.)
+    leave = ratios.argmin(axis=0) if cols.size else cols
+    pivots = body[leave, cols]
+    theta = rhs[leave] / pivots
+
+    # Vertex 0 is the start and vertex 1 + i is cols[i]'s neighbour; each row
+    # holds every column's value, as a pivot would leave it.
+    steps = np.arange(cols.size)
+    moved_rhs = rhs[:, None] - entering * theta
+    moved_rhs[leave, steps] = 0.0
+    moved_rhs[(moved_rhs < 0.0) & (moved_rhs > -PIVOT_TOL)] = 0.0
+    vertices = np.zeros((1 + cols.size, body.shape[1]))
+    vertices[0, basic] = rhs
+    vertices[1:, basic] = moved_rhs.T
+    vertices[1 + steps, cols] = theta
+    # Each objective's best vertex by c.z: vertex 1 + i lies theta[i] along
+    # column cols[i], so it gains theta[i] times that reduced cost over the
+    # start.  Ties go to the start, then to the first neighbour.
+    gains = np.zeros((len(costs), 1 + cols.size))
+    np.multiply(reduced[:, cols], theta, out=gains[:, 1:])
+    best = gains.argmax(axis=1)
+
+    # Each objective's cost row at its best vertex.
+    moved = (best > 0).nonzero()[0]
+    i = best[moved] - 1
+    reduced[moved] -= reduced[moved, cols[i]][:, None] * (
+        T[leave[i]] / pivots[i][:, None]
+    )
+    optimal = reduced[:, :-1].max(axis=1) <= PIVOT_TOL
+
+    results: list[LPSolution | None] = [None] * len(costs)
+    points = vertices[best, :N]
+    duals = -reduced[:, N : N + n_ineq]
+    residuals = _residual(region, points)
+    bases: dict[int, tuple[int, ...]] = {}
+    for k in (optimal & (residuals <= feas_tol)).nonzero()[0]:
+        j = int(best[k])
+        if j not in bases:
+            at = list(basis)
+            if j:
+                at[leave[j - 1]] = int(cols[j - 1])
+            bases[j] = tuple(at)
+        results[k] = LPSolution(
+            status=LPStatus.OPTIMAL,
+            point=points[k],
+            objective_value=float(costs[k] @ points[k]),
+            primal_residual=float(residuals[k]),
+            ineq_duals=duals[k],
+            basis=bases[j],
         )
     return results
 

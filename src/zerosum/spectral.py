@@ -16,6 +16,7 @@ from .core import (
     InvalidMatrixError,
     MixedStrategy,
     Player,
+    check_tolerance,
     validate_strategy,
 )
 from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPSolution, LPStatus, solve_lp
@@ -134,8 +135,10 @@ def null_space(A: GameMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> KernelBasis
     """Kernel basis of a square matrix via Gauss-Jordan elimination.
 
     Free columns of the reduced echelon form each contribute one basis
-    vector, normalized to unit infinity norm.
+    vector, normalized to unit infinity norm.  `rank_tol`, relative to the
+    largest entry, must be finite and positive (InputError otherwise).
     """
+    check_tolerance(rank_tol, "rank_tol")
     if not A.is_square:
         raise InvalidMatrixError(
             f"null_space requires a square matrix, got {A.rows}x{A.cols}"
@@ -158,8 +161,9 @@ def null_space(A: GameMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> KernelBasis
 def _stochastic_kernel(M: np.ndarray, feas_tol: float) -> LPSolution:
     """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0."""
     m, n = M.shape
-    E = np.vstack([M, np.ones((1, n))])
-    f = np.append(np.zeros(m), 1.0)
+    E = np.concatenate([M, np.ones((1, n))])
+    f = np.zeros(m + 1)
+    f[m] = 1.0
     return solve_lp(LinearProgram(np.zeros(n), eq_lhs=E, eq_rhs=f), feas_tol=feas_tol)
 
 

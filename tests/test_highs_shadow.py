@@ -6,7 +6,7 @@ seed and checks the quantity the verdict is decided by:
 
 - NegTransposeThm2 on General 30, seed 7: v(A) and v(-A^T), within 1e-9;
 - PositiveDominatedThm4 on Positive 10, seed 1: the column payoff maxima
-  over the optimal-strategy region, within 1e-8;
+  and minima over the optimal-strategy region, within 1e-8;
 - GordanTheorem3 on Skew 7, seed 1: feasibility of [A; 1^T] x = e_{m+1},
   x >= 0, which decides the Gordan branch.
 """
@@ -56,8 +56,9 @@ def _highs_value(V):
     return -res.fun
 
 
-def _highs_column_maxima(V, v, tol):
-    """max (x^T V)_j over {x stochastic : x^T V >= v - tol}, per column j."""
+def _highs_column_extrema(V, v, tol):
+    """min and max of (x^T V)_j over {x stochastic : x^T V >= v - tol}, per
+    column j."""
     m, n = V.shape
     region = dict(
         A_ub=-V.T,
@@ -66,12 +67,13 @@ def _highs_column_maxima(V, v, tol):
         b_eq=[1.0],
         bounds=(0, None),
     )
-    maxima = []
-    for j in range(n):
-        res = _highs(-V[:, j], **region)
-        assert res.status == 0, res.message
-        maxima.append(-res.fun)
-    return np.array(maxima)
+    extrema = []
+    for sign in (1.0, -1.0):
+        for j in range(n):
+            res = _highs(-sign * V[:, j], **region)
+            assert res.status == 0, res.message
+            extrema.append(-sign * res.fun)
+    return np.array(extrema[n:]), np.array(extrema[:n])
 
 
 def test_neg_transpose_values_match_highs():
@@ -98,9 +100,12 @@ def test_positive_dominated_maxima_match_highs():
             assert rep.verdict is Verdict.NOT_APPLICABLE, i
             continue
         applicable += 1
-        maxima = _highs_column_maxima(A.values, v, tol)
+        minima, maxima = _highs_column_extrema(A.values, v, tol)
         np.testing.assert_allclose(
             got["column_payoff_maxima"], maxima, rtol=0, atol=1e-8, err_msg=str(i)
+        )
+        np.testing.assert_allclose(
+            got["column_payoff_minima"], minima, rtol=0, atol=1e-8, err_msg=str(i)
         )
         # Every minimum is >= v - tol on the region by construction, so the
         # maxima decide the verdict.

@@ -187,6 +187,13 @@ class TestAllRowOptimaDominated:
     def test_saddle_counterexample(self, saddle):
         assert not _all_row_optima_dominated(saddle, 3.0, 1e-7)
 
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    def test_non_finite_or_non_positive_tolerances_rejected(self, rps, bad):
+        with pytest.raises(InputError, match="tol"):
+            row_optima_column_extrema(rps, 0.0, bad)
+        with pytest.raises(InputError, match="feas_tol"):
+            row_optima_column_extrema(rps, 0.0, 1e-7, feas_tol=bad)
+
     def test_identity_boundary(self):
         # Optimal set degenerates to the equalizer; extrema touch v +/- tol.
         assert _all_row_optima_dominated(GameMatrix(np.diag([1.0, 1.0])), 0.5, 1e-7)
