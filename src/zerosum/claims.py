@@ -74,12 +74,20 @@ def _listify(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def _not_applicable(claim: ClaimId, A: GameMatrix, computed: dict, tol: float) -> ClaimReport:
+def _report(
+    claim: ClaimId, A: GameMatrix, computed: dict, tol: float, holds: bool | None = None
+) -> ClaimReport:
+    """The report on A: NotApplicable when `holds` is None, else Holds or
+    Violated as `holds` says."""
+    if holds is None:
+        verdict = Verdict.NOT_APPLICABLE
+    else:
+        verdict = Verdict.HOLDS if holds else Verdict.VIOLATED
     return ClaimReport(
         claim_id=claim,
         input_digest=A.digest(),
         computed=computed,
-        verdict=Verdict.NOT_APPLICABLE,
+        verdict=verdict,
         tolerance=tol,
     )
 
@@ -100,11 +108,11 @@ def check_diagonal(
     """
     claim = ClaimId.DIAGONAL_THEOREM1
     if not A.is_square:
-        return _not_applicable(claim, A, {"reason": "matrix is not square"}, tol)
+        return _report(claim, A, {"reason": "matrix is not square"}, tol)
     d = np.diag(A.values)
     max_off = float(np.max(np.abs(A.values - np.diag(d))))
     if max_off > DIAG_SIGN_TOL:
-        return _not_applicable(
+        return _report(
             claim,
             A,
             {"reason": "matrix is not diagonal", "max_offdiagonal": max_off},
@@ -143,31 +151,17 @@ def check_diagonal(
             "observed_row_strategy": _listify(x),
             "negative_index_weight": negative_weight,
         }
-    return ClaimReport(
-        claim_id=claim,
-        input_digest=A.digest(),
-        computed=computed,
-        verdict=Verdict.HOLDS if holds else Verdict.VIOLATED,
-        tolerance=tol,
-    )
-
-
-def _skew_residual(A: GameMatrix) -> float | None:
-    if not A.is_square:
-        return None
-    return float(np.abs(A.values + A.values.T).max())
+    return _report(claim, A, computed, tol, holds)
 
 
 def _skew_gate(
     claim: ClaimId, A: GameMatrix, tol: float
 ) -> tuple[float, ClaimReport | None]:
-    residual = _skew_residual(A)
-    if residual is None:
-        return np.inf, _not_applicable(
-            claim, A, {"reason": "matrix is not square"}, tol
-        )
+    if not A.is_square:
+        return np.inf, _report(claim, A, {"reason": "matrix is not square"}, tol)
+    residual = float(np.abs(A.values + A.values.T).max())
     if residual > tol:
-        return residual, _not_applicable(
+        return residual, _report(
             claim, A, {"reason": "matrix is not skew-symmetric", "skew_residual": residual}, tol
         )
     return residual, None
@@ -189,20 +183,13 @@ def _skew_optima_report(
     V = A.values
     ceiling = float((V @ sol.row_strategy.weights).max())
     floor = float((sol.col_strategy.weights @ V).min())
-    return ClaimReport(
-        claim_id=claim,
-        input_digest=A.digest(),
-        computed={
-            "skew_residual": residual,
-            "value": sol.value,
-            "row_optimum_as_column_ceiling": ceiling,
-            "col_optimum_as_row_floor": floor,
-        },
-        verdict=(
-            Verdict.HOLDS if holds(sol.value, ceiling, floor) else Verdict.VIOLATED
-        ),
-        tolerance=tol,
-    )
+    computed = {
+        "skew_residual": residual,
+        "value": sol.value,
+        "row_optimum_as_column_ceiling": ceiling,
+        "col_optimum_as_row_floor": floor,
+    }
+    return _report(claim, A, computed, tol, holds(sol.value, ceiling, floor))
 
 
 def check_skew(
@@ -246,16 +233,13 @@ def check_neg_transpose(
     v1 = sol.value
     v2 = solve_game(GameMatrix(-A.values.T), feas_tol=lp_tol, dual_of=sol).value
     identity_residual = abs(v1 + v2)
-    return ClaimReport(
-        claim_id=ClaimId.NEG_TRANSPOSE_THM2,
-        input_digest=A.digest(),
-        computed={
-            "value": v1,
-            "neg_transpose_value": v2,
-            "identity_residual": identity_residual,
-        },
-        verdict=Verdict.HOLDS if identity_residual <= tol else Verdict.VIOLATED,
-        tolerance=tol,
+    computed = {
+        "value": v1,
+        "neg_transpose_value": v2,
+        "identity_residual": identity_residual,
+    }
+    return _report(
+        ClaimId.NEG_TRANSPOSE_THM2, A, computed, tol, identity_residual <= tol
     )
 
 
@@ -281,7 +265,8 @@ def check_eigenspace_lemma5(
     skew game; finding one at a nonzero eigenvalue violates the claim.  The
     lambda = 0 outcome is recorded as well since it feeds the Gordan audit.
     """
-    residual, na = _skew_gate(ClaimId.EIGENSPACE_LEMMA5, A, tol)
+    claim = ClaimId.EIGENSPACE_LEMMA5
+    residual, na = _skew_gate(claim, A, tol)
     if na is not None:
         return na
     candidates = sorted(set(float(l) for l in (lambdas or [])) | {0.0})
@@ -299,17 +284,12 @@ def check_eigenspace_lemma5(
         findings.append(
             {"lambda": lam, "witness_found": found, "is_optimal": optimal}
         )
-    return ClaimReport(
-        claim_id=ClaimId.EIGENSPACE_LEMMA5,
-        input_digest=A.digest(),
-        computed={
-            "skew_residual": residual,
-            "candidates": findings,
-            "zero_eigen_optimal": zero_eigen_optimal,
-        },
-        verdict=Verdict.VIOLATED if violated else Verdict.HOLDS,
-        tolerance=tol,
-    )
+    computed = {
+        "skew_residual": residual,
+        "candidates": findings,
+        "zero_eigen_optimal": zero_eigen_optimal,
+    }
+    return _report(claim, A, computed, tol, not violated)
 
 
 def check_gordan_theorem3(
@@ -323,7 +303,8 @@ def check_gordan_theorem3(
     report records which polarity the instance supports: `verdict` scores
     the claim exactly as stated, `computed` carries the reversed reading.
     """
-    residual, na = _skew_gate(ClaimId.GORDAN_THEOREM3, A, tol)
+    claim = ClaimId.GORDAN_THEOREM3
+    residual, na = _skew_gate(claim, A, tol)
     if na is not None:
         return na
     verdict_branch = gordan(A, feas_tol=lp_tol)
@@ -335,21 +316,16 @@ def check_gordan_theorem3(
     )
     as_stated = exists == positive_image
     reversed_form = exists == (not positive_image)
-    return ClaimReport(
-        claim_id=ClaimId.GORDAN_THEOREM3,
-        input_digest=A.digest(),
-        computed={
-            "skew_residual": residual,
-            "gordan_branch": verdict_branch.branch.value,
-            "kernel_optimum_exists": exists,
-            "as_stated": Verdict.HOLDS.value if as_stated else Verdict.VIOLATED.value,
-            "polarity_reversed": Verdict.HOLDS.value
-            if reversed_form
-            else Verdict.VIOLATED.value,
-        },
-        verdict=Verdict.HOLDS if as_stated else Verdict.VIOLATED,
-        tolerance=tol,
-    )
+    computed = {
+        "skew_residual": residual,
+        "gordan_branch": verdict_branch.branch.value,
+        "kernel_optimum_exists": exists,
+        "as_stated": Verdict.HOLDS.value if as_stated else Verdict.VIOLATED.value,
+        "polarity_reversed": Verdict.HOLDS.value
+        if reversed_form
+        else Verdict.VIOLATED.value,
+    }
+    return _report(claim, A, computed, tol, as_stated)
 
 
 def check_positive_dominated(
@@ -362,17 +338,13 @@ def check_positive_dominated(
     strategy is optimal-dominated, decided by LP extrema over the optimal
     polytope.
     """
+    claim = ClaimId.POSITIVE_DOMINATED_THM4
     if not A.is_square:
-        return _not_applicable(
-            ClaimId.POSITIVE_DOMINATED_THM4,
-            A,
-            {"reason": "matrix is not square"},
-            tol,
-        )
+        return _report(claim, A, {"reason": "matrix is not square"}, tol)
     min_entry = float(A.values.min())
     if min_entry <= 0.0:
-        return _not_applicable(
-            ClaimId.POSITIVE_DOMINATED_THM4,
+        return _report(
+            claim,
             A,
             {"reason": "matrix is not strictly positive", "min_entry": min_entry},
             tol,
@@ -391,20 +363,14 @@ def check_positive_dominated(
     }
     if value < bracket_low - tol or value > bracket_high + tol:
         base["reason"] = "value escapes the Perron bracket"
-        return _not_applicable(ClaimId.POSITIVE_DOMINATED_THM4, A, base, tol)
+        return _report(claim, A, base, tol)
     mins, maxs = row_optima_column_extrema(
         A, value, tol, feas_tol=lp_tol, solution=sol
     )
     dominated = extrema_dominated(mins, maxs, value, tol, lp_tol)
     base["column_payoff_minima"] = _listify(mins)
     base["column_payoff_maxima"] = _listify(maxs)
-    return ClaimReport(
-        claim_id=ClaimId.POSITIVE_DOMINATED_THM4,
-        input_digest=A.digest(),
-        computed=base,
-        verdict=Verdict.HOLDS if dominated else Verdict.VIOLATED,
-        tolerance=tol,
-    )
+    return _report(claim, A, base, tol, dominated)
 
 
 def check_shifted_eigen(
@@ -422,14 +388,14 @@ def check_shifted_eigen(
     """
     claim = ClaimId.SHIFTED_EIGEN_THM4_GENERAL
     if not A.is_square:
-        return _not_applicable(claim, A, {"reason": "matrix is not square"}, tol)
+        return _report(claim, A, {"reason": "matrix is not square"}, tol)
     lam = float(eigenvalue)
     col_witness = stochastic_eigenvector(A, lam, Player.COL, feas_tol=lp_tol)
     row_witness = stochastic_eigenvector(
         A.transpose(), lam, Player.ROW, feas_tol=lp_tol
     )
     if col_witness is None or row_witness is None:
-        return _not_applicable(
+        return _report(
             claim,
             A,
             {
@@ -445,20 +411,15 @@ def check_shifted_eigen(
     row_dev = float(np.max(np.abs(row_witness.weights @ B.values)))
     col_dev = float(np.max(np.abs(B.values @ col_witness.weights)))
     holds = abs(value) <= tol and row_dev <= tol and col_dev <= tol
-    return ClaimReport(
-        claim_id=claim,
-        input_digest=A.digest(),
-        computed={
-            "lambda": lam,
-            "shifted_value": value,
-            "row_witness": _listify(row_witness.weights),
-            "col_witness": _listify(col_witness.weights),
-            "row_witness_max_deviation": row_dev,
-            "col_witness_max_deviation": col_dev,
-        },
-        verdict=Verdict.HOLDS if holds else Verdict.VIOLATED,
-        tolerance=tol,
-    )
+    computed = {
+        "lambda": lam,
+        "shifted_value": value,
+        "row_witness": _listify(row_witness.weights),
+        "col_witness": _listify(col_witness.weights),
+        "row_witness_max_deviation": row_dev,
+        "col_witness_max_deviation": col_dev,
+    }
+    return _report(claim, A, computed, tol, holds)
 
 
 # The claims whose checker needs nothing but (A, tol, lp_tol).

@@ -166,7 +166,7 @@ def render_matrix(A: GameMatrix, fmt: str = "csv") -> str:
             {
                 "rows": A.rows,
                 "cols": A.cols,
-                "entries": [[float(v) for v in row] for row in A.values],
+                "entries": A.values,
             }
         )
     raise InputError(f"unknown matrix format {fmt!r}")
@@ -181,17 +181,13 @@ def _load_matrix(path: str, fmt: str) -> GameMatrix:
     return parse_matrix(text, fmt)
 
 
-def _strategy_list(strategy) -> list[float]:
-    return [float(w) for w in strategy.weights]
-
-
 def _cmd_solve(args) -> tuple[int, dict]:
     A = _load_matrix(args.input, args.format)
     sol = solve_game(A, tol=args.tol)
     return 0, {
         "value": sol.value,
-        "row_strategy": _strategy_list(sol.row_strategy),
-        "col_strategy": _strategy_list(sol.col_strategy),
+        "row_strategy": sol.row_strategy.weights,
+        "col_strategy": sol.col_strategy.weights,
         "duality_gap": sol.duality_gap,
         "tolerance": sol.tolerance,
     }
@@ -204,7 +200,7 @@ def _cmd_analyze(args) -> tuple[int, dict]:
         cert = perron(A)
         report["perron"] = {
             "root": cert.perron_root,
-            "vector": [float(v) for v in cert.perron_vector],
+            "vector": cert.perron_vector,
             "residual": cert.residual,
         }
     else:
@@ -215,7 +211,7 @@ def _cmd_analyze(args) -> tuple[int, dict]:
     verdict = gordan(A)
     report["gordan"] = {
         "branch": verdict.branch.value,
-        "witness": [float(v) for v in verdict.witness],
+        "witness": verdict.witness,
     }
     eigenvectors = []
     for lam in args.lambdas or []:
@@ -223,7 +219,7 @@ def _cmd_analyze(args) -> tuple[int, dict]:
         eigenvectors.append(
             {
                 "lambda": lam,
-                "vector": _strategy_list(witness) if witness is not None else None,
+                "vector": witness.weights if witness is not None else None,
             }
         )
     report["eigenvectors"] = eigenvectors
@@ -285,8 +281,8 @@ def _cmd_oracle(args) -> tuple[int, dict]:
         "value": sol.value,
         "row_support": list(sol.row_support),
         "col_support": list(sol.col_support),
-        "row_strategy": _strategy_list(sol.row_strategy),
-        "col_strategy": _strategy_list(sol.col_strategy),
+        "row_strategy": sol.row_strategy.weights,
+        "col_strategy": sol.col_strategy.weights,
     }
 
 

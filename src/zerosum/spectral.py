@@ -50,7 +50,8 @@ class SpectralCert:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Basis (unit infinity-norm vectors) of the null space of a matrix."""
+    """Basis of the null space of a matrix: right singular vectors, each
+    scaled to unit infinity norm, so orthogonal but signed arbitrarily."""
 
     dimension: int
     basis_vectors: tuple[np.ndarray, ...]
@@ -105,57 +106,27 @@ def perron(A: GameMatrix) -> SpectralCert:
     return SpectralCert(perron_root=root, perron_vector=v, residual=residual)
 
 
-def _row_reduce(values: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns under the rank tolerance."""
-    R = np.array(values, dtype=float)
-    m, n = R.shape
-    threshold = rank_tol * float(np.abs(R).max()) if R.size else 0.0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        if r >= m:
-            break
-        lead = r + int(np.argmax(np.abs(R[r:, col])))
-        if np.abs(R[lead, col]) <= threshold:
-            R[r:, col] = 0.0
-            continue
-        R[[r, lead]] = R[[lead, r]]
-        R[r] /= R[r, col]
-        others = np.abs(R[:, col]) > 0.0
-        others[r] = False
-        R[others] -= np.outer(R[others, col], R[r])
-        R[:, col] = 0.0
-        R[r, col] = 1.0
-        pivots.append(col)
-        r += 1
-    return R, pivots
-
-
 def null_space(A: GameMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> KernelBasis:
-    """Kernel basis of a square matrix via Gauss-Jordan elimination.
+    """Kernel basis of a square matrix from one singular value decomposition.
 
-    Free columns of the reduced echelon form each contribute one basis
-    vector, normalized to unit infinity norm.  `rank_tol`, relative to the
-    largest entry, must be finite and positive (InputError otherwise).
+    The rank is the number of singular values above rank_tol times the
+    largest absolute entry; the right singular vectors of the remaining
+    singular values span the kernel, each normalized to unit infinity norm.
+    `rank_tol` must be finite and positive (InputError otherwise).
     """
     check_tolerance(rank_tol, "rank_tol")
     if not A.is_square:
         raise InvalidMatrixError(
             f"null_space requires a square matrix, got {A.rows}x{A.cols}"
         )
-    R, pivots = _row_reduce(A.values, rank_tol)
-    n = A.cols
-    free = [j for j in range(n) if j not in pivots]
+    _, sigma, vt = np.linalg.svd(A.values)
+    rank = int(np.count_nonzero(sigma > rank_tol * float(np.abs(A.values).max())))
     basis = []
-    for f in free:
-        vec = np.zeros(n)
-        vec[f] = 1.0
-        for r, p in enumerate(pivots):
-            vec[p] = -R[r, f]
-        vec /= np.max(np.abs(vec))
+    for vec in vt[rank:]:
+        vec = vec / np.max(np.abs(vec))
         vec.setflags(write=False)
         basis.append(vec)
-    return KernelBasis(dimension=len(free), basis_vectors=tuple(basis))
+    return KernelBasis(dimension=len(basis), basis_vectors=tuple(basis))
 
 
 def _stochastic_kernel(M: np.ndarray, feas_tol: float) -> LPSolution:

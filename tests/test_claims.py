@@ -196,6 +196,11 @@ class TestEigenspaceLemma5:
         assert rep.verdict is Verdict.HOLDS
         assert rep.computed["zero_eigen_optimal"] is False
 
+    def test_not_skew(self, saddle):
+        rep = check_eigenspace_lemma5(saddle)
+        assert rep.verdict is Verdict.NOT_APPLICABLE
+        assert rep.computed["reason"] == "matrix is not skew-symmetric"
+
     def test_odd_dimension_kernel_nonzero(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -257,6 +262,21 @@ class TestPositiveDominated:
         rep = check_positive_dominated(rps)
         assert rep.verdict is Verdict.NOT_APPLICABLE
         assert rep.computed["min_entry"] == -1.0
+
+    def test_not_square(self):
+        rep = check_positive_dominated(GameMatrix(np.ones((2, 3))))
+        assert rep.verdict is Verdict.NOT_APPLICABLE
+        assert rep.computed == {"reason": "matrix is not square"}
+
+    def test_value_outside_perron_bracket(self):
+        # Value 1; Perron pair 3, (1/2, 1/2), so the bracket is [1.5, 1.5].
+        rep = check_positive_dominated(GameMatrix([[1, 2], [1, 2]]))
+        assert rep.verdict is Verdict.NOT_APPLICABLE
+        assert rep.computed["reason"] == "value escapes the Perron bracket"
+        assert rep.computed["value"] == pytest.approx(1.0, abs=1e-9)
+        assert rep.computed["bracket_low"] == pytest.approx(1.5, abs=1e-9)
+        assert "column_payoff_minima" not in rep.computed
+        assert "column_payoff_maxima" not in rep.computed
 
     def test_verdicts_stable_under_tighter_lp_tol(self, saddle):
         loose = check_positive_dominated(saddle, lp_tol=1e-9)

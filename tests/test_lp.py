@@ -293,6 +293,28 @@ def test_residual_counts_negative_coordinates():
     assert _residual(p, np.array([[0.5, -1e-3], [1.0, 2.0]])).tolist() == [1e-3, 0.0]
 
 
+def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
+    import zerosum.lp as lp_mod
+
+    p = LinearProgram(objective=[1, 1], ineq_lhs=[[1, 2], [3, 1]], ineq_rhs=[4, 6])
+    calls = []
+
+    def violated_once(region, z):
+        calls.append(z)
+        return 1.0 if len(calls) == 1 else _residual(region, z)
+
+    monkeypatch.setattr(lp_mod, "_residual", violated_once)
+    sol = solve_lp(p)
+    assert len(calls) == 2
+    assert sol.status is LPStatus.OPTIMAL
+    np.testing.assert_allclose(sol.point, [1.6, 1.2], atol=1e-12)
+    assert sol.primal_residual == _residual(p, sol.point)
+
+    monkeypatch.setattr(lp_mod, "_residual", lambda region, z: 1.0)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        solve_lp(p)
+
+
 def test_degenerate_equalities_and_redundant_rows():
     # Duplicated equality rows force redundant phase-1 rows to be dropped.
     p = LinearProgram(

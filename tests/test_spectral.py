@@ -169,11 +169,18 @@ class TestNullSpace:
 
     def test_soundness_and_completeness(self):
         rng = np.random.default_rng(44)
+        inputs = []
         for trial in range(40):
             n = int(rng.integers(1, 8))
             r = int(rng.integers(0, n + 1))
             # construct a matrix of known rank r
             B = rng.uniform(-3, 3, (n, r)) @ rng.uniform(-3, 3, (r, n)) if r else np.zeros((n, n))
+            inputs.append(B)
+        # Unit upper triangular, -1 above the diagonal: det 1, yet its
+        # smallest singular value falls below 1e-9 from n = 35 on.
+        inputs += [np.eye(n) + np.triu(-np.ones((n, n)), 1) for n in (30, 35, 40)]
+        for B in inputs:
+            n = B.shape[0]
             A = GameMatrix(B)
             basis = null_space(A)
             scale = float(np.abs(A.values).max()) or 1.0
