@@ -315,15 +315,14 @@ def check_gordan_theorem3(
         A, verdict_branch.witness, tol
     )
     as_stated = exists == positive_image
-    reversed_form = exists == (not positive_image)
     computed = {
         "skew_residual": residual,
         "gordan_branch": verdict_branch.branch.value,
         "kernel_optimum_exists": exists,
         "as_stated": Verdict.HOLDS.value if as_stated else Verdict.VIOLATED.value,
-        "polarity_reversed": Verdict.HOLDS.value
-        if reversed_form
-        else Verdict.VIOLATED.value,
+        "polarity_reversed": Verdict.VIOLATED.value
+        if as_stated
+        else Verdict.HOLDS.value,
     }
     return _report(claim, A, computed, tol, as_stated)
 

@@ -176,7 +176,7 @@ def _load_matrix(path: str, fmt: str) -> GameMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_matrix(text, fmt)
 
@@ -293,10 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_format=True):
+    def add_io(p):
         p.add_argument("--input", help="matrix file")
-        if with_format:
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", help="write the JSON report here (default stdout)")
 
     p = sub.add_parser("solve", help="game value and optimal strategies")
@@ -342,8 +341,11 @@ def run_cli(argv) -> int:
         code, payload = args.handler(args)
         text = canonical_json(payload)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return code

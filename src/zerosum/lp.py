@@ -10,8 +10,9 @@ phase 1 once per region.  From that start it first answers, without a pivot,
 every objective whose optimum it can certify at the start vertex or at one of
 the vertices one pivot away (`_lookahead`).  Only the objectives left over run
 phase 2, in order: the first from the start basis, each later one from the
-basis the previous phase 2 ended on.  `solve_lp` runs one phase 2 and no
-lookahead.
+basis the previous phase 2 ended on.  The lookahead prices all objectives at
+once, which pays only when several share it, so a single objective skips the
+lookahead; `solve_lp` is that case.
 
 At this scale a pivot is a few thousand flops, so numpy's Python-level
 wrappers (`np.max`, `np.argmax`, `np.outer`, `np.append`, `np.vstack`, ...)
@@ -124,30 +125,14 @@ class LinearProgram:
         c = _as_vector(self.objective, np.asarray(self.objective).size, "objective")
         if c.size == 0:
             raise InputError("objective must be nonempty")
-        n = c.size
-        G = _as_matrix(self.ineq_lhs, n, "ineq_lhs")
-        E = _as_matrix(self.eq_lhs, n, "eq_lhs")
-        if (self.ineq_rhs is None) != (self.ineq_lhs is None):
-            raise DimensionMismatchError("ineq_lhs and ineq_rhs must be given together")
-        if (self.eq_rhs is None) != (self.eq_lhs is None):
-            raise DimensionMismatchError("eq_lhs and eq_rhs must be given together")
-        h = (
-            _as_vector(self.ineq_rhs, G.shape[0], "ineq_rhs")
-            if self.ineq_rhs is not None
-            else np.zeros(0)
-        )
-        f = (
-            _as_vector(self.eq_rhs, E.shape[0], "eq_rhs")
-            if self.eq_rhs is not None
-            else np.zeros(0)
-        )
-        for name, val in (
-            ("objective", c),
-            ("ineq_lhs", G),
-            ("ineq_rhs", h),
-            ("eq_lhs", E),
-            ("eq_rhs", f),
-        ):
+        fields = {"objective": c}
+        for lhs, rhs in (("ineq_lhs", "ineq_rhs"), ("eq_lhs", "eq_rhs")):
+            given_lhs, v = getattr(self, lhs), getattr(self, rhs)
+            fields[lhs] = M = _as_matrix(given_lhs, c.size, lhs)
+            if (v is None) != (given_lhs is None):
+                raise DimensionMismatchError(f"{lhs} and {rhs} must be given together")
+            fields[rhs] = np.zeros(0) if v is None else _as_vector(v, M.shape[0], rhs)
+        for name, val in fields.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
@@ -268,7 +253,7 @@ def solve_lp(
     `start`, a basis in the layout of `LPSolution.basis`, skips phase 1 when
     it is primal feasible; any other start is ignored (module docstring).
     """
-    return _two_phase(p, p.objective[np.newaxis], feas_tol, start, False)[0]
+    return _two_phase(p, p.objective[np.newaxis], feas_tol, start)[0]
 
 
 def maximize_each(
@@ -284,25 +269,21 @@ def maximize_each(
     primal feasible basis (see `solve_lp`); otherwise phase 1 runs once, and
     when the region is infeasible every objective reports Infeasible.
 
-    All objectives are then priced at once at the start and at each vertex
-    one pivot from it.  An objective whose best such vertex has every
-    reduced cost <= PIVOT_TOL, and whose point passes the residual gate, is
-    answered there with no pivot.  When the region is a nondegenerate
-    simplex, as the optimal-strategy polytope of a nondegenerate game is,
-    every vertex is one pivot from the start, so every objective with a
-    unique optimal vertex is answered this way.  Each other objective runs
-    phase 2, in the order of `objectives`: the first from the start basis,
-    each later one from the basis the previous phase 2 ended on (an
+    With more than one objective, all are then priced at once at the start
+    and at each vertex one pivot from it.  An objective whose best such
+    vertex has every reduced cost <= PIVOT_TOL, and whose point passes the
+    residual gate, is answered there with no pivot.  When the region is a
+    nondegenerate simplex, as the optimal-strategy polytope of a
+    nondegenerate game is, every vertex is one pivot from the start, so
+    every objective with a unique optimal vertex is answered this way.  Each
+    other objective runs phase 2, as a single objective always does (exactly
+    as in `solve_lp`), in the order of `objectives`: the first from the start
+    basis, each later one from the basis the previous phase 2 ended on (an
     Unbounded objective ends on a feasible basis too, so later objectives
     are unaffected by it).  Results are in the order of `objectives`.
     """
-    return _two_phase(
-        region,
-        _as_matrix(objectives, region.n_vars, "objectives"),
-        feas_tol,
-        start,
-        True,
-    )
+    costs = _as_matrix(objectives, region.n_vars, "objectives")
+    return _two_phase(region, costs, feas_tol, start)
 
 
 def _two_phase(
@@ -310,10 +291,9 @@ def _two_phase(
     costs: np.ndarray,
     feas_tol: float,
     start: Sequence[int] | None,
-    lookahead: bool,
 ) -> list[LPSolution]:
-    """`maximize_each` over already validated objective rows `costs`;
-    `lookahead` tries `_lookahead` before any phase 2."""
+    """`maximize_each` over already validated objective rows `costs`; when
+    there are several, `_lookahead` answers what it can before phase 2."""
     check_tolerance(feas_tol, "feas_tol")
     M = np.concatenate([region.ineq_lhs, region.eq_lhs])
     b = np.concatenate([region.ineq_rhs, region.eq_rhs])
@@ -329,23 +309,21 @@ def _two_phase(
         slack[i, i] = -1.0 if flipped[i] else 1.0
     body = np.concatenate([M, slack], axis=1)
     # Every row but an unflipped inequality takes an artificial in phase 1.
-    n_art = m - int((~flipped[:n_ineq]).sum())
-    iter_limit = ITERATION_FACTOR * (N + n_ineq + n_art + m)
+    art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
+    iter_limit = ITERATION_FACTOR * (N + n_ineq + art_rows.size + m)
 
     started = _warm_start(body, b, start, feas_tol)
     if started is None:
-        started = _phase_one(body, b, N, n_ineq, flipped, iter_limit, feas_tol)
+        started = _phase_one(body, b, N, flipped, art_rows, iter_limit, feas_tol)
         if isinstance(started, np.ndarray):  # Farkas multipliers
             return [
                 LPSolution(status=LPStatus.INFEASIBLE, farkas=started) for _ in costs
             ]
     T, basis, keep = started
 
-    results = (
-        _lookahead(region, T, basis, costs, feas_tol)
-        if lookahead
-        else [None] * len(costs)
-    )
+    results = [None] * len(costs)
+    if len(costs) > 1:
+        results = _lookahead(region, T, basis, costs, feas_tol)
     # Phase 2 per objective left open, each from the basis the previous one
     # left.
     phase2_costs = np.zeros(N + n_ineq)
@@ -372,15 +350,22 @@ def _two_phase(
                 f"optimal point violates feasibility by {residual:g} > "
                 f"{feas_tol:g}; solver bug"
             )
-        results[k] = LPSolution(
-            status=LPStatus.OPTIMAL,
-            point=z,
-            objective_value=float(c @ z),
-            primal_residual=residual,
-            ineq_duals=-T[-1, N : N + n_ineq],
-            basis=tuple(basis),
-        )
+        results[k] = _optimal(c, z, residual, -T[-1, N : N + n_ineq], basis)
     return results
+
+
+def _optimal(
+    c: np.ndarray, z: np.ndarray, residual: float, duals: np.ndarray, basis: list[int]
+) -> LPSolution:
+    """The Optimal answer at point z with its final basis."""
+    return LPSolution(
+        status=LPStatus.OPTIMAL,
+        point=z,
+        objective_value=float(c @ z),
+        primal_residual=residual,
+        ineq_duals=duals,
+        basis=tuple(basis),
+    )
 
 
 def _lookahead(
@@ -454,22 +439,12 @@ def _lookahead(
     points = vertices[best, :N]
     duals = -reduced[:, N : N + n_ineq]
     residuals = _residual(region, points)
-    bases: dict[int, tuple[int, ...]] = {}
     for k in (optimal & (residuals <= feas_tol)).nonzero()[0]:
-        j = int(best[k])
-        if j not in bases:
-            at = list(basis)
-            if j:
-                at[leave[j - 1]] = int(cols[j - 1])
-            bases[j] = tuple(at)
-        results[k] = LPSolution(
-            status=LPStatus.OPTIMAL,
-            point=points[k],
-            objective_value=float(costs[k] @ points[k]),
-            primal_residual=float(residuals[k]),
-            ineq_duals=duals[k],
-            basis=bases[j],
-        )
+        j = best[k]
+        at = list(basis)
+        if j:
+            at[leave[j - 1]] = int(cols[j - 1])
+        results[k] = _optimal(costs[k], points[k], float(residuals[k]), duals[k], at)
     return results
 
 
@@ -511,39 +486,30 @@ def _phase_one(
     body: np.ndarray,
     b: np.ndarray,
     N: int,
-    n_ineq: int,
     flipped: np.ndarray,
+    art_rows: np.ndarray,
     iter_limit: int,
     feas_tol: float,
 ) -> tuple[np.ndarray, list[int], np.ndarray] | np.ndarray:
     """Cold start: the phase-2 tableau, basis and kept rows of a feasible
     region, or the Farkas multipliers of an infeasible one."""
-    m = body.shape[0]
-    # +1 slack on an unflipped row can serve as the initial basis,
-    # everything else takes an artificial.
-    basis: list[int] = []
-    art_rows = []
-    for i in range(m):
-        if i < n_ineq and not flipped[i]:
-            basis.append(N + i)
-        else:
-            art_rows.append(i)
-            basis.append(-1)  # placeholder, filled below
-    n_art = len(art_rows)
-    art = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-        basis[i] = N + n_ineq + k
-    total = N + n_ineq + n_art
-
+    m, width = body.shape
+    n_ineq = width - N
+    total = width + art_rows.size
     T = np.zeros((m + 1, total + 1))
-    T[:m, : N + n_ineq] = body
-    T[:m, N + n_ineq : total] = art
+    T[:m, :width] = body
     T[:m, -1] = b
+    art_cols = np.arange(width, total)
+    T[art_rows, art_cols] = 1.0
+    # Row i starts on its slack, column N + i, unless it takes an artificial:
+    # then on the next artificial column.
+    start = np.arange(N, N + m)
+    start[art_rows] = art_cols
+    basis: list[int] = start.tolist()
 
     # Phase 1: maximize -(sum of artificials).
     phase1_costs = np.zeros(total)
-    phase1_costs[N + n_ineq :] = -1.0
+    phase1_costs[width:] = -1.0
     T[-1] = _priced_cost_row(T, basis, phase1_costs)
     _run_simplex(T, basis, iter_limit, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
@@ -551,7 +517,7 @@ def _phase_one(
         w = np.empty(m)
         w[:n_ineq] = -T[-1, N : N + n_ineq]
         # A flipped inequality row's artificial overrides its slack's reading.
-        w[art_rows] = -1.0 - T[-1, N + n_ineq : total]
+        w[art_rows] = -1.0 - T[-1, width:total]
         w[flipped] *= -1.0
         return w
 
@@ -561,9 +527,9 @@ def _phase_one(
     # rhs nonnegative through the degenerate pivot.
     keep = np.ones(m, dtype=bool)
     for r in range(m):
-        if basis[r] >= N + n_ineq:
+        if basis[r] >= width:
             T[r, -1] = 0.0
-            row_body = np.abs(T[r, : N + n_ineq])
+            row_body = np.abs(T[r, :width])
             col = int(row_body.argmax())
             if row_body[col] > PIVOT_TOL:
                 _pivot(T, r, col)
@@ -573,5 +539,5 @@ def _phase_one(
     if not keep.all():
         T = np.concatenate([T[:-1][keep], T[-1:]])
         basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
-    T = np.concatenate([T[:, : N + n_ineq], T[:, total:]], axis=1)
+    T = np.concatenate([T[:, :width], T[:, total:]], axis=1)
     return T, basis, keep

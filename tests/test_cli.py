@@ -259,6 +259,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--input", str(DATA / "nope.csv"))
         assert code == 2
 
+    def test_non_utf8_input_is_2(self, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"1,2\n3,\xe94\n")
+        code, _, err = run(capsys, "solve", "--input", str(latin1))
+        assert code == 2 and err.startswith("error:") and str(latin1) in err
+
+    def test_unwritable_output_is_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "solve", "--input", str(DATA / "rps.csv"), "--output", str(target)
+        )
+        assert code == 2 and err.startswith("error:") and str(target) in err
+        assert out == "" and not target.exists()
+
     def test_unknown_subcommand_is_2(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2 and "usage" in err

@@ -501,6 +501,14 @@ def test_maximize_each_infeasible_region():
     assert [s.status for s in sols] == [LPStatus.INFEASIBLE] * 3
 
 
+@pytest.mark.parametrize("rhs", [1.0, -1.0], ids=["feasible", "infeasible"])
+def test_maximize_each_of_no_objectives_is_empty(rhs):
+    region = LinearProgram(
+        objective=[0, 0], ineq_lhs=[[1, 1]], ineq_rhs=[rhs], eq_lhs=[[1, -1]], eq_rhs=[0]
+    )
+    assert maximize_each(region, np.empty((0, 2))) == []
+
+
 def test_maximize_each_unbounded_objective_mid_sequence():
     # z >= 0, z0 <= 1, z1 free upward, and an equality forcing phase 1 work.
     region = LinearProgram(
@@ -680,6 +688,63 @@ def _assert_same_solution(got, want):
     assert got.basis == want.basis
     np.testing.assert_array_equal(got.point, want.point)
     np.testing.assert_array_equal(got.ineq_duals, want.ineq_duals)
+
+
+def _one_objective_cases():
+    """(region, objective) pairs from the maximize_each tests above: random
+    boxed and <= regions, the optimal-strategy regions of four small games,
+    an unbounded objective and an infeasible region."""
+    rng = np.random.default_rng(7)
+    regions = [_random_feasible_program(rng)[0] for _ in range(40)]
+    regions += [_random_leq_program(rng) for _ in range(20)]
+    cases = [(region, rng.uniform(-2, 2, region.n_vars)) for region in regions]
+    for values, value in [
+        ([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], 0.0),
+        ([[1, 2], [3, 4]], 3.0),
+        ([[1, 0], [0, 1]], 0.5),
+        ([[1, 1], [1, 1]], 1.0),
+    ]:
+        V = np.array(values, dtype=float)
+        m, n = V.shape
+        region = LinearProgram(
+            objective=np.zeros(m),
+            ineq_lhs=-V.T,
+            ineq_rhs=np.full(n, -(value - 1e-7)),
+            eq_lhs=np.ones((1, m)),
+            eq_rhs=np.ones(1),
+        )
+        cases += [(region, s * V[:, j]) for s in (1.0, -1.0) for j in range(n)]
+    unbounded = LinearProgram(
+        objective=[0, 0, 0], ineq_lhs=[[1, 0, 0]], ineq_rhs=[1], eq_lhs=[[0, 0, 1]],
+        eq_rhs=[2],
+    )
+    infeasible = LinearProgram(objective=[0, 0], ineq_lhs=[[1, 1]], ineq_rhs=[-1])
+    cases += [(unbounded, np.array([0.0, 1.0, 0.0])), (infeasible, np.ones(2))]
+    return cases
+
+
+def test_maximize_each_of_one_objective_is_solve_lp():
+    # One objective has nothing to share, so maximize_each answers it as
+    # solve_lp does, bit for bit, from a cold start and from a warm one.
+    rng = np.random.default_rng(8)
+    for region, c in _one_objective_cases():
+        p = LinearProgram(
+            objective=c,
+            ineq_lhs=region.ineq_lhs,
+            ineq_rhs=region.ineq_rhs,
+            eq_lhs=region.eq_lhs,
+            eq_rhs=region.eq_rhs,
+        )
+        cold = solve_lp(p)
+        starts = [None]
+        if cold.status is LPStatus.OPTIMAL:
+            starts.append(_crash_basis(region, rng))
+        for start in starts:
+            (got,) = maximize_each(region, [c], start=start)
+            want = solve_lp(p, start=start)
+            _assert_same_solution(got, want)
+            np.testing.assert_array_equal(got.farkas, want.farkas)
+            assert got.primal_residual == want.primal_residual
 
 
 def test_refused_starts_give_the_cold_result():
