@@ -209,13 +209,19 @@ def validate_strategy(weights, player: Player = Player.ROW) -> MixedStrategy:
         raise InvalidStrategyError(
             f"weight {w.min():g} is negative beyond tolerance {-NEGATIVE_CLAMP_TOL:g}"
         )
-    w = np.where(w < 0.0, 0.0, w)
-    total = w.sum()
+    total = np.where(w < 0.0, 0.0, w).sum()
     if abs(total - 1.0) > SUM_REPAIR_TOL:
         raise InvalidStrategyError(
             f"weights sum to {total!r}, outside 1 +/- {SUM_REPAIR_TOL:g}"
         )
-    return MixedStrategy(player, w / total)
+    return normalized_strategy(w, player)
+
+
+def normalized_strategy(z, player: Player) -> MixedStrategy:
+    """An LP vector z clipped at 0 and divided by its sum.  LP duals may sit
+    about PIVOT_TOL below 0, so nothing is rejected: the caller certifies."""
+    w = np.clip(z, 0.0, None)
+    return MixedStrategy(player, w / w.sum())
 
 
 def payoff(A: GameMatrix, x: MixedStrategy, y: MixedStrategy) -> float:

@@ -282,7 +282,10 @@ def maximize_each(
     Unbounded objective ends on a feasible basis too, so later objectives
     are unaffected by it).  Results are in the order of `objectives`.
     """
-    costs = _as_matrix(objectives, region.n_vars, "objectives")
+    costs = np.array(objectives, dtype=float)
+    if costs.shape == (0,):  # [] is no objectives, not one empty objective
+        costs = costs.reshape(0, region.n_vars)
+    costs = _as_matrix(costs, region.n_vars, "objectives")
     return _two_phase(region, costs, feas_tol, start)
 
 

@@ -25,7 +25,7 @@ from .core import (
     MixedStrategy,
     Player,
     check_tolerance,
-    validate_strategy,
+    normalized_strategy,
 )
 from .lp import (
     FEAS_TOL_DEFAULT,
@@ -169,16 +169,13 @@ def solve_game(
     start = None if dual_of is None else _complement_basis(dual_of)
     x, v_row, duals, basis = _value_lp(V + shift, feas_tol, start)
     value = v_row - shift
-    row = validate_strategy(x, Player.ROW)
-    # Duals may sit about PIVOT_TOL below zero, which validate_strategy's
-    # clamp (1e-12) would reject; the certificate is what vouches for y.
-    y = np.clip(duals, 0.0, None)
-    y /= y.sum()
-    gap = _certify(V, row.weights, y, value, tol)
+    row = normalized_strategy(x, Player.ROW)
+    col = normalized_strategy(duals, Player.COL)
+    gap = _certify(V, row.weights, col.weights, value, tol)
     return GameSolution(
         value=value,
         row_strategy=row,
-        col_strategy=MixedStrategy(Player.COL, y),
+        col_strategy=col,
         duality_gap=gap,
         tolerance=tol,
         lp_basis=basis,

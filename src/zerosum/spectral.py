@@ -17,7 +17,7 @@ from .core import (
     MixedStrategy,
     Player,
     check_tolerance,
-    validate_strategy,
+    normalized_strategy,
 )
 from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPSolution, LPStatus, solve_lp
 
@@ -156,7 +156,7 @@ def stochastic_eigenvector(
     sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows), feas_tol)
     if sol.status is not LPStatus.OPTIMAL:
         return None
-    return validate_strategy(np.clip(sol.point, 0.0, None), player)
+    return normalized_strategy(sol.point, player)
 
 
 def gordan(A: GameMatrix, feas_tol: float = FEAS_TOL_DEFAULT) -> GordanVerdict:
@@ -172,13 +172,11 @@ def gordan(A: GameMatrix, feas_tol: float = FEAS_TOL_DEFAULT) -> GordanVerdict:
     V = A.values
     kernel = _stochastic_kernel(V, feas_tol)
     if kernel.status is LPStatus.OPTIMAL:
-        x = np.clip(kernel.point, 0.0, None)
-        x /= x.sum()
+        x = normalized_strategy(kernel.point, Player.COL).weights
         if float(np.max(np.abs(V @ x))) > GORDAN_WITNESS_TOL:
             raise InconsistentAlternativesError(
                 "kernel witness fails ||A x||_inf <= 1e-9 after cleanup"
             )
-        x.setflags(write=False)
         return GordanVerdict(branch=GordanBranch.NONNEGATIVE_KERNEL, witness=x)
     y = kernel.farkas[: V.shape[0]]
     floor = float((V.T @ y).min())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zerosum import GameMatrix
+from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
 
 RPS_ENTRIES = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 # Tolerances every entry point must reject: not finite, or not positive.
@@ -29,3 +30,9 @@ def random_skew(rng: np.random.Generator, n: int, lo=-5.0, hi=5.0) -> GameMatrix
     idx = np.triu_indices(n, k=1)
     upper[idx] = rng.uniform(lo, hi, idx[0].size)
     return GameMatrix(upper - upper.T)
+
+
+def ensemble(family: str, size: int, trials: int, seed: int) -> list[GameMatrix]:
+    """The first `trials` matrices of the CLI's seeded `family` ensemble."""
+    spec = EnsembleSpec(Family(family), size, trials, seed, DEFAULT_RANGES[family])
+    return generate_ensemble(spec)

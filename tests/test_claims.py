@@ -19,9 +19,8 @@ from zerosum import (
     run_checker,
     solve_game,
 )
-from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
 from zerosum.solver import row_optima_column_extrema
-from conftest import BAD_TOLERANCES, RPS_ENTRIES, random_skew
+from conftest import BAD_TOLERANCES, RPS_ENTRIES, ensemble, random_skew
 
 
 class TestCheckDiagonal:
@@ -150,8 +149,7 @@ class TestCheckNegTranspose:
 
         monkeypatch.setattr(lp_mod, "_pivot", counted_pivot)
         monkeypatch.setattr(claims_mod, "solve_game", counted_solve)
-        spec = EnsembleSpec(Family.GENERAL, 30, 20, 7, DEFAULT_RANGES["General"])
-        for A in generate_ensemble(spec):
+        for A in ensemble("General", 30, 20, 7):
             pivots.clear()
             rep = check_neg_transpose(A)
             assert pivots[0] > 0 and pivots[1] == 0
@@ -383,6 +381,8 @@ class TestReportMechanics:
     def test_dispatch_shifted_requires_lambdas(self, rps):
         with pytest.raises(InputError):
             run_checker(ClaimId.SHIFTED_EIGEN_THM4_GENERAL, rps)
+        with pytest.raises(InputError, match="unknown claim"):
+            run_checker("SkewZeroCor3", rps)
         reports = run_checker(
             ClaimId.SHIFTED_EIGEN_THM4_GENERAL, rps, lambdas=[0.0, 1.0]
         )

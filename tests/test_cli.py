@@ -71,8 +71,19 @@ class TestParseMatrix:
             parse_matrix('{"rows": 1, "entries": [[1]]}', "json")
 
     def test_json_invalid(self):
-        with pytest.raises(MatrixParseError):
-            parse_matrix("{nope", "json")
+        for doc in [
+            "{nope",
+            '{"rows": 1, "cols": 2, "entries": [[1, "x"]]}',
+            '{"rows": 1, "cols": 1, "entries": [[null]]}',
+        ]:
+            with pytest.raises(MatrixParseError):
+                parse_matrix(doc, "json")
+
+    def test_unknown_format(self, rps):
+        with pytest.raises(InputError, match="unknown matrix format"):
+            parse_matrix("1,2", "xml")
+        with pytest.raises(InputError, match="unknown matrix format"):
+            render_matrix(rps, "xml")
 
 
 class TestRoundTrip:
@@ -153,14 +164,19 @@ class TestEnsembles:
             assert (M.rows, M.cols) == (3, 8)
 
     def test_invalid_specs(self):
-        with pytest.raises(InputError):
-            EnsembleSpec(Family.GENERAL, size=2, trials=1, seed=0, entry_range=(2, 1))
-        with pytest.raises(InputError):
-            EnsembleSpec(Family.POSITIVE, size=2, trials=1, seed=0, entry_range=(-1, 2))
-        with pytest.raises(InputError):
-            EnsembleSpec(Family.SKEW, size=2, trials=1, seed=0, entry_range=(-1, 1), rows=3)
-        with pytest.raises(InputError):
-            EnsembleSpec(Family.GENERAL, size=0, trials=1, seed=0, entry_range=(-1, 1))
+        valid = dict(family=Family.GENERAL, size=2, trials=1, seed=0, entry_range=(-1, 1))
+        for bad in [
+            dict(entry_range=(2, 1)),
+            dict(family=Family.POSITIVE, entry_range=(-1, 2)),
+            dict(family=Family.SKEW, rows=3),
+            dict(size=0),
+            dict(trials=0),
+            dict(seed=-1),
+            dict(seed=2**64),
+            dict(rows=0),
+        ]:
+            with pytest.raises(InputError):
+                EnsembleSpec(**{**valid, **bad})
 
 
 def run(capsys, *argv):

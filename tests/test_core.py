@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from zerosum import (
     DimensionMismatchError,
     GameMatrix,
+    GameSolution,
+    InputError,
     InvalidMatrixError,
     InvalidStrategyError,
     MixedStrategy,
@@ -15,6 +17,7 @@ from zerosum import (
     payoff,
     validate_strategy,
 )
+from zerosum.core import canonical_json
 
 
 class TestGameMatrix:
@@ -47,6 +50,7 @@ class TestGameMatrix:
         assert saddle.transpose().entry(0, 1) == 3.0
 
     def test_digest_is_canonical(self, saddle):
+        assert repr(saddle) == "GameMatrix(2x2[1,2;3,4])"
         assert saddle.digest() == "2x2[1,2;3,4]"
 
     def test_digest_and_csv_render_entries_as_canonical_float(self):
@@ -70,9 +74,18 @@ class TestMixedStrategy:
         with pytest.raises(InvalidStrategyError):
             MixedStrategy(Player.ROW, [0.6, 0.6])
 
+    def test_rejects_empty_matrix_and_non_finite(self):
+        for weights in [[], [[0.5, 0.5]], [float("nan"), 1.0], [float("inf"), 0.0]]:
+            with pytest.raises(InvalidStrategyError):
+                MixedStrategy(Player.ROW, weights)
+
     def test_support(self):
         s = MixedStrategy(Player.COL, [0.5, 0.0, 0.5])
         assert s.support() == (0, 2)
+
+    def test_repr_is_canonical(self):
+        s = MixedStrategy(Player.COL, [0.25, -0.0, 0.75])
+        assert repr(s) == "MixedStrategy(col,[0.25,0,0.75])"
 
 
 class TestValidateStrategy:
@@ -101,6 +114,8 @@ class TestValidateStrategy:
     def test_rejects_empty(self):
         with pytest.raises(InvalidStrategyError):
             validate_strategy([])
+        with pytest.raises(InvalidStrategyError, match="finite"):
+            validate_strategy([float("nan"), 1.0])
 
 
 class TestPayoff:
@@ -182,3 +197,17 @@ def test_payoff_constant_shift(data, c):
     A, x, _, y = data
     shifted = GameMatrix(A.values + c)
     assert abs(payoff(shifted, x, y) - (payoff(A, x, y) + c)) <= 1e-10
+
+
+def test_canonical_json_empty_containers_and_unknown_types():
+    assert canonical_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+    with pytest.raises(TypeError, match="cannot canonicalize set"):
+        canonical_json({"a": {1, 2}})
+
+
+def test_game_solution_rejects_negative_duality_gap():
+    x, y = MixedStrategy(Player.ROW, [1.0]), MixedStrategy(Player.COL, [1.0])
+    with pytest.raises(InputError, match="duality gap"):
+        GameSolution(
+            value=0.0, row_strategy=x, col_strategy=y, duality_gap=-1e-12, tolerance=1e-8
+        )

@@ -1,106 +1,65 @@
-"""Shadow audits: recompute what each bench workload's verdict rests on with
+"""Shadow audits: recompute what each claim family's verdict rests on with
 scipy's HiGHS, from the original matrices, and require the same verdict.
 
-Each test takes the first 40 trials of one bench ensemble at its default
-seed and checks the quantity the verdict is decided by:
+Each test checks, over the first 40 trials of seeded ensembles (400 in
+`test_shadow_over_400_trials`, marked `slow`), the quantity the verdict is
+decided by:
 
 - NegTransposeThm2 on General 30, seed 7: v(A) and v(-A^T), within 1e-9;
 - PositiveDominatedThm4 on Positive 10, seed 1: the column payoff maxima
   and minima over the optimal-strategy region, within 1e-8;
-- GordanTheorem3 on Skew 7, seed 1: feasibility of [A; 1^T] x = e_{m+1},
-  x >= 0, which decides the Gordan branch.
+- GordanTheorem3 on Skew 7 and Skew 3, seed 1: feasibility of
+  [A; 1^T] x = e_{m+1}, x >= 0, which decides the Gordan branch;
+- SkewZeroCor3 on Skew 6, seed 3, and SharedOptimaCor4 on Skew 5, seed 4:
+  v(A), within 1e-9;
+- EigenspaceLemma5 on Skew 3, seed 1, with lambda in {0, 1}: feasibility of
+  [(A - lambda I); 1^T] y = e_{n+1}, y >= 0, for each candidate;
+- ShiftedEigenThm4General on the same ensemble and lambdas: that
+  feasibility for A and for A^T, and v(A - lambda I), within 1e-9.
 """
 
 import numpy as np
 import pytest
 
+import highs_oracle as highs
 from zerosum import ClaimId, GordanBranch, Verdict, run_checker
 from zerosum.claims import CLAIM_TOL_DEFAULT
-from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
 from zerosum.lp import FEAS_TOL_DEFAULT
+from conftest import ensemble
 
-linprog = pytest.importorskip("scipy.optimize").linprog
+pytest.importorskip("scipy.optimize")
 
-TRIALS = 40
-HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+LAMBDAS = [0.0, 1.0]
 
 
-def _ensemble(family, size, seed):
-    fam = Family(family)
-    return generate_ensemble(
-        EnsembleSpec(fam, size, TRIALS, seed, DEFAULT_RANGES[fam.value])
-    )
+def _verdict(holds):
+    return Verdict.HOLDS if holds else Verdict.VIOLATED
 
 
-def _highs(c, **constraints):
-    res = linprog(c, method="highs", options=HIGHS_OPTIONS, **constraints)
-    assert res.status in (0, 2), res.message
-    return res
-
-
-def _highs_value(V):
-    """max v s.t. x^T V >= v, x stochastic; variables (x, v), v free."""
-    m, n = V.shape
-    res = _highs(
-        np.append(np.zeros(m), -1.0),
-        A_ub=np.hstack([-V.T, np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        A_eq=np.append(np.ones(m), 0.0)[np.newaxis],
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-    )
-    assert res.status == 0, res.message
-    return -res.fun
-
-
-def _highs_column_extrema(V, v, tol):
-    """min and max of (x^T V)_j over {x stochastic : x^T V >= v - tol}, per
-    column j."""
-    m, n = V.shape
-    region = dict(
-        A_ub=-V.T,
-        b_ub=np.full(n, -(v - tol)),
-        A_eq=np.ones((1, m)),
-        b_eq=[1.0],
-        bounds=(0, None),
-    )
-    extrema = []
-    for sign in (1.0, -1.0):
-        for j in range(n):
-            res = _highs(-sign * V[:, j], **region)
-            assert res.status == 0, res.message
-            extrema.append(-sign * res.fun)
-    return np.array(extrema[n:]), np.array(extrema[:n])
-
-
-def test_neg_transpose_values_match_highs():
+def test_neg_transpose_values_match_highs(trials=40):
     tol = CLAIM_TOL_DEFAULT
-    for i, A in enumerate(_ensemble("General", 30, 7)):
+    for i, A in enumerate(ensemble("General", 30, trials, 7)):
         [rep] = run_checker(ClaimId.NEG_TRANSPOSE_THM2, A)
-        v1, v2 = _highs_value(A.values), _highs_value(-A.values.T)
+        v1, v2 = highs.game_value(A.values), highs.game_value(-A.values.T)
         assert abs(rep.computed["value"] - v1) <= 1e-9, i
         assert abs(rep.computed["neg_transpose_value"] - v2) <= 1e-9, i
-        shadow = Verdict.HOLDS if abs(v1 + v2) <= tol else Verdict.VIOLATED
-        assert rep.verdict is shadow, i
+        assert rep.verdict is _verdict(abs(v1 + v2) <= tol), i
 
 
-def test_positive_dominated_maxima_match_highs():
+def test_positive_dominated_maxima_match_highs(trials=40):
     tol, slack = CLAIM_TOL_DEFAULT, CLAIM_TOL_DEFAULT + FEAS_TOL_DEFAULT
     applicable = 0
-    for i, A in enumerate(_ensemble("Positive", 10, 1)):
+    for i, A in enumerate(ensemble("Positive", 10, trials, 1)):
         [rep] = run_checker(ClaimId.POSITIVE_DOMINATED_THM4, A)
         got = rep.computed
-        v = _highs_value(A.values)
+        v = highs.game_value(A.values)
         assert abs(got["value"] - v) <= 1e-9, i
         # The Perron bracket is spectral, not LP: take it from the report.
         if not got["bracket_low"] - tol <= v <= got["bracket_high"] + tol:
             assert rep.verdict is Verdict.NOT_APPLICABLE, i
             continue
         applicable += 1
-        minima, maxima = _highs_column_extrema(A.values, v, tol)
+        minima, maxima = highs.column_extrema(A.values, v, tol)
         np.testing.assert_allclose(
             got["column_payoff_maxima"], maxima, rtol=0, atol=1e-8, err_msg=str(i)
         )
@@ -109,32 +68,109 @@ def test_positive_dominated_maxima_match_highs():
         )
         # Every minimum is >= v - tol on the region by construction, so the
         # maxima decide the verdict.
-        shadow = Verdict.HOLDS if maxima.max() <= v + slack else Verdict.VIOLATED
-        assert rep.verdict is shadow, i
-    assert applicable >= TRIALS // 2
+        assert rep.verdict is _verdict(maxima.max() <= v + slack), i
+    assert applicable >= trials // 2
 
 
-def test_gordan_branch_matches_highs_feasibility():
-    # In these 40 trials only the positive-image branch comes up.
+def test_gordan_branch_matches_highs_feasibility(trials=40):
+    # Skew 7 reaches the nonnegative-kernel branch only after its first 40
+    # trials; Skew 3 reaches it in 12 of them.
     tol = CLAIM_TOL_DEFAULT
-    for i, A in enumerate(_ensemble("Skew", 7, 1)):
-        [rep] = run_checker(ClaimId.GORDAN_THEOREM3, A)
-        V = A.values
-        n = V.shape[1]
-        res = _highs(
-            np.zeros(n),
-            A_eq=np.vstack([V, np.ones((1, n))]),
-            b_eq=np.append(np.zeros(V.shape[0]), 1.0),
-            bounds=(0, None),
-        )
-        kernel = res.status == 0
-        branch = (
-            GordanBranch.NONNEGATIVE_KERNEL if kernel else GordanBranch.POSITIVE_IMAGE
-        )
-        assert rep.computed["gordan_branch"] == branch.value, i
-        # The claim as stated: an optimal strategy at value 0 exists in the
-        # kernel exactly when A y > 0 is solvable.
-        exists = kernel and (V @ res.x).max() <= tol and (res.x @ V).min() >= -tol
-        as_stated = exists == (not kernel)
-        assert rep.computed["kernel_optimum_exists"] == exists, i
-        assert rep.verdict is (Verdict.HOLDS if as_stated else Verdict.VIOLATED), i
+    branches = set()
+    for size in (7, 3):
+        for i, A in enumerate(ensemble("Skew", size, trials, 1)):
+            [rep] = run_checker(ClaimId.GORDAN_THEOREM3, A)
+            V = A.values
+            x = highs.stochastic_kernel(V)
+            kernel = x is not None
+            branch = (
+                GordanBranch.NONNEGATIVE_KERNEL if kernel else GordanBranch.POSITIVE_IMAGE
+            )
+            branches.add(branch)
+            assert rep.computed["gordan_branch"] == branch.value, (size, i)
+            # The claim as stated: an optimal strategy at value 0 exists in
+            # the kernel exactly when A y > 0 is solvable.
+            exists = kernel and (V @ x).max() <= tol and (x @ V).min() >= -tol
+            assert rep.computed["kernel_optimum_exists"] == exists, (size, i)
+            assert rep.verdict is _verdict(exists == (not kernel)), (size, i)
+    assert branches == set(GordanBranch)
+
+
+def test_skew_corollary_values_match_highs(trials=40):
+    # The optima played against each other are zerosum's; the verdict is
+    # decided again at HiGHS's value.
+    tol = CLAIM_TOL_DEFAULT
+    for claim, size, seed in (
+        (ClaimId.SKEW_ZERO_COR3, 6, 3),
+        (ClaimId.SHARED_OPTIMA_COR4, 5, 4),
+    ):
+        for i, A in enumerate(ensemble("Skew", size, trials, seed)):
+            [rep] = run_checker(claim, A)
+            got = rep.computed
+            v = highs.game_value(A.values)
+            assert abs(got["value"] - v) <= 1e-9, (claim, i)
+            ceiling = got["row_optimum_as_column_ceiling"]
+            floor = got["col_optimum_as_row_floor"]
+            if claim is ClaimId.SKEW_ZERO_COR3:
+                holds = abs(v) <= tol and ceiling <= tol and floor >= -tol
+            else:
+                holds = ceiling <= v + tol and floor >= v - tol
+            assert rep.verdict is _verdict(holds), (claim, i)
+
+
+def test_eigenspace_witnesses_match_highs_feasibility(trials=40):
+    for i, A in enumerate(ensemble("Skew", 3, trials, 1)):
+        [rep] = run_checker(ClaimId.EIGENSPACE_LEMMA5, A, lambdas=LAMBDAS)
+        nonzero_witness = False
+        for found in rep.computed["candidates"]:
+            lam = found["lambda"]
+            feasible = highs.stochastic_kernel(A.values - lam * np.eye(A.rows))
+            assert found["witness_found"] == (feasible is not None), (i, lam)
+            nonzero_witness |= lam != 0.0 and feasible is not None
+        # Only a stochastic eigenvector at a nonzero eigenvalue can violate.
+        if not nonzero_witness:
+            assert rep.verdict is Verdict.HOLDS, i
+
+
+def test_shifted_eigen_matches_highs(trials=40):
+    tol = CLAIM_TOL_DEFAULT
+    applicable = 0
+    for i, A in enumerate(ensemble("Skew", 3, trials, 1)):
+        reps = run_checker(ClaimId.SHIFTED_EIGEN_THM4_GENERAL, A, lambdas=LAMBDAS)
+        for lam, rep in zip(LAMBDAS, reps):
+            got = rep.computed
+            B = A.values - lam * np.eye(A.rows)
+            row = highs.stochastic_kernel(B.T) is not None
+            col = highs.stochastic_kernel(B) is not None
+            if rep.verdict is Verdict.NOT_APPLICABLE:
+                found = (got["row_witness_found"], got["col_witness_found"])
+                assert found == (row, col) != (True, True), (i, lam)
+                continue
+            assert row and col, (i, lam)
+            applicable += 1
+            v = highs.game_value(B)
+            assert abs(got["shifted_value"] - v) <= 1e-9, (i, lam)
+            holds = (
+                abs(v) <= tol
+                and got["row_witness_max_deviation"] <= tol
+                and got["col_witness_max_deviation"] <= tol
+            )
+            assert rep.verdict is _verdict(holds), (i, lam)
+    assert applicable >= trials // 4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "shadow",
+    [
+        test_neg_transpose_values_match_highs,
+        test_positive_dominated_maxima_match_highs,
+        test_gordan_branch_matches_highs_feasibility,
+        test_skew_corollary_values_match_highs,
+        test_eigenspace_witnesses_match_highs_feasibility,
+        test_shifted_eigen_matches_highs,
+    ],
+    ids=lambda shadow: shadow.__name__,
+)
+def test_shadow_over_400_trials(shadow):
+    shadow(trials=400)

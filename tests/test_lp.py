@@ -3,20 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import highs_oracle as highs
 from zerosum import (
     DimensionMismatchError,
-    EnsembleSpec,
-    Family,
     GameMatrix,
     InputError,
     LinearProgram,
     LPStatus,
-    generate_ensemble,
     row_optima_column_extrema,
     solve_game,
     solve_lp,
 )
-from zerosum.cli import DEFAULT_RANGES
 from zerosum.lp import (
     DEGENERATE_STALL,
     PIVOT_TOL,
@@ -26,7 +23,7 @@ from zerosum.lp import (
     maximize_each,
 )
 from zerosum.solver import _region_start
-from conftest import BAD_TOLERANCES
+from conftest import BAD_TOLERANCES, ensemble
 
 FEAS_TOL = 1e-9
 
@@ -102,8 +99,9 @@ class TestBasicOutcomes:
 
 class TestValidation:
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            LinearProgram(objective=[1, 2], ineq_lhs=[[1]], ineq_rhs=[0])
+        for lhs, rhs in [([[1]], [0]), ([1, 2], [0]), ([[1, 2]], [0, 0])]:
+            with pytest.raises(DimensionMismatchError):
+                LinearProgram(objective=[1, 2], ineq_lhs=lhs, ineq_rhs=rhs)
 
     def test_missing_rhs(self):
         with pytest.raises(DimensionMismatchError):
@@ -112,6 +110,10 @@ class TestValidation:
     def test_nan_rejected(self):
         with pytest.raises(InputError):
             LinearProgram(objective=[float("nan")])
+        with pytest.raises(InputError, match="finite"):
+            LinearProgram(objective=[1], eq_lhs=[[float("inf")]], eq_rhs=[1])
+        with pytest.raises(InputError, match="nonempty"):
+            LinearProgram(objective=[])
 
     def test_bad_feas_tol(self):
         with pytest.raises(InputError):
@@ -439,16 +441,11 @@ def test_maximize_each_falls_through_to_phase_two_on_degenerate_regions(
     assert len(answered) == len(objectives) and not all(answered)
 
 
-def _positive_games(trials):
-    spec = EnsembleSpec(Family.POSITIVE, 10, trials, 1, DEFAULT_RANGES["Positive"])
-    return generate_ensemble(spec)
-
-
 def test_positive_game_extrema_take_no_pivots(pivot_log):
     # A nondegenerate game's optimal-strategy region is a simplex whose every
     # vertex is one pivot from the region start, so all 2n extrema are
     # answered from the start and phase 2 never runs.
-    for i, A in enumerate(_positive_games(40)):
+    for i, A in enumerate(ensemble("Positive", 10, 40, 1)):
         sol = solve_game(A, 1e-7)
         pivot_log.clear()
         row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
@@ -459,7 +456,7 @@ def test_lookahead_answers_are_full_solutions(pivot_log):
     # Each answer one pivot from the start carries that vertex's basis:
     # restarting its LP there takes no pivot and gives the same optimum and
     # duals.
-    for A in _positive_games(5):
+    for A in ensemble("Positive", 10, 5, 1):
         sol = solve_game(A, 1e-7)
         V = A.values
         m, n = V.shape
@@ -506,7 +503,8 @@ def test_maximize_each_of_no_objectives_is_empty(rhs):
     region = LinearProgram(
         objective=[0, 0], ineq_lhs=[[1, 1]], ineq_rhs=[rhs], eq_lhs=[[1, -1]], eq_rhs=[0]
     )
-    assert maximize_each(region, np.empty((0, 2))) == []
+    for objectives in (np.empty((0, 2)), []):
+        assert maximize_each(region, objectives) == []
 
 
 def test_maximize_each_unbounded_objective_mid_sequence():
@@ -582,18 +580,11 @@ def test_ineq_duals_from_maximize_each():
 
 
 def test_ineq_duals_against_highs():
-    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(34)
     for _ in range(40):
         p = _random_leq_program(rng)
         sol = solve_lp(p)
-        res = linprog(
-            -p.objective,
-            A_ub=p.ineq_lhs,
-            b_ub=p.ineq_rhs,
-            bounds=(0, None),
-            method="highs",
-        )
+        res = highs.solve(-p.objective, A_ub=p.ineq_lhs, b_ub=p.ineq_rhs)
         assert res.status == 0
         # HiGHS minimizes -c.z; its marginals are d(min)/dh = -y.
         np.testing.assert_allclose(

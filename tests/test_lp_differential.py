@@ -12,17 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import highs_oracle as highs
 from zerosum import LinearProgram, LPStatus, solve_lp
 
-linprog = pytest.importorskip("scipy.optimize").linprog
+pytest.importorskip("scipy.optimize")
 
 HIGHS_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 HIGHS_NUMERICAL_DIFFICULTIES = 4
-HIGHS_OPTIONS = {
-    "presolve": False,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 entry = st.integers(-3, 3)
 
@@ -45,15 +41,12 @@ def integer_programs(draw):
 
 def _highs(c, G, h, E, f):
     n = len(c)
-    return linprog(
+    return highs.solve(
         -np.array(c, dtype=float),
         A_ub=np.array(G, dtype=float).reshape(-1, n) if G else None,
         b_ub=np.array(h, dtype=float) if G else None,
         A_eq=np.array(E, dtype=float).reshape(-1, n) if E else None,
         b_eq=np.array(f, dtype=float) if E else None,
-        bounds=(0, None),
-        method="highs",
-        options=HIGHS_OPTIONS,
     )
 
 

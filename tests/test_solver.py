@@ -3,21 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import highs_oracle as highs
 from zerosum import (
-    EnsembleSpec,
-    Family,
     GameMatrix,
     InputError,
     OracleSizeError,
-    generate_ensemble,
     oracle_solve,
     row_optima_column_extrema,
     solve_game,
 )
-from zerosum.cli import DEFAULT_RANGES
 from zerosum.lp import FEAS_TOL_DEFAULT
 from zerosum.solver import extrema_dominated
-from conftest import BAD_TOLERANCES, random_matrix, random_skew
+from conftest import BAD_TOLERANCES, ensemble, random_matrix, random_skew
 
 
 def saddle_point_value(values):
@@ -90,11 +87,7 @@ class TestGameValue:
         [("Positive", 10, 1), ("General", 30, 7), ("General", 6, 3), ("Skew", 7, 1)],
     )
     def test_certifies_ensembles(self, family, size, seed):
-        spec = EnsembleSpec(
-            Family(family), size=size, trials=25, seed=seed,
-            entry_range=DEFAULT_RANGES[family],
-        )
-        for A in generate_ensemble(spec):
+        for A in ensemble(family, size, 25, seed):
             self.assert_certified(A, solve_game(A))
 
     def test_certifies_degenerate_games(self, rps, saddle):
@@ -126,6 +119,22 @@ class TestGameValue:
         monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
         with pytest.raises(RuntimeError, match="violates its certificates"):
             solve_game(rps)
+
+    def test_lp_noise_in_the_row_point_is_clipped(self, saddle, monkeypatch):
+        # An entry just below -1e-12 used to raise InvalidStrategyError, an
+        # input error, though the clipped point passes the certificate.
+        import zerosum.solver as solver_mod
+
+        value_lp = solver_mod._value_lp
+
+        def noisy_point(B, feas_tol, start):
+            x, v, y, basis = value_lp(B, feas_tol, start)
+            return x + np.array([-1e-11, 1e-11]), v, y, basis
+
+        monkeypatch.setattr(solver_mod, "_value_lp", noisy_point)
+        sol = solve_game(saddle)
+        assert list(sol.row_strategy.weights) == [0.0, 1.0]
+        assert sol.value == 3.0
 
     def test_bad_tol(self, rps):
         for tol in (0.0, -1.0):
@@ -199,7 +208,6 @@ class TestAllRowOptimaDominated:
         assert _all_row_optima_dominated(GameMatrix(np.diag([1.0, 1.0])), 0.5, 1e-7)
 
     def test_extrema_against_highs(self, rps, saddle):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(108)
         games = [rps, saddle, GameMatrix(np.eye(3)), GameMatrix(np.ones((2, 3)))]
         games += [
@@ -207,26 +215,10 @@ class TestAllRowOptimaDominated:
         ]
         tol = 1e-7
         for A in games:
-            V = A.values
             v = solve_game(A).value
-            mins, maxs = row_optima_column_extrema(A, v, tol)
-            for j in range(A.cols):
-                for sign, got in ((1.0, maxs[j]), (-1.0, mins[j])):
-                    res = linprog(
-                        -sign * V[:, j],
-                        A_ub=-V.T,
-                        b_ub=np.full(A.cols, -(v - tol)),
-                        A_eq=np.ones((1, A.rows)),
-                        b_eq=[1.0],
-                        bounds=(0, None),
-                        method="highs",
-                        options={
-                            "primal_feasibility_tolerance": 1e-10,
-                            "dual_feasibility_tolerance": 1e-10,
-                        },
-                    )
-                    assert res.status == 0
-                    assert abs(got - (-sign * res.fun)) <= 1e-8
+            got = row_optima_column_extrema(A, v, tol)
+            want = highs.column_extrema(A.values, v, tol)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
 
 class TestRandomProperties:
@@ -307,10 +299,6 @@ class TestEnsembleRegressions:
         ],
     )
     def test_solves(self, family, size, seed, trial):
-        spec = EnsembleSpec(
-            Family(family), size=size, trials=trial + 1, seed=seed,
-            entry_range=DEFAULT_RANGES[family],
-        )
-        A = generate_ensemble(spec)[trial]
+        A = ensemble(family, size, trial + 1, seed)[trial]
         v = solve_game(A).value
         assert abs(v + solve_game(GameMatrix(-A.values.T)).value) <= 1e-8

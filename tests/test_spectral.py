@@ -7,22 +7,19 @@ import pytest
 
 import zerosum.spectral as spectral_mod
 from zerosum import (
-    EnsembleSpec,
-    Family,
     GameMatrix,
     InconsistentAlternativesError,
     InputError,
     InvalidMatrixError,
     Player,
-    generate_ensemble,
     gordan,
     GordanBranch,
     null_space,
     perron,
     stochastic_eigenvector,
 )
-from zerosum.cli import DEFAULT_RANGES, run_cli
-from conftest import BAD_TOLERANCES, random_skew
+from zerosum.cli import run_cli
+from conftest import BAD_TOLERANCES, ensemble, random_skew
 
 
 def perron_2x2_oracle(a, b, c, d):
@@ -196,6 +193,10 @@ class TestNullSpace:
 
 
 class TestStochasticEigenvector:
+    def test_requires_square(self):
+        with pytest.raises(InvalidMatrixError):
+            stochastic_eigenvector(GameMatrix(np.ones((2, 3))), 0.0)
+
     def test_rps_zero_eigenvalue(self, rps):
         s = stochastic_eigenvector(rps, 0.0)
         np.testing.assert_allclose(s.weights, np.full(3, 1 / 3), atol=1e-9)
@@ -276,11 +277,7 @@ class TestGordan:
         ],
     )
     def test_skew_ensemble_regressions(self, size, seed, trial):
-        spec = EnsembleSpec(
-            Family.SKEW, size=size, trials=trial + 1, seed=seed,
-            entry_range=DEFAULT_RANGES["Skew"],
-        )
-        A = generate_ensemble(spec)[trial]
+        A = ensemble("Skew", size, trial + 1, seed)[trial]
         assert_certified(A.values, gordan(A))
 
     def test_one_lp_per_matrix(self, monkeypatch, rps):
