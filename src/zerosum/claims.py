@@ -228,18 +228,21 @@ def check_shared_optima(
 def check_neg_transpose(
     A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
 ) -> ClaimReport:
-    """Value identity v(A) = -v(-A^T) for matrices of any shape."""
+    """Value identity v(A) = -v(-A^T) for matrices of any shape.
+
+    -A^T is A with the players swapped, so A's certified pair (x, y) also
+    certifies -A^T: v(-A^T) lies in [-ceiling, -floor] of A's certificate.
+    The value of -A^T is reported as -v(A), and the identity residual as
+    the duality gap, the widest |v(A) + v(-A^T)| the certificate allows.
+    """
     sol = solve_game(A, feas_tol=lp_tol)
-    v1 = sol.value
-    v2 = solve_game(GameMatrix(-A.values.T), feas_tol=lp_tol, dual_of=sol).value
-    identity_residual = abs(v1 + v2)
     computed = {
-        "value": v1,
-        "neg_transpose_value": v2,
-        "identity_residual": identity_residual,
+        "value": sol.value,
+        "neg_transpose_value": -sol.value,
+        "identity_residual": sol.duality_gap,
     }
     return _report(
-        ClaimId.NEG_TRANSPOSE_THM2, A, computed, tol, identity_residual <= tol
+        ClaimId.NEG_TRANSPOSE_THM2, A, computed, tol, sol.duality_gap <= tol
     )
 
 

@@ -254,7 +254,8 @@ class GameSolution:
     duality_gap: float
     tolerance: float
     # Final basis of the value LP that produced the pair, in the solver's
-    # column layout; the solver starts related LPs from it.
+    # column layout; the optimal-strategy extrema read the region's vertices
+    # off it, or start the region's LPs from it.
     lp_basis: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:

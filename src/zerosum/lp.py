@@ -6,13 +6,9 @@ expressed here; an Infeasible result's `farkas` answers them (see spectral.gorda
 
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau.  `maximize_each` runs
-phase 1 once per region.  From that start it first answers, without a pivot,
-every objective whose optimum it can certify at the start vertex or at one of
-the vertices one pivot away (`_lookahead`).  Only the objectives left over run
-phase 2, in order: the first from the start basis, each later one from the
-basis the previous phase 2 ended on.  The lookahead prices all objectives at
-once, which pays only when several share it, so a single objective skips the
-lookahead; `solve_lp` is that case.
+phase 1 once per region, then phase 2 once per objective, in order: the
+first from the start basis, each later one from the basis the previous
+phase 2 ended on.  `solve_lp` is the case of one objective.
 
 At this scale a pivot is a few thousand flops, so numpy's Python-level
 wrappers (`np.max`, `np.argmax`, `np.outer`, `np.append`, `np.vstack`, ...)
@@ -32,8 +28,8 @@ accepted when its x_B >= -feas_tol; phase 2 then runs from it and phase 1 is
 skipped.  A start of the wrong length, a singular one or an infeasible one
 runs the cold two-phase path unchanged, so a start never changes which
 problems are solved, only where phase 2 begins.  A caller that knows a
-related LP's optimal basis (its dual, or a region around its optimum) passes
-that basis in, and every check on the result stays as on a cold start.
+related LP's optimal basis (a region around its optimum) passes that basis
+in, and every check on the result stays as on a cold start.
 
 Every Optimal solution also carries `ineq_duals`, the multipliers y >= 0 of
 the `G z <= h` rows, read off the final phase-2 cost row: the reduced cost of
@@ -230,15 +226,15 @@ def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.n
     return row
 
 
-def _residual(p: LinearProgram, z: np.ndarray) -> np.ndarray:
-    """Largest violation of p's constraints, z >= 0 included, at the point z,
-    or at each row of a 2-D z; 0.0 when feasible."""
-    worst = (-z).max(axis=-1)
+def _residual(p: LinearProgram, z: np.ndarray) -> float:
+    """Largest violation of p's constraints, z >= 0 included, at the point z;
+    0.0 when feasible."""
+    worst = (-z).max()
     if p.ineq_lhs.shape[0]:
-        worst = np.maximum(worst, (z @ p.ineq_lhs.T - p.ineq_rhs).max(axis=-1))
+        worst = np.maximum(worst, (z @ p.ineq_lhs.T - p.ineq_rhs).max())
     if p.eq_lhs.shape[0]:
-        worst = np.maximum(worst, np.abs(z @ p.eq_lhs.T - p.eq_rhs).max(axis=-1))
-    return np.maximum(worst, 0.0)
+        worst = np.maximum(worst, np.abs(z @ p.eq_lhs.T - p.eq_rhs).max())
+    return float(np.maximum(worst, 0.0))
 
 
 def solve_lp(
@@ -267,20 +263,12 @@ def maximize_each(
     `region.objective` only fixes the number of variables; `objectives` holds
     one vector of that length per row.  The start is `start` when it is a
     primal feasible basis (see `solve_lp`); otherwise phase 1 runs once, and
-    when the region is infeasible every objective reports Infeasible.
-
-    With more than one objective, all are then priced at once at the start
-    and at each vertex one pivot from it.  An objective whose best such
-    vertex has every reduced cost <= PIVOT_TOL, and whose point passes the
-    residual gate, is answered there with no pivot.  When the region is a
-    nondegenerate simplex, as the optimal-strategy polytope of a
-    nondegenerate game is, every vertex is one pivot from the start, so
-    every objective with a unique optimal vertex is answered this way.  Each
-    other objective runs phase 2, as a single objective always does (exactly
-    as in `solve_lp`), in the order of `objectives`: the first from the start
-    basis, each later one from the basis the previous phase 2 ended on (an
-    Unbounded objective ends on a feasible basis too, so later objectives
-    are unaffected by it).  Results are in the order of `objectives`.
+    when the region is infeasible every objective reports Infeasible.  Then
+    each objective runs phase 2, exactly as in `solve_lp`, in the order of
+    `objectives`: the first from the start basis, each later one from the
+    basis the previous phase 2 ended on (an Unbounded objective ends on a
+    feasible basis too, so later objectives are unaffected by it).  Results
+    are in the order of `objectives`.
     """
     costs = np.array(objectives, dtype=float)
     if costs.shape == (0,):  # [] is no objectives, not one empty objective
@@ -295,8 +283,7 @@ def _two_phase(
     feas_tol: float,
     start: Sequence[int] | None,
 ) -> list[LPSolution]:
-    """`maximize_each` over already validated objective rows `costs`; when
-    there are several, `_lookahead` answers what it can before phase 2."""
+    """`maximize_each` over already validated objective rows `costs`."""
     check_tolerance(feas_tol, "feas_tol")
     M = np.concatenate([region.ineq_lhs, region.eq_lhs])
     b = np.concatenate([region.ineq_rhs, region.eq_rhs])
@@ -324,130 +311,40 @@ def _two_phase(
             ]
     T, basis, keep = started
 
-    results = [None] * len(costs)
-    if len(costs) > 1:
-        results = _lookahead(region, T, basis, costs, feas_tol)
-    # Phase 2 per objective left open, each from the basis the previous one
-    # left.
+    # Phase 2 per objective, each from the basis the previous one left.
+    results = []
     phase2_costs = np.zeros(N + n_ineq)
-    for k, c in enumerate(costs):
-        if results[k] is not None:
-            continue
+    for c in costs:
         phase2_costs[:N] = c
         T[-1] = _priced_cost_row(T, basis, phase2_costs)
         if _run_simplex(T, basis, iter_limit) == "unbounded":
-            results[k] = LPSolution(status=LPStatus.UNBOUNDED)
+            results.append(LPSolution(status=LPStatus.UNBOUNDED))
             continue
         u = np.zeros(N + n_ineq)
         u[basis] = T[:-1, -1]
         z = u[:N]
-        residual = float(_residual(region, z))
+        residual = _residual(region, z)
         if residual > feas_tol:
             # The tableau carries roundoff from every pivot so far; solve
             # for x_B against the original rows of the final basis instead.
             u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
             z = u[:N]
-            residual = float(_residual(region, z))
+            residual = _residual(region, z)
         if residual > feas_tol:
             raise RuntimeError(
                 f"optimal point violates feasibility by {residual:g} > "
                 f"{feas_tol:g}; solver bug"
             )
-        results[k] = _optimal(c, z, residual, -T[-1, N : N + n_ineq], basis)
-    return results
-
-
-def _optimal(
-    c: np.ndarray, z: np.ndarray, residual: float, duals: np.ndarray, basis: list[int]
-) -> LPSolution:
-    """The Optimal answer at point z with its final basis."""
-    return LPSolution(
-        status=LPStatus.OPTIMAL,
-        point=z,
-        objective_value=float(c @ z),
-        primal_residual=residual,
-        ineq_duals=duals,
-        basis=tuple(basis),
-    )
-
-
-def _lookahead(
-    region: LinearProgram,
-    T: np.ndarray,
-    basis: list[int],
-    costs: np.ndarray,
-    feas_tol: float,
-) -> list[LPSolution | None]:
-    """Answer objectives at the basis of the phase-2 tableau T or one pivot
-    from it, without pivoting; None marks an objective left to phase 2.
-
-    Every objective is priced at the start at once.  Each nonbasic column
-    with a positive entry has one neighbour vertex, found by the min-ratio
-    test of `_run_simplex` (ties to the first row; any tie is valid).  Each
-    objective takes its best vertex of the start and the neighbours by c.z,
-    read off the reduced costs.  It is answered only when that vertex's
-    reduced costs, the cost row a pivot there would leave, are all
-    <= PIVOT_TOL (the test `_run_simplex` stops on) and its point passes the
-    residual gate.  Neither T nor `basis` changes.
-    """
-    N = region.n_vars
-    n_ineq = region.ineq_lhs.shape[0]
-    basic = np.array(basis, dtype=int)
-    body, rhs = T[:-1, :-1], T[:-1, -1]
-    C = np.zeros((costs.shape[0], T.shape[1]))
-    C[:, :N] = costs
-    reduced = C - C[:, basic] @ T[:-1]
-
-    # Neighbours: nonbasic column cols[i], which has a positive entry, enters
-    # at row leave[i] with step theta[i].  A boolean mask rather than
-    # np.setdiff1d keeps this free of lazily imported numpy modules.
-    positive = body > PIVOT_TOL
-    open_cols = positive.any(axis=0)
-    open_cols[basic] = False
-    cols = open_cols.nonzero()[0]
-    entering = body[:, cols]
-    ratios = np.full(entering.shape, np.inf)
-    np.divide(rhs[:, None], entering, out=ratios, where=positive[:, cols])
-    # (Without rows there is no neighbour, and nothing for argmin to scan.)
-    leave = ratios.argmin(axis=0) if cols.size else cols
-    pivots = body[leave, cols]
-    theta = rhs[leave] / pivots
-
-    # Vertex 0 is the start and vertex 1 + i is cols[i]'s neighbour; each row
-    # holds every column's value, as a pivot would leave it.
-    steps = np.arange(cols.size)
-    moved_rhs = rhs[:, None] - entering * theta
-    moved_rhs[leave, steps] = 0.0
-    moved_rhs[(moved_rhs < 0.0) & (moved_rhs > -PIVOT_TOL)] = 0.0
-    vertices = np.zeros((1 + cols.size, body.shape[1]))
-    vertices[0, basic] = rhs
-    vertices[1:, basic] = moved_rhs.T
-    vertices[1 + steps, cols] = theta
-    # Each objective's best vertex by c.z: vertex 1 + i lies theta[i] along
-    # column cols[i], so it gains theta[i] times that reduced cost over the
-    # start.  Ties go to the start, then to the first neighbour.
-    gains = np.zeros((len(costs), 1 + cols.size))
-    np.multiply(reduced[:, cols], theta, out=gains[:, 1:])
-    best = gains.argmax(axis=1)
-
-    # Each objective's cost row at its best vertex.
-    moved = (best > 0).nonzero()[0]
-    i = best[moved] - 1
-    reduced[moved] -= reduced[moved, cols[i]][:, None] * (
-        T[leave[i]] / pivots[i][:, None]
-    )
-    optimal = reduced[:, :-1].max(axis=1) <= PIVOT_TOL
-
-    results: list[LPSolution | None] = [None] * len(costs)
-    points = vertices[best, :N]
-    duals = -reduced[:, N : N + n_ineq]
-    residuals = _residual(region, points)
-    for k in (optimal & (residuals <= feas_tol)).nonzero()[0]:
-        j = best[k]
-        at = list(basis)
-        if j:
-            at[leave[j - 1]] = int(cols[j - 1])
-        results[k] = _optimal(costs[k], points[k], float(residuals[k]), duals[k], at)
+        results.append(
+            LPSolution(
+                status=LPStatus.OPTIMAL,
+                point=z,
+                objective_value=float(c @ z),
+                primal_residual=residual,
+                ineq_duals=-T[-1, N : N + n_ineq],
+                basis=tuple(basis),
+            )
+        )
     return results
 
 

@@ -4,16 +4,15 @@ optimal-dominated decision procedures.
 
 `solve_game` solves one LP per game: the row player's value LP, whose
 inequality multipliers are a column strategy (LP duality is the minimax
-theorem).  The value LP's final basis is kept on the solution: the value LP
-of -A^T is its dual, so it starts at the complement of that basis
-(`solve_game`'s `dual_of`), and the optimal-strategy region starts one
-column away from it (`row_optima_column_extrema`'s `solution`).
+theorem).  The value LP's final basis is kept on the solution: its nonbasic
+columns are the facets of the optimal-strategy region, so
+`row_optima_column_extrema` reads the region's vertices off it, or starts
+its LPs one column away from it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +64,15 @@ def _positivity_shift(values: np.ndarray) -> float:
 
 
 def _value_lp(
-    B: np.ndarray, feas_tol: float, start: Sequence[int] | None
+    B: np.ndarray, feas_tol: float
 ) -> tuple[np.ndarray, float, np.ndarray, tuple[int, ...]]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
     x >= 0, v >= 0.  The bound on v is never active, since callers pass
     B >= 1, so v >= 1.  Returns (x, v, y, basis), y the multipliers of the n
     column rows: up to roundoff a column strategy holding B's payoffs to v.
 
-    Columns of the basis (and of `start`): x_i is i, v is m, and the slack
-    of column j's row is m + 1 + j."""
+    Columns of the basis: x_i is i, v is m, and the slack of column j's row
+    is m + 1 + j."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
@@ -85,34 +84,12 @@ def _value_lp(
     sol = solve_lp(
         LinearProgram(objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f),
         feas_tol=feas_tol,
-        start=start,
     )
     if sol.status is not LPStatus.OPTIMAL:
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
         )
     return sol.point[:m], float(sol.point[m]), sol.ineq_duals, sol.basis
-
-
-def _complement_basis(sol: GameSolution) -> list[int] | None:
-    """Value-LP start for -A^T from the value-LP basis of A's solution.
-
-    The two value LPs are dual to each other (the shifts move only v and w),
-    so complementary slackness maps an optimal basis of one to an optimal
-    basis of the other: w, each y_j whose row slack s_j is nonbasic on A,
-    and the slack t_i of each row whose x_i is nonbasic on A.  Under
-    degeneracy the complement may be singular; the LP then starts cold.
-    """
-    if sol.lp_basis is None:
-        return None
-    m, n = len(sol.row_strategy), len(sol.col_strategy)
-    basic = set(sol.lp_basis)
-    # The value LP of -A^T (n x m): y_j is j, w is n, t_i is n + 1 + i.
-    return (
-        [n]
-        + [j for j in range(n) if m + 1 + j not in basic]
-        + [n + 1 + i for i in range(m) if i not in basic]
-    )
 
 
 def _certify(
@@ -140,7 +117,6 @@ def solve_game(
     A: GameMatrix,
     tol: float = SOLVE_TOL_DEFAULT,
     feas_tol: float = FEAS_TOL_DEFAULT,
-    dual_of: GameSolution | None = None,
 ) -> GameSolution:
     """Value and one optimal strategy pair for the matrix game A.
 
@@ -158,16 +134,16 @@ def solve_game(
     exactly scale-covariant).  Feeding huge payoffs directly makes the
     certificate checks refuse rather than return degraded certificates.
 
-    `dual_of`, a solution of the game -A^T, starts the value LP at the
-    complement of its basis (optimal by LP duality, so no pivots are left
-    when it is nonsingular and feasible).  The result is certified against
-    A's own payoffs exactly as on a cold start.
+    The value LP's final basis is returned as `lp_basis`.  In a
+    nondegenerate game its basic x_i and its binding columns (those whose
+    slack is nonbasic) index the square kernel of one of Shapley and Snow's
+    basic solutions ("Basic solutions of discrete games", 1950);
+    `row_optima_column_extrema` reads the nonbasic columns.
     """
     check_tolerance(tol, "tol")
     V = A.values
     shift = _positivity_shift(V)
-    start = None if dual_of is None else _complement_basis(dual_of)
-    x, v_row, duals, basis = _value_lp(V + shift, feas_tol, start)
+    x, v_row, duals, basis = _value_lp(V + shift, feas_tol)
     value = v_row - shift
     row = normalized_strategy(x, Player.ROW)
     col = normalized_strategy(duals, Player.COL)
@@ -283,6 +259,56 @@ def _region_start(sol: GameSolution) -> list[int] | None:
     return [m + j if b == m else b if b < m else b - 1 for b in sol.lp_basis]
 
 
+def _vertex_extrema(
+    V: np.ndarray, v: float, tol: float, feas_tol: float, sol: GameSolution
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column extrema of `row_optima_column_extrema` read off the vertices of
+    the region, or None when the gate below refuses them.
+
+    The m nonbasic columns of the value-LP basis name m facets of the
+    region: x_i = 0 for each nonbasic x_i, and (x^T V)_j = v - tol for each
+    binding column j.  Vertex k lies on every facet but k and on sum x = 1;
+    all m vertices come from one batched solve against V.  The gate: every
+    vertex satisfies every row of the region within feas_tol, and vertex k
+    lies more than feas_tol inside facet k.  The facets then bound a simplex
+    (Ziegler, Lectures on Polytopes, 1995) that holds the region and whose
+    vertices lie in it, so the two are equal and every extremum is attained
+    at a vertex.
+    """
+    m, n = V.shape
+    basic = set(sol.lp_basis)
+    zero = [i for i in range(m) if i not in basic]
+    binding = [j for j in range(n) if m + 1 + j not in basic]
+    if len(zero) + len(binding) != m:
+        return None
+    facets = np.zeros((m, m))
+    facets[np.arange(len(zero)), zero] = 1.0
+    facets[len(zero) :] = V[:, binding].T
+    rhs = np.zeros(m)
+    rhs[len(zero) :] = v - tol
+    # System k is the facet system with row k swapped for sum x = 1.
+    k = np.arange(m)
+    systems = np.repeat(facets[np.newaxis], m, axis=0)
+    systems[k, k] = 1.0
+    rhs_k = np.repeat(rhs[np.newaxis], m, axis=0)
+    rhs_k[k, k] = 1.0
+    try:
+        X = np.linalg.solve(systems, rhs_k[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    payoffs = X @ V
+    leaving = np.concatenate([X[:, zero], payoffs[:, binding] - (v - tol)], axis=1)
+    # Written so that a NaN anywhere refuses.
+    if not (
+        X.min() >= -feas_tol
+        and payoffs.min() >= v - tol - feas_tol
+        and np.abs(X.sum(axis=1) - 1.0).max() <= feas_tol
+        and leaving[k, k].min() > feas_tol
+    ):
+        return None
+    return payoffs.min(axis=0), payoffs.max(axis=0)
+
+
 def row_optima_column_extrema(
     A: GameMatrix,
     v: float,
@@ -293,20 +319,24 @@ def row_optima_column_extrema(
     """Per-column extremes of (x^T A)_j over the row player's optimal set.
 
     The optimal set is modeled as {x stochastic : (x^T A)_k >= v - tol for
-    all k}; for each column the payoff is maximized and minimized by LP.  All
-    2n LPs share that one region, so they run as one `maximize_each` call.
-    `solution`, `solve_game`'s solution of A at value v, gives the start
-    (`_region_start`); without it, or when that start is refused, phase 1
-    runs.  For a nondegenerate game the region is a simplex whose every
-    vertex is one pivot from the start, so `maximize_each` answers all 2n
-    extrema from the start without pivoting; only a degenerate region sends
-    some of them through phase 2.  `tol` and `feas_tol` must be finite and
-    positive (InputError otherwise).
+    all k}.  With `solution`, `solve_game`'s solution of A at value v, the
+    extrema are first read off the region's vertices, its Shapley-Snow basic
+    solutions moved by tol (`_vertex_extrema`, which states the gate); in a
+    nondegenerate game the region is a simplex and the gate passes.
+    Otherwise each column payoff is maximized and minimized by LP, all 2n
+    LPs as one `maximize_each` call over the region, started one column from
+    the value-LP basis (`_region_start`) or, when that start is refused or
+    missing, by phase 1.  `tol` and `feas_tol` must be finite and positive
+    (InputError otherwise).
     """
     check_tolerance(tol, "tol")
     check_tolerance(feas_tol, "feas_tol")
     V = A.values
     m, n = V.shape
+    if solution is not None and solution.lp_basis is not None:
+        extrema = _vertex_extrema(V, v, tol, feas_tol, solution)
+        if extrema is not None:
+            return extrema
     region = LinearProgram(
         objective=np.zeros(m),
         ineq_lhs=-V.T,
@@ -314,11 +344,11 @@ def row_optima_column_extrema(
         eq_lhs=np.ones((1, m)),
         eq_rhs=np.ones(1),
     )
-    # All maxima first, then all minima.  The order matters only for the
-    # objectives the lookahead leaves to phase 2, each starting from the
-    # previous one's basis, so only on degenerate regions: over 400 random
-    # 5x5 games with entries in {-1, 0, 1} the extrema took 867 pivots in
-    # this order against 911 when +V[:, j] and -V[:, j] alternate.
+    # All maxima first, then all minima, each phase 2 starting from the
+    # basis the previous one ended on: over 400 random 5x5 games with
+    # entries in {-1, 0, 1} (numpy default_rng(0)) these LPs took 3,272
+    # pivots in this order against 5,272 when +V[:, j] and -V[:, j]
+    # alternate.
     objectives = [sign * V[:, j] for sign in (1.0, -1.0) for j in range(n)]
     extrema = np.empty(2 * n)
     start = None if solution is None else _region_start(solution)

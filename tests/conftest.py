@@ -36,3 +36,10 @@ def ensemble(family: str, size: int, trials: int, seed: int) -> list[GameMatrix]
     """The first `trials` matrices of the CLI's seeded `family` ensemble."""
     spec = EnsembleSpec(Family(family), size, trials, seed, DEFAULT_RANGES[family])
     return generate_ensemble(spec)
+
+
+def integer_positive_games(trials: int, size: int = 6, seed: int = 11) -> list[GameMatrix]:
+    """Positive games with entries drawn uniformly from {1, 2, 3}.  Integer
+    payoffs tie often, so many of these games are degenerate."""
+    rng = np.random.default_rng(seed)
+    return [GameMatrix(rng.integers(1, 4, (size, size))) for _ in range(trials)]

@@ -132,28 +132,26 @@ class TestCheckNegTranspose:
         A = GameMatrix(np.random.default_rng(4).uniform(-10, 10, (120, 120)))
         assert check_neg_transpose(A).verdict is Verdict.HOLDS
 
-    def test_negated_transpose_lp_starts_optimal(self, monkeypatch):
-        import zerosum.claims as claims_mod
-        import zerosum.lp as lp_mod
+    def test_negated_transpose_value_takes_one_lp(self, monkeypatch):
+        # -A^T is A with the players swapped: its value is read off A's
+        # certified solution, and agrees with a cold LP of its own.
+        import zerosum.solver as solver_mod
 
-        pivots = []  # one count per solve_game call
-        pivot, solve = lp_mod._pivot, claims_mod.solve_game
+        calls = []
+        solve_lp = solver_mod.solve_lp
 
-        def counted_pivot(*args):
-            pivots[-1] += 1
-            pivot(*args)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
 
-        def counted_solve(*args, **kwargs):
-            pivots.append(0)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(lp_mod, "_pivot", counted_pivot)
-        monkeypatch.setattr(claims_mod, "solve_game", counted_solve)
+        monkeypatch.setattr(solver_mod, "solve_lp", counted)
         for A in ensemble("General", 30, 20, 7):
-            pivots.clear()
+            calls.clear()
             rep = check_neg_transpose(A)
-            assert pivots[0] > 0 and pivots[1] == 0
-            cold = solve(GameMatrix(-A.values.T)).value
+            assert len(calls) == 1
+            gap = solve_game(A).duality_gap
+            assert rep.computed["identity_residual"] == gap <= 1e-8
+            cold = solve_game(GameMatrix(-A.values.T)).value
             assert abs(rep.computed["neg_transpose_value"] - cold) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -164,16 +162,14 @@ class TestCheckNegTranspose:
             (np.eye(4), False),
             (np.zeros((2, 3)), False),
             (np.random.default_rng(3).uniform(-2, 2, (3, 5)), False),
-            # Degenerate: the region start is infeasible, so phase 1 runs.
+            # Degenerate: the vertex gate and the region start both refuse,
+            # so phase 1 runs.
             ([[-1, 1, -1, 0], [0, 1, -1, 1]], True),
         ],
     )
     def test_warm_started_solves_certify(self, values, start_refused):
         A = GameMatrix(values)
         sol = solve_game(A)
-        # solve_game raises unless the warm-started pair certifies.
-        dual = solve_game(GameMatrix(-A.values.T), dual_of=sol)
-        assert abs(sol.value + dual.value) <= 1e-9
         assert check_neg_transpose(A).verdict is Verdict.HOLDS
         warm = row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
         cold = row_optima_column_extrema(A, sol.value, 1e-7)
@@ -198,6 +194,17 @@ class TestEigenspaceLemma5:
         rep = check_eigenspace_lemma5(saddle)
         assert rep.verdict is Verdict.NOT_APPLICABLE
         assert rep.computed["reason"] == "matrix is not skew-symmetric"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the skew gate is absolute: 5e-8 J has skew residual 1e-7 <= "
+        "tol, so it passes as skew, and its uniform stochastic eigenvector "
+        "at 1.5e-7 reads Violated",
+    )
+    def test_tiny_non_skew_matrix_is_not_applicable(self):
+        A = GameMatrix(5e-8 * np.ones((3, 3)))
+        rep = check_eigenspace_lemma5(A, lambdas=[1.5e-7])
+        assert rep.verdict is Verdict.NOT_APPLICABLE
 
     def test_odd_dimension_kernel_nonzero(self):
         rng = np.random.default_rng(5)

@@ -6,8 +6,10 @@ Each test checks, over the first 40 trials of seeded ensembles (400 in
 decided by:
 
 - NegTransposeThm2 on General 30, seed 7: v(A) and v(-A^T), within 1e-9;
-- PositiveDominatedThm4 on Positive 10, seed 1: the column payoff maxima
-  and minima over the optimal-strategy region, within 1e-8;
+- PositiveDominatedThm4 on Positive 10, seed 1, and on integer Positive
+  6x6 games (entries in {1, 2, 3}, many of them degenerate): the column
+  payoff maxima and minima over the optimal-strategy region, within 1e-8;
+- DiagonalTheorem1 on Diagonal 3, seed 1: v(A), within 1e-9;
 - GordanTheorem3 on Skew 7 and Skew 3, seed 1: feasibility of
   [A; 1^T] x = e_{m+1}, x >= 0, which decides the Gordan branch;
 - SkewZeroCor3 on Skew 6, seed 3, and SharedOptimaCor4 on Skew 5, seed 4:
@@ -23,9 +25,9 @@ import pytest
 
 import highs_oracle as highs
 from zerosum import ClaimId, GordanBranch, Verdict, run_checker
-from zerosum.claims import CLAIM_TOL_DEFAULT
+from zerosum.claims import CLAIM_TOL_DEFAULT, STRATEGY_TOL_FACTOR
 from zerosum.lp import FEAS_TOL_DEFAULT
-from conftest import ensemble
+from conftest import ensemble, integer_positive_games
 
 pytest.importorskip("scipy.optimize")
 
@@ -46,10 +48,12 @@ def test_neg_transpose_values_match_highs(trials=40):
         assert rep.verdict is _verdict(abs(v1 + v2) <= tol), i
 
 
-def test_positive_dominated_maxima_match_highs(trials=40):
+def _shadow_positive_dominated(games):
+    """Check each PositiveDominatedThm4 report against HiGHS; returns the
+    number of reports that reach the extrema."""
     tol, slack = CLAIM_TOL_DEFAULT, CLAIM_TOL_DEFAULT + FEAS_TOL_DEFAULT
     applicable = 0
-    for i, A in enumerate(ensemble("Positive", 10, trials, 1)):
+    for i, A in enumerate(games):
         [rep] = run_checker(ClaimId.POSITIVE_DOMINATED_THM4, A)
         got = rep.computed
         v = highs.game_value(A.values)
@@ -69,7 +73,52 @@ def test_positive_dominated_maxima_match_highs(trials=40):
         # Every minimum is >= v - tol on the region by construction, so the
         # maxima decide the verdict.
         assert rep.verdict is _verdict(maxima.max() <= v + slack), i
+    return applicable
+
+
+def test_positive_dominated_maxima_match_highs(trials=40):
+    applicable = _shadow_positive_dominated(ensemble("Positive", 10, trials, 1))
     assert applicable >= trials // 2
+
+
+def test_positive_dominated_on_integer_games_matches_highs(trials=40):
+    # Many integer games are degenerate: the vertex closed form answers
+    # some regions and the LP fallback the others, and both must run.
+    import zerosum.solver as solver_mod
+
+    fallbacks = []
+    maximize_each = solver_mod.maximize_each
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return maximize_each(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "maximize_each", counted)
+        applicable = _shadow_positive_dominated(integer_positive_games(trials))
+    assert 0 < len(fallbacks) < applicable
+
+
+def test_diagonal_values_match_highs(trials=40):
+    # The row optimum the verdict plays is zerosum's; the verdict is decided
+    # again at HiGHS's value.
+    tol = CLAIM_TOL_DEFAULT
+    branches = set()
+    for i, A in enumerate(ensemble("Diagonal", 3, trials, 1)):
+        [rep] = run_checker(ClaimId.DIAGONAL_THEOREM1, A)
+        got = rep.computed
+        v = highs.game_value(A.values)
+        assert abs(got["observed_value"] - v) <= 1e-9, i
+        branches.add(got["definite"])
+        if got["definite"]:
+            holds = (
+                abs(v - got["predicted_value"]) <= tol
+                and got["strategy_error"] <= STRATEGY_TOL_FACTOR * tol
+            )
+        else:
+            holds = abs(v) <= tol and got["negative_index_weight"] <= tol
+        assert rep.verdict is _verdict(holds), i
+    assert branches == {True, False}
 
 
 def test_gordan_branch_matches_highs_feasibility(trials=40):
@@ -165,6 +214,8 @@ def test_shifted_eigen_matches_highs(trials=40):
     [
         test_neg_transpose_values_match_highs,
         test_positive_dominated_maxima_match_highs,
+        test_positive_dominated_on_integer_games_matches_highs,
+        test_diagonal_values_match_highs,
         test_gordan_branch_matches_highs_feasibility,
         test_skew_corollary_values_match_highs,
         test_eigenspace_witnesses_match_highs_feasibility,

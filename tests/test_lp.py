@@ -22,7 +22,6 @@ from zerosum.lp import (
     _residual,
     maximize_each,
 )
-from zerosum.solver import _region_start
 from conftest import BAD_TOLERANCES, ensemble
 
 FEAS_TOL = 1e-9
@@ -291,8 +290,6 @@ def test_residual_counts_negative_coordinates():
     # z >= 0 is part of every region, so a negative coordinate is infeasible.
     p = LinearProgram(objective=[1, 1])
     assert _residual(p, np.array([0.5, -1e-3])) == 1e-3
-    # One residual per row of a stack of points.
-    assert _residual(p, np.array([[0.5, -1e-3], [1.0, 2.0]])).tolist() == [1e-3, 0.0]
 
 
 def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
@@ -401,46 +398,6 @@ def test_maximize_each_on_degenerate_optimal_polytopes(values, value):
     _assert_matches_solve_lp(region, objectives, _crash_basis(region, rng))
 
 
-@pytest.mark.parametrize(
-    "values,value",
-    [
-        ([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], 0.0),
-        ([[1, 2], [3, 4]], 3.0),
-        ([[1, 0], [0, 1]], 0.5),
-    ],
-)
-def test_maximize_each_falls_through_to_phase_two_on_degenerate_regions(
-    monkeypatch, values, value
-):
-    # At the exact value each optimal polytope is one point on more tight
-    # rows than a basis holds: the start and its one-pivot neighbours all sit
-    # on it, and some objective's optimal basis lies further away.
-    import zerosum.lp as lp_mod
-
-    answered = []
-    lookahead = lp_mod._lookahead
-
-    def recording(*args):
-        sols = lookahead(*args)
-        answered.extend(sol is not None for sol in sols)
-        return sols
-
-    monkeypatch.setattr(lp_mod, "_lookahead", recording)
-    V = np.array(values, dtype=float)
-    m, n = V.shape
-    region = LinearProgram(
-        objective=np.zeros(m),
-        ineq_lhs=-V.T,
-        ineq_rhs=np.full(n, -value),
-        eq_lhs=np.ones((1, m)),
-        eq_rhs=np.ones(1),
-    )
-    objectives = [s * V[:, j] for s in (1.0, -1.0) for j in range(n)]
-    objectives += list(np.random.default_rng(3).uniform(-1, 1, (4, m)))
-    _assert_matches_solve_lp(region, objectives)
-    assert len(answered) == len(objectives) and not all(answered)
-
-
 def test_positive_game_extrema_take_no_pivots(pivot_log):
     # A nondegenerate game's optimal-strategy region is a simplex whose every
     # vertex is one pivot from the region start, so all 2n extrema are
@@ -450,46 +407,6 @@ def test_positive_game_extrema_take_no_pivots(pivot_log):
         pivot_log.clear()
         row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
         assert pivot_log == [], i
-
-
-def test_lookahead_answers_are_full_solutions(pivot_log):
-    # Each answer one pivot from the start carries that vertex's basis:
-    # restarting its LP there takes no pivot and gives the same optimum and
-    # duals.
-    for A in ensemble("Positive", 10, 5, 1):
-        sol = solve_game(A, 1e-7)
-        V = A.values
-        m, n = V.shape
-        region = LinearProgram(
-            objective=np.zeros(m),
-            ineq_lhs=-V.T,
-            ineq_rhs=np.full(n, -(sol.value - 1e-7)),
-            eq_lhs=np.ones((1, m)),
-            eq_rhs=np.ones(1),
-        )
-        objectives = [s * V[:, j] for s in (1.0, -1.0) for j in range(n)]
-        pivot_log.clear()
-        sols = maximize_each(region, objectives, start=_region_start(sol))
-        assert pivot_log == []
-        for c, got in zip(objectives, sols):
-            restart = solve_lp(
-                LinearProgram(
-                    objective=c,
-                    ineq_lhs=region.ineq_lhs,
-                    ineq_rhs=region.ineq_rhs,
-                    eq_lhs=region.eq_lhs,
-                    eq_rhs=region.eq_rhs,
-                ),
-                start=got.basis,
-            )
-            assert pivot_log == []
-            assert restart.basis == got.basis
-            assert got.objective_value == float(c @ got.point)
-            assert abs(restart.objective_value - got.objective_value) <= 1e-12
-            assert got.primal_residual <= FEAS_TOL
-            np.testing.assert_allclose(
-                got.ineq_duals, restart.ineq_duals, rtol=0, atol=1e-9
-            )
 
 
 def test_maximize_each_infeasible_region():

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,8 +113,8 @@ class TestGameValue:
 
         value_lp = solver_mod._value_lp
 
-        def pure_column_duals(B, feas_tol, start):
-            x, v, y, basis = value_lp(B, feas_tol, start)
+        def pure_column_duals(B, feas_tol):
+            x, v, y, basis = value_lp(B, feas_tol)
             return x, v, np.eye(len(y))[0], basis
 
         monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
@@ -127,8 +128,8 @@ class TestGameValue:
 
         value_lp = solver_mod._value_lp
 
-        def noisy_point(B, feas_tol, start):
-            x, v, y, basis = value_lp(B, feas_tol, start)
+        def noisy_point(B, feas_tol):
+            x, v, y, basis = value_lp(B, feas_tol)
             return x + np.array([-1e-11, 1e-11]), v, y, basis
 
         monkeypatch.setattr(solver_mod, "_value_lp", noisy_point)
@@ -215,10 +216,117 @@ class TestAllRowOptimaDominated:
         ]
         tol = 1e-7
         for A in games:
-            v = solve_game(A).value
-            got = row_optima_column_extrema(A, v, tol)
-            want = highs.column_extrema(A.values, v, tol)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+            sol = solve_game(A)
+            want = highs.column_extrema(A.values, sol.value, tol)
+            # By LP, then from the vertices where the gate passes.
+            for solution in (None, sol):
+                got = row_optima_column_extrema(A, sol.value, tol, solution=solution)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def _exact_solve(rows, rhs):
+    """Gauss-Jordan elimination over Fractions: z with rows z = rhs."""
+    T = [row + [b] for row, b in zip(rows, rhs)]
+    for c in range(len(T)):
+        p = next(i for i in range(c, len(T)) if T[i][c] != 0)
+        T[c], T[p] = T[p], T[c]
+        T[c] = [e / T[c][c] for e in T[c]]
+        for i in range(len(T)):
+            if i != c and T[i][c] != 0:
+                T[i] = [a - T[i][c] * b for a, b in zip(T[i], T[c])]
+    return [row[-1] for row in T]
+
+
+def _exact_vertex_payoffs(A, sol, tol):
+    """Column payoffs, in Fractions, at each vertex of the region
+    {x stochastic : x^T A >= v - tol} that the nonbasic columns of
+    sol.lp_basis name: on every such facet but one, strictly inside that
+    one.  Asserts that each vertex lies in the region, exactly."""
+    m, n = A.values.shape
+    V = [[Fraction(e) for e in row] for row in A.values.tolist()]
+    level = Fraction(sol.value) - Fraction(tol)
+    basic = set(sol.lp_basis)
+    facets = [
+        ([Fraction(int(i == k)) for i in range(m)], Fraction(0))
+        for k in range(m)
+        if k not in basic
+    ]
+    facets += [
+        ([V[i][j] for i in range(m)], level)
+        for j in range(n)
+        if m + 1 + j not in basic
+    ]
+    assert len(facets) == m
+    vertices = []
+    for k, (normal, bound) in enumerate(facets):
+        tight = facets[:k] + facets[k + 1 :] + [([Fraction(1)] * m, Fraction(1))]
+        x = _exact_solve([row for row, _ in tight], [b for _, b in tight])
+        payoffs = [sum(x[i] * V[i][j] for i in range(m)) for j in range(n)]
+        assert min(x) >= 0 and min(payoffs) >= level
+        assert sum(a * xi for a, xi in zip(normal, x)) > bound
+        vertices.append(payoffs)
+    return vertices
+
+
+class TestVertexExtrema:
+    """The extrema read off the vertices of the optimal-strategy region."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        import zerosum.solver as solver_mod
+
+        calls = []
+        maximize_each = solver_mod.maximize_each
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return maximize_each(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "maximize_each", counted)
+        return calls
+
+    def test_matches_exact_vertices(self, lp_calls):
+        tol = 1e-7
+        for A in ensemble("Positive", 10, 3, 1):
+            sol = solve_game(A)
+            mins, maxs = row_optima_column_extrema(A, sol.value, tol, solution=sol)
+            assert lp_calls == []
+            columns = list(zip(*_exact_vertex_payoffs(A, sol, tol)))
+            want_mins = [float(min(c)) for c in columns]
+            want_maxs = [float(max(c)) for c in columns]
+            np.testing.assert_allclose(mins, want_mins, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(maxs, want_maxs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "values,mins,maxs",
+        [
+            ([[2.5]], [2.5], [2.5]),
+            ([[3, 1, 2]], [3, 1, 2], [3, 1, 2]),
+            ([[1], [4], [2]], [4 - 1e-7], [4]),
+        ],
+        ids=["1x1", "1xn", "nx1"],
+    )
+    def test_single_row_or_column(self, lp_calls, values, mins, maxs):
+        A = GameMatrix(values)
+        sol = solve_game(A)
+        got = row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
+        assert lp_calls == []
+        np.testing.assert_allclose(got, (mins, maxs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[1, 1], [1, 1]], [[1], [1]], [[-1, 1, -1, 0], [0, 1, -1, 1]]],
+        ids=["constant", "tied-rows", "degenerate"],
+    )
+    def test_refused_region_falls_back_to_the_lp(self, lp_calls, values):
+        # Each region's nonbasic facets meet in no simplex, so the gate
+        # refuses and the region's LPs answer, as they do without a basis.
+        A = GameMatrix(values)
+        sol = solve_game(A)
+        got = row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
+        assert lp_calls == [1]
+        cold = row_optima_column_extrema(A, sol.value, 1e-7)
+        np.testing.assert_allclose(got, cold, rtol=0, atol=1e-12)
 
 
 class TestRandomProperties:
