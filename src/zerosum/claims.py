@@ -46,6 +46,11 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ClaimReport:
+    """One claim's verdict on one matrix, with the quantities it was
+    decided on.  `input_digest` is the matrix's `GameMatrix.digest()`, a
+    SHA-256 content hash with a shape prefix; the matrix's full text is
+    its `repr` or the CLI's CSV rendering."""
+
     claim_id: ClaimId
     input_digest: str
     computed: dict

@@ -259,7 +259,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         try:
             reports.extend(run_checker(claim, A, tol=args.tol, lambdas=args.lambdas))
         except RuntimeError as exc:
-            raise RuntimeError(f"trial {i}, input {A.digest()}: {exc}") from exc
+            raise RuntimeError(f"trial {i}, input {A.digest()} {A!r}: {exc}") from exc
     counts = {v: 0 for v in Verdict}
     for rep in reports:
         counts[rep.verdict] += 1

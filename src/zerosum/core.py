@@ -1,6 +1,10 @@
 """Domain types shared by every module: payoff matrices, mixed strategies,
 game solutions, and the elementary payoff evaluation x^T A y.
 
+A matrix is named in reports by its content digest, `GameMatrix.digest`:
+its shape and the SHA-256 of its entries' bytes.  Its full canonical text,
+17 significant digits an entry, is its `repr` and the CLI's CSV rendering.
+
 All types are immutable value objects backed by read-only float64 arrays;
 all operations are pure functions, so everything here is safe to share
 across threads.
@@ -9,6 +13,7 @@ across threads.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,12 +155,20 @@ class GameMatrix:
         return GameMatrix(self.values.T)
 
     def digest(self) -> str:
-        """Canonical text rendering, e.g. "2x2[1,2;3,4]"."""
-        body = ";".join(canonical_rows(self.values))
-        return f"{self.rows}x{self.cols}[{body}]"
+        """Content digest "<m>x<n>:sha256:<64 hex>": SHA-256 (FIPS 180-4)
+        of the entries as row-major little-endian float64 bytes, with -0.0
+        read as 0.0.  Equal matrices give equal digests on every platform;
+        the shape prefix tells apart reshapes of the same bytes."""
+        # Adding 0.0 maps -0.0 to 0.0, as canonical_rows does; values is
+        # C-ordered float64 (__post_init__), so only the byte order is fixed.
+        data = (self.values + 0.0).astype("<f8", copy=False).tobytes()
+        return f"{self.rows}x{self.cols}:sha256:" + hashlib.sha256(data).hexdigest()
 
     def __repr__(self) -> str:
-        return f"GameMatrix({self.digest()})"
+        """Canonical text, e.g. "GameMatrix(2x2[1,2;3,4])": every entry at
+        17 significant digits, so the matrix can be rebuilt from it."""
+        body = ";".join(canonical_rows(self.values))
+        return f"GameMatrix({self.rows}x{self.cols}[{body}])"
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from zerosum import (
     render_matrix,
     run_cli,
 )
+from conftest import ensemble
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,6 +249,22 @@ class TestGoldenFiles:
         assert code == 0 and out == ""
         assert target.read_text() == (GOLDEN / "solve_rps.json").read_text()
 
+    def test_input_digests_follow_the_documented_recipe(self):
+        # README's recipe, without GameMatrix.digest: SHA-256 of the entries
+        # as row-major little-endian doubles, -0.0 read as 0.0.
+        def recipe(M):
+            M = np.where(M == 0.0, 0.0, M)
+            data = struct.pack(f"<{M.size}d", *M.ravel(order="C").tolist())
+            return f"{M.shape[0]}x{M.shape[1]}:sha256:{hashlib.sha256(data).hexdigest()}"
+
+        inputs = {
+            "verify_rps_skew.json": [np.loadtxt(DATA / "rps.csv", delimiter=",")],
+            "verify_general30_negt.json": [A.values for A in ensemble("General", 30, 2, 7)],
+        }
+        for golden, matrices in inputs.items():
+            reports = json.loads((GOLDEN / golden).read_text())["reports"]
+            assert [r["input_digest"] for r in reports] == [recipe(M) for M in matrices]
+
 
 def test_module_entry_point_is_warning_free():
     root = Path(__file__).resolve().parent.parent
@@ -373,8 +392,9 @@ class TestExitCodes:
             "--size", "3", "--trials", "3", "--seed", "11",
         )
         assert code == 3 and out == ""
+        # The hash names the input; its full text lets the trial be rerun.
         assert err == (
-            f"internal inconsistency: trial 1, input {bad.digest()}: "
+            f"internal inconsistency: trial 1, input {bad.digest()} {bad!r}: "
             "synthetic inconsistency\n"
         )
 

@@ -49,11 +49,14 @@ class TestGameMatrix:
     def test_transpose(self, saddle):
         assert saddle.transpose().entry(0, 1) == 3.0
 
-    def test_digest_is_canonical(self, saddle):
+    def test_saddle_repr_is_text_and_digest_is_sha256(self, saddle):
         assert repr(saddle) == "GameMatrix(2x2[1,2;3,4])"
-        assert saddle.digest() == "2x2[1,2;3,4]"
+        assert saddle.digest() == (
+            "2x2:sha256:"
+            "6bab56d2f81d4b5a2dbf102bf6a6ff7d5211a475fc5f97813f977e8ba714b07d"
+        )
 
-    def test_digest_and_csv_render_entries_as_canonical_float(self):
+    def test_repr_and_csv_render_entries_as_canonical_float(self):
         from zerosum.cli import render_matrix
         from zerosum.core import canonical_float
 
@@ -61,8 +64,22 @@ class TestGameMatrix:
         A = GameMatrix(entries)
         rows = [",".join(canonical_float(v) for v in row) for row in entries]
         assert rows == ["0,4.9406564584124654e-324", "1e+17,3.1415926535897931"]
-        assert A.digest() == "2x2[" + ";".join(rows) + "]"
+        assert repr(A) == "GameMatrix(2x2[" + ";".join(rows) + "])"
         assert render_matrix(A, "csv") == "\n".join(rows) + "\n"
+
+    def test_digest_depends_on_values_not_on_their_storage(self):
+        assert GameMatrix([[-0.0, 1]]).digest() == GameMatrix([[0.0, 1]]).digest()
+        M = np.arange(6.0).reshape(2, 3)
+        assert not M.T.flags.c_contiguous
+        same = [M.T, np.ascontiguousarray(M.T), M.T.astype(">f8")]
+        assert len({GameMatrix(v).digest() for v in same}) == 1
+
+    def test_digest_tells_apart_shapes_and_one_ulp(self):
+        flat = [1.0, 2.0, 3.0, 4.0]
+        shaped = [np.reshape(flat, s) for s in ((1, 4), (4, 1), (2, 2))]
+        assert len({GameMatrix(v).digest() for v in shaped}) == 3
+        bumped = [[1.0, 2.0], [3.0, np.nextafter(4.0, 5.0)]]
+        assert GameMatrix(bumped).digest() != GameMatrix([[1, 2], [3, 4]]).digest()
 
 
 class TestMixedStrategy:
