@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameMatrix, InputError, Player, canonical_json, check_tolerance
-from .lp import FEAS_TOL_DEFAULT
 from .solver import extrema_dominated, row_optima_column_extrema, solve_game
 from .spectral import GordanBranch, gordan, perron, stochastic_eigenvector
 
@@ -98,7 +97,7 @@ def _report(
 
 
 def check_diagonal(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT
 ) -> ClaimReport:
     """Audit the diagonal-game summary theorem.
 
@@ -123,7 +122,7 @@ def check_diagonal(
             {"reason": "matrix is not diagonal", "max_offdiagonal": max_off},
             tol,
         )
-    sol = solve_game(A, feas_tol=lp_tol)
+    sol = solve_game(A)
     x = sol.row_strategy.weights
 
     positive = d > DIAG_SIGN_TOL
@@ -173,7 +172,7 @@ def _skew_gate(
 
 
 def _skew_optima_report(
-    claim: ClaimId, A: GameMatrix, tol: float, lp_tol: float, holds
+    claim: ClaimId, A: GameMatrix, tol: float, holds
 ) -> ClaimReport:
     """Shared body of the two skew-game corollaries.
 
@@ -184,7 +183,7 @@ def _skew_optima_report(
     residual, na = _skew_gate(claim, A, tol)
     if na is not None:
         return na
-    sol = solve_game(A, feas_tol=lp_tol)
+    sol = solve_game(A)
     V = A.values
     ceiling = float((V @ sol.row_strategy.weights).max())
     floor = float((sol.col_strategy.weights @ V).min())
@@ -198,14 +197,13 @@ def _skew_optima_report(
 
 
 def check_skew(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT
 ) -> ClaimReport:
     """Skew matrices: value is zero and each optimum serves both players."""
     return _skew_optima_report(
         ClaimId.SKEW_ZERO_COR3,
         A,
         tol,
-        lp_tol,
         lambda value, ceiling, floor: (
             abs(value) <= tol and ceiling <= tol and floor >= -tol
         ),
@@ -213,7 +211,7 @@ def check_skew(
 
 
 def check_shared_optima(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT
 ) -> ClaimReport:
     """Skew matrices: one player's optimum is optimal for the other player.
 
@@ -223,7 +221,6 @@ def check_shared_optima(
         ClaimId.SHARED_OPTIMA_COR4,
         A,
         tol,
-        lp_tol,
         lambda value, ceiling, floor: (
             ceiling <= value + tol and floor >= value - tol
         ),
@@ -231,7 +228,7 @@ def check_shared_optima(
 
 
 def check_neg_transpose(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT
 ) -> ClaimReport:
     """Value identity v(A) = -v(-A^T) for matrices of any shape.
 
@@ -240,7 +237,7 @@ def check_neg_transpose(
     The value of -A^T is reported as -v(A), and the identity residual as
     the duality gap, the widest |v(A) + v(-A^T)| the certificate allows.
     """
-    sol = solve_game(A, feas_tol=lp_tol)
+    sol = solve_game(A)
     computed = {
         "value": sol.value,
         "neg_transpose_value": -sol.value,
@@ -264,7 +261,6 @@ def check_eigenspace_lemma5(
     A: GameMatrix,
     tol: float = CLAIM_TOL_DEFAULT,
     lambdas=None,
-    lp_tol: float = FEAS_TOL_DEFAULT,
 ) -> ClaimReport:
     """An optimal strategy inside an eigenspace forces the eigenvalue to 0.
 
@@ -282,7 +278,7 @@ def check_eigenspace_lemma5(
     violated = False
     zero_eigen_optimal = False
     for lam in candidates:
-        witness = stochastic_eigenvector(A, lam, Player.COL, feas_tol=lp_tol)
+        witness = stochastic_eigenvector(A, lam, Player.COL)
         found = witness is not None
         optimal = bool(found and _is_optimal_at_zero(A, witness.weights, tol))
         if found and abs(lam) > tol and optimal:
@@ -301,7 +297,7 @@ def check_eigenspace_lemma5(
 
 
 def check_gordan_theorem3(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT
 ) -> ClaimReport:
     """Audit the claimed equivalence between optimal strategies in the
     eigenspace and solvability of A y > 0, in both polarities.
@@ -315,7 +311,7 @@ def check_gordan_theorem3(
     residual, na = _skew_gate(claim, A, tol)
     if na is not None:
         return na
-    verdict_branch = gordan(A, feas_tol=lp_tol)
+    verdict_branch = gordan(A)
     positive_image = verdict_branch.branch is GordanBranch.POSITIVE_IMAGE
     # For square A, gordan's kernel LP is the stochastic-eigenvector LP at
     # eigenvalue 0, and its witness is normalized the same way.
@@ -336,7 +332,7 @@ def check_gordan_theorem3(
 
 
 def check_positive_dominated(
-    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT, lp_tol: float = FEAS_TOL_DEFAULT
+    A: GameMatrix, tol: float = CLAIM_TOL_DEFAULT
 ) -> ClaimReport:
     """Audit the positive-matrix dominance theorem.
 
@@ -357,7 +353,7 @@ def check_positive_dominated(
             tol,
         )
     cert = perron(A)
-    sol = solve_game(A, feas_tol=lp_tol)
+    sol = solve_game(A)
     value = sol.value
     bracket_low = cert.perron_root * float(cert.perron_vector.min())
     bracket_high = cert.perron_root * float(cert.perron_vector.max())
@@ -371,10 +367,8 @@ def check_positive_dominated(
     if value < bracket_low - tol or value > bracket_high + tol:
         base["reason"] = "value escapes the Perron bracket"
         return _report(claim, A, base, tol)
-    mins, maxs = row_optima_column_extrema(
-        A, value, tol, feas_tol=lp_tol, solution=sol
-    )
-    dominated = extrema_dominated(mins, maxs, value, tol, lp_tol)
+    mins, maxs = row_optima_column_extrema(A, value, tol, solution=sol)
+    dominated = extrema_dominated(mins, maxs, value, tol)
     base["column_payoff_minima"] = _listify(mins)
     base["column_payoff_maxima"] = _listify(maxs)
     return _report(claim, A, base, tol, dominated)
@@ -384,7 +378,6 @@ def check_shifted_eigen(
     A: GameMatrix,
     eigenvalue: float,
     tol: float = CLAIM_TOL_DEFAULT,
-    lp_tol: float = FEAS_TOL_DEFAULT,
 ) -> ClaimReport:
     """Stochastic eigenvectors of A and A^T at a shared eigenvalue force
     v(A - lambda I) = 0 with both witnesses optimal-dominated there.
@@ -397,10 +390,8 @@ def check_shifted_eigen(
     if not A.is_square:
         return _report(claim, A, {"reason": "matrix is not square"}, tol)
     lam = float(eigenvalue)
-    col_witness = stochastic_eigenvector(A, lam, Player.COL, feas_tol=lp_tol)
-    row_witness = stochastic_eigenvector(
-        A.transpose(), lam, Player.ROW, feas_tol=lp_tol
-    )
+    col_witness = stochastic_eigenvector(A, lam, Player.COL)
+    row_witness = stochastic_eigenvector(A.transpose(), lam, Player.ROW)
     if col_witness is None or row_witness is None:
         return _report(
             claim,
@@ -414,7 +405,7 @@ def check_shifted_eigen(
             tol,
         )
     B = GameMatrix(A.values - lam * np.eye(A.rows))
-    value = solve_game(B, feas_tol=lp_tol).value
+    value = solve_game(B).value
     row_dev = float(np.max(np.abs(row_witness.weights @ B.values)))
     col_dev = float(np.max(np.abs(B.values @ col_witness.weights)))
     holds = abs(value) <= tol and row_dev <= tol and col_dev <= tol
@@ -429,7 +420,7 @@ def check_shifted_eigen(
     return _report(claim, A, computed, tol, holds)
 
 
-# The claims whose checker needs nothing but (A, tol, lp_tol).
+# The claims whose checker needs nothing but (A, tol).
 _CHECKERS = {
     ClaimId.DIAGONAL_THEOREM1: check_diagonal,
     ClaimId.SKEW_ZERO_COR3: check_skew,
@@ -445,7 +436,6 @@ def run_checker(
     A: GameMatrix,
     tol: float = CLAIM_TOL_DEFAULT,
     lambdas=None,
-    lp_tol: float = FEAS_TOL_DEFAULT,
 ) -> list[ClaimReport]:
     """Dispatch a claim checker on a concrete matrix.
 
@@ -456,16 +446,15 @@ def run_checker(
     exactly one report.
     """
     check_tolerance(tol, "tol")
-    check_tolerance(lp_tol, "lp_tol")
     if claim is ClaimId.EIGENSPACE_LEMMA5:
-        return [check_eigenspace_lemma5(A, tol, lambdas, lp_tol)]
+        return [check_eigenspace_lemma5(A, tol, lambdas)]
     if claim is ClaimId.SHIFTED_EIGEN_THM4_GENERAL:
         if not lambdas:
             raise InputError(
                 "ShiftedEigenThm4General requires at least one eigenvalue "
                 "(pass lambdas / --lambda)"
             )
-        return [check_shifted_eigen(A, lam, tol, lp_tol) for lam in lambdas]
+        return [check_shifted_eigen(A, lam, tol) for lam in lambdas]
     if claim not in _CHECKERS:
         raise InputError(f"unknown claim {claim!r}")
-    return [_CHECKERS[claim](A, tol, lp_tol)]
+    return [_CHECKERS[claim](A, tol)]

@@ -114,12 +114,17 @@ def generate_ensemble(spec: EnsembleSpec) -> list[GameMatrix]:
 
 def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
     """Read a matrix from CSV (rows per line, comma- or space-separated) or
-    from a JSON document {"rows": m, "cols": n, "entries": [[...], ...]}."""
+    from a JSON document {"rows": m, "cols": n, "entries": [[...], ...]}.
+
+    A blank comma-separated field (`1,,2`, `,1` or `1,`) is an error, not a
+    missing separator.  JSON entries must be JSON numbers."""
     if fmt == "csv":
         rows = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
+            if any(not cell.strip() for cell in line.split(",")):
+                raise MatrixParseError(f"line {lineno}: empty comma-separated field")
             fields = line.replace(",", " ").split()
             try:
                 rows.append([float(tok) for tok in fields])
@@ -150,6 +155,9 @@ def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
             raise MatrixParseError(
                 f"declared {m}x{n} does not match the entries layout"
             )
+        # float() would read true as 1.0 and "1" as 1.0.
+        if any(isinstance(v, (bool, str)) for row in entries for v in row):
+            raise MatrixParseError("non-numeric entry: entries must be JSON numbers")
         try:
             return GameMatrix([[float(v) for v in row] for row in entries])
         except (TypeError, ValueError) as exc:

@@ -24,7 +24,7 @@ final `basis`: one column of [G; E | slacks] per row, where z_k is column k
 and the slack of inequality row i is column n_vars + i.  (When phase 1 drops
 a redundant row, the basis is one entry short and no longer a valid start.)
 A start is factored against the original rows with one dense solve and
-accepted when its x_B >= -feas_tol; phase 2 then runs from it and phase 1 is
+accepted when its x_B >= -FEAS_TOL; phase 2 then runs from it and phase 1 is
 skipped.  A start of the wrong length, a singular one or an infeasible one
 runs the cold two-phase path unchanged, so a start never changes which
 problems are solved, only where phase 2 begins.  A caller that knows a
@@ -55,9 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, InputError, check_tolerance
+from .core import DimensionMismatchError, InputError
 
-FEAS_TOL_DEFAULT = 1e-9
+# Largest constraint violation an Optimal point may keep; a phase-1 sum of
+# artificials above it makes the region Infeasible.
+FEAS_TOL = 1e-9
 # Entries at or below this magnitude are treated as zero during pivoting.
 PIVOT_TOL = 1e-11
 # Consecutive degenerate pivots after which pricing falls back from Dantzig's
@@ -237,25 +239,20 @@ def _residual(p: LinearProgram, z: np.ndarray) -> float:
     return float(np.maximum(worst, 0.0))
 
 
-def solve_lp(
-    p: LinearProgram,
-    feas_tol: float = FEAS_TOL_DEFAULT,
-    start: Sequence[int] | None = None,
-) -> LPSolution:
+def solve_lp(p: LinearProgram, start: Sequence[int] | None = None) -> LPSolution:
     """Two-phase simplex.  Returns Optimal with a feasible point and its
     final `basis`, Infeasible with `farkas` when the phase-1 optimum exceeds
-    feas_tol, or Unbounded when an improving ray is certified.
+    FEAS_TOL, or Unbounded when an improving ray is certified.
 
     `start`, a basis in the layout of `LPSolution.basis`, skips phase 1 when
     it is primal feasible; any other start is ignored (module docstring).
     """
-    return _two_phase(p, p.objective[np.newaxis], feas_tol, start)[0]
+    return _two_phase(p, p.objective[np.newaxis], start)[0]
 
 
 def maximize_each(
     region: LinearProgram,
     objectives,
-    feas_tol: float = FEAS_TOL_DEFAULT,
     start: Sequence[int] | None = None,
 ) -> list[LPSolution]:
     """Maximize each objective over the feasible region of `region`.
@@ -274,17 +271,15 @@ def maximize_each(
     if costs.shape == (0,):  # [] is no objectives, not one empty objective
         costs = costs.reshape(0, region.n_vars)
     costs = _as_matrix(costs, region.n_vars, "objectives")
-    return _two_phase(region, costs, feas_tol, start)
+    return _two_phase(region, costs, start)
 
 
 def _two_phase(
     region: LinearProgram,
     costs: np.ndarray,
-    feas_tol: float,
     start: Sequence[int] | None,
 ) -> list[LPSolution]:
     """`maximize_each` over already validated objective rows `costs`."""
-    check_tolerance(feas_tol, "feas_tol")
     M = np.concatenate([region.ineq_lhs, region.eq_lhs])
     b = np.concatenate([region.ineq_rhs, region.eq_rhs])
     m, N = M.shape
@@ -302,9 +297,9 @@ def _two_phase(
     art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
     iter_limit = ITERATION_FACTOR * (N + n_ineq + art_rows.size + m)
 
-    started = _warm_start(body, b, start, feas_tol)
+    started = _warm_start(body, b, start)
     if started is None:
-        started = _phase_one(body, b, N, flipped, art_rows, iter_limit, feas_tol)
+        started = _phase_one(body, b, N, flipped, art_rows, iter_limit)
         if isinstance(started, np.ndarray):  # Farkas multipliers
             return [
                 LPSolution(status=LPStatus.INFEASIBLE, farkas=started) for _ in costs
@@ -324,16 +319,16 @@ def _two_phase(
         u[basis] = T[:-1, -1]
         z = u[:N]
         residual = _residual(region, z)
-        if residual > feas_tol:
+        if residual > FEAS_TOL:
             # The tableau carries roundoff from every pivot so far; solve
             # for x_B against the original rows of the final basis instead.
             u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
             z = u[:N]
             residual = _residual(region, z)
-        if residual > feas_tol:
+        if residual > FEAS_TOL:
             raise RuntimeError(
                 f"optimal point violates feasibility by {residual:g} > "
-                f"{feas_tol:g}; solver bug"
+                f"{FEAS_TOL:g}; solver bug"
             )
         results.append(
             LPSolution(
@@ -349,14 +344,14 @@ def _two_phase(
 
 
 def _warm_start(
-    body: np.ndarray, b: np.ndarray, start: Sequence[int] | None, feas_tol: float
+    body: np.ndarray, b: np.ndarray, start: Sequence[int] | None
 ) -> tuple[np.ndarray, list[int], np.ndarray] | None:
     """Phase-2 tableau at the basis `start`, or None to start cold.
 
     The basis columns of `body` are factored against the original rows;
     the start is refused when it has the wrong length, repeats or misses a
-    column, is singular, or puts x_B below -feas_tol.  Entries of x_B in
-    [-feas_tol, 0) are rounded to zero, which the phase-2 residual gate
+    column, is singular, or puts x_B below -FEAS_TOL.  Entries of x_B in
+    [-FEAS_TOL, 0) are rounded to zero, which the phase-2 residual gate
     vouches for.
     """
     m, width = body.shape
@@ -372,7 +367,7 @@ def _warm_start(
     except np.linalg.LinAlgError:
         return None
     x_B = T_body[:, -1]
-    if not (np.isfinite(T_body).all() and x_B.min() >= -feas_tol):
+    if not (np.isfinite(T_body).all() and x_B.min() >= -FEAS_TOL):
         return None
     T = np.zeros((m + 1, width + 1))
     T[:m] = T_body
@@ -389,7 +384,6 @@ def _phase_one(
     flipped: np.ndarray,
     art_rows: np.ndarray,
     iter_limit: int,
-    feas_tol: float,
 ) -> tuple[np.ndarray, list[int], np.ndarray] | np.ndarray:
     """Cold start: the phase-2 tableau, basis and kept rows of a feasible
     region, or the Farkas multipliers of an infeasible one."""
@@ -413,7 +407,7 @@ def _phase_one(
     T[-1] = _priced_cost_row(T, basis, phase1_costs)
     _run_simplex(T, basis, iter_limit, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
-    if art_sum > feas_tol:
+    if art_sum > FEAS_TOL:
         w = np.empty(m)
         w[:n_ineq] = -T[-1, N : N + n_ineq]
         # A flipped inequality row's artificial overrides its slack's reading.
@@ -423,7 +417,7 @@ def _phase_one(
 
     # Drive leftover artificials out of the basis; rows where that is
     # impossible are redundant and dropped.  A lingering artificial sits at a
-    # value <= feas_tol, which we are entitled to round to zero, keeping the
+    # value <= FEAS_TOL, which we are entitled to round to zero, keeping the
     # rhs nonnegative through the degenerate pivot.
     keep = np.ones(m, dtype=bool)
     for r in range(m):

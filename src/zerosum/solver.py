@@ -26,13 +26,7 @@ from .core import (
     check_tolerance,
     normalized_strategy,
 )
-from .lp import (
-    FEAS_TOL_DEFAULT,
-    LinearProgram,
-    LPStatus,
-    maximize_each,
-    solve_lp,
-)
+from .lp import FEAS_TOL, LinearProgram, LPStatus, maximize_each, solve_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
 # No pure deviation may improve a player by more than this at an accepted
@@ -63,9 +57,7 @@ def _positivity_shift(values: np.ndarray) -> float:
     return 1.0 - lo if lo < 1.0 else 0.0
 
 
-def _value_lp(
-    B: np.ndarray, feas_tol: float
-) -> tuple[np.ndarray, float, np.ndarray, tuple[int, ...]]:
+def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, tuple[int, ...]]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
     x >= 0, v >= 0.  The bound on v is never active, since callers pass
     B >= 1, so v >= 1.  Returns (x, v, y, basis), y the multipliers of the n
@@ -82,8 +74,7 @@ def _value_lp(
     E[0, :m] = 1.0
     f = np.ones(1)
     sol = solve_lp(
-        LinearProgram(objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f),
-        feas_tol=feas_tol,
+        LinearProgram(objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f)
     )
     if sol.status is not LPStatus.OPTIMAL:
         raise RuntimeError(
@@ -113,11 +104,7 @@ def _certify(
     return gap
 
 
-def solve_game(
-    A: GameMatrix,
-    tol: float = SOLVE_TOL_DEFAULT,
-    feas_tol: float = FEAS_TOL_DEFAULT,
-) -> GameSolution:
+def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     """Value and one optimal strategy pair for the matrix game A.
 
     The matrix is shifted by c = 1 - min entry so the shifted value is
@@ -143,7 +130,7 @@ def solve_game(
     check_tolerance(tol, "tol")
     V = A.values
     shift = _positivity_shift(V)
-    x, v_row, duals, basis = _value_lp(V + shift, feas_tol)
+    x, v_row, duals, basis = _value_lp(V + shift)
     value = v_row - shift
     row = normalized_strategy(x, Player.ROW)
     col = normalized_strategy(duals, Player.COL)
@@ -260,7 +247,7 @@ def _region_start(sol: GameSolution) -> list[int] | None:
 
 
 def _vertex_extrema(
-    V: np.ndarray, v: float, tol: float, feas_tol: float, sol: GameSolution
+    V: np.ndarray, v: float, tol: float, sol: GameSolution
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Column extrema of `row_optima_column_extrema` read off the vertices of
     the region, or None when the gate below refuses them.
@@ -269,8 +256,8 @@ def _vertex_extrema(
     region: x_i = 0 for each nonbasic x_i, and (x^T V)_j = v - tol for each
     binding column j.  Vertex k lies on every facet but k and on sum x = 1;
     all m vertices come from one batched solve against V.  The gate: every
-    vertex satisfies every row of the region within feas_tol, and vertex k
-    lies more than feas_tol inside facet k.  The facets then bound a simplex
+    vertex satisfies every row of the region within lp.FEAS_TOL, and vertex
+    k lies more than FEAS_TOL inside facet k.  The facets then bound a simplex
     (Ziegler, Lectures on Polytopes, 1995) that holds the region and whose
     vertices lie in it, so the two are equal and every extremum is attained
     at a vertex.
@@ -300,10 +287,10 @@ def _vertex_extrema(
     leaving = np.concatenate([X[:, zero], payoffs[:, binding] - (v - tol)], axis=1)
     # Written so that a NaN anywhere refuses.
     if not (
-        X.min() >= -feas_tol
-        and payoffs.min() >= v - tol - feas_tol
-        and np.abs(X.sum(axis=1) - 1.0).max() <= feas_tol
-        and leaving[k, k].min() > feas_tol
+        X.min() >= -FEAS_TOL
+        and payoffs.min() >= v - tol - FEAS_TOL
+        and np.abs(X.sum(axis=1) - 1.0).max() <= FEAS_TOL
+        and leaving[k, k].min() > FEAS_TOL
     ):
         return None
     return payoffs.min(axis=0), payoffs.max(axis=0)
@@ -313,7 +300,6 @@ def row_optima_column_extrema(
     A: GameMatrix,
     v: float,
     tol: float,
-    feas_tol: float = FEAS_TOL_DEFAULT,
     solution: GameSolution | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column extremes of (x^T A)_j over the row player's optimal set.
@@ -326,15 +312,14 @@ def row_optima_column_extrema(
     Otherwise each column payoff is maximized and minimized by LP, all 2n
     LPs as one `maximize_each` call over the region, started one column from
     the value-LP basis (`_region_start`) or, when that start is refused or
-    missing, by phase 1.  `tol` and `feas_tol` must be finite and positive
-    (InputError otherwise).
+    missing, by phase 1.  `tol` must be finite and positive (InputError
+    otherwise).
     """
     check_tolerance(tol, "tol")
-    check_tolerance(feas_tol, "feas_tol")
     V = A.values
     m, n = V.shape
     if solution is not None and solution.lp_basis is not None:
-        extrema = _vertex_extrema(V, v, tol, feas_tol, solution)
+        extrema = _vertex_extrema(V, v, tol, solution)
         if extrema is not None:
             return extrema
     region = LinearProgram(
@@ -352,7 +337,7 @@ def row_optima_column_extrema(
     objectives = [sign * V[:, j] for sign in (1.0, -1.0) for j in range(n)]
     extrema = np.empty(2 * n)
     start = None if solution is None else _region_start(solution)
-    for k, sol in enumerate(maximize_each(region, objectives, feas_tol, start)):
+    for k, sol in enumerate(maximize_each(region, objectives, start)):
         if sol.status is not LPStatus.OPTIMAL:
             raise RuntimeError(
                 f"optimal-set LP reported {sol.status.value}; the optimal "
@@ -362,15 +347,13 @@ def row_optima_column_extrema(
     return -extrema[n:], extrema[:n]
 
 
-def extrema_dominated(
-    mins: np.ndarray, maxs: np.ndarray, v: float, tol: float, feas_tol: float
-) -> bool:
+def extrema_dominated(mins: np.ndarray, maxs: np.ndarray, v: float, tol: float) -> bool:
     """Whether column payoff extrema over the optimal polytope stay at v.
 
-    The comparison allows feas_tol of LP arithmetic slack on top of tol: the
-    polytope boundary itself sits at v - tol, so extrema legitimately touch
-    v +/- tol exactly.
+    The comparison allows lp.FEAS_TOL of LP arithmetic slack on top of tol:
+    the polytope boundary itself sits at v - tol, so extrema legitimately
+    touch v +/- tol exactly.
     """
-    slack = tol + feas_tol
+    slack = tol + FEAS_TOL
     return bool(np.all(maxs <= v + slack) and np.all(mins >= v - slack))
 

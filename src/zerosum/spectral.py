@@ -16,13 +16,12 @@ from .core import (
     InvalidMatrixError,
     MixedStrategy,
     Player,
-    check_tolerance,
     normalized_strategy,
 )
-from .lp import FEAS_TOL_DEFAULT, LinearProgram, LPSolution, LPStatus, solve_lp
+from .lp import LinearProgram, LPSolution, LPStatus, solve_lp
 
 PERRON_RESIDUAL_TOL = 1e-10
-RANK_TOL_DEFAULT = 1e-9
+RANK_TOL = 1e-9
 GORDAN_WITNESS_TOL = 1e-9
 # Absolute slack on the row-sum bracket: the bracket is an exact statement
 # about the true root, and the estimate differs from it by mere roundoff.
@@ -106,21 +105,19 @@ def perron(A: GameMatrix) -> SpectralCert:
     return SpectralCert(perron_root=root, perron_vector=v, residual=residual)
 
 
-def null_space(A: GameMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> KernelBasis:
+def null_space(A: GameMatrix) -> KernelBasis:
     """Kernel basis of a square matrix from one singular value decomposition.
 
-    The rank is the number of singular values above rank_tol times the
+    The rank is the number of singular values above RANK_TOL times the
     largest absolute entry; the right singular vectors of the remaining
     singular values span the kernel, each normalized to unit infinity norm.
-    `rank_tol` must be finite and positive (InputError otherwise).
     """
-    check_tolerance(rank_tol, "rank_tol")
     if not A.is_square:
         raise InvalidMatrixError(
             f"null_space requires a square matrix, got {A.rows}x{A.cols}"
         )
     _, sigma, vt = np.linalg.svd(A.values)
-    rank = int(np.count_nonzero(sigma > rank_tol * float(np.abs(A.values).max())))
+    rank = int(np.count_nonzero(sigma > RANK_TOL * float(np.abs(A.values).max())))
     basis = []
     for vec in vt[rank:]:
         vec = vec / np.max(np.abs(vec))
@@ -129,20 +126,19 @@ def null_space(A: GameMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> KernelBasis
     return KernelBasis(dimension=len(basis), basis_vectors=tuple(basis))
 
 
-def _stochastic_kernel(M: np.ndarray, feas_tol: float) -> LPSolution:
+def _stochastic_kernel(M: np.ndarray) -> LPSolution:
     """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0."""
     m, n = M.shape
     E = np.concatenate([M, np.ones((1, n))])
     f = np.zeros(m + 1)
     f[m] = 1.0
-    return solve_lp(LinearProgram(np.zeros(n), eq_lhs=E, eq_rhs=f), feas_tol=feas_tol)
+    return solve_lp(LinearProgram(np.zeros(n), eq_lhs=E, eq_rhs=f))
 
 
 def stochastic_eigenvector(
     A: GameMatrix,
     eigenvalue: float,
     player: Player = Player.COL,
-    feas_tol: float = FEAS_TOL_DEFAULT,
 ) -> MixedStrategy | None:
     """A stochastic vector y with (A - eigenvalue*I) y = 0, or None.
 
@@ -153,13 +149,13 @@ def stochastic_eigenvector(
         raise InvalidMatrixError(
             f"stochastic_eigenvector requires a square matrix, got {A.rows}x{A.cols}"
         )
-    sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows), feas_tol)
+    sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows))
     if sol.status is not LPStatus.OPTIMAL:
         return None
     return normalized_strategy(sol.point, player)
 
 
-def gordan(A: GameMatrix, feas_tol: float = FEAS_TOL_DEFAULT) -> GordanVerdict:
+def gordan(A: GameMatrix) -> GordanVerdict:
     """Decide which Gordan alternative holds for A and return its witness.
 
     One LP decides: [A; 1^T] x = e_{m+1}, x >= 0.  Branch 1, when it is
@@ -170,7 +166,7 @@ def gordan(A: GameMatrix, feas_tol: float = FEAS_TOL_DEFAULT) -> GordanVerdict:
     certificate raises InconsistentAlternativesError.
     """
     V = A.values
-    kernel = _stochastic_kernel(V, feas_tol)
+    kernel = _stochastic_kernel(V)
     if kernel.status is LPStatus.OPTIMAL:
         x = normalized_strategy(kernel.point, Player.COL).weights
         if float(np.max(np.abs(V @ x))) > GORDAN_WITNESS_TOL:

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,32 @@ def rps() -> GameMatrix:
 @pytest.fixture
 def saddle() -> GameMatrix:
     return GameMatrix([[1, 2], [3, 4]])
+
+
+@pytest.fixture
+def tighter_lp_tol(monkeypatch):
+    """Context manager that sets the LP feasibility tolerance 10x tighter,
+    1e-10, inside its block.
+
+    `FEAS_TOL` is patched on every loaded zerosum module that defines it
+    (`zerosum.lp` and every module that imports the name), so the code must
+    read it inside function bodies, never as a default argument value.
+    """
+
+    @contextlib.contextmanager
+    def tighter():
+        owners = [
+            name
+            for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "zerosum" and hasattr(module, "FEAS_TOL")
+        ]
+        assert "zerosum.lp" in owners, owners
+        with monkeypatch.context() as patch:
+            for name in owners:
+                patch.setattr(sys.modules[name], "FEAS_TOL", 1e-10)
+            yield
+
+    return tighter
 
 
 def random_matrix(rng: np.random.Generator, max_m: int, max_n: int, lo=-5.0, hi=5.0):

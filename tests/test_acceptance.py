@@ -216,13 +216,14 @@ def test_criterion_09_shifted_eigen_family():
     report(9, ok, f"100 constant-sum matrices: all Holds, |v(A-lI)| max {worst:.2e}")
 
 
-def test_criterion_10_dominance_audit_fixture():
+def test_criterion_10_dominance_audit_fixture(tighter_lp_tol):
     saddle = GameMatrix([[1, 2], [3, 4]])
     rep = check_positive_dominated(saddle)
     hypothesis_met = (
         rep.computed["bracket_low"] <= rep.computed["value"] <= rep.computed["bracket_high"]
     )
-    tighter = check_positive_dominated(saddle, lp_tol=1e-10)
+    with tighter_lp_tol():
+        tighter = check_positive_dominated(saddle)
     equalizer = check_positive_dominated(GameMatrix([[2, 1], [1, 2]]))
     ok = (
         rep.verdict is Verdict.VIOLATED

@@ -2,11 +2,17 @@
 hooks the benchmark's tracer wraps."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import zerosum
+from zerosum.lp import maximize_each
+from zerosum.solver import extrema_dominated
 
 REMOVED = ("is_optimal_dominated", "matrix_rank", "uniform_strategy", "pure_strategy")
+# The LP feasibility and kernel rank tolerances are the module constants
+# `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters.
+REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol"}
 
 
 def test_every_exported_name_resolves_once():
@@ -19,6 +25,15 @@ def test_removed_names_stay_removed():
     for name in REMOVED:
         assert name not in zerosum.__all__
         assert not hasattr(zerosum, name), name
+
+
+def test_no_tolerance_knobs_in_signatures():
+    exported = [getattr(zerosum, name) for name in zerosum.__all__]
+    functions = [f for f in exported if inspect.isfunction(f)]
+    assert len(functions) > 20
+    for fn in functions + [maximize_each, extrema_dominated]:
+        params = set(inspect.signature(fn).parameters)
+        assert not params & REMOVED_PARAMETERS, fn.__name__
 
 
 def test_bench_tracer_finds_every_hook(monkeypatch):

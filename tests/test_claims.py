@@ -283,11 +283,12 @@ class TestPositiveDominated:
         assert "column_payoff_minima" not in rep.computed
         assert "column_payoff_maxima" not in rep.computed
 
-    def test_verdicts_stable_under_tighter_lp_tol(self, saddle):
-        loose = check_positive_dominated(saddle, lp_tol=1e-9)
-        tight = check_positive_dominated(saddle, lp_tol=1e-10)
+    def test_verdicts_stable_under_tighter_lp_tol(self, saddle, tighter_lp_tol):
+        loose = check_positive_dominated(saddle)
+        with tighter_lp_tol():
+            tight = check_positive_dominated(saddle)
+            holds = check_positive_dominated(GameMatrix([[2, 1], [1, 2]]))
         assert loose.verdict is tight.verdict is Verdict.VIOLATED
-        holds = check_positive_dominated(GameMatrix([[2, 1], [1, 2]]), lp_tol=1e-10)
         assert holds.verdict is Verdict.HOLDS
 
 
@@ -343,12 +344,15 @@ class TestReportMechanics:
         assert rep.verdict is Verdict.NOT_APPLICABLE
         assert "skew_residual" in rep.computed or "reason" in rep.computed
 
-    def test_violated_reports_tighter_tol_stability(self, rps, saddle):
+    def test_violated_reports_tighter_tol_stability(self, rps, saddle, tighter_lp_tol):
         for build in (
-            lambda lp: check_gordan_theorem3(rps, lp_tol=lp),
-            lambda lp: check_positive_dominated(saddle, lp_tol=lp),
+            lambda: check_gordan_theorem3(rps),
+            lambda: check_positive_dominated(saddle),
         ):
-            assert build(1e-9).verdict is build(1e-10).verdict is Verdict.VIOLATED
+            loose = build()
+            with tighter_lp_tol():
+                tight = build()
+            assert loose.verdict is tight.verdict is Verdict.VIOLATED
 
     def test_dispatch_matches_direct_call(self, rps):
         direct = check_skew(rps).to_canonical_json()
@@ -362,7 +366,7 @@ class TestReportMechanics:
         assert good[0].verdict is Verdict.HOLDS
 
     @pytest.mark.parametrize("bad", BAD_TOLERANCES)
-    @pytest.mark.parametrize("which", ["tol", "lp_tol"])
+    @pytest.mark.parametrize("which", ["tol"])
     def test_non_finite_or_non_positive_tolerances_rejected(self, rps, which, bad):
         # NaN or 0 used to reach the checkers, where every "<= tol" test fails
         # and the claim read Violated; inf made every such test pass.

@@ -48,6 +48,15 @@ class TestParseMatrix:
         parsed = parse_matrix("1, 2\n3,\t4")
         np.testing.assert_array_equal(parsed.values, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize(
+        "text,lineno", [("1,,2\n3,4", 1), (",1,2\n3,4", 1), ("1,2\n3,4,", 2)]
+    )
+    def test_empty_csv_field(self, text, lineno):
+        # Commas used to become spaces before the split, so a blank field
+        # vanished and the row shifted left.
+        with pytest.raises(MatrixParseError, match=f"line {lineno}"):
+            parse_matrix(text)
+
     def test_ragged_rows(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("1,2\n3")
@@ -78,6 +87,8 @@ class TestParseMatrix:
             "{nope",
             '{"rows": 1, "cols": 2, "entries": [[1, "x"]]}',
             '{"rows": 1, "cols": 1, "entries": [[null]]}',
+            '{"rows": 2, "cols": 2, "entries": [[true, 0], [0, 1]]}',
+            '{"rows": 1, "cols": 1, "entries": [["1"]]}',
         ]:
             with pytest.raises(MatrixParseError):
                 parse_matrix(doc, "json")

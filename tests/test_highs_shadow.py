@@ -26,7 +26,7 @@ import pytest
 import highs_oracle as highs
 from zerosum import ClaimId, GordanBranch, Verdict, run_checker
 from zerosum.claims import CLAIM_TOL_DEFAULT, STRATEGY_TOL_FACTOR
-from zerosum.lp import FEAS_TOL_DEFAULT
+from zerosum.lp import FEAS_TOL
 from conftest import ensemble, integer_positive_games
 
 pytest.importorskip("scipy.optimize")
@@ -51,7 +51,7 @@ def test_neg_transpose_values_match_highs(trials=40):
 def _shadow_positive_dominated(games):
     """Check each PositiveDominatedThm4 report against HiGHS; returns the
     number of reports that reach the extrema."""
-    tol, slack = CLAIM_TOL_DEFAULT, CLAIM_TOL_DEFAULT + FEAS_TOL_DEFAULT
+    tol, slack = CLAIM_TOL_DEFAULT, CLAIM_TOL_DEFAULT + FEAS_TOL
     applicable = 0
     for i, A in enumerate(games):
         [rep] = run_checker(ClaimId.POSITIVE_DOMINATED_THM4, A)

@@ -13,7 +13,6 @@ from zerosum import (
     row_optima_column_extrema,
     solve_game,
 )
-from zerosum.lp import FEAS_TOL_DEFAULT
 from zerosum.solver import extrema_dominated
 from conftest import BAD_TOLERANCES, ensemble, random_matrix, random_skew
 
@@ -64,8 +63,6 @@ class TestSolveGame:
     def test_non_finite_or_non_positive_tolerances_rejected(self, rps, bad):
         with pytest.raises(InputError, match="tol"):
             solve_game(rps, tol=bad)
-        with pytest.raises(InputError, match="feas_tol"):
-            solve_game(rps, feas_tol=bad)
         sol = solve_game(rps)
         with pytest.raises(InputError, match="tolerance"):
             dataclasses.replace(sol, tolerance=bad)
@@ -113,8 +110,8 @@ class TestGameValue:
 
         value_lp = solver_mod._value_lp
 
-        def pure_column_duals(B, feas_tol):
-            x, v, y, basis = value_lp(B, feas_tol)
+        def pure_column_duals(B):
+            x, v, y, basis = value_lp(B)
             return x, v, np.eye(len(y))[0], basis
 
         monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
@@ -128,8 +125,8 @@ class TestGameValue:
 
         value_lp = solver_mod._value_lp
 
-        def noisy_point(B, feas_tol):
-            x, v, y, basis = value_lp(B, feas_tol)
+        def noisy_point(B):
+            x, v, y, basis = value_lp(B)
             return x + np.array([-1e-11, 1e-11]), v, y, basis
 
         monkeypatch.setattr(solver_mod, "_value_lp", noisy_point)
@@ -187,7 +184,7 @@ class TestOracle:
 
 def _all_row_optima_dominated(A, v, tol):
     mins, maxs = row_optima_column_extrema(A, v, tol)
-    return extrema_dominated(mins, maxs, v, tol, FEAS_TOL_DEFAULT)
+    return extrema_dominated(mins, maxs, v, tol)
 
 
 class TestAllRowOptimaDominated:
@@ -201,8 +198,6 @@ class TestAllRowOptimaDominated:
     def test_non_finite_or_non_positive_tolerances_rejected(self, rps, bad):
         with pytest.raises(InputError, match="tol"):
             row_optima_column_extrema(rps, 0.0, bad)
-        with pytest.raises(InputError, match="feas_tol"):
-            row_optima_column_extrema(rps, 0.0, 1e-7, feas_tol=bad)
 
     def test_identity_boundary(self):
         # Optimal set degenerates to the equalizer; extrema touch v +/- tol.
