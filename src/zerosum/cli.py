@@ -159,9 +159,10 @@ def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
         if any(isinstance(v, (bool, str)) for row in entries for v in row):
             raise MatrixParseError("non-numeric entry: entries must be JSON numbers")
         try:
-            return GameMatrix([[float(v) for v in row] for row in entries])
-        except (TypeError, ValueError) as exc:
+            rows = [[float(v) for v in row] for row in entries]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MatrixParseError(f"non-numeric entry: {exc}") from exc
+        return GameMatrix(rows)
     raise InputError(f"unknown matrix format {fmt!r}")
 
 

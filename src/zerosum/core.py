@@ -268,7 +268,7 @@ class GameSolution:
     tolerance: float
     # Final basis of the value LP that produced the pair, in the solver's
     # column layout; the optimal-strategy extrema read the region's vertices
-    # off it, or start the region's LPs from it.
+    # off it.
     lp_basis: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:

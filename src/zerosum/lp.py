@@ -7,8 +7,8 @@ expressed here; an Infeasible result's `farkas` answers them (see spectral.gorda
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau.  `maximize_each` runs
 phase 1 once per region, then phase 2 once per objective, in order: the
-first from the start basis, each later one from the basis the previous
-phase 2 ended on.  `solve_lp` is the case of one objective.
+first from the basis phase 1 ended on, each later one from the basis the
+previous phase 2 ended on.  `solve_lp` is the case of one objective.
 
 At this scale a pivot is a few thousand flops, so numpy's Python-level
 wrappers (`np.max`, `np.argmax`, `np.outer`, `np.append`, `np.vstack`, ...)
@@ -19,17 +19,10 @@ operations in the same order as the wrapper, so results stay bit-identical.
 `_pivot` stays a module attribute that `_run_simplex` looks up once per
 pivot: tests and the benchmark's tracer count pivots by replacing it.
 
-Both take an optional starting basis.  Every Optimal solution returns its
-final `basis`: one column of [G; E | slacks] per row, where z_k is column k
-and the slack of inequality row i is column n_vars + i.  (When phase 1 drops
-a redundant row, the basis is one entry short and no longer a valid start.)
-A start is factored against the original rows with one dense solve and
-accepted when its x_B >= -FEAS_TOL; phase 2 then runs from it and phase 1 is
-skipped.  A start of the wrong length, a singular one or an infeasible one
-runs the cold two-phase path unchanged, so a start never changes which
-problems are solved, only where phase 2 begins.  A caller that knows a
-related LP's optimal basis (a region around its optimum) passes that basis
-in, and every check on the result stays as on a cold start.
+Every Optimal solution returns its final `basis`: one column of
+[G; E | slacks] per row, where z_k is column k and the slack of inequality
+row i is column n_vars + i.  (When phase 1 drops a redundant row, the basis
+is one entry short.)
 
 Every Optimal solution also carries `ineq_duals`, the multipliers y >= 0 of
 the `G z <= h` rows, read off the final phase-2 cost row: the reduced cost of
@@ -50,7 +43,6 @@ and h.w_G + f.w_E < 0.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +142,7 @@ class LPSolution:
     ineq_duals: np.ndarray | None = None
     # Phase-1 multipliers of the caller's rows (Infeasible only); see above.
     farkas: np.ndarray | None = None
-    # Final basis (Optimal only), a valid `start`; see the module docstring.
+    # Final basis (Optimal only); see the module docstring.
     basis: tuple[int, ...] | None = None
 
 
@@ -239,46 +231,34 @@ def _residual(p: LinearProgram, z: np.ndarray) -> float:
     return float(np.maximum(worst, 0.0))
 
 
-def solve_lp(p: LinearProgram, start: Sequence[int] | None = None) -> LPSolution:
+def solve_lp(p: LinearProgram) -> LPSolution:
     """Two-phase simplex.  Returns Optimal with a feasible point and its
     final `basis`, Infeasible with `farkas` when the phase-1 optimum exceeds
     FEAS_TOL, or Unbounded when an improving ray is certified.
-
-    `start`, a basis in the layout of `LPSolution.basis`, skips phase 1 when
-    it is primal feasible; any other start is ignored (module docstring).
     """
-    return _two_phase(p, p.objective[np.newaxis], start)[0]
+    return _two_phase(p, p.objective[np.newaxis])[0]
 
 
-def maximize_each(
-    region: LinearProgram,
-    objectives,
-    start: Sequence[int] | None = None,
-) -> list[LPSolution]:
+def maximize_each(region: LinearProgram, objectives) -> list[LPSolution]:
     """Maximize each objective over the feasible region of `region`.
 
     `region.objective` only fixes the number of variables; `objectives` holds
-    one vector of that length per row.  The start is `start` when it is a
-    primal feasible basis (see `solve_lp`); otherwise phase 1 runs once, and
-    when the region is infeasible every objective reports Infeasible.  Then
-    each objective runs phase 2, exactly as in `solve_lp`, in the order of
-    `objectives`: the first from the start basis, each later one from the
-    basis the previous phase 2 ended on (an Unbounded objective ends on a
-    feasible basis too, so later objectives are unaffected by it).  Results
-    are in the order of `objectives`.
+    one vector of that length per row.  Phase 1 runs once, and when the
+    region is infeasible every objective reports Infeasible.  Then each
+    objective runs phase 2, exactly as in `solve_lp`, in the order of
+    `objectives`: the first from the basis phase 1 ended on, each later one
+    from the basis the previous phase 2 ended on (an Unbounded objective ends
+    on a feasible basis too, so later objectives are unaffected by it).
+    Results are in the order of `objectives`.
     """
     costs = np.array(objectives, dtype=float)
     if costs.shape == (0,):  # [] is no objectives, not one empty objective
         costs = costs.reshape(0, region.n_vars)
     costs = _as_matrix(costs, region.n_vars, "objectives")
-    return _two_phase(region, costs, start)
+    return _two_phase(region, costs)
 
 
-def _two_phase(
-    region: LinearProgram,
-    costs: np.ndarray,
-    start: Sequence[int] | None,
-) -> list[LPSolution]:
+def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
     """`maximize_each` over already validated objective rows `costs`."""
     M = np.concatenate([region.ineq_lhs, region.eq_lhs])
     b = np.concatenate([region.ineq_rhs, region.eq_rhs])
@@ -297,13 +277,9 @@ def _two_phase(
     art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
     iter_limit = ITERATION_FACTOR * (N + n_ineq + art_rows.size + m)
 
-    started = _warm_start(body, b, start)
-    if started is None:
-        started = _phase_one(body, b, N, flipped, art_rows, iter_limit)
-        if isinstance(started, np.ndarray):  # Farkas multipliers
-            return [
-                LPSolution(status=LPStatus.INFEASIBLE, farkas=started) for _ in costs
-            ]
+    started = _phase_one(body, b, N, flipped, art_rows, iter_limit)
+    if isinstance(started, np.ndarray):  # Farkas multipliers
+        return [LPSolution(status=LPStatus.INFEASIBLE, farkas=started) for _ in costs]
     T, basis, keep = started
 
     # Phase 2 per objective, each from the basis the previous one left.
@@ -343,40 +319,6 @@ def _two_phase(
     return results
 
 
-def _warm_start(
-    body: np.ndarray, b: np.ndarray, start: Sequence[int] | None
-) -> tuple[np.ndarray, list[int], np.ndarray] | None:
-    """Phase-2 tableau at the basis `start`, or None to start cold.
-
-    The basis columns of `body` are factored against the original rows;
-    the start is refused when it has the wrong length, repeats or misses a
-    column, is singular, or puts x_B below -FEAS_TOL.  Entries of x_B in
-    [-FEAS_TOL, 0) are rounded to zero, which the phase-2 residual gate
-    vouches for.
-    """
-    m, width = body.shape
-    if start is None or len(start) != m or m == 0:
-        return None
-    basis = [int(j) for j in start]
-    if len(set(basis)) != m or not all(0 <= j < width for j in basis):
-        return None
-    try:
-        T_body = np.linalg.solve(
-            body[:, basis], np.concatenate([body, b[:, None]], axis=1)
-        )
-    except np.linalg.LinAlgError:
-        return None
-    x_B = T_body[:, -1]
-    if not (np.isfinite(T_body).all() and x_B.min() >= -FEAS_TOL):
-        return None
-    T = np.zeros((m + 1, width + 1))
-    T[:m] = T_body
-    # Exact unit columns at the basis, as a pivot would leave them.
-    T[:m, basis] = np.eye(m)
-    np.maximum(x_B, 0.0, out=T[:m, -1])
-    return T, basis, np.ones(m, dtype=bool)
-
-
 def _phase_one(
     body: np.ndarray,
     b: np.ndarray,
@@ -385,7 +327,7 @@ def _phase_one(
     art_rows: np.ndarray,
     iter_limit: int,
 ) -> tuple[np.ndarray, list[int], np.ndarray] | np.ndarray:
-    """Cold start: the phase-2 tableau, basis and kept rows of a feasible
+    """Phase 1: the phase-2 tableau, basis and kept rows of a feasible
     region, or the Farkas multipliers of an infeasible one."""
     m, width = body.shape
     n_ineq = width - N

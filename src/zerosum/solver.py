@@ -6,8 +6,7 @@ optimal-dominated decision procedures.
 inequality multipliers are a column strategy (LP duality is the minimax
 theorem).  The value LP's final basis is kept on the solution: its nonbasic
 columns are the facets of the optimal-strategy region, so
-`row_optima_column_extrema` reads the region's vertices off it, or starts
-its LPs one column away from it.
+`row_optima_column_extrema` reads the region's vertices off it.
 """
 
 from __future__ import annotations
@@ -224,28 +223,6 @@ def oracle_solve(A: GameMatrix) -> OracleSolution:
     raise RuntimeError("no valid support pair found; oracle bug")
 
 
-def _region_start(sol: GameSolution) -> list[int] | None:
-    """Start for the optimal-strategy region of `row_optima_column_extrema`
-    from the value-LP basis of the game's solution.
-
-    v is swapped for the slack of the binding column (nonbasic slack) with
-    the largest dual y_j.  Summing the binding rows with weights y shows that
-    slack is tol / y_j > 0 at the region's basic point, and x_B moves by
-    O(tol), so in a nondegenerate game the start is feasible.
-    """
-    if sol.lp_basis is None:
-        return None
-    m, n = len(sol.row_strategy), len(sol.col_strategy)
-    basic = set(sol.lp_basis)
-    binding = [j for j in range(n) if m + 1 + j not in basic]
-    if not binding:
-        return None
-    y = sol.col_strategy.weights
-    j = max(binding, key=lambda k: y[k])
-    # Region columns: x_i is i, the slack of column k's row is m + k.
-    return [m + j if b == m else b if b < m else b - 1 for b in sol.lp_basis]
-
-
 def _vertex_extrema(
     V: np.ndarray, v: float, tol: float, sol: GameSolution
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -310,10 +287,8 @@ def row_optima_column_extrema(
     solutions moved by tol (`_vertex_extrema`, which states the gate); in a
     nondegenerate game the region is a simplex and the gate passes.
     Otherwise each column payoff is maximized and minimized by LP, all 2n
-    LPs as one `maximize_each` call over the region, started one column from
-    the value-LP basis (`_region_start`) or, when that start is refused or
-    missing, by phase 1.  `tol` must be finite and positive (InputError
-    otherwise).
+    LPs as one `maximize_each` call over the region.  `tol` must be finite
+    and positive (InputError otherwise).
     """
     check_tolerance(tol, "tol")
     V = A.values
@@ -331,13 +306,12 @@ def row_optima_column_extrema(
     )
     # All maxima first, then all minima, each phase 2 starting from the
     # basis the previous one ended on: over 400 random 5x5 games with
-    # entries in {-1, 0, 1} (numpy default_rng(0)) these LPs took 3,272
-    # pivots in this order against 5,272 when +V[:, j] and -V[:, j]
+    # entries in {-1, 0, 1} (numpy default_rng(0)) these LPs took 4,882
+    # pivots in this order against 6,836 when +V[:, j] and -V[:, j]
     # alternate.
     objectives = [sign * V[:, j] for sign in (1.0, -1.0) for j in range(n)]
     extrema = np.empty(2 * n)
-    start = None if solution is None else _region_start(solution)
-    for k, sol in enumerate(maximize_each(region, objectives, start)):
+    for k, sol in enumerate(maximize_each(region, objectives)):
         if sol.status is not LPStatus.OPTIMAL:
             raise RuntimeError(
                 f"optimal-set LP reported {sol.status.value}; the optimal "

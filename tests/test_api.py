@@ -11,8 +11,9 @@ from zerosum.solver import extrema_dominated
 
 REMOVED = ("is_optimal_dominated", "matrix_rank", "uniform_strategy", "pure_strategy")
 # The LP feasibility and kernel rank tolerances are the module constants
-# `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters.
-REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol"}
+# `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters, and every LP starts
+# from phase 1, so no function takes a `start` basis.
+REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol", "start"}
 
 
 def test_every_exported_name_resolves_once():
@@ -27,7 +28,7 @@ def test_removed_names_stay_removed():
         assert not hasattr(zerosum, name), name
 
 
-def test_no_tolerance_knobs_in_signatures():
+def test_no_removed_knobs_in_signatures():
     exported = [getattr(zerosum, name) for name in zerosum.__all__]
     functions = [f for f in exported if inspect.isfunction(f)]
     assert len(functions) > 20

@@ -155,28 +155,27 @@ class TestCheckNegTranspose:
             assert abs(rep.computed["neg_transpose_value"] - cold) <= 1e-12
 
     @pytest.mark.parametrize(
-        "values,start_refused",
+        "values,gate_refuses",
         [
             (RPS_ENTRIES, False),
             ([[1, 2], [3, 4]], False),
             (np.eye(4), False),
             (np.zeros((2, 3)), False),
             (np.random.default_rng(3).uniform(-2, 2, (3, 5)), False),
-            # Degenerate: the vertex gate and the region start both refuse,
-            # so phase 1 runs.
+            # Degenerate: the vertex gate refuses, so both calls run the LP.
             ([[-1, 1, -1, 0], [0, 1, -1, 1]], True),
         ],
     )
-    def test_warm_started_solves_certify(self, values, start_refused):
+    def test_vertex_extrema_match_the_lp(self, values, gate_refuses):
         A = GameMatrix(values)
         sol = solve_game(A)
         assert check_neg_transpose(A).verdict is Verdict.HOLDS
-        warm = row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
-        cold = row_optima_column_extrema(A, sol.value, 1e-7)
-        if start_refused:
-            np.testing.assert_array_equal(warm, cold)
+        vertex = row_optima_column_extrema(A, sol.value, 1e-7, solution=sol)
+        lp = row_optima_column_extrema(A, sol.value, 1e-7)
+        if gate_refuses:
+            np.testing.assert_array_equal(vertex, lp)
         else:
-            np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(vertex, lp, rtol=0, atol=1e-9)
 
 
 class TestEigenspaceLemma5:

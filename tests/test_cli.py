@@ -16,6 +16,7 @@ from zerosum import (
     Family,
     GameMatrix,
     InputError,
+    InvalidMatrixError,
     MatrixParseError,
     generate_ensemble,
     parse_matrix,
@@ -89,9 +90,15 @@ class TestParseMatrix:
             '{"rows": 1, "cols": 1, "entries": [[null]]}',
             '{"rows": 2, "cols": 2, "entries": [[true, 0], [0, 1]]}',
             '{"rows": 1, "cols": 1, "entries": [["1"]]}',
+            # An integer beyond the float range makes float() overflow.
+            '{"rows": 1, "cols": 1, "entries": [[1%s]]}' % ("0" * 400),
         ]:
             with pytest.raises(MatrixParseError):
                 parse_matrix(doc, "json")
+        # 1e400 reads as inf: a number, so the matrix check names it.
+        with pytest.raises(InvalidMatrixError, match="finite") as info:
+            parse_matrix('{"rows": 1, "cols": 1, "entries": [[1e400]]}', "json")
+        assert not isinstance(info.value, MatrixParseError)
 
     def test_unknown_format(self, rps):
         with pytest.raises(InputError, match="unknown matrix format"):
@@ -300,6 +307,13 @@ class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run(capsys, "solve", "--input", str(DATA / "ragged.csv"))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("entry", ["1" + "0" * 400, "1e400"])
+    def test_json_entry_beyond_float_range_is_2(self, capsys, tmp_path, entry):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"rows": 1, "cols": 1, "entries": [[%s]]}' % entry)
+        code, out, err = run(capsys, "solve", "--format", "json", "--input", str(doc))
+        assert code == 2 and err.startswith("error:") and out == ""
 
     def test_missing_file_is_2(self, capsys):
         code, _, err = run(capsys, "solve", "--input", str(DATA / "nope.csv"))

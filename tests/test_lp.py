@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import highs_oracle as highs
 from zerosum import (
@@ -309,9 +307,9 @@ def test_degenerate_equalities_and_redundant_rows():
     assert abs(sol.objective_value - 1.0) <= 1e-9
 
 
-def _assert_matches_solve_lp(region, objectives, start=None):
+def _assert_matches_solve_lp(region, objectives):
     """maximize_each agrees with one fresh solve_lp per objective."""
-    got = maximize_each(region, objectives, start=start)
+    got = maximize_each(region, objectives)
     assert len(got) == len(objectives)
     for c, sol in zip(objectives, got):
         fresh = solve_lp(
@@ -330,27 +328,12 @@ def _assert_matches_solve_lp(region, objectives, start=None):
             assert abs(float(c @ sol.point) - sol.objective_value) <= 1e-12
 
 
-def _crash_basis(region, rng):
-    """A feasible basis of the region: the optimum of a random objective."""
-    crash = solve_lp(
-        LinearProgram(
-            objective=rng.uniform(-2, 2, region.n_vars),
-            ineq_lhs=region.ineq_lhs,
-            ineq_rhs=region.ineq_rhs,
-            eq_lhs=region.eq_lhs,
-            eq_rhs=region.eq_rhs,
-        )
-    )
-    return crash.basis
-
-
 def test_maximize_each_matches_solve_lp_on_random_regions():
     rng = np.random.default_rng(7)
     for _ in range(40):
         region, _ = _random_feasible_program(rng)
         objectives = [rng.uniform(-2, 2, region.n_vars) for _ in range(6)]
         _assert_matches_solve_lp(region, objectives)
-        _assert_matches_solve_lp(region, objectives, _crash_basis(region, rng))
 
 
 @pytest.mark.parametrize(
@@ -378,13 +361,11 @@ def test_maximize_each_on_degenerate_optimal_polytopes(values, value):
     rng = np.random.default_rng(3)
     objectives += list(rng.uniform(-1, 1, (4, m)))
     _assert_matches_solve_lp(region, objectives)
-    _assert_matches_solve_lp(region, objectives, _crash_basis(region, rng))
 
 
 def test_positive_game_extrema_take_no_pivots(pivot_log):
-    # A nondegenerate game's optimal-strategy region is a simplex whose every
-    # vertex is one pivot from the region start, so all 2n extrema are
-    # answered from the start and phase 2 never runs.
+    # A nondegenerate game's optimal-strategy region is a simplex whose
+    # vertices are read off the value LP's basis, so no extremum runs an LP.
     for i, A in enumerate(ensemble("Positive", 10, 40, 1)):
         sol = solve_game(A, 1e-7)
         pivot_log.clear()
@@ -553,24 +534,31 @@ def test_farkas_only_on_infeasible():
     assert unbounded.status is LPStatus.UNBOUNDED and unbounded.farkas is None
 
 
-def _warm_programs():
+def _feasible_programs():
     rng = np.random.default_rng(41)
     programs = [_random_feasible_program(rng)[0] for _ in range(30)]
     programs += [_random_leq_program(rng) for _ in range(30)]
     return programs
 
 
-def test_restart_from_optimal_basis_takes_no_pivots(pivot_log):
-    for p in _warm_programs():
-        cold = solve_lp(p)
-        assert cold.status is LPStatus.OPTIMAL
-        assert len(cold.basis) == p.ineq_lhs.shape[0] + p.eq_lhs.shape[0]
-        pivot_log.clear()
-        warm = solve_lp(p, start=cold.basis)
-        assert pivot_log == []
-        assert warm.basis == cold.basis
-        assert abs(warm.objective_value - cold.objective_value) <= 1e-12
-        np.testing.assert_allclose(warm.point, cold.point, rtol=0, atol=1e-12)
+def test_optimal_basis_factors_to_the_point():
+    # The basis layout is a contract: solver._vertex_extrema reads the value
+    # LP's basis through GameSolution.lp_basis.
+    for i, p in enumerate(_feasible_programs()):
+        sol = solve_lp(p)
+        assert sol.status is LPStatus.OPTIMAL, i
+        n_ineq = p.ineq_lhs.shape[0]
+        rows = n_ineq + p.eq_lhs.shape[0]
+        basis = list(sol.basis)
+        assert len(basis) == len(set(basis)) == rows, i
+        assert all(0 <= j < p.n_vars + n_ineq for j in basis), i
+        slacks = np.concatenate([np.eye(n_ineq), np.zeros((rows - n_ineq, n_ineq))])
+        body = np.concatenate([np.concatenate([p.ineq_lhs, p.eq_lhs]), slacks], axis=1)
+        u = np.zeros(body.shape[1])
+        u[basis] = np.linalg.solve(
+            body[:, basis], np.concatenate([p.ineq_rhs, p.eq_rhs])
+        )
+        np.testing.assert_allclose(u[: p.n_vars], sol.point, rtol=0, atol=1e-9)
 
 
 def _assert_same_solution(got, want):
@@ -616,8 +604,7 @@ def _one_objective_cases():
 
 def test_maximize_each_of_one_objective_is_solve_lp():
     # One objective has nothing to share, so maximize_each answers it as
-    # solve_lp does, bit for bit, from a cold start and from a warm one.
-    rng = np.random.default_rng(8)
+    # solve_lp does, bit for bit.
     for region, c in _one_objective_cases():
         p = LinearProgram(
             objective=c,
@@ -626,65 +613,8 @@ def test_maximize_each_of_one_objective_is_solve_lp():
             eq_lhs=region.eq_lhs,
             eq_rhs=region.eq_rhs,
         )
-        cold = solve_lp(p)
-        starts = [None]
-        if cold.status is LPStatus.OPTIMAL:
-            starts.append(_crash_basis(region, rng))
-        for start in starts:
-            (got,) = maximize_each(region, [c], start=start)
-            want = solve_lp(p, start=start)
-            _assert_same_solution(got, want)
-            np.testing.assert_array_equal(got.farkas, want.farkas)
-            assert got.primal_residual == want.primal_residual
-
-
-def test_refused_starts_give_the_cold_result():
-    # Slacks are columns 3 and 4; z2 duplicates z0's column.
-    p = LinearProgram(
-        objective=[1, 1, 0], ineq_lhs=[[1, 1, 1], [1, -1, 1]], ineq_rhs=[1, 0.5]
-    )
-    cold = solve_lp(p)
-    assert cold.status is LPStatus.OPTIMAL
-    refused = [
-        [0],  # wrong length
-        [0, 0],  # repeated column
-        [0, 5],  # out of range
-        [0, 2],  # singular
-        [0, 4],  # infeasible: z0 = 1 leaves slack 2 at -0.5
-    ]
-    for start in refused:
-        _assert_same_solution(solve_lp(p, start=start), cold)
-    region = LinearProgram(objective=[0, 0, 0], ineq_lhs=p.ineq_lhs, ineq_rhs=p.ineq_rhs)
-    objectives = [[1, 1, 0], [-1, 2, 1], [0, -1, -1]]
-    cold_each = maximize_each(region, objectives)
-    for start in refused:
-        for got, want in zip(maximize_each(region, objectives, start=start), cold_each):
-            _assert_same_solution(got, want)
-
-
-def test_start_ignored_when_the_region_is_infeasible():
-    p = LinearProgram(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1])
-    sol = solve_lp(p, start=[1])
-    assert sol.status is LPStatus.INFEASIBLE
-    np.testing.assert_array_equal(sol.farkas, solve_lp(p).farkas)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.booleans(),
-    st.integers(0, 100),
-    st.integers(0, 100),
-)
-def test_warm_start_from_perturbed_basis_matches_cold(seed, boxed, slot, column):
-    rng = np.random.default_rng(seed)
-    p = _random_feasible_program(rng)[0] if boxed else _random_leq_program(rng)
-    cold = solve_lp(p)
-    start = list(_crash_basis(p, rng))
-    start[slot % len(start)] = column % (p.n_vars + p.ineq_lhs.shape[0])
-    warm = solve_lp(p, start=start)
-    assert warm.status is cold.status
-    if cold.status is LPStatus.OPTIMAL:
-        scale = max(1.0, abs(cold.objective_value))
-        assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * scale
-        assert warm.primal_residual <= FEAS_TOL
+        (got,) = maximize_each(region, [c])
+        want = solve_lp(p)
+        _assert_same_solution(got, want)
+        np.testing.assert_array_equal(got.farkas, want.farkas)
+        assert got.primal_residual == want.primal_residual
