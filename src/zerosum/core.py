@@ -122,7 +122,10 @@ class GameMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float, order="C")
+        try:
+            arr = np.array(self.values, dtype=float, order="C")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidMatrixError("expected a rectangular matrix of numbers") from exc
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidMatrixError(
                 f"expected a nonempty 2-D matrix, got shape {arr.shape}"
@@ -171,6 +174,22 @@ class GameMatrix:
         return f"GameMatrix({self.rows}x{self.cols}[{body}])"
 
 
+def _weight_vector(weights) -> np.ndarray:
+    """A new nonempty, finite float vector holding `weights`, or
+    InvalidStrategyError."""
+    try:
+        w = np.array(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidStrategyError(
+            "strategy weights must be a vector of numbers"
+        ) from exc
+    if w.ndim != 1 or w.size == 0:
+        raise InvalidStrategyError("strategy must be a nonempty vector")
+    if not np.isfinite(w).all():
+        raise InvalidStrategyError("strategy weights must be finite")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability distribution over one player's pure strategies."""
@@ -179,18 +198,16 @@ class MixedStrategy:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidStrategyError("strategy must be a nonempty vector")
-        if not np.isfinite(w).all():
-            raise InvalidStrategyError("strategy weights must be finite")
-        if np.any(w < 0.0):
+        w = _weight_vector(self.weights)
+        lowest = np.minimum.reduce(w)
+        if lowest < 0.0:
             raise InvalidStrategyError(
-                f"negative weight {w.min():g}; use validate_strategy to clamp noise"
+                f"negative weight {lowest:g}; use validate_strategy to clamp noise"
             )
-        if abs(w.sum() - 1.0) > STRATEGY_SUM_TOL:
+        total = np.add.reduce(w)
+        if abs(total - 1.0) > STRATEGY_SUM_TOL:
             raise InvalidStrategyError(
-                f"weights sum to {w.sum()!r}, not 1; use validate_strategy to repair"
+                f"weights sum to {total!r}, not 1; use validate_strategy to repair"
             )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -213,11 +230,7 @@ def validate_strategy(weights, player: Player = Player.ROW) -> MixedStrategy:
     Entries in [-1e-12, 0) are clamped to zero; sums within 1e-9 of 1 are
     renormalized.  Anything dirtier is rejected with InvalidStrategyError.
     """
-    w = np.array(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidStrategyError("strategy must be a nonempty vector")
-    if not np.isfinite(w).all():
-        raise InvalidStrategyError("strategy weights must be finite")
+    w = _weight_vector(weights)
     if np.any(w < -NEGATIVE_CLAMP_TOL):
         raise InvalidStrategyError(
             f"weight {w.min():g} is negative beyond tolerance {-NEGATIVE_CLAMP_TOL:g}"
@@ -233,8 +246,8 @@ def validate_strategy(weights, player: Player = Player.ROW) -> MixedStrategy:
 def normalized_strategy(z, player: Player) -> MixedStrategy:
     """An LP vector z clipped at 0 and divided by its sum.  LP duals may sit
     about PIVOT_TOL below 0, so nothing is rejected: the caller certifies."""
-    w = np.clip(z, 0.0, None)
-    return MixedStrategy(player, w / w.sum())
+    w = np.maximum(z, 0.0)
+    return MixedStrategy(player, w / np.add.reduce(w))
 
 
 def payoff(A: GameMatrix, x: MixedStrategy, y: MixedStrategy) -> float:

@@ -10,14 +10,23 @@ phase 1 once per region, then phase 2 once per objective, in order: the
 first from the basis phase 1 ended on, each later one from the basis the
 previous phase 2 ended on.  `solve_lp` is the case of one objective.
 
-At this scale a pivot is a few thousand flops, so numpy's Python-level
-wrappers (`np.max`, `np.argmax`, `np.outer`, `np.append`, `np.vstack`, ...)
-cost more than the arithmetic.  Code that runs per pivot, per objective or
-per call therefore uses ndarray methods (`a.max()`, `a.argmax()`,
-`a.nonzero()`), ufuncs and `np.concatenate`, each doing the same IEEE
-operations in the same order as the wrapper, so results stay bit-identical.
-`_pivot` stays a module attribute that `_run_simplex` looks up once per
-pivot: tests and the benchmark's tracer count pivots by replacing it.
+At this scale a pivot is a few thousand flops, so what a numpy call costs
+is its dispatch, not its arithmetic, and a call that runs Python code
+inside numpy costs more still.  Such calls include `np.max`, `np.clip`,
+`np.outer`, `np.append` and `np.vstack`, and in numpy 2.x also the ndarray
+methods `a.min()`, `a.max()`, `a.sum()`, `a.any()` and `a.all()`, which
+forward to `numpy._core._methods`.  So:
+  - a reduction is a `ufunc.reduce` (`np.maximum.reduce(a)`, not
+    `a.max()`), or in the pivot loop `a[a.argmin()]`, which is cheaper;
+  - the pivot loop otherwise calls only ufuncs, writing with `out=` and
+    `where=` into buffers made once per call where it can, basic slices,
+    and the ndarray methods `argmax`, `argmin`, `nonzero`, `fill` and
+    `copy`; only its rare tie and rhs-dust branches index with arrays;
+  - arrays are joined with `np.concatenate`.
+Each form does the same IEEE operations in the same order as the call it
+replaces, so results stay bit-identical.  `_pivot` stays a module attribute
+that `_run_simplex` looks up once per pivot: tests and the benchmark's
+tracer count pivots by replacing it.
 
 Every Optimal solution returns its final `basis`: one column of
 [G; E | slacks] per row, where z_k is column k and the slack of inequality
@@ -73,26 +82,41 @@ class LPStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
+def _as_floats(v, name: str) -> np.ndarray:
+    """A new float array holding v: DimensionMismatchError when v is ragged,
+    InputError when an entry is not a number."""
+    try:
+        return np.array(v, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        try:
+            np.asarray(v)
+        except ValueError:
+            raise DimensionMismatchError(f"{name} is ragged") from exc
+        raise InputError(f"{name} must have numeric entries") from exc
+
+
 def _as_matrix(M, n_cols: int, name: str) -> np.ndarray:
     if M is None:
         return np.zeros((0, n_cols))
-    arr = np.array(M, dtype=float)
+    arr = _as_floats(M, name)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[1] != n_cols:
         raise DimensionMismatchError(
             f"{name} has {arr.shape[1]} columns, expected {n_cols}"
         )
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InputError(f"{name} must have finite entries")
     return arr
 
 
-def _as_vector(v, n: int, name: str) -> np.ndarray:
-    arr = np.array(v, dtype=float)
-    if arr.ndim != 1 or arr.size != n:
-        raise DimensionMismatchError(f"{name} must be a vector of length {n}")
-    if not np.isfinite(arr).all():
+def _as_vector(v, n: int | None, name: str) -> np.ndarray:
+    """v as a float vector, of length n unless n is None."""
+    arr = _as_floats(v, name)
+    if arr.ndim != 1 or n is not None and arr.size != n:
+        length = "" if n is None else f" of length {n}"
+        raise DimensionMismatchError(f"{name} must be a vector{length}")
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InputError(f"{name} must have finite entries")
     return arr
 
@@ -112,7 +136,7 @@ class LinearProgram:
     eq_rhs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = _as_vector(self.objective, np.asarray(self.objective).size, "objective")
+        c = _as_vector(self.objective, None, "objective")
         if c.size == 0:
             raise InputError("objective must be nonempty")
         fields = {"objective": c}
@@ -147,16 +171,19 @@ class LPSolution:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    prow = T[row]
+    prow /= prow[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= factors[:, None] * T[row]
+    T -= factors[:, None] * prow
     # The entering column is now an exact unit vector without cleanup: the
     # division left T[row, col] = x / x = 1.0, so every other entry became
     # a - a * 1.0 = +0.0.  Rhs dust is killed so the ratio test never sees
-    # a slightly negative rhs.
+    # a slightly negative rhs.  Dust is rare, so the masks run only when the
+    # smallest rhs is negative or NaN (argmin finds a NaN first).
     rhs = T[:-1, -1]
-    rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
+    if not rhs[rhs.argmin()] >= 0.0:
+        rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
 
 
 def _run_simplex(
@@ -181,29 +208,46 @@ def _run_simplex(
     pivot on the roundoff of a zero would spoil its verdict and multipliers,
     unchecked.
     """
+    # Views stay valid: T only ever changes in place.
+    reduced = T[-1, :-1]
+    body = T[:-1, :-1]
+    rhs = T[:-1, -1]
+    m = rhs.size
+    eligible = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    magnitudes = np.empty(m)
     stalled = 0
     for _ in range(iter_limit):
-        reduced = T[-1, :-1]
         if stalled < DEGENERATE_STALL:
             enter = int(reduced.argmax())
         else:
             enter = int((reduced > PIVOT_TOL).argmax())  # first improving
         if reduced[enter] <= PIVOT_TOL:
             return "optimal"
-        col = T[:-1, enter]
-        tol = PIVOT_TOL * max(1.0, np.abs(col).max()) if bounded else PIVOT_TOL
-        rows = (col > tol).nonzero()[0]
-        if rows.size == 0:
+        col = body[:, enter]
+        tol = PIVOT_TOL
+        if bounded and m:
+            np.abs(col, out=magnitudes)
+            tol *= max(1.0, magnitudes[magnitudes.argmax()])
+        np.greater(col, tol, out=eligible)
+        # argmax finds the first eligible row; an LP without rows has none.
+        if m == 0 or not eligible[eligible.argmax()]:
             if bounded:
-                T[-1, enter] = 0.0
+                reduced[enter] = 0.0
                 continue
             return "unbounded"
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=eligible)
+        leave = int(ratios.argmin())
+        best = ratios[leave]
         stalled = stalled + 1 if best <= PIVOT_TOL else 0
-        ties = rows[ratios == best]
-        # Ties almost always hold one row; skip the key lookup then.
-        leave = int(ties[0] if ties.size == 1 else min(ties, key=basis.__getitem__))
+        ties = (ratios == best).nonzero()[0]
+        # Ties almost always hold one row; skip the key lookup then.  A NaN
+        # ratio ties with nothing, so min() raises rather than pivot on it.
+        if ties.size != 1:
+            if best == np.inf:  # each eligible ratio overflowed; drop the fill
+                ties = ties[eligible[ties]]
+            leave = min(ties.tolist(), key=basis.__getitem__)
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise IterationLimitError(
@@ -223,11 +267,12 @@ def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.n
 def _residual(p: LinearProgram, z: np.ndarray) -> float:
     """Largest violation of p's constraints, z >= 0 included, at the point z;
     0.0 when feasible."""
-    worst = (-z).max()
+    worst = np.maximum.reduce(-z)
     if p.ineq_lhs.shape[0]:
-        worst = np.maximum(worst, (z @ p.ineq_lhs.T - p.ineq_rhs).max())
+        worst = np.maximum(worst, np.maximum.reduce(z @ p.ineq_lhs.T - p.ineq_rhs))
     if p.eq_lhs.shape[0]:
-        worst = np.maximum(worst, np.abs(z @ p.eq_lhs.T - p.eq_rhs).max())
+        eq_gap = np.abs(z @ p.eq_lhs.T - p.eq_rhs)
+        worst = np.maximum(worst, np.maximum.reduce(eq_gap))
     return float(np.maximum(worst, 0.0))
 
 
@@ -251,7 +296,7 @@ def maximize_each(region: LinearProgram, objectives) -> list[LPSolution]:
     on a feasible basis too, so later objectives are unaffected by it).
     Results are in the order of `objectives`.
     """
-    costs = np.array(objectives, dtype=float)
+    costs = _as_floats(objectives, "objectives")
     if costs.shape == (0,):  # [] is no objectives, not one empty objective
         costs = costs.reshape(0, region.n_vars)
     costs = _as_matrix(costs, region.n_vars, "objectives")
@@ -372,7 +417,7 @@ def _phase_one(
                 basis[r] = col
             else:
                 keep[r] = False
-    if not keep.all():
+    if not np.logical_and.reduce(keep):
         T = np.concatenate([T[:-1][keep], T[-1:]])
         basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
     T = np.concatenate([T[:, :width], T[:, total:]], axis=1)

@@ -17,7 +17,7 @@ from zerosum import (
     payoff,
     validate_strategy,
 )
-from zerosum.core import canonical_json
+from zerosum.core import canonical_json, normalized_strategy
 
 
 class TestGameMatrix:
@@ -37,6 +37,12 @@ class TestGameMatrix:
             GameMatrix(np.zeros((0, 3)))
         with pytest.raises(InvalidMatrixError):
             GameMatrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("values", [[[1, 2], [3]], [["a"]], [[10**400]]])
+    def test_rejects_ragged_and_non_numeric(self, values):
+        with pytest.raises(InvalidMatrixError) as err:
+            GameMatrix(values)
+        assert isinstance(err.value.__cause__, (TypeError, ValueError, OverflowError))
 
     def test_entry_out_of_range(self, rps):
         with pytest.raises(DimensionMismatchError):
@@ -96,6 +102,12 @@ class TestMixedStrategy:
             with pytest.raises(InvalidStrategyError):
                 MixedStrategy(Player.ROW, weights)
 
+    @pytest.mark.parametrize("weights", [[[0.5], [0.5, 0]], ["x", 1.0], [{}, 1.0]])
+    def test_rejects_ragged_and_non_numeric(self, weights):
+        with pytest.raises(InvalidStrategyError) as err:
+            MixedStrategy(Player.ROW, weights)
+        assert isinstance(err.value.__cause__, (TypeError, ValueError))
+
     def test_support(self):
         s = MixedStrategy(Player.COL, [0.5, 0.0, 0.5])
         assert s.support() == (0, 2)
@@ -127,6 +139,12 @@ class TestValidateStrategy:
     def test_renormalizes_small_drift(self):
         s = validate_strategy([0.5 + 2e-10, 0.5])
         assert abs(s.weights.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("weights", [[[0.5], [0.5, 0]], ["x", 1.0], [10**400]])
+    def test_rejects_ragged_and_non_numeric(self, weights):
+        with pytest.raises(InvalidStrategyError) as err:
+            validate_strategy(weights)
+        assert isinstance(err.value.__cause__, (TypeError, ValueError, OverflowError))
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidStrategyError):
@@ -214,6 +232,21 @@ def test_payoff_constant_shift(data, c):
     A, x, _, y = data
     shifted = GameMatrix(A.values + c)
     assert abs(payoff(shifted, x, y) - (payoff(A, x, y) + c)) <= 1e-10
+
+
+def test_normalized_strategy_is_the_clipped_ratio_bit_for_bit():
+    # np.clip(z, 0.0, None) calls np.maximum(z, 0.0), and w.sum() calls
+    # np.add.reduce(w): the same operations in the same order.
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        z = rng.uniform(-1e-11, 1.0, int(rng.integers(1, 40)))
+        z[rng.random(z.size) < 0.2] = -0.0
+        if not (z > 0.0).any():
+            z[0] = 1.0
+        w = np.clip(z, 0.0, None)
+        want = w / w.sum()
+        got = normalized_strategy(z, Player.ROW).weights
+        assert got.tobytes() == want.tobytes()
 
 
 def test_canonical_json_empty_containers_and_unknown_types():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from zerosum.lp import (
     _pivot,
     _priced_cost_row,
     _residual,
+    _run_simplex,
     maximize_each,
 )
 from conftest import ensemble
@@ -111,6 +114,40 @@ class TestValidation:
             LinearProgram(objective=[1], eq_lhs=[[float("inf")]], eq_rhs=[1])
         with pytest.raises(InputError, match="nonempty"):
             LinearProgram(objective=[])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(objective=[1, 2], ineq_lhs=[[1], [1, 2]], ineq_rhs=[0, 0]),
+            dict(objective=[1], ineq_lhs=[[1]], ineq_rhs=[[0], [1, 2]]),
+            dict(objective=[[1], [1, 2]]),
+        ],
+    )
+    def test_ragged_input_is_a_dimension_mismatch(self, kwargs):
+        with pytest.raises(DimensionMismatchError) as err:
+            LinearProgram(**kwargs)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(objective=["x"]),
+            dict(objective=[10**400]),
+            dict(objective=[1], eq_lhs=[[{}]], eq_rhs=[1]),
+        ],
+    )
+    def test_non_numeric_input_is_an_input_error(self, kwargs):
+        with pytest.raises(InputError) as err:
+            LinearProgram(**kwargs)
+        assert not isinstance(err.value, DimensionMismatchError)
+        assert isinstance(err.value.__cause__, (TypeError, ValueError, OverflowError))
+
+    def test_ragged_or_non_numeric_objectives(self):
+        region = LinearProgram(objective=[1, 2])
+        with pytest.raises(DimensionMismatchError):
+            maximize_each(region, [[1], [1, 2]])
+        with pytest.raises(InputError, match="numeric"):
+            maximize_each(region, [["a", 1]])
 
     def test_objective_length_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -265,6 +302,112 @@ def test_pivot_rhs_dust_rule():
     # The cost row is not a rhs: its dust is kept.
     assert T[-1, -1] == -PIVOT_TOL / 2
     assert T[:, 0].tolist() == [1.0] + [0.0] * (len(rhs) - 1)
+
+
+@pytest.fixture
+def pivot_at(monkeypatch):
+    """One (row, col) pair per pivot."""
+    import zerosum.lp as lp_mod
+
+    log = []
+    pivot = lp_mod._pivot
+
+    def recording(T, row, col):
+        log.append((row, col))
+        pivot(T, row, col)
+
+    monkeypatch.setattr(lp_mod, "_pivot", recording)
+    return log
+
+
+def _tableau(rows, cost):
+    """Tableau of constraint rows [body | rhs] under a cost row [reduced | -obj]."""
+    return np.array([*rows, cost], dtype=float)
+
+
+class TestRatioTest:
+    def test_tie_leaves_the_smaller_basic_variable(self, pivot_at):
+        # Column 0 enters; both rows have ratio 2, and the lower row holds
+        # basic variable 1 < 2, so it leaves although it comes second.
+        T = _tableau([[1, 0, 1, 2], [1, 1, 0, 2]], [1, 0, 0, 0])
+        basis = [2, 1]
+        assert _run_simplex(T, basis, 10) == "optimal"
+        assert pivot_at == [(1, 0)]
+        assert basis == [2, 0]
+
+    def test_ineligible_rows_do_not_tie_with_an_overflowed_ratio(self, pivot_at):
+        # Row 1's ratio 1e300 / 1e-10 overflows to inf.  Rows 0 and 2 have no
+        # positive entry and hold smaller basic variables, yet row 1 leaves.
+        T = _tableau(
+            [[0, 1, 0, 0, 1], [1e-10, 0, 1, 0, 1e300], [-1, 0, 0, 1, 1]],
+            [1, 0, 0, 0, 0],
+        )
+        basis = [1, 2, 3]
+        with np.errstate(all="ignore"):  # the pivot spreads inf and NaN
+            assert _run_simplex(T, basis, 10) == "optimal"
+        assert pivot_at == [(1, 0)]
+        assert basis == [1, 0, 3]
+
+    def test_bounded_zeroes_a_column_of_dust_and_prices_on(self, pivot_at):
+        # Column 0's only positive entry, 2e-11, passes PIVOT_TOL but not
+        # PIVOT_TOL scaled by the column's largest magnitude, 3.
+        rows = [[2e-11, 1, 1, 0, 1], [-3, 2, 0, 1, 4]]
+        cost = [2, 1, 0, 0, 0]
+        T = _tableau(rows, cost)
+        assert _run_simplex(T, [2, 3], 10, bounded=True) == "optimal"
+        assert pivot_at == [(0, 1)]
+        # Zeroed, then reduced by row 0's 2e-11 in the pivot on column 1.
+        assert T[-1, 0] == -2e-11
+        pivot_at.clear()
+        _run_simplex(_tableau(rows, cost), [2, 3], 10)
+        assert pivot_at[0] == (0, 0)
+
+    def test_no_positive_entry_is_unbounded(self, pivot_at):
+        T = _tableau([[-1, 1, 0, 1], [0, 0, 1, 2]], [1, 0, 0, 0])
+        before = T.copy()
+        assert _run_simplex(T, [1, 2], 10) == "unbounded"
+        assert pivot_at == []
+        assert T.tobytes() == before.tobytes()
+
+    def test_no_rows(self, pivot_at):
+        assert _run_simplex(_tableau([], [1, 0]), [], 10) == "unbounded"
+        T = _tableau([], [1, 0])
+        assert _run_simplex(T, [], 10, bounded=True) == "optimal"
+        assert T[-1, 0] == 0.0
+        assert pivot_at == []
+
+
+def test_pivot_loop_calls_no_python_level_numpy_wrapper():
+    # In numpy 2.x `a.min()`, `a.max()`, `a.sum()`, `a.any()` and `a.all()`
+    # run Python code in numpy's `_methods`, and `np.max`, `np.clip`, ... in
+    # `fromnumeric`; the pivot loop calls neither (see the lp docstring).
+    try:
+        from numpy._core import _methods, fromnumeric
+    except ImportError:  # numpy 1.x
+        from numpy.core import _methods, fromnumeric
+    import zerosum.lp as lp_mod
+
+    wrappers = {_methods.__file__, fromnumeric.__file__}
+    loop = {lp_mod._run_simplex.__code__, lp_mod._pivot.__code__}
+    entered = {code: 0 for code in loop}
+    wrapped = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in loop:
+            entered[frame.f_code] += 1
+        elif frame.f_code.co_filename in wrappers and frame.f_back.f_code in loop:
+            wrapped.append((frame.f_back.f_code.co_name, frame.f_code.co_name))
+
+    A = ensemble("General", 30, 1, 7)[0]
+    sys.setprofile(profile)
+    try:
+        solve_game(A)
+    finally:
+        sys.setprofile(None)
+    assert wrapped == []
+    assert all(entered.values()), entered
 
 
 def test_residual_counts_negative_coordinates():
