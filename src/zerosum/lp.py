@@ -22,11 +22,27 @@ forward to `numpy._core._methods`.  So:
     `where=` into buffers made once per call where it can, basic slices,
     and the ndarray methods `argmax`, `argmin`, `nonzero`, `fill` and
     `copy`; only its rare tie and rhs-dust branches index with arrays;
-  - arrays are joined with `np.concatenate`.
+  - the rank-one update of a pivot is `np.dot` of a column by a row, which
+    BLAS runs as a matrix product with inner dimension 1 (`@` and
+    `np.multiply.outer` cost more than the broadcast product it replaces);
+  - arrays are joined with `np.concatenate`, with `out=` where the result
+    is part of a larger array.
 Each form does the same IEEE operations in the same order as the call it
-replaces, so results stay bit-identical.  `_pivot` stays a module attribute
-that `_run_simplex` looks up once per pivot: tests and the benchmark's
-tracer count pivots by replacing it.
+replaces, so results stay bit-identical.  The one exception is the sign of
+a zero.  An entry of an inner-dimension-1 product is one correctly rounded
+product, as in the broadcast, but BLAS adds it to a +0 start, which turns a
+-0 product into +0.  So a -0 entry of the tableau that meets a -0 product
+stays -0, where the broadcast made it -0 - -0 = +0.  No comparison, argmin
+or argmax tells the two apart, and `core.canonical_float` renders both as
+"0", so pivots and reports do not change.  Nor do they change with the
+BLAS thread count: every product is computed alone, in whichever thread.
+
+A tie in the ratio test is rare, so it is found without building the tie
+set: the first and the last minimum (argmin of a reversed view) differ
+exactly when two rows tie.  Only then are the tied rows listed.
+
+`_pivot` stays a module attribute that `_run_simplex` looks up once per
+pivot: tests and the benchmark's tracer count pivots by replacing it.
 
 Every Optimal solution returns its final `basis`: one column of
 [G; E | slacks] per row, where z_k is column k and the slack of inequality
@@ -171,16 +187,17 @@ class LPSolution:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    prow = T[row]
-    prow /= prow[col]
-    factors = T[:, col].copy()
+    prow = T[row : row + 1]
+    prow /= prow[0, col]
+    factors = T[:, col : col + 1].copy()
     factors[row] = 0.0
-    T -= factors[:, None] * prow
+    T -= np.dot(factors, prow)
     # The entering column is now an exact unit vector without cleanup: the
     # division left T[row, col] = x / x = 1.0, so every other entry became
-    # a - a * 1.0 = +0.0.  Rhs dust is killed so the ratio test never sees
-    # a slightly negative rhs.  Dust is rare, so the masks run only when the
-    # smallest rhs is negative or NaN (argmin finds a NaN first).
+    # a - a * 1.0 = 0.0 (-0.0 if a was; see the module docstring).  Rhs dust
+    # is killed so the ratio test never sees a slightly negative rhs.  Dust
+    # is rare, so the masks run only when the smallest rhs is negative or
+    # NaN (argmin finds a NaN first).
     rhs = T[:-1, -1]
     if not rhs[rhs.argmin()] >= 0.0:
         rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
@@ -213,8 +230,17 @@ def _run_simplex(
     body = T[:-1, :-1]
     rhs = T[:-1, -1]
     m = rhs.size
+    if m == 0:
+        # No rows, so no ratio: an improving column is a ray, or in phase 1
+        # dust that is zeroed.  NaN counts as improving, as argmax finds it.
+        improving = ~(reduced <= PIVOT_TOL)
+        if not bounded:
+            return "unbounded" if np.logical_or.reduce(improving) else "optimal"
+        reduced[improving] = 0.0
+        return "optimal"
     eligible = np.empty(m, dtype=bool)
     ratios = np.empty(m)
+    ratios_reversed = ratios[::-1]  # its argmin finds the last minimum
     magnitudes = np.empty(m)
     stalled = 0
     for _ in range(iter_limit):
@@ -226,26 +252,36 @@ def _run_simplex(
             return "optimal"
         col = body[:, enter]
         tol = PIVOT_TOL
-        if bounded and m:
+        if bounded:
             np.abs(col, out=magnitudes)
             tol *= max(1.0, magnitudes[magnitudes.argmax()])
         np.greater(col, tol, out=eligible)
-        # argmax finds the first eligible row; an LP without rows has none.
-        if m == 0 or not eligible[eligible.argmax()]:
-            if bounded:
-                reduced[enter] = 0.0
-                continue
-            return "unbounded"
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=eligible)
         leave = int(ratios.argmin())
         best = ratios[leave]
-        stalled = stalled + 1 if best <= PIVOT_TOL else 0
-        ties = (ratios == best).nonzero()[0]
-        # Ties almost always hold one row; skip the key lookup then.  A NaN
-        # ratio ties with nothing, so min() raises rather than pivot on it.
-        if ties.size != 1:
-            if best == np.inf:  # each eligible ratio overflowed; drop the fill
+        # The minimum is inf when no row is eligible, and rarely when every
+        # eligible ratio overflowed; argmax finds the first eligible row.
+        if best == np.inf and not eligible[eligible.argmax()]:
+            if bounded:
+                reduced[enter] = 0.0
+                continue
+            return "unbounded"
+        if best > PIVOT_TOL:
+            stalled = 0
+        elif best <= PIVOT_TOL:
+            stalled += 1
+        else:  # argmin finds a NaN first
+            raise RuntimeError(
+                f"NaN minimum ratio in column {enter}: the tableau overflowed; "
+                "solver bug"
+            )
+        # A tie holds the first and the last minimum apart.  Then the row
+        # with the smallest basic variable leaves; when the minimum is inf,
+        # only among eligible rows, since the fill is inf too.
+        if leave != m - 1 - int(ratios_reversed.argmin()):
+            ties = (ratios == best).nonzero()[0]
+            if best == np.inf:
                 ties = ties[eligible[ties]]
             leave = min(ties.tolist(), key=basis.__getitem__)
         _pivot(T, leave, enter)
@@ -305,22 +341,26 @@ def maximize_each(region: LinearProgram, objectives) -> list[LPSolution]:
 
 def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
     """`maximize_each` over already validated objective rows `costs`."""
-    M = np.concatenate([region.ineq_lhs, region.eq_lhs])
-    b = np.concatenate([region.ineq_rhs, region.eq_rhs])
-    m, N = M.shape
+    n_ineq, N = region.ineq_lhs.shape
+    m = n_ineq + region.eq_lhs.shape[0]
+    width = N + n_ineq
+    # [G | I | h; E | 0 | f] in one array: the rows with their slacks and rhs.
+    rows = np.zeros((m, width + 1))
+    body, b = rows[:, :width], rows[:, width]
+    np.concatenate([region.ineq_lhs, region.eq_lhs], out=rows[:, :N])
+    np.concatenate([region.ineq_rhs, region.eq_rhs], out=b)
+    # The I block's diagonal: entry (i, N + i) is N + i * (width + 2) flat.
+    slack = rows.reshape(-1)[N : n_ineq * (width + 2) : width + 2]
+    slack.fill(1.0)
+    # A row with a negative rhs is negated, its slack with it.
     flipped = b < 0.0
-    M[flipped] *= -1.0
-    b[flipped] *= -1.0
-
-    # Slack columns for inequality rows, negated on a flipped row.
-    n_ineq = region.ineq_lhs.shape[0]
-    slack = np.zeros((m, n_ineq))
-    for i in range(n_ineq):
-        slack[i, i] = -1.0 if flipped[i] else 1.0
-    body = np.concatenate([M, slack], axis=1)
+    if np.logical_or.reduce(flipped):
+        rows[flipped, :N] *= -1.0
+        b[flipped] *= -1.0
+        slack[flipped[:n_ineq]] = -1.0
     # Every row but an unflipped inequality takes an artificial in phase 1.
     art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
-    iter_limit = ITERATION_FACTOR * (N + n_ineq + art_rows.size + m)
+    iter_limit = ITERATION_FACTOR * (width + art_rows.size + m)
 
     started = _phase_one(body, b, N, flipped, art_rows, iter_limit)
     if isinstance(started, np.ndarray):  # Farkas multipliers
@@ -329,14 +369,14 @@ def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
 
     # Phase 2 per objective, each from the basis the previous one left.
     results = []
-    phase2_costs = np.zeros(N + n_ineq)
+    phase2_costs = np.zeros(width)
     for c in costs:
         phase2_costs[:N] = c
         T[-1] = _priced_cost_row(T, basis, phase2_costs)
         if _run_simplex(T, basis, iter_limit) == "unbounded":
             results.append(LPSolution(status=LPStatus.UNBOUNDED))
             continue
-        u = np.zeros(N + n_ineq)
+        u = np.zeros(width)
         u[basis] = T[:-1, -1]
         z = u[:N]
         residual = _residual(region, z)

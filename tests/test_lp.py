@@ -17,13 +17,14 @@ from zerosum import (
 from zerosum.lp import (
     DEGENERATE_STALL,
     PIVOT_TOL,
+    IterationLimitError,
     _pivot,
     _priced_cost_row,
     _residual,
     _run_simplex,
     maximize_each,
 )
-from conftest import ensemble
+from conftest import ensemble, integer_positive_games
 
 FEAS_TOL = 1e-9
 
@@ -282,6 +283,56 @@ def test_pivot_is_the_textbook_elimination_bit_for_bit():
         unit = np.zeros(m + 1)
         unit[row] = 1.0
         assert T[:, col].tobytes() == unit.tobytes()
+    # Exact zeros, -0.0 among them, and negative pivots, as phase 1's
+    # drive-out takes: a -0.0 entry may keep its sign where the textbook's
+    # product would clear it (see the lp docstring), so equal as floats.
+    for _ in range(200):
+        m, k = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+        T = rng.integers(-2, 3, (m + 1, k + m + 1)).astype(float)
+        T[rng.random(T.shape) < 0.2] = -0.0
+        row, col = int(rng.integers(m)), int(rng.integers(k + m))
+        T[row, col] = -float(rng.integers(1, 4))
+        want = _textbook_pivot(T, row, col)
+        _pivot(T, row, col)
+        assert np.array_equal(T, want)
+        unit = np.zeros(m + 1)
+        unit[row] = 1.0
+        assert np.array_equal(T[:, col], unit)
+
+
+def test_textbook_pivot_takes_the_same_path_on_degenerate_games(monkeypatch):
+    # Integer payoffs tie and degenerate often.  Solving with `_pivot` and
+    # with the textbook elimination must pivot on the same (row, col) each
+    # time and leave tableaux equal up to the sign of a zero.
+    import zerosum.lp as lp_mod
+
+    rng = np.random.default_rng(29)
+    skew = []
+    for _ in range(200):
+        upper = np.triu(rng.integers(-2, 3, (5, 5)), 1)
+        skew.append(GameMatrix(upper - upper.T))
+    games = integer_positive_games(200) + skew
+
+    def textbook(T, row, col):
+        T[...] = _textbook_pivot(T, row, col)
+
+    paths = []
+    for pivot in (lp_mod._pivot, textbook):
+        path = []
+
+        def recording(T, row, col):
+            pivot(T, row, col)
+            path.append((row, col, T.copy()))
+
+        monkeypatch.setattr(lp_mod, "_pivot", recording)
+        for A in games:
+            solve_game(A)
+        paths.append(path)
+    got, want = paths
+    assert len(got) == len(want) > 1000
+    for (row, col, T), (want_row, want_col, want_T) in zip(got, want):
+        assert (row, col) == (want_row, want_col)
+        assert np.array_equal(T, want_T)
 
 
 def test_pivot_rhs_dust_rule():
@@ -376,11 +427,147 @@ class TestRatioTest:
         assert T[-1, 0] == 0.0
         assert pivot_at == []
 
+    def test_nan_minimum_ratio_is_a_solver_error(self, pivot_at):
+        # Row 0's NaN rhs makes its ratio the minimum: a RuntimeError, the
+        # CLI's exit-3 class, and no pivot on it.
+        T = _tableau([[1, 1, 0, np.nan], [1, 0, 1, 1]], [1, 0, 0, 0])
+        with pytest.raises(RuntimeError, match="NaN minimum ratio"):
+            _run_simplex(T, [1, 2], 10)
+        assert pivot_at == []
+
+
+def _reference_pivot(T, row, col):
+    """`_pivot` one entry at a time on a list of rows: divide the pivot row
+    by its pivot, subtract from every row its entry in `col` times that row
+    (the pivot row's factor is 0), then zero every rhs in (-PIVOT_TOL, 0)."""
+    prow = [x / T[row][col] for x in T[row]]
+    for i, r in enumerate(T):
+        f = 0.0 if i == row else r[col]
+        T[i] = [x - f * p for x, p in zip(prow if i == row else r, prow)]
+    for r in T[:-1]:
+        if -PIVOT_TOL < r[-1] < 0.0:
+            r[-1] = 0.0
+
+
+def _reference_simplex(T, basis, iter_limit, bounded, pivots):
+    """`_run_simplex` as its docstring states it, in plain Python on a list
+    of rows, appending the (row, col) of every pivot to `pivots`."""
+    import zerosum.lp as lp_mod
+
+    m, n = len(T) - 1, len(T[0]) - 1
+    stalled = 0
+    for _ in range(iter_limit):
+        reduced = T[-1][:-1]
+        if stalled < lp_mod.DEGENERATE_STALL:  # Dantzig: largest reduced cost
+            enter = max(range(n), key=reduced.__getitem__)  # the first one
+        else:  # Bland: smallest improving index
+            enter = next((j for j in range(n) if reduced[j] > PIVOT_TOL), 0)
+        if reduced[enter] <= PIVOT_TOL:
+            return "optimal"
+        col = [r[enter] for r in T[:-1]]
+        tol = PIVOT_TOL
+        if bounded:
+            tol *= max([1.0, *map(abs, col)])
+        rows = [i for i in range(m) if col[i] > tol]
+        if not rows:
+            if bounded:  # phase-1 dust
+                T[-1][enter] = 0.0
+                continue
+            return "unbounded"
+        ratios = [T[i][-1] / col[i] for i in rows]
+        if any(r != r for r in ratios):
+            raise RuntimeError("NaN minimum ratio")
+        best = min(ratios)
+        stalled = stalled + 1 if best <= PIVOT_TOL else 0
+        ties = [i for i, r in zip(rows, ratios) if r == best]
+        leave = min(ties, key=basis.__getitem__)
+        _reference_pivot(T, leave, enter)
+        basis[leave] = enter
+        pivots.append((leave, enter))
+    raise IterationLimitError
+
+
+def _canonical_tableau(rng, body, rhs, costs):
+    """[body | I | rhs] under [costs | 0 | 0], columns shuffled, with the
+    basis of the identity's columns."""
+    m, k = body.shape
+    perm = rng.permutation(k + m)
+    T = np.zeros((m + 1, k + m + 1))
+    T[:m, :-1] = np.concatenate([body, np.eye(m)], axis=1)[:, perm]
+    T[:m, -1] = rhs
+    T[-1, :-1] = np.concatenate([costs, np.zeros(m)])[perm]
+    basis = [int(np.flatnonzero(perm == k + i)[0]) for i in range(m)]
+    return T, basis
+
+
+def _random_tableaux(rng):
+    """(kind, T, basis) for the differential ratio-test test."""
+    for _ in range(150):  # continuous
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        body = rng.uniform(-5, 5, (m, k))
+        yield "continuous", *_canonical_tableau(
+            rng, body, rng.uniform(0, 5, m), rng.uniform(-2, 5, k)
+        )
+    for _ in range(300):  # exact ties; all-zero ratios as in a degenerate phase 1
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        body = rng.integers(-2, 3, (m, k)).astype(float)
+        rhs = rng.integers(0, 3, m) * (rng.random() < 0.5)
+        costs = rng.integers(-1, 3, k).astype(float)
+        yield "integer", *_canonical_tableau(rng, body, rhs, costs)
+    for _ in range(100):  # every eligible ratio overflows; other rows ineligible
+        m, k = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+        body = rng.uniform(0, 1, (m, k))
+        rhs = rng.uniform(0, 5, m)
+        overflow = rng.random(m) < 0.5
+        overflow[int(rng.integers(m))] = True
+        body[:, 0] = rng.choice([0.0, -1.0, 1e-12], m)
+        body[overflow, 0] = 1e-10
+        rhs[overflow] = 1e300
+        costs = np.concatenate([[10.0], rng.uniform(-1, 1, k - 1)])
+        yield "overflow", *_canonical_tableau(rng, body, rhs, costs)
+    for _ in range(20):
+        T = np.zeros((1, int(rng.integers(2, 6))))
+        T[0, :-1] = rng.choice([-1.0, 0.0, PIVOT_TOL, 2e-11, 1.0], T.shape[1] - 1)
+        yield "no rows", T, []
+
+
+def _outcome(run, T, basis, *args):
+    """run's outcome, or the type of the RuntimeError it raised."""
+    try:
+        return run(T, basis, 50 * len(T[0]), *args)
+    except RuntimeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("stall", [DEGENERATE_STALL, 2])
+def test_run_simplex_matches_the_reference_loop(monkeypatch, pivot_at, stall):
+    # A stall of 2 makes the integer tableaux reach Bland's rule.
+    import zerosum.lp as lp_mod
+
+    monkeypatch.setattr(lp_mod, "DEGENERATE_STALL", stall)
+    rng = np.random.default_rng(71)
+    seen = set()
+    for kind, T, basis in _random_tableaux(rng):
+        bounded = bool(rng.random() < 0.5)
+        want_T, want_basis, want_pivots = T.tolist(), list(basis), []
+        want = _outcome(_reference_simplex, want_T, want_basis, bounded, want_pivots)
+        pivot_at.clear()
+        with np.errstate(all="ignore"):  # overflow spreads inf and NaN
+            got = _outcome(_run_simplex, T, basis, bounded)
+        assert got == want, kind
+        assert pivot_at == want_pivots, kind
+        assert basis == want_basis, kind
+        assert np.array_equal(T, np.array(want_T), equal_nan=True), kind
+        seen.add((kind, got))
+    assert {kind for kind, _ in seen} == {"continuous", "integer", "overflow", "no rows"}
+    assert {outcome for _, outcome in seen} == {"optimal", "unbounded"}
+
 
 def test_pivot_loop_calls_no_python_level_numpy_wrapper():
     # In numpy 2.x `a.min()`, `a.max()`, `a.sum()`, `a.any()` and `a.all()`
     # run Python code in numpy's `_methods`, and `np.max`, `np.clip`, ... in
-    # `fromnumeric`; the pivot loop calls neither (see the lp docstring).
+    # `fromnumeric`; the pivot loop and the setup of each LP call neither
+    # (see the lp docstring).
     try:
         from numpy._core import _methods, fromnumeric
     except ImportError:  # numpy 1.x
@@ -388,7 +575,10 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
     import zerosum.lp as lp_mod
 
     wrappers = {_methods.__file__, fromnumeric.__file__}
-    loop = {lp_mod._run_simplex.__code__, lp_mod._pivot.__code__}
+    loop = {
+        fn.__code__
+        for fn in (lp_mod._run_simplex, lp_mod._pivot, lp_mod._two_phase, lp_mod._phase_one)
+    }
     entered = {code: 0 for code in loop}
     wrapped = []
 
