@@ -279,10 +279,6 @@ class GameSolution:
     col_strategy: MixedStrategy
     duality_gap: float
     tolerance: float
-    # Final basis of the value LP that produced the pair, in the solver's
-    # column layout; the optimal-strategy extrema read the region's vertices
-    # off it.
-    lp_basis: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         check_tolerance(self.tolerance, "tolerance")

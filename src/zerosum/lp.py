@@ -44,12 +44,7 @@ exactly when two rows tie.  Only then are the tied rows listed.
 `_pivot` stays a module attribute that `_run_simplex` looks up once per
 pivot: tests and the benchmark's tracer count pivots by replacing it.
 
-Every Optimal solution returns its final `basis`: one column of
-[G; E | slacks] per row, where z_k is column k and the slack of inequality
-row i is column n_vars + i.  (When phase 1 drops a redundant row, the basis
-is one entry short.)
-
-Every Optimal solution also carries `ineq_duals`, the multipliers y >= 0 of
+Every Optimal solution carries `ineq_duals`, the multipliers y >= 0 of
 the `G z <= h` rows, read off the final phase-2 cost row: the reduced cost of
 row i's slack is -y_i.  A row flipped to make its rhs nonnegative has its
 slack negated with it, so the same reading holds there.  At the optimum y may
@@ -182,8 +177,6 @@ class LPSolution:
     ineq_duals: np.ndarray | None = None
     # Phase-1 multipliers of the caller's rows (Infeasible only); see above.
     farkas: np.ndarray | None = None
-    # Final basis (Optimal only); see the module docstring.
-    basis: tuple[int, ...] | None = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -313,9 +306,9 @@ def _residual(p: LinearProgram, z: np.ndarray) -> float:
 
 
 def solve_lp(p: LinearProgram) -> LPSolution:
-    """Two-phase simplex.  Returns Optimal with a feasible point and its
-    final `basis`, Infeasible with `farkas` when the phase-1 optimum exceeds
-    FEAS_TOL, or Unbounded when an improving ray is certified.
+    """Two-phase simplex.  Returns Optimal with a feasible point, Infeasible
+    with `farkas` when the phase-1 optimum exceeds FEAS_TOL, or Unbounded
+    when an improving ray is certified.
     """
     return _two_phase(p, p.objective[np.newaxis])[0]
 
@@ -380,13 +373,14 @@ def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
         u[basis] = T[:-1, -1]
         z = u[:N]
         residual = _residual(region, z)
-        if residual > FEAS_TOL:
+        # Both tests are written so that a NaN residual fails them.
+        if not residual <= FEAS_TOL:
             # The tableau carries roundoff from every pivot so far; solve
             # for x_B against the original rows of the final basis instead.
             u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
             z = u[:N]
             residual = _residual(region, z)
-        if residual > FEAS_TOL:
+        if not residual <= FEAS_TOL:
             raise RuntimeError(
                 f"optimal point violates feasibility by {residual:g} > "
                 f"{FEAS_TOL:g}; solver bug"
@@ -398,7 +392,6 @@ def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
                 objective_value=float(c @ z),
                 primal_residual=residual,
                 ineq_duals=-T[-1, N : N + n_ineq],
-                basis=tuple(basis),
             )
         )
     return results

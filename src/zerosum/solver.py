@@ -4,9 +4,9 @@ optimal-dominated decision procedures.
 
 `solve_game` solves one LP per game: the row player's value LP, whose
 inequality multipliers are a column strategy (LP duality is the minimax
-theorem).  The value LP's final basis is kept on the solution: its nonbasic
-columns are the facets of the optimal-strategy region, so
-`row_optima_column_extrema` reads the region's vertices off it.
+theorem).  The supports of that certified pair name the facets of the
+row player's optimal-strategy region, so `row_optima_column_extrema` reads
+the region's vertices off them.
 """
 
 from __future__ import annotations
@@ -56,14 +56,11 @@ def _positivity_shift(values: np.ndarray) -> float:
     return 1.0 - lo if lo < 1.0 else 0.0
 
 
-def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, tuple[int, ...]]:
+def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
     x >= 0, v >= 0.  The bound on v is never active, since callers pass
-    B >= 1, so v >= 1.  Returns (x, v, y, basis), y the multipliers of the n
-    column rows: up to roundoff a column strategy holding B's payoffs to v.
-
-    Columns of the basis: x_i is i, v is m, and the slack of column j's row
-    is m + 1 + j."""
+    B >= 1, so v >= 1.  Returns (x, v, y), y the multipliers of the n column
+    rows: up to roundoff a column strategy holding B's payoffs to v."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
@@ -79,7 +76,7 @@ def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, tuple[int, 
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
         )
-    return sol.point[:m], float(sol.point[m]), sol.ineq_duals, sol.basis
+    return sol.point[:m], float(sol.point[m]), sol.ineq_duals
 
 
 def _certify(
@@ -119,17 +116,11 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     and multiply the value back (strategies are unchanged; the game value is
     exactly scale-covariant).  Feeding huge payoffs directly makes the
     certificate checks refuse rather than return degraded certificates.
-
-    The value LP's final basis is returned as `lp_basis`.  In a
-    nondegenerate game its basic x_i and its binding columns (those whose
-    slack is nonbasic) index the square kernel of one of Shapley and Snow's
-    basic solutions ("Basic solutions of discrete games", 1950);
-    `row_optima_column_extrema` reads the nonbasic columns.
     """
     check_tolerance(tol, "tol")
     V = A.values
     shift = _positivity_shift(V)
-    x, v_row, duals, basis = _value_lp(V + shift)
+    x, v_row, duals = _value_lp(V + shift)
     value = v_row - shift
     row = normalized_strategy(x, Player.ROW)
     col = normalized_strategy(duals, Player.COL)
@@ -140,7 +131,6 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
         col_strategy=col,
         duality_gap=gap,
         tolerance=tol,
-        lp_basis=basis,
     )
 
 
@@ -229,20 +219,25 @@ def _vertex_extrema(
     """Column extrema of `row_optima_column_extrema` read off the vertices of
     the region, or None when the gate below refuses them.
 
-    The m nonbasic columns of the value-LP basis name m facets of the
-    region: x_i = 0 for each nonbasic x_i, and (x^T V)_j = v - tol for each
-    binding column j.  Vertex k lies on every facet but k and on sum x = 1;
-    all m vertices come from one batched solve against V.  The gate: every
-    vertex satisfies every row of the region within lp.FEAS_TOL, and vertex
-    k lies more than FEAS_TOL inside facet k.  The facets then bound a simplex
-    (Ziegler, Lectures on Polytopes, 1995) that holds the region and whose
-    vertices lie in it, so the two are equal and every extremum is attained
-    at a vertex.
+    The certified pair (x, y) names the facets: x_i = 0 for each i off x's
+    support, and (x^T V)_j = v - tol for each j on y's support, since by
+    complementary slackness (Goldman and Tucker, "Theory of linear
+    programming", 1956) a column with y_j > 0 pays exactly v against every
+    optimal x.  In a nondegenerate game the two supports index the square
+    kernel of one of Shapley and Snow's basic solutions ("Basic solutions
+    of discrete games", 1950), so together they name m facets.  Vertex k
+    lies on every facet but k and on sum x = 1; all m vertices come from one
+    batched solve against V.  The gate: every vertex satisfies every row of
+    the region within lp.FEAS_TOL, and vertex k lies more than FEAS_TOL
+    inside facet k.  The facets then bound a simplex (Ziegler, Lectures on
+    Polytopes, 1995) that holds the region and whose vertices lie in it, so
+    the two are equal and every extremum is attained at a vertex.  That
+    holds for any m facets, so the supports only decide how often the gate
+    passes, never the answer.
     """
     m, n = V.shape
-    basic = set(sol.lp_basis)
-    zero = [i for i in range(m) if i not in basic]
-    binding = [j for j in range(n) if m + 1 + j not in basic]
+    zero = (sol.row_strategy.weights == 0.0).nonzero()[0]
+    binding = (sol.col_strategy.weights > 0.0).nonzero()[0]
     if len(zero) + len(binding) != m:
         return None
     facets = np.zeros((m, m))
@@ -283,9 +278,10 @@ def row_optima_column_extrema(
 
     The optimal set is modeled as {x stochastic : (x^T A)_k >= v - tol for
     all k}.  With `solution`, `solve_game`'s solution of A at value v, the
-    extrema are first read off the region's vertices, its Shapley-Snow basic
-    solutions moved by tol (`_vertex_extrema`, which states the gate); in a
-    nondegenerate game the region is a simplex and the gate passes.
+    extrema are first read off the region's vertices, found from the
+    supports of the solution's strategy pair (`_vertex_extrema`, which states
+    the gate); in a nondegenerate game the region is a simplex and the gate
+    passes.
     Otherwise each column payoff is maximized and minimized by LP, all 2n
     LPs as one `maximize_each` call over the region.  `tol` must be finite
     and positive (InputError otherwise).
@@ -293,7 +289,7 @@ def row_optima_column_extrema(
     check_tolerance(tol, "tol")
     V = A.values
     m, n = V.shape
-    if solution is not None and solution.lp_basis is not None:
+    if solution is not None:
         extrema = _vertex_extrema(V, v, tol, solution)
         if extrema is not None:
             return extrema

@@ -1,6 +1,7 @@
 """The package's public surface: what `zerosum.__all__` promises, and the
 hooks the benchmark's tracer wraps."""
 
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -14,6 +15,9 @@ REMOVED = ("is_optimal_dominated", "matrix_rank", "uniform_strategy", "pure_stra
 # `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters, and every LP starts
 # from phase 1, so no function takes a `start` basis.
 REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol", "start"}
+# The optimal-strategy extrema read their facets off the strategy pair, so no
+# solution carries the value LP's basis.
+REMOVED_FIELDS = {zerosum.LPSolution: "basis", zerosum.GameSolution: "lp_basis"}
 
 
 def test_every_exported_name_resolves_once():
@@ -26,6 +30,11 @@ def test_removed_names_stay_removed():
     for name in REMOVED:
         assert name not in zerosum.__all__
         assert not hasattr(zerosum, name), name
+
+
+def test_removed_fields_stay_removed():
+    for cls, name in REMOVED_FIELDS.items():
+        assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
 def test_no_removed_knobs_in_signatures():

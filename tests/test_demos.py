@@ -22,7 +22,8 @@ def test_demo_runs(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        # The suite's own warning policy, which a subprocess would escape.
+        [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,
