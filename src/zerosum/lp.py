@@ -5,10 +5,7 @@ Other bounds are written as rows of G.  Strict inequalities cannot be
 expressed here; an Infeasible result's `farkas` answers them (see spectral.gordan).
 
 The implementation favors simplicity over speed: desk-scale instances only
-(tens of variables and constraints), dense tableau.  `maximize_each` runs
-phase 1 once per region, then phase 2 once per objective, in order: the
-first from the basis phase 1 ended on, each later one from the basis the
-previous phase 2 ended on.  `solve_lp` is the case of one objective.
+(tens of variables and constraints), dense tableau.
 
 At this scale a pivot is a few thousand flops, so what a numpy call costs
 is its dispatch, not its arithmetic, and a call that runs Python code
@@ -310,38 +307,14 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     with `farkas` when the phase-1 optimum exceeds FEAS_TOL, or Unbounded
     when an improving ray is certified.
     """
-    return _two_phase(p, p.objective[np.newaxis])[0]
-
-
-def maximize_each(region: LinearProgram, objectives) -> list[LPSolution]:
-    """Maximize each objective over the feasible region of `region`.
-
-    `region.objective` only fixes the number of variables; `objectives` holds
-    one vector of that length per row.  Phase 1 runs once, and when the
-    region is infeasible every objective reports Infeasible.  Then each
-    objective runs phase 2, exactly as in `solve_lp`, in the order of
-    `objectives`: the first from the basis phase 1 ended on, each later one
-    from the basis the previous phase 2 ended on (an Unbounded objective ends
-    on a feasible basis too, so later objectives are unaffected by it).
-    Results are in the order of `objectives`.
-    """
-    costs = _as_floats(objectives, "objectives")
-    if costs.shape == (0,):  # [] is no objectives, not one empty objective
-        costs = costs.reshape(0, region.n_vars)
-    costs = _as_matrix(costs, region.n_vars, "objectives")
-    return _two_phase(region, costs)
-
-
-def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
-    """`maximize_each` over already validated objective rows `costs`."""
-    n_ineq, N = region.ineq_lhs.shape
-    m = n_ineq + region.eq_lhs.shape[0]
+    n_ineq, N = p.ineq_lhs.shape
+    m = n_ineq + p.eq_lhs.shape[0]
     width = N + n_ineq
     # [G | I | h; E | 0 | f] in one array: the rows with their slacks and rhs.
     rows = np.zeros((m, width + 1))
     body, b = rows[:, :width], rows[:, width]
-    np.concatenate([region.ineq_lhs, region.eq_lhs], out=rows[:, :N])
-    np.concatenate([region.ineq_rhs, region.eq_rhs], out=b)
+    np.concatenate([p.ineq_lhs, p.eq_lhs], out=rows[:, :N])
+    np.concatenate([p.ineq_rhs, p.eq_rhs], out=b)
     # The I block's diagonal: entry (i, N + i) is N + i * (width + 2) flat.
     slack = rows.reshape(-1)[N : n_ineq * (width + 2) : width + 2]
     slack.fill(1.0)
@@ -357,44 +330,42 @@ def _two_phase(region: LinearProgram, costs: np.ndarray) -> list[LPSolution]:
 
     started = _phase_one(body, b, N, flipped, art_rows, iter_limit)
     if isinstance(started, np.ndarray):  # Farkas multipliers
-        return [LPSolution(status=LPStatus.INFEASIBLE, farkas=started) for _ in costs]
+        return LPSolution(status=LPStatus.INFEASIBLE, farkas=started)
     T, basis, keep = started
 
-    # Phase 2 per objective, each from the basis the previous one left.
-    results = []
-    phase2_costs = np.zeros(width)
-    for c in costs:
-        phase2_costs[:N] = c
-        T[-1] = _priced_cost_row(T, basis, phase2_costs)
-        if _run_simplex(T, basis, iter_limit) == "unbounded":
-            results.append(LPSolution(status=LPStatus.UNBOUNDED))
-            continue
-        u = np.zeros(width)
-        u[basis] = T[:-1, -1]
+    costs = np.zeros(width)
+    costs[:N] = p.objective
+    T[-1] = _priced_cost_row(T, basis, costs)
+    if _run_simplex(T, basis, iter_limit) == "unbounded":
+        return LPSolution(status=LPStatus.UNBOUNDED)
+    u = np.zeros(width)
+    u[basis] = T[:-1, -1]
+    z = u[:N]
+    residual = _residual(p, z)
+    # Both tests are written so that a NaN residual fails them.
+    if not residual <= FEAS_TOL:
+        # The tableau carries roundoff from every pivot so far; solve for
+        # x_B against the original rows of the final basis instead.
+        u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
         z = u[:N]
-        residual = _residual(region, z)
-        # Both tests are written so that a NaN residual fails them.
-        if not residual <= FEAS_TOL:
-            # The tableau carries roundoff from every pivot so far; solve
-            # for x_B against the original rows of the final basis instead.
-            u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
-            z = u[:N]
-            residual = _residual(region, z)
-        if not residual <= FEAS_TOL:
+        if not np.logical_and.reduce(np.isfinite(z)):
             raise RuntimeError(
-                f"optimal point violates feasibility by {residual:g} > "
-                f"{FEAS_TOL:g}; solver bug"
+                "optimal point overflows the float range: the optimum is too "
+                "large to represent; rescale the program"
             )
-        results.append(
-            LPSolution(
-                status=LPStatus.OPTIMAL,
-                point=z,
-                objective_value=float(c @ z),
-                primal_residual=residual,
-                ineq_duals=-T[-1, N : N + n_ineq],
-            )
+        residual = _residual(p, z)
+    if not residual <= FEAS_TOL:
+        raise RuntimeError(
+            f"optimal point violates feasibility by {residual:g} > "
+            f"{FEAS_TOL:g}; solver bug"
         )
-    return results
+    return LPSolution(
+        status=LPStatus.OPTIMAL,
+        point=z,
+        objective_value=float(p.objective @ z),
+        primal_residual=residual,
+        ineq_duals=-T[-1, N : N + n_ineq],
+    )
 
 
 def _phase_one(

@@ -25,7 +25,7 @@ from .core import (
     check_tolerance,
     normalized_strategy,
 )
-from .lp import FEAS_TOL, LinearProgram, LPStatus, maximize_each, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
 # No pure deviation may improve a player by more than this at an accepted
@@ -268,6 +268,29 @@ def _vertex_extrema(
     return payoffs.min(axis=0), payoffs.max(axis=0)
 
 
+def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column extrema of `row_optima_column_extrema` by LP: each column
+    payoff is maximized and minimized over the region, one `solve_lp` call
+    per objective, 2n in all."""
+    m, n = V.shape
+    region = dict(
+        ineq_lhs=-V.T,
+        ineq_rhs=np.full(n, -(v - tol)),
+        eq_lhs=np.ones((1, m)),
+        eq_rhs=np.ones(1),
+    )
+    extrema = np.empty(2 * n)
+    for k, c in enumerate([*V.T, *-V.T]):
+        sol = solve_lp(LinearProgram(objective=c, **region))
+        if sol.status is not LPStatus.OPTIMAL:
+            raise RuntimeError(
+                f"optimal-set LP reported {sol.status.value}; the optimal "
+                "strategy polytope cannot be empty at the game value"
+            )
+        extrema[k] = sol.objective_value
+    return -extrema[n:], extrema[:n]
+
+
 def row_optima_column_extrema(
     A: GameMatrix,
     v: float,
@@ -281,40 +304,17 @@ def row_optima_column_extrema(
     extrema are first read off the region's vertices, found from the
     supports of the solution's strategy pair (`_vertex_extrema`, which states
     the gate); in a nondegenerate game the region is a simplex and the gate
-    passes.
-    Otherwise each column payoff is maximized and minimized by LP, all 2n
-    LPs as one `maximize_each` call over the region.  `tol` must be finite
-    and positive (InputError otherwise).
+    passes.  Otherwise each column payoff is maximized and minimized by LP
+    (`_lp_extrema`, 2n `solve_lp` calls).  `tol` must be finite and
+    positive (InputError otherwise).
     """
     check_tolerance(tol, "tol")
     V = A.values
-    m, n = V.shape
     if solution is not None:
         extrema = _vertex_extrema(V, v, tol, solution)
         if extrema is not None:
             return extrema
-    region = LinearProgram(
-        objective=np.zeros(m),
-        ineq_lhs=-V.T,
-        ineq_rhs=np.full(n, -(v - tol)),
-        eq_lhs=np.ones((1, m)),
-        eq_rhs=np.ones(1),
-    )
-    # All maxima first, then all minima, each phase 2 starting from the
-    # basis the previous one ended on: over 400 random 5x5 games with
-    # entries in {-1, 0, 1} (numpy default_rng(0)) these LPs took 4,882
-    # pivots in this order against 6,836 when +V[:, j] and -V[:, j]
-    # alternate.
-    objectives = [sign * V[:, j] for sign in (1.0, -1.0) for j in range(n)]
-    extrema = np.empty(2 * n)
-    for k, sol in enumerate(maximize_each(region, objectives)):
-        if sol.status is not LPStatus.OPTIMAL:
-            raise RuntimeError(
-                f"optimal-set LP reported {sol.status.value}; the optimal "
-                "strategy polytope cannot be empty at the game value"
-            )
-        extrema[k] = sol.objective_value
-    return -extrema[n:], extrema[:n]
+    return _lp_extrema(V, v, tol)
 
 
 def extrema_dominated(mins: np.ndarray, maxs: np.ndarray, v: float, tol: float) -> bool:

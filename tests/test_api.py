@@ -7,7 +7,6 @@ import inspect
 from pathlib import Path
 
 import zerosum
-from zerosum.lp import maximize_each
 from zerosum.solver import extrema_dominated
 
 REMOVED = ("is_optimal_dominated", "matrix_rank", "uniform_strategy", "pure_strategy")
@@ -32,6 +31,11 @@ def test_removed_names_stay_removed():
         assert not hasattr(zerosum, name), name
 
 
+def test_lp_solves_one_objective_at_a_time():
+    # The extrema fallback calls solve_lp once per objective.
+    assert not hasattr(zerosum.lp, "maximize_each")
+
+
 def test_removed_fields_stay_removed():
     for cls, name in REMOVED_FIELDS.items():
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
@@ -41,20 +45,40 @@ def test_no_removed_knobs_in_signatures():
     exported = [getattr(zerosum, name) for name in zerosum.__all__]
     functions = [f for f in exported if inspect.isfunction(f)]
     assert len(functions) > 20
-    for fn in functions + [maximize_each, extrema_dominated]:
+    for fn in functions + [extrema_dominated]:
         params = set(inspect.signature(fn).parameters)
         assert not params & REMOVED_PARAMETERS, fn.__name__
+
+
+def _bench_tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("tracing")
 
 
 def test_bench_tracer_finds_every_hook(monkeypatch):
     # A renamed zerosum function would otherwise only go untraced, and the
     # benchmark's per-layer metrics would silently stop covering its layer.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    tracing = importlib.import_module("tracing")
-    tracer = tracing.Tracer(zerosum)
+    tracer = _bench_tracing(monkeypatch).Tracer(zerosum)
     tracer.install()
     try:
         assert tracer.missing == []
         assert tracer.counts_pivots
     finally:
         tracer.uninstall()
+
+
+def test_bench_tracer_sees_the_extrema_fallback_lps(monkeypatch):
+    # The constant game's optimal region is the whole simplex, which the
+    # vertex closed form refuses, so its 2n = 4 extrema LPs run as solve_lp
+    # calls under the extrema span.
+    tracing = _bench_tracing(monkeypatch)
+    tracer = tracing.Tracer(zerosum)
+    tracer.install()
+    try:
+        zerosum.check_positive_dominated(zerosum.GameMatrix([[1, 1], [1, 1]]))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    [extrema] = [i for i, s in enumerate(spans) if s[tracing.NAME] == "solver.extrema"]
+    children = [s[tracing.NAME] for s in spans if s[tracing.PARENT] == extrema]
+    assert children == ["lp"] * 4

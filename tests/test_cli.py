@@ -252,6 +252,19 @@ class TestGoldenFiles:
                 _ensemble_argv("GordanTheorem3", "Skew", 7, 5, 1),
                 1,
             ),
+            # A duplicated row: the vertex closed form refuses the region,
+            # so the extrema come from the LP fallback.
+            (
+                "verify_degenerate3_posdom.json",
+                [
+                    "verify",
+                    "--claim",
+                    "PositiveDominatedThm4",
+                    "--input",
+                    str(DATA / "degenerate3.csv"),
+                ],
+                0,
+            ),
         ],
     )
     def test_golden(self, capsys, golden, argv, code):

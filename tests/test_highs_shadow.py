@@ -87,14 +87,14 @@ def test_positive_dominated_on_integer_games_matches_highs(trials=40):
     import zerosum.solver as solver_mod
 
     fallbacks = []
-    maximize_each = solver_mod.maximize_each
+    lp_extrema = solver_mod._lp_extrema
 
     def counted(*args, **kwargs):
         fallbacks.append(1)
-        return maximize_each(*args, **kwargs)
+        return lp_extrema(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_mod, "maximize_each", counted)
+        patch.setattr(solver_mod, "_lp_extrema", counted)
         applicable = _shadow_positive_dominated(integer_positive_games(trials))
     assert 0 < len(fallbacks) < applicable
 
