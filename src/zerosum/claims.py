@@ -74,8 +74,8 @@ class ClaimReport:
         return canonical_json(self.to_json_dict())
 
 
-def _listify(arr) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]
+def _listify(arr: np.ndarray) -> list:
+    return arr.ravel().tolist()
 
 
 def _report(
@@ -114,7 +114,7 @@ def check_diagonal(
     if not A.is_square:
         return _report(claim, A, {"reason": "matrix is not square"}, tol)
     d = np.diag(A.values)
-    max_off = float(np.max(np.abs(A.values - np.diag(d))))
+    max_off = float(np.maximum.reduce(np.abs(A.values - np.diag(d)), axis=None))
     if max_off > DIAG_SIGN_TOL:
         return _report(
             claim,
@@ -127,12 +127,12 @@ def check_diagonal(
 
     positive = d > DIAG_SIGN_TOL
     negative = d < -DIAG_SIGN_TOL
-    definite = bool(np.all(positive) or np.all(negative))
+    definite = bool(np.logical_and.reduce(positive) or np.logical_and.reduce(negative))
     if definite:
-        predicted_value = 1.0 / np.sum(1.0 / d)
+        predicted_value = 1.0 / np.add.reduce(1.0 / d)
         predicted_x = predicted_value / d
         value_error = abs(sol.value - predicted_value)
-        strategy_error = float(np.max(np.abs(x - predicted_x)))
+        strategy_error = float(np.maximum.reduce(np.abs(x - predicted_x)))
         holds = value_error <= tol and strategy_error <= STRATEGY_TOL_FACTOR * tol
         computed = {
             "definite": True,
@@ -145,7 +145,11 @@ def check_diagonal(
         }
     else:
         value_error = abs(sol.value)
-        negative_weight = float(x[negative].sum()) if np.any(negative) else 0.0
+        negative_weight = (
+            float(np.add.reduce(x[negative]))
+            if np.logical_or.reduce(negative)
+            else 0.0
+        )
         holds = value_error <= tol and negative_weight <= tol
         computed = {
             "definite": False,
@@ -163,7 +167,8 @@ def _skew_gate(
 ) -> tuple[float, ClaimReport | None]:
     if not A.is_square:
         return np.inf, _report(claim, A, {"reason": "matrix is not square"}, tol)
-    residual = float(np.abs(A.values + A.values.T).max())
+    V = A.values
+    residual = float(np.maximum.reduce(np.abs(V + V.T), axis=None))
     if residual > tol:
         return residual, _report(
             claim, A, {"reason": "matrix is not skew-symmetric", "skew_residual": residual}, tol
@@ -185,8 +190,8 @@ def _skew_optima_report(
         return na
     sol = solve_game(A)
     V = A.values
-    ceiling = float((V @ sol.row_strategy.weights).max())
-    floor = float((sol.col_strategy.weights @ V).min())
+    ceiling = float(np.maximum.reduce(V @ sol.row_strategy.weights))
+    floor = float(np.minimum.reduce(sol.col_strategy.weights @ V))
     computed = {
         "skew_residual": residual,
         "value": sol.value,
@@ -253,7 +258,8 @@ def _is_optimal_at_zero(A: GameMatrix, weights: np.ndarray, tol: float) -> bool:
     strategy (ceiling <= tol) and as a row strategy (floor >= -tol)."""
     V = A.values
     return (
-        float((V @ weights).max()) <= tol and float((weights @ V).min()) >= -tol
+        float(np.maximum.reduce(V @ weights)) <= tol
+        and float(np.minimum.reduce(weights @ V)) >= -tol
     )
 
 
@@ -344,7 +350,7 @@ def check_positive_dominated(
     claim = ClaimId.POSITIVE_DOMINATED_THM4
     if not A.is_square:
         return _report(claim, A, {"reason": "matrix is not square"}, tol)
-    min_entry = float(A.values.min())
+    min_entry = float(np.minimum.reduce(A.values, axis=None))
     if min_entry <= 0.0:
         return _report(
             claim,
@@ -355,8 +361,8 @@ def check_positive_dominated(
     cert = perron(A)
     sol = solve_game(A)
     value = sol.value
-    bracket_low = cert.perron_root * float(cert.perron_vector.min())
-    bracket_high = cert.perron_root * float(cert.perron_vector.max())
+    bracket_low = cert.perron_root * float(np.minimum.reduce(cert.perron_vector))
+    bracket_high = cert.perron_root * float(np.maximum.reduce(cert.perron_vector))
     base = {
         "perron_root": cert.perron_root,
         "perron_vector": _listify(cert.perron_vector),
@@ -406,8 +412,8 @@ def check_shifted_eigen(
         )
     B = GameMatrix(A.values - lam * np.eye(A.rows))
     value = solve_game(B).value
-    row_dev = float(np.max(np.abs(row_witness.weights @ B.values)))
-    col_dev = float(np.max(np.abs(B.values @ col_witness.weights)))
+    row_dev = float(np.maximum.reduce(np.abs(row_witness.weights @ B.values)))
+    col_dev = float(np.maximum.reduce(np.abs(B.values @ col_witness.weights)))
     holds = abs(value) <= tol and row_dev <= tol and col_dev <= tol
     computed = {
         "lambda": lam,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as encode_str
 
 import numpy as np
 
@@ -77,34 +78,44 @@ def canonical_rows(values: np.ndarray) -> list[str]:
 
 def canonical_json(obj, indent: int = 2) -> str:
     """Deterministic JSON: fixed key order (insertion), floats at 17
-    significant digits, no platform-dependent repr involved."""
-    import json as _json
+    significant digits, no platform-dependent repr involved.
+
+    A float renders as `canonical_float` does, -0.0 as "0".  A list or
+    tuple whose items are all exactly `float` renders with one format call,
+    and strings and keys are escaped by the function `json.dumps` uses for
+    a str, so every rendering equals the item-by-item one.
+    """
 
     def render(o, level: int) -> str:
         pad = " " * (indent * (level + 1))
         close = " " * (indent * level)
+        if isinstance(o, (float, np.floating)):
+            return canonical_float(o)
+        if isinstance(o, str):
+            return encode_str(o)
         if o is None:
             return "null"
         if isinstance(o, (bool, np.bool_)):
             return "true" if o else "false"
         if isinstance(o, (int, np.integer)):
             return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return canonical_float(float(o))
-        if isinstance(o, str):
-            return _json.dumps(o)
         if isinstance(o, np.ndarray):
             o = o.tolist()
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            inner = ",\n".join(pad + render(v, level + 1) for v in o)
-            return "[\n" + inner + "\n" + close + "]"
+            sep = ",\n" + pad
+            if set(map(type, o)) == {float}:
+                # canonical_float's format; adding 0.0 maps -0.0 to 0.0.
+                inner = sep.join(["%.17g"] * len(o)) % tuple([v + 0.0 for v in o])
+            else:
+                inner = sep.join([render(v, level + 1) for v in o])
+            return "[\n" + pad + inner + "\n" + close + "]"
         if isinstance(o, dict):
             if not o:
                 return "{}"
             inner = ",\n".join(
-                f"{pad}{_json.dumps(str(k))}: {render(v, level + 1)}"
+                f"{pad}{encode_str(str(k))}: {render(v, level + 1)}"
                 for k, v in o.items()
             )
             return "{\n" + inner + "\n" + close + "}"
@@ -130,7 +141,7 @@ class GameMatrix:
             raise InvalidMatrixError(
                 f"expected a nonempty 2-D matrix, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise InvalidMatrixError("matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -185,7 +196,7 @@ def _weight_vector(weights) -> np.ndarray:
         ) from exc
     if w.ndim != 1 or w.size == 0:
         raise InvalidStrategyError("strategy must be a nonempty vector")
-    if not np.isfinite(w).all():
+    if not np.logical_and.reduce(np.isfinite(w)):
         raise InvalidStrategyError("strategy weights must be finite")
     return w
 

@@ -7,14 +7,34 @@ expressed here; an Infeasible result's `farkas` answers them (see spectral.gorda
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau.
 
+Phase 1 runs on one array, allocated once and filled in place:
+
+    [ G | I | art | h ]    n_ineq rows, I the slacks of the G rows
+    [ E | 0 | art | f ]
+    [   cost row      ]    reduced costs | -objective
+
+A row whose rhs is negative is negated, its slack with it.  Every row but
+an unflipped inequality takes an artificial: the artificial columns follow
+those rows in order, each with a single 1 in its row.  A row starts basic
+on its artificial if it has one, else on its slack.  The cost row prices
+maximize -(sum of artificials) for that basis.  Phase 2 drops the
+artificial columns and prices c.  The rows go straight into that array:
+`np.concatenate(..., out=)` for the data and the rhs, a strided view of
+the flat array for the slack diagonal, and in-place negation for the
+flips.  The rare x_B recompute after phase 2 rebuilds the flipped rows the
+same way.
+
 At this scale a pivot is a few thousand flops, so what a numpy call costs
 is its dispatch, not its arithmetic, and a call that runs Python code
 inside numpy costs more still.  Such calls include `np.max`, `np.clip`,
-`np.outer`, `np.append` and `np.vstack`, and in numpy 2.x also the ndarray
-methods `a.min()`, `a.max()`, `a.sum()`, `a.any()` and `a.all()`, which
-forward to `numpy._core._methods`.  So:
+`np.outer`, `np.append`, `np.vstack`, `np.repeat` and `np.ones`, and in
+numpy 2.x also the ndarray methods `a.min()`, `a.max()`, `a.sum()`,
+`a.any()` and `a.all()`, which forward to `numpy._core._methods`.  So:
   - a reduction is a `ufunc.reduce` (`np.maximum.reduce(a)`, not
-    `a.max()`), or in the pivot loop `a[a.argmin()]`, which is cheaper;
+    `a.max()`), or in the pivot loop `a[a.argmin()]`, which is cheaper.
+    This rule holds on the whole per-trial path: the LP set-up and
+    read-out here, and the solver, spectral, claims and core code around
+    each LP;
   - the pivot loop otherwise calls only ufuncs, writing with `out=` and
     `where=` into buffers made once per call where it can, basic slices,
     and the ndarray methods `argmax`, `argmin`, `nonzero`, `fill` and
@@ -282,24 +302,43 @@ def _run_simplex(
     )
 
 
-def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> np.ndarray:
-    """Reduced-cost row (with -objective in the rhs slot) for the given basis."""
-    row = np.zeros(T.shape[1])
+def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> None:
+    """Write into T's last row the reduced costs of `costs` for the basis,
+    with -objective in the rhs slot."""
+    row = T[-1]
     row[:-1] = costs
+    row[-1] = 0.0
     row -= costs[basis] @ T[:-1]
-    return row
 
 
 def _residual(p: LinearProgram, z: np.ndarray) -> float:
     """Largest violation of p's constraints, z >= 0 included, at the point z;
-    0.0 when feasible."""
-    worst = np.maximum.reduce(-z)
-    if p.ineq_lhs.shape[0]:
-        worst = np.maximum(worst, np.maximum.reduce(z @ p.ineq_lhs.T - p.ineq_rhs))
-    if p.eq_lhs.shape[0]:
-        eq_gap = np.abs(z @ p.eq_lhs.T - p.eq_rhs)
-        worst = np.maximum(worst, np.maximum.reduce(eq_gap))
-    return float(np.maximum(worst, 0.0))
+    0.0 when feasible.  A NaN anywhere makes it NaN."""
+    gaps = np.concatenate(
+        [-z, z @ p.ineq_lhs.T - p.ineq_rhs, np.abs(z @ p.eq_lhs.T - p.eq_rhs)]
+    )
+    return float(np.maximum(np.maximum.reduce(gaps), 0.0))
+
+
+def _write_rows(T: np.ndarray, p: LinearProgram, flipped: np.ndarray) -> None:
+    """Write p's rows [G | I | h; E | 0 | f] into the top rows of T, a new
+    C-ordered array of zeros: G and E into its first columns, the slacks
+    next, the rhs into its last column.  Each row marked in `flipped` is
+    negated, its slack with it."""
+    n_ineq, N = p.ineq_lhs.shape
+    m = flipped.size
+    np.concatenate([p.ineq_lhs, p.eq_lhs], out=T[:m, :N])
+    b = T[:m, -1]
+    np.concatenate([p.ineq_rhs, p.eq_rhs], out=b)
+    # The I block's diagonal: entry (i, N + i) is N + i * (row length + 1)
+    # in T's flat layout.
+    step = T.shape[1] + 1
+    slack = T.reshape(-1)[N : n_ineq * step : step]
+    slack.fill(1.0)
+    if np.logical_or.reduce(flipped):
+        T[:m][flipped, :N] *= -1.0
+        b[flipped] *= -1.0
+        slack[flipped[:n_ineq]] = -1.0
 
 
 def solve_lp(p: LinearProgram) -> LPSolution:
@@ -310,32 +349,20 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     n_ineq, N = p.ineq_lhs.shape
     m = n_ineq + p.eq_lhs.shape[0]
     width = N + n_ineq
-    # [G | I | h; E | 0 | f] in one array: the rows with their slacks and rhs.
-    rows = np.zeros((m, width + 1))
-    body, b = rows[:, :width], rows[:, width]
-    np.concatenate([p.ineq_lhs, p.eq_lhs], out=rows[:, :N])
-    np.concatenate([p.ineq_rhs, p.eq_rhs], out=b)
-    # The I block's diagonal: entry (i, N + i) is N + i * (width + 2) flat.
-    slack = rows.reshape(-1)[N : n_ineq * (width + 2) : width + 2]
-    slack.fill(1.0)
-    # A row with a negative rhs is negated, its slack with it.
-    flipped = b < 0.0
-    if np.logical_or.reduce(flipped):
-        rows[flipped, :N] *= -1.0
-        b[flipped] *= -1.0
-        slack[flipped[:n_ineq]] = -1.0
-    # Every row but an unflipped inequality takes an artificial in phase 1.
+    # A row with a negative rhs is negated (_write_rows).  Every row but an
+    # unflipped inequality takes an artificial in phase 1.
+    flipped = np.concatenate([p.ineq_rhs, p.eq_rhs]) < 0.0
     art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
     iter_limit = ITERATION_FACTOR * (width + art_rows.size + m)
 
-    started = _phase_one(body, b, N, flipped, art_rows, iter_limit)
+    started = _phase_one(p, flipped, art_rows, iter_limit)
     if isinstance(started, np.ndarray):  # Farkas multipliers
         return LPSolution(status=LPStatus.INFEASIBLE, farkas=started)
     T, basis, keep = started
 
     costs = np.zeros(width)
     costs[:N] = p.objective
-    T[-1] = _priced_cost_row(T, basis, costs)
+    _priced_cost_row(T, basis, costs)
     if _run_simplex(T, basis, iter_limit) == "unbounded":
         return LPSolution(status=LPStatus.UNBOUNDED)
     u = np.zeros(width)
@@ -346,7 +373,10 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     if not residual <= FEAS_TOL:
         # The tableau carries roundoff from every pivot so far; solve for
         # x_B against the original rows of the final basis instead.
-        u[basis] = np.linalg.solve(body[keep][:, basis], b[keep])
+        rows = np.zeros((m, width + 1))
+        _write_rows(rows, p, flipped)
+        rows = rows[keep]
+        u[basis] = np.linalg.solve(rows[:, basis], rows[:, -1])
         z = u[:N]
         if not np.logical_and.reduce(np.isfinite(z)):
             raise RuntimeError(
@@ -364,43 +394,41 @@ def solve_lp(p: LinearProgram) -> LPSolution:
         point=z,
         objective_value=float(p.objective @ z),
         primal_residual=residual,
-        ineq_duals=-T[-1, N : N + n_ineq],
+        ineq_duals=-T[-1, N:width],
     )
 
 
 def _phase_one(
-    body: np.ndarray,
-    b: np.ndarray,
-    N: int,
+    p: LinearProgram,
     flipped: np.ndarray,
     art_rows: np.ndarray,
     iter_limit: int,
-) -> tuple[np.ndarray, list[int], np.ndarray] | np.ndarray:
-    """Phase 1: the phase-2 tableau, basis and kept rows of a feasible
+) -> tuple[np.ndarray, list[int], list[bool]] | np.ndarray:
+    """Phase 1: the phase-2 tableau, basis and kept-row mask of a feasible
     region, or the Farkas multipliers of an infeasible one."""
-    m, width = body.shape
-    n_ineq = width - N
+    n_ineq, N = p.ineq_lhs.shape
+    m = flipped.size
+    width = N + n_ineq
     total = width + art_rows.size
+    # [G | I | art | h; E | 0 | art | f; cost row], filled in place.
     T = np.zeros((m + 1, total + 1))
-    T[:m, :width] = body
-    T[:m, -1] = b
-    art_cols = np.arange(width, total)
-    T[art_rows, art_cols] = 1.0
+    _write_rows(T, p, flipped)
     # Row i starts on its slack, column N + i, unless it takes an artificial:
     # then on the next artificial column.
-    start = np.arange(N, N + m)
-    start[art_rows] = art_cols
-    basis: list[int] = start.tolist()
+    basis = list(range(N, N + m))
+    for col, r in enumerate(art_rows.tolist(), width):
+        T[r, col] = 1.0
+        basis[r] = col
 
     # Phase 1: maximize -(sum of artificials).
     phase1_costs = np.zeros(total)
     phase1_costs[width:] = -1.0
-    T[-1] = _priced_cost_row(T, basis, phase1_costs)
+    _priced_cost_row(T, basis, phase1_costs)
     _run_simplex(T, basis, iter_limit, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
     if art_sum > FEAS_TOL:
         w = np.empty(m)
-        w[:n_ineq] = -T[-1, N : N + n_ineq]
+        w[:n_ineq] = -T[-1, N:width]
         # A flipped inequality row's artificial overrides its slack's reading.
         w[art_rows] = -1.0 - T[-1, width:total]
         w[flipped] *= -1.0
@@ -410,19 +438,20 @@ def _phase_one(
     # impossible are redundant and dropped.  A lingering artificial sits at a
     # value <= FEAS_TOL, which we are entitled to round to zero, keeping the
     # rhs nonnegative through the degenerate pivot.
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= width:
-            T[r, -1] = 0.0
-            row_body = np.abs(T[r, :width])
-            col = int(row_body.argmax())
-            if row_body[col] > PIVOT_TOL:
-                _pivot(T, r, col)
-                basis[r] = col
-            else:
-                keep[r] = False
-    if not np.logical_and.reduce(keep):
-        T = np.concatenate([T[:-1][keep], T[-1:]])
-        basis = [bvar for r, bvar in enumerate(basis) if keep[r]]
+    keep = [True] * m
+    if max(basis, default=-1) >= width:
+        for r in range(m):
+            if basis[r] >= width:
+                T[r, -1] = 0.0
+                row_body = np.abs(T[r, :width])
+                col = int(row_body.argmax())
+                if row_body[col] > PIVOT_TOL:
+                    _pivot(T, r, col)
+                    basis[r] = col
+                else:
+                    keep[r] = False
+        if not all(keep):
+            T = np.concatenate([T[:-1][keep], T[-1:]])
+            basis = [bvar for bvar, kept in zip(basis, keep) if kept]
     T = np.concatenate([T[:, :width], T[:, total:]], axis=1)
     return T, basis, keep

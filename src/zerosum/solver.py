@@ -52,7 +52,7 @@ class OracleSolution:
 
 def _positivity_shift(values: np.ndarray) -> float:
     """Constant c making every entry of A + cJ at least 1 (0 if already)."""
-    lo = float(values.min())
+    lo = float(np.minimum.reduce(values, axis=None))
     return 1.0 - lo if lo < 1.0 else 0.0
 
 
@@ -64,13 +64,15 @@ def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
-    G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)  # v - (B^T x)_j <= 0
-    h = np.zeros(n)
+    G = np.empty((n, m + 1))  # v - (B^T x)_j <= 0
+    np.negative(B.T, out=G[:, :m])
+    G[:, m] = 1.0
     E = np.zeros((1, m + 1))
     E[0, :m] = 1.0
-    f = np.ones(1)
     sol = solve_lp(
-        LinearProgram(objective=c, ineq_lhs=G, ineq_rhs=h, eq_lhs=E, eq_rhs=f)
+        LinearProgram(
+            objective=c, ineq_lhs=G, ineq_rhs=np.zeros(n), eq_lhs=E, eq_rhs=[1.0]
+        )
     )
     if sol.status is not LPStatus.OPTIMAL:
         raise RuntimeError(
@@ -88,8 +90,8 @@ def _certify(
     hold the row player to value + tol (ceiling), and the two may differ by
     at most tol.  Returns that duality gap; raises RuntimeError otherwise.
     """
-    floor = float((x @ V).min())
-    ceiling = float((V @ y).max())
+    floor = float(np.minimum.reduce(x @ V))
+    ceiling = float(np.maximum.reduce(V @ y))
     gap = max(ceiling - floor, 0.0)
     # Written so that a NaN anywhere fails the certificate.
     if not (floor >= value - tol and ceiling <= value + tol and gap <= tol):
@@ -238,34 +240,38 @@ def _vertex_extrema(
     m, n = V.shape
     zero = (sol.row_strategy.weights == 0.0).nonzero()[0]
     binding = (sol.col_strategy.weights > 0.0).nonzero()[0]
-    if len(zero) + len(binding) != m:
+    n_zero = zero.size
+    if n_zero + binding.size != m:
         return None
-    facets = np.zeros((m, m))
-    facets[np.arange(len(zero)), zero] = 1.0
-    facets[len(zero) :] = V[:, binding].T
-    rhs = np.zeros(m)
-    rhs[len(zero) :] = v - tol
-    # System k is the facet system with row k swapped for sum x = 1.
+    # The facet system [facets | rhs], one facet a row.
     k = np.arange(m)
-    systems = np.repeat(facets[np.newaxis], m, axis=0)
-    systems[k, k] = 1.0
-    rhs_k = np.repeat(rhs[np.newaxis], m, axis=0)
-    rhs_k[k, k] = 1.0
+    facets = np.zeros((m, m + 1))
+    facets[k[:n_zero], zero] = 1.0
+    facets[n_zero:, :m] = V[:, binding].T
+    facets[n_zero:, m] = v - tol
+    # System k is the facet system with row k swapped for sum x = 1: in the
+    # (m * m, m + 1) layout of the stack, row k of system k is row k * (m + 1).
+    systems = facets[np.newaxis].repeat(m, axis=0)
+    systems.reshape(m * m, m + 1)[:: m + 1] = 1.0
     try:
-        X = np.linalg.solve(systems, rhs_k[..., np.newaxis])[..., 0]
+        X = np.linalg.solve(systems[..., :m], systems[..., m:])[..., 0]
     except np.linalg.LinAlgError:
         return None
     payoffs = X @ V
-    leaving = np.concatenate([X[:, zero], payoffs[:, binding] - (v - tol)], axis=1)
+    # How far vertex k lies inside facet k: x_i for a zero facet i, the
+    # payoff above v - tol for a binding column.
+    leaving = np.concatenate(
+        [X[k[:n_zero], zero], payoffs[k[n_zero:], binding] - (v - tol)]
+    )
     # Written so that a NaN anywhere refuses.
     if not (
-        X.min() >= -FEAS_TOL
-        and payoffs.min() >= v - tol - FEAS_TOL
-        and np.abs(X.sum(axis=1) - 1.0).max() <= FEAS_TOL
-        and leaving[k, k].min() > FEAS_TOL
+        np.minimum.reduce(X, axis=None) >= -FEAS_TOL
+        and np.minimum.reduce(payoffs, axis=None) >= v - tol - FEAS_TOL
+        and np.maximum.reduce(np.abs(np.add.reduce(X, axis=1) - 1.0)) <= FEAS_TOL
+        and np.minimum.reduce(leaving) > FEAS_TOL
     ):
         return None
-    return payoffs.min(axis=0), payoffs.max(axis=0)
+    return np.minimum.reduce(payoffs), np.maximum.reduce(payoffs)
 
 
 def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,5 +331,8 @@ def extrema_dominated(mins: np.ndarray, maxs: np.ndarray, v: float, tol: float) 
     touch v +/- tol exactly.
     """
     slack = tol + FEAS_TOL
-    return bool(np.all(maxs <= v + slack) and np.all(mins >= v - slack))
+    return bool(
+        np.logical_and.reduce(maxs <= v + slack)
+        and np.logical_and.reduce(mins >= v - slack)
+    )
 

@@ -81,25 +81,27 @@ def perron(A: GameMatrix) -> SpectralCert:
     if not A.is_square:
         raise InvalidMatrixError(f"perron requires a square matrix, got {A.rows}x{A.cols}")
     V = A.values
-    if V.min() <= 0.0:
+    if np.minimum.reduce(V, axis=None) <= 0.0:
         raise InputError("perron requires strictly positive entries")
     eigenvalues, eigenvectors = np.linalg.eig(V)
-    v = np.abs(eigenvectors[:, int(np.argmax(eigenvalues.real))].real)
-    v = V @ (v / v.sum())
-    v /= v.sum()
+    v = np.abs(eigenvectors[:, int(eigenvalues.real.argmax())].real)
+    v = V @ (v / np.add.reduce(v))
+    v /= np.add.reduce(v)
     Av = V @ v
-    root = float(Av.sum() / v.sum())
-    residual = float(np.max(np.abs(Av - root * v)))
-    if not (v.min() > 0.0 and residual <= PERRON_RESIDUAL_TOL):
+    root = float(np.add.reduce(Av) / np.add.reduce(v))
+    residual = float(np.maximum.reduce(np.abs(Av - root * v)))
+    lowest = np.minimum.reduce(v)
+    if not (lowest > 0.0 and residual <= PERRON_RESIDUAL_TOL):
         raise ConvergenceError(
-            f"Perron pair fails its certificate: min(v) = {v.min():g}, "
+            f"Perron pair fails its certificate: min(v) = {lowest:g}, "
             f"residual {residual:g} (tol {PERRON_RESIDUAL_TOL:g})"
         )
-    row_sums = V.sum(axis=1)
-    if not (row_sums.min() - BRACKET_ROUNDOFF <= root <= row_sums.max() + BRACKET_ROUNDOFF):
+    row_sums = np.add.reduce(V, axis=1)
+    low, high = np.minimum.reduce(row_sums), np.maximum.reduce(row_sums)
+    if not (low - BRACKET_ROUNDOFF <= root <= high + BRACKET_ROUNDOFF):
         raise ConvergenceError(
             f"estimated root {root!r} escapes the row-sum bracket "
-            f"[{row_sums.min()!r}, {row_sums.max()!r}]"
+            f"[{low!r}, {high!r}]"
         )
     v.setflags(write=False)
     return SpectralCert(perron_root=root, perron_vector=v, residual=residual)
@@ -129,7 +131,9 @@ def null_space(A: GameMatrix) -> KernelBasis:
 def _stochastic_kernel(M: np.ndarray) -> LPSolution:
     """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0."""
     m, n = M.shape
-    E = np.concatenate([M, np.ones((1, n))])
+    E = np.empty((m + 1, n))
+    E[:m] = M
+    E[m] = 1.0
     f = np.zeros(m + 1)
     f[m] = 1.0
     return solve_lp(LinearProgram(np.zeros(n), eq_lhs=E, eq_rhs=f))
@@ -169,13 +173,13 @@ def gordan(A: GameMatrix) -> GordanVerdict:
     kernel = _stochastic_kernel(V)
     if kernel.status is LPStatus.OPTIMAL:
         x = normalized_strategy(kernel.point, Player.COL).weights
-        if float(np.max(np.abs(V @ x))) > GORDAN_WITNESS_TOL:
+        if float(np.maximum.reduce(np.abs(V @ x))) > GORDAN_WITNESS_TOL:
             raise InconsistentAlternativesError(
                 "kernel witness fails ||A x||_inf <= 1e-9 after cleanup"
             )
         return GordanVerdict(branch=GordanBranch.NONNEGATIVE_KERNEL, witness=x)
     y = kernel.farkas[: V.shape[0]]
-    floor = float((V.T @ y).min())
+    floor = float(np.minimum.reduce(V.T @ y))
     if not floor > 0.0:
         raise InconsistentAlternativesError(
             f"Farkas witness fails A^T y > 0: min(A^T y) = {floor:g}"

@@ -297,6 +297,38 @@ class TestGoldenFiles:
             assert [r["input_digest"] for r in reports] == [recipe(M) for M in matrices]
 
 
+# SHA-256 of `verify` at 100 trials on the three bench ensembles, with the
+# exit code: the reports pin every pivot's last bit over many more games
+# than the golden files hold.
+_ENSEMBLE_DIGESTS = [
+    (
+        ("NegTransposeThm2", "General", 30, 7),
+        0,
+        "35c666bf6afcbad80d9c20518a0134bee263eadf2a94e49dd468dd4eb0f390be",
+    ),
+    (
+        ("PositiveDominatedThm4", "Positive", 10, 1),
+        1,
+        "a97fe77b2e1dde52206469941743dea51823031171a5b19fe87acac2dd492f4e",
+    ),
+    (
+        ("GordanTheorem3", "Skew", 7, 1),
+        1,
+        "72d723f18eded29528c1977a95089cc043faccfeba56eb80336dcad1ca7cd532",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,code,digest", _ENSEMBLE_DIGESTS, ids=["negt_general", "posdom", "gordan_skew"]
+)
+def test_bench_ensembles_keep_their_bytes(capsys, spec, code, digest):
+    claim, family, size, seed = spec
+    got_code, out, _ = run(capsys, *_ensemble_argv(claim, family, size, 100, seed))
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_module_entry_point_is_warning_free():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)

@@ -255,6 +255,103 @@ def test_canonical_json_empty_containers_and_unknown_types():
         canonical_json({"a": {1, 2}})
 
 
+def _reference_canonical_json(obj, indent: int = 2) -> str:
+    """canonical_json item by item: one `canonical_float` call per float and
+    one `json.dumps` call per string or key."""
+    import json
+
+    from zerosum.core import canonical_float
+
+    def render(o, level: int) -> str:
+        pad = " " * (indent * (level + 1))
+        close = " " * (indent * level)
+        if o is None:
+            return "null"
+        if isinstance(o, (bool, np.bool_)):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return canonical_float(float(o))
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, np.ndarray):
+            o = o.tolist()
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = ",\n".join(pad + render(v, level + 1) for v in o)
+            return "[\n" + inner + "\n" + close + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = ",\n".join(
+                f"{pad}{json.dumps(str(k))}: {render(v, level + 1)}"
+                for k, v in o.items()
+            )
+            return "{\n" + inner + "\n" + close + "}"
+        raise TypeError(f"cannot canonicalize {type(o).__name__}")
+
+    return render(obj, 0) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]),
+)
+# Quotes, backslashes, control characters, non-ASCII and non-BMP text.
+_TEXT = st.one_of(
+    st.text(),
+    st.text(
+        st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "€", "𝄞"])
+    ),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    _TEXT,
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+_FLOAT_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=6).map(np.array),
+    st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4).map(
+        lambda rows: np.array(rows).reshape(-1, 2)
+    ),
+)
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _FLOAT_ARRAYS, st.lists(_FLOATS)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.integers()), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS, st.sampled_from([0, 2, 3]))
+def test_canonical_json_renders_as_item_by_item(payload, indent):
+    assert canonical_json(payload, indent) == _reference_canonical_json(payload, indent)
+
+
+def test_canonical_json_float_lists():
+    # A list of exact floats renders in one format call: -0.0 as "0", and
+    # the same text as the item-by-item rendering.
+    floats = [-0.0, 1.5, math.nan, -math.inf, 5e-324]
+    payload = {"v": floats, "t": (0.1,), "s": "\u00e9"}
+    text = canonical_json(payload)
+    assert text == _reference_canonical_json(payload)
+    items = ["0", "1.5", "nan", "-inf", "4.9406564584124654e-324"]
+    assert '"v": [\n    ' + ",\n    ".join(items) + "\n  ]" in text
+    assert '"s": "\\u00e9"' in text
+
+
 def test_game_solution_rejects_negative_duality_gap():
     x, y = MixedStrategy(Player.ROW, [1.0]), MixedStrategy(Player.COL, [1.0])
     with pytest.raises(InputError, match="duality gap"):

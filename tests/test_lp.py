@@ -230,8 +230,9 @@ def test_solve_game_pivot_budget(pivot_log, seed):
 
 
 def test_priced_cost_row_matches_row_by_row_elimination():
-    # The cost row is one matrix product; the row-by-row elimination below
-    # sums the same terms in another order, so they agree up to roundoff.
+    # The cost row, written into the tableau's last row, is one matrix
+    # product; the row-by-row elimination below sums the same terms in
+    # another order, so they agree up to roundoff.
     rng = np.random.default_rng(37)
     for _ in range(50):
         m, k = int(rng.integers(1, 8)), int(rng.integers(1, 12))
@@ -242,7 +243,10 @@ def test_priced_cost_row_matches_row_by_row_elimination():
         for r, b in enumerate(basis):
             want -= costs[b] * T[r]
         scale = np.abs(costs[basis]) @ np.abs(T[:-1]) + np.abs(want)
-        got = _priced_cost_row(T, basis, costs)
+        priced = T.copy()
+        _priced_cost_row(priced, basis, costs)
+        assert priced[:-1].tobytes() == T[:-1].tobytes()  # only the cost row
+        got = priced[-1]
         assert np.all(np.abs(got - want) <= 2 * m * np.finfo(float).eps * scale)
 
 
@@ -588,6 +592,66 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
     assert all(entered.values()), entered
 
 
+def test_per_trial_path_calls_no_python_level_numpy_wrapper():
+    # The pivot loop's rule holds on the whole per-trial path (see the lp
+    # docstring): one trial of PositiveDominatedThm4 on Positive 10, one of
+    # GordanTheorem3 on Skew 7, and the rendering of their reports.  No
+    # zerosum function calls into `_methods` or `fromnumeric` directly.
+    try:
+        from numpy._core import _methods, fromnumeric
+    except ImportError:  # numpy 1.x
+        from numpy.core import _methods, fromnumeric
+    import zerosum
+    from zerosum import claims, core, solver, spectral
+    import zerosum.lp as lp_mod
+
+    package = zerosum.__file__.rpartition("__init__.py")[0]
+    wrappers = {_methods.__file__, fromnumeric.__file__}
+    named = {
+        fn.__code__
+        for fn in (
+            solver._positivity_shift,
+            solver._certify,
+            solver._vertex_extrema,
+            solver.extrema_dominated,
+            spectral.perron,
+            spectral.gordan,
+            claims._skew_gate,
+            claims.check_positive_dominated,
+            core._weight_vector,
+            core.canonical_json,
+            lp_mod._residual,
+            lp_mod._priced_cost_row,
+        )
+    }
+    entered = set()
+    wrapped = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code, caller = frame.f_code, frame.f_back.f_code
+        if code in named:
+            entered.add(code)
+        if code.co_filename in wrappers and caller.co_filename.startswith(package):
+            wrapped.append((caller.co_name, code.co_name))
+
+    positive = ensemble("Positive", 10, 1, 1)[0]
+    skew = ensemble("Skew", 7, 1, 1)[0]
+    sys.setprofile(profile)
+    try:
+        reports = [
+            claims.check_positive_dominated(positive),
+            claims.check_gordan_theorem3(skew),
+        ]
+        for report in reports:
+            report.to_canonical_json()
+    finally:
+        sys.setprofile(None)
+    assert wrapped == []
+    assert entered == named, {code.co_name for code in named - entered}
+
+
 def test_residual_counts_negative_coordinates():
     # z >= 0 is part of every region, so a negative coordinate is infeasible.
     p = LinearProgram(objective=[1, 1])
@@ -614,6 +678,140 @@ def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     monkeypatch.setattr(lp_mod, "_residual", lambda region, z: 1.0)
     with pytest.raises(RuntimeError, match="solver bug"):
         solve_lp(p)
+
+
+def _reference_phase_one(p):
+    """The phase-1 tableau and basis as the lp module docstring states them,
+    entry by entry: [G | I | art | h; E | 0 | art | f] over the cost row of
+    maximize -(sum of artificials).  A row with a negative rhs has its data
+    and rhs multiplied by -1 and its slack set to -1; every other entry off
+    the data stays +0.  The cost row is c - c_B [rows], one matrix product
+    as in `_priced_cost_row`."""
+    n_ineq, N = p.ineq_lhs.shape
+    data = [*zip(p.ineq_lhs.tolist(), p.ineq_rhs.tolist())]
+    data += [*zip(p.eq_lhs.tolist(), p.eq_rhs.tolist())]
+    m, width = len(data), N + n_ineq
+    art_rows = [i for i, (_, rhs) in enumerate(data) if i >= n_ineq or rhs < 0.0]
+    total = width + len(art_rows)
+    T = np.zeros((m + 1, total + 1))
+    basis = []
+    for i, (lhs, rhs) in enumerate(data):
+        flip = rhs < 0.0
+        T[i, :N] = [a * -1.0 if flip else a for a in lhs]
+        T[i, -1] = rhs * -1.0 if flip else rhs
+        if i < n_ineq:
+            T[i, N + i] = -1.0 if flip else 1.0
+        if i in art_rows:
+            T[i, width + art_rows.index(i)] = 1.0
+            basis.append(width + art_rows.index(i))
+        else:
+            basis.append(N + i)
+    costs = np.zeros(total + 1)
+    costs[width:total] = -1.0
+    T[-1] = costs - costs[basis] @ T[:-1]
+    return T, basis
+
+
+def _setup_programs(rng):
+    """(kind, program) pairs covering each shape of the phase-1 set-up, with
+    continuous and integer data (integer data makes -0 entries)."""
+    for t in range(200):
+        kind = ["<= only", "flipped", "= rows", "no <= rows", "no rows"][t % 5]
+        integer = t % 2 == 0
+        draw = (
+            (lambda *shape: rng.integers(-3, 4, shape).astype(float))
+            if integer
+            else (lambda *shape: rng.uniform(-2, 2, shape))
+        )
+        n = int(rng.integers(1, 6))
+        mg = 0 if kind in ("no <= rows", "no rows") else int(rng.integers(1, 5))
+        me = int(rng.integers(1, 4)) if kind in ("= rows", "no <= rows") else 0
+        h = draw(mg)
+        if kind == "flipped":
+            h[0] = -abs(h[0]) - 1.0
+            me = int(rng.integers(0, 3))
+        elif kind in ("<= only", "= rows"):
+            h = np.abs(h)
+        kwargs = {}
+        if mg:
+            kwargs.update(ineq_lhs=draw(mg, n), ineq_rhs=h)
+        if me:
+            kwargs.update(eq_lhs=draw(me, n), eq_rhs=draw(me))
+        yield kind, LinearProgram(objective=draw(n), **kwargs)
+
+
+def test_phase_one_tableau_is_the_documented_one(monkeypatch):
+    import zerosum.lp as lp_mod
+
+    seen = []
+    run = lp_mod._run_simplex
+
+    def capture(T, basis, iter_limit, bounded=False):
+        if not seen:
+            seen.append((T.copy(), list(basis), bounded))
+        return run(T, basis, iter_limit, bounded)
+
+    monkeypatch.setattr(lp_mod, "_run_simplex", capture)
+    kinds = set()
+    for kind, p in _setup_programs(np.random.default_rng(83)):
+        seen.clear()
+        with np.errstate(all="ignore"):
+            solve_lp(p)
+        (T, basis, bounded), = seen
+        want_T, want_basis = _reference_phase_one(p)
+        assert bounded, kind
+        assert basis == want_basis, kind
+        assert T.shape == want_T.shape, kind
+        assert T.tobytes() == want_T.tobytes(), kind
+        kinds.add(kind)
+    assert len(kinds) == 5
+
+
+def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
+    # Row 0 is flipped (-z0 - z1 <= -1), and the second equality repeats the
+    # first, so phase 1 drops its row, which is not the last.  The first
+    # residual check spoils the tableau's x_B and fails, so x_B must be
+    # solved again against the rebuilt, flipped, kept rows.
+    import zerosum.lp as lp_mod
+
+    p = LinearProgram(
+        objective=[1, 3, 0],
+        ineq_lhs=[[-1, -1, 0], [1, 2, 0]],
+        ineq_rhs=[-1, 4],
+        eq_lhs=[[1, 1, 1], [2, 2, 2], [1, 0, 0]],
+        eq_rhs=[3, 6, 0],
+    )
+    want = solve_lp(p)
+    shapes, phase_two_basis = [], []
+    run = lp_mod._run_simplex
+
+    def recording(T, basis, iter_limit, bounded=False):
+        shapes.append(T.shape)
+        if not bounded:
+            phase_two_basis.append(basis)  # final once the run returns
+        return run(T, basis, iter_limit, bounded)
+
+    calls = []
+
+    def spoiled_once(region, z):
+        calls.append(z.copy())
+        if len(calls) == 1:
+            (basis,) = phase_two_basis
+            z[[j for j in basis if j < z.size]] += 0.5
+            return 1.0
+        return _residual(region, z)
+
+    monkeypatch.setattr(lp_mod, "_run_simplex", recording)
+    monkeypatch.setattr(lp_mod, "_residual", spoiled_once)
+    sol = solve_lp(p)
+    # Phase 1: 5 rows, 3 variables, 2 slacks and 4 artificials (the flipped
+    # row's and the equalities').  Phase 2: 4 rows, no artificial.
+    assert shapes == [(5 + 1, 3 + 2 + 4 + 1), (4 + 1, 3 + 2 + 1)]
+    assert len(calls) == 2
+    assert sol.status is LPStatus.OPTIMAL
+    np.testing.assert_allclose(sol.point, want.point, atol=1e-12)
+    np.testing.assert_allclose(sol.point, [0.0, 2.0, 1.0], atol=1e-12)
+    assert sol.primal_residual == _residual(p, sol.point)
 
 
 def test_overflowed_optimum_is_a_solver_error():
