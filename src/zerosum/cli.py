@@ -34,7 +34,6 @@ from .spectral import (
     stochastic_eigenvector,
 )
 
-POSITIVE_ENTRY_FLOOR = 1e-3
 # Entry ranges used for CLI-driven ensembles (the library API takes any range).
 DEFAULT_RANGES = {
     "Diagonal": (-5.0, 5.0),
@@ -62,6 +61,7 @@ class EnsembleSpec:
     `size` is the column count n; `rows` applies to the General family only
     and defaults to n.  Diagonal and Skew are square by construction and the
     Positive family must have a strictly positive lower range endpoint.
+    Every family draws its entries from `entry_range` as given.
     """
 
     family: Family
@@ -104,7 +104,7 @@ def generate_ensemble(spec: EnsembleSpec) -> list[GameMatrix]:
             upper[idx] = rng.uniform(lo, hi, idx[0].size)
             M = upper - upper.T
         elif spec.family is Family.POSITIVE:
-            M = rng.uniform(max(lo, POSITIVE_ENTRY_FLOOR), hi, (n, n))
+            M = rng.uniform(lo, hi, (n, n))
         else:
             m = spec.rows if spec.rows is not None else n
             M = rng.uniform(lo, hi, (m, n))

@@ -110,40 +110,20 @@ class LPStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-def _as_floats(v, name: str) -> np.ndarray:
-    """A new float array holding v: DimensionMismatchError when v is ragged,
-    InputError when an entry is not a number."""
+def _as_array(v, ndim: int, name: str) -> np.ndarray:
+    """A new float array holding v, with `ndim` dimensions and finite entries:
+    DimensionMismatchError when v is ragged or has another ndim, InputError
+    when an entry is not a number or not finite."""
     try:
-        return np.array(v, dtype=float)
+        arr = np.array(v, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         try:
             np.asarray(v)
         except ValueError:
             raise DimensionMismatchError(f"{name} is ragged") from exc
         raise InputError(f"{name} must have numeric entries") from exc
-
-
-def _as_matrix(M, n_cols: int, name: str) -> np.ndarray:
-    if M is None:
-        return np.zeros((0, n_cols))
-    arr = _as_floats(M, name)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[1] != n_cols:
-        raise DimensionMismatchError(
-            f"{name} has {arr.shape[1]} columns, expected {n_cols}"
-        )
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
-        raise InputError(f"{name} must have finite entries")
-    return arr
-
-
-def _as_vector(v, n: int | None, name: str) -> np.ndarray:
-    """v as a float vector, of length n unless n is None."""
-    arr = _as_floats(v, name)
-    if arr.ndim != 1 or n is not None and arr.size != n:
-        length = "" if n is None else f" of length {n}"
-        raise DimensionMismatchError(f"{name} must be a vector{length}")
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InputError(f"{name} must have finite entries")
     return arr
@@ -164,16 +144,24 @@ class LinearProgram:
     eq_rhs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = _as_vector(self.objective, None, "objective")
-        if c.size == 0:
+        c = _as_array(self.objective, 1, "objective")
+        n = c.size
+        if n == 0:
             raise InputError("objective must be nonempty")
         fields = {"objective": c}
         for lhs, rhs in (("ineq_lhs", "ineq_rhs"), ("eq_lhs", "eq_rhs")):
-            given_lhs, v = getattr(self, lhs), getattr(self, rhs)
-            fields[lhs] = M = _as_matrix(given_lhs, c.size, lhs)
-            if (v is None) != (given_lhs is None):
+            M, v = getattr(self, lhs), getattr(self, rhs)
+            if M is None and v is None:
+                fields[lhs], fields[rhs] = np.zeros((0, n)), np.zeros(0)
+                continue
+            if M is None or v is None:
                 raise DimensionMismatchError(f"{lhs} and {rhs} must be given together")
-            fields[rhs] = np.zeros(0) if v is None else _as_vector(v, M.shape[0], rhs)
+            fields[lhs] = M = _as_array(M, 2, lhs)
+            if M.shape[1] != n:
+                raise DimensionMismatchError(f"{lhs} has {M.shape[1]} columns, expected {n}")
+            fields[rhs] = v = _as_array(v, 1, rhs)
+            if v.size != M.shape[0]:
+                raise DimensionMismatchError(f"{rhs} must have length {M.shape[0]}")
         for name, val in fields.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -353,13 +341,55 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     # unflipped inequality takes an artificial in phase 1.
     flipped = np.concatenate([p.ineq_rhs, p.eq_rhs]) < 0.0
     art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
-    iter_limit = ITERATION_FACTOR * (width + art_rows.size + m)
+    total = width + art_rows.size
+    iter_limit = ITERATION_FACTOR * (total + m)
 
-    started = _phase_one(p, flipped, art_rows, iter_limit)
-    if isinstance(started, np.ndarray):  # Farkas multipliers
-        return LPSolution(status=LPStatus.INFEASIBLE, farkas=started)
-    T, basis, keep = started
+    # [G | I | art | h; E | 0 | art | f; cost row], filled in place.
+    T = np.zeros((m + 1, total + 1))
+    _write_rows(T, p, flipped)
+    # Row i starts on its slack, column N + i, unless it takes an artificial:
+    # then on the next artificial column.
+    basis = list(range(N, N + m))
+    for col, r in enumerate(art_rows.tolist(), width):
+        T[r, col] = 1.0
+        basis[r] = col
 
+    # Phase 1: maximize -(sum of artificials).
+    phase1_costs = np.zeros(total)
+    phase1_costs[width:] = -1.0
+    _priced_cost_row(T, basis, phase1_costs)
+    _run_simplex(T, basis, iter_limit, bounded=True)
+    art_sum = T[-1, -1]  # -objective = sum of artificials
+    if art_sum > FEAS_TOL:
+        w = np.empty(m)
+        w[:n_ineq] = -T[-1, N:width]
+        # A flipped inequality row's artificial overrides its slack's reading.
+        w[art_rows] = -1.0 - T[-1, width:total]
+        w[flipped] *= -1.0
+        return LPSolution(status=LPStatus.INFEASIBLE, farkas=w)
+
+    # Drive leftover artificials out of the basis; rows where that is
+    # impossible are redundant and dropped.  A lingering artificial sits at a
+    # value <= FEAS_TOL, which we are entitled to round to zero, keeping the
+    # rhs nonnegative through the degenerate pivot.
+    keep = [True] * m
+    if max(basis, default=-1) >= width:
+        for r in range(m):
+            if basis[r] >= width:
+                T[r, -1] = 0.0
+                row_body = np.abs(T[r, :width])
+                col = int(row_body.argmax())
+                if row_body[col] > PIVOT_TOL:
+                    _pivot(T, r, col)
+                    basis[r] = col
+                else:
+                    keep[r] = False
+        if not all(keep):
+            T = np.concatenate([T[:-1][keep], T[-1:]])
+            basis = [bvar for bvar, kept in zip(basis, keep) if kept]
+    T = np.concatenate([T[:, :width], T[:, total:]], axis=1)
+
+    # Phase 2: maximize c.z from the feasible basis.
     costs = np.zeros(width)
     costs[:N] = p.objective
     _priced_cost_row(T, basis, costs)
@@ -396,62 +426,3 @@ def solve_lp(p: LinearProgram) -> LPSolution:
         primal_residual=residual,
         ineq_duals=-T[-1, N:width],
     )
-
-
-def _phase_one(
-    p: LinearProgram,
-    flipped: np.ndarray,
-    art_rows: np.ndarray,
-    iter_limit: int,
-) -> tuple[np.ndarray, list[int], list[bool]] | np.ndarray:
-    """Phase 1: the phase-2 tableau, basis and kept-row mask of a feasible
-    region, or the Farkas multipliers of an infeasible one."""
-    n_ineq, N = p.ineq_lhs.shape
-    m = flipped.size
-    width = N + n_ineq
-    total = width + art_rows.size
-    # [G | I | art | h; E | 0 | art | f; cost row], filled in place.
-    T = np.zeros((m + 1, total + 1))
-    _write_rows(T, p, flipped)
-    # Row i starts on its slack, column N + i, unless it takes an artificial:
-    # then on the next artificial column.
-    basis = list(range(N, N + m))
-    for col, r in enumerate(art_rows.tolist(), width):
-        T[r, col] = 1.0
-        basis[r] = col
-
-    # Phase 1: maximize -(sum of artificials).
-    phase1_costs = np.zeros(total)
-    phase1_costs[width:] = -1.0
-    _priced_cost_row(T, basis, phase1_costs)
-    _run_simplex(T, basis, iter_limit, bounded=True)
-    art_sum = T[-1, -1]  # -objective = sum of artificials
-    if art_sum > FEAS_TOL:
-        w = np.empty(m)
-        w[:n_ineq] = -T[-1, N:width]
-        # A flipped inequality row's artificial overrides its slack's reading.
-        w[art_rows] = -1.0 - T[-1, width:total]
-        w[flipped] *= -1.0
-        return w
-
-    # Drive leftover artificials out of the basis; rows where that is
-    # impossible are redundant and dropped.  A lingering artificial sits at a
-    # value <= FEAS_TOL, which we are entitled to round to zero, keeping the
-    # rhs nonnegative through the degenerate pivot.
-    keep = [True] * m
-    if max(basis, default=-1) >= width:
-        for r in range(m):
-            if basis[r] >= width:
-                T[r, -1] = 0.0
-                row_body = np.abs(T[r, :width])
-                col = int(row_body.argmax())
-                if row_body[col] > PIVOT_TOL:
-                    _pivot(T, r, col)
-                    basis[r] = col
-                else:
-                    keep[r] = False
-        if not all(keep):
-            T = np.concatenate([T[:-1][keep], T[-1:]])
-            basis = [bvar for bvar, kept in zip(basis, keep) if kept]
-    T = np.concatenate([T[:, :width], T[:, total:]], axis=1)
-    return T, basis, keep

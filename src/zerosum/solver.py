@@ -194,13 +194,13 @@ def oracle_solve(A: GameMatrix) -> OracleSolution:
                 ):
                     continue
                 x = np.zeros(m)
-                x[list(I)] = np.clip(x_sub, 0.0, None)
+                x[list(I)] = x_sub
                 y = np.zeros(n)
-                y[list(J)] = np.clip(y_sub, 0.0, None)
-                x /= x.sum()
-                y /= y.sum()
-                floor = float((x @ B).min())
-                ceiling = float((B @ y).max())
+                y[list(J)] = y_sub
+                row = normalized_strategy(x, Player.ROW)
+                col = normalized_strategy(y, Player.COL)
+                floor = float((row.weights @ B).min())
+                ceiling = float((B @ col.weights).max())
                 if floor < v - ORACLE_DEVIATION_TOL:
                     continue
                 if ceiling > v + ORACLE_DEVIATION_TOL:
@@ -209,8 +209,8 @@ def oracle_solve(A: GameMatrix) -> OracleSolution:
                     value=v - shift,
                     row_support=I,
                     col_support=J,
-                    row_strategy=MixedStrategy(Player.ROW, x),
-                    col_strategy=MixedStrategy(Player.COL, y),
+                    row_strategy=row,
+                    col_strategy=col,
                 )
     raise RuntimeError("no valid support pair found; oracle bug")
 

@@ -147,12 +147,15 @@ def stochastic_eigenvector(
     """A stochastic vector y with (A - eigenvalue*I) y = 0, or None.
 
     Decided by LP feasibility: (A - lambda I) y = 0, sum y = 1, y >= 0.  No
-    eigenvalue search is performed; the caller supplies lambda.
+    eigenvalue search is performed; the caller supplies lambda, which must be
+    finite.
     """
     if not A.is_square:
         raise InvalidMatrixError(
             f"stochastic_eigenvector requires a square matrix, got {A.rows}x{A.cols}"
         )
+    if not np.isfinite(eigenvalue):
+        raise InputError(f"eigenvalue must be finite, got {eigenvalue!r}")
     sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows))
     if sol.status is not LPStatus.OPTIMAL:
         return None

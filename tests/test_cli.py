@@ -164,6 +164,15 @@ class TestEnsembles:
         for M in generate_ensemble(spec):
             assert np.all(M.values >= 1.0) and np.all(M.values <= 2.0)
 
+    @pytest.mark.parametrize("entry_range", [(1e-6, 1.0), (1e-6, 1e-4)])
+    def test_positive_draws_from_the_whole_given_range(self, entry_range):
+        lo, hi = entry_range
+        spec = EnsembleSpec(Family.POSITIVE, size=10, trials=100, seed=1, entry_range=entry_range)
+        entries = np.concatenate([M.values.ravel() for M in generate_ensemble(spec)])
+        # No floor above lo: entries below 1e-3 come up.
+        assert lo <= entries.min() < 1e-3
+        assert entries.max() < hi
+
     def test_diagonal_structure(self):
         spec = EnsembleSpec(Family.DIAGONAL, size=4, trials=3, seed=9, entry_range=(-2, 2))
         for M in generate_ensemble(spec):

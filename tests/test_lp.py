@@ -99,9 +99,17 @@ class TestBasicOutcomes:
 
 class TestValidation:
     def test_dimension_mismatch(self):
-        for lhs, rhs in [([[1]], [0]), ([1, 2], [0]), ([[1, 2]], [0, 0])]:
-            with pytest.raises(DimensionMismatchError):
-                LinearProgram(objective=[1, 2], ineq_lhs=lhs, ineq_rhs=rhs)
+        # A wrong column count, a 1-D lhs, a rhs of the wrong length, a 2-D
+        # rhs, and a lhs or rhs given alone: each pair, each fault alone.
+        bad = [([[1]], [0]), ([1, 2], [0]), ([[1, 2]], [0, 0]), ([[1, 2]], [[0]]),
+               ([[1, 2]], None), (None, [0])]
+        for lhs_name, rhs_name in (("ineq_lhs", "ineq_rhs"), ("eq_lhs", "eq_rhs")):
+            for lhs, rhs in bad:
+                with pytest.raises(DimensionMismatchError):
+                    LinearProgram(objective=[1, 2], **{lhs_name: lhs, rhs_name: rhs})
+            p = LinearProgram(objective=[1, 2], **{lhs_name: np.zeros((0, 2)), rhs_name: []})
+            assert getattr(p, lhs_name).shape == (0, 2)
+            assert getattr(p, rhs_name).shape == (0,)
 
     def test_missing_rhs(self):
         with pytest.raises(DimensionMismatchError):
@@ -569,7 +577,7 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
     wrappers = {_methods.__file__, fromnumeric.__file__}
     loop = {
         fn.__code__
-        for fn in (lp_mod._run_simplex, lp_mod._pivot, lp_mod.solve_lp, lp_mod._phase_one)
+        for fn in (lp_mod._run_simplex, lp_mod._pivot, lp_mod.solve_lp)
     }
     entered = {code: 0 for code in loop}
     wrapped = []

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zerosum.spectral as spectral_mod
 from zerosum import (
+    ClaimId,
     GameMatrix,
     InconsistentAlternativesError,
     InputError,
@@ -16,6 +18,7 @@ from zerosum import (
     GordanBranch,
     null_space,
     perron,
+    run_checker,
     stochastic_eigenvector,
 )
 from zerosum.cli import run_cli
@@ -224,6 +227,25 @@ class TestStochasticEigenvector:
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.max(np.abs(A.values @ w - lam * w)) <= 1e-8
         assert found >= 25  # the uniform vector is always available here
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_eigenvalue_is_an_input_error(self, rps, capsys, lam):
+        with pytest.raises(InputError, match="eigenvalue"):
+            stochastic_eigenvector(rps, float(lam))
+        for claim in (ClaimId.EIGENSPACE_LEMMA5, ClaimId.SHIFTED_EIGEN_THM4_GENERAL):
+            with pytest.raises(InputError, match="eigenvalue"):
+                run_checker(claim, rps, lambdas=[float(lam)])
+        csv = str(Path(__file__).parent / "data" / "rps.csv")
+        for argv in (
+            ["verify", "--claim", "EigenspaceLemma5", "--input", csv],
+            ["verify", "--claim", "ShiftedEigenThm4General", "--input", csv],
+            ["analyze", "--input", csv],
+        ):
+            capsys.readouterr()
+            assert run_cli([*argv, f"--lambda={lam}"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "eigenvalue" in out.err
 
 
 class TestGordan:
