@@ -25,6 +25,8 @@ from .core import (
     InputError,
     canonical_json,
     canonical_rows,
+    check_finite,
+    check_tolerance,
 )
 from .solver import SOLVE_TOL_DEFAULT, oracle_solve, solve_game
 from .spectral import (
@@ -295,12 +297,30 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     }
 
 
+def _checked_float(check, name: str):
+    """An argparse `type` for a float flag whose value `check(value, name)`
+    accepts.  A rejected value, or text that is not a float, exits 2 with
+    the reason, before any input is read."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            check(value, name)
+        except ValueError as exc:  # InputError is a ValueError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerosum",
         description="Solve and audit two-person zero-sum matrix games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerance = _checked_float(check_tolerance, "tol")
+    eigenvalue = _checked_float(check_finite, "eigenvalue")
 
     def add_io(p):
         p.add_argument("--input", help="matrix file")
@@ -309,12 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="game value and optimal strategies")
     add_io(p)
-    p.add_argument("--tol", type=float, default=SOLVE_TOL_DEFAULT)
+    p.add_argument("--tol", type=tolerance, default=SOLVE_TOL_DEFAULT)
     p.set_defaults(handler=_cmd_solve, requires_input=True)
 
     p = sub.add_parser("analyze", help="spectral summary of a matrix")
     add_io(p)
-    p.add_argument("--lambda", dest="lambdas", type=float, action="append",
+    p.add_argument("--lambda", dest="lambdas", type=eigenvalue, action="append",
                    help="candidate eigenvalue (repeatable)")
     p.set_defaults(handler=_cmd_analyze, requires_input=True)
 
@@ -326,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=CLAIM_TOL_DEFAULT)
-    p.add_argument("--lambda", dest="lambdas", type=float, action="append",
+    p.add_argument("--tol", type=tolerance, default=CLAIM_TOL_DEFAULT)
+    p.add_argument("--lambda", dest="lambdas", type=eigenvalue, action="append",
                    help="eigenvalue for the eigenspace/shifted claims (repeatable)")
     p.set_defaults(handler=_cmd_verify, requires_input=False)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as encode_str
 
@@ -43,6 +44,11 @@ class InvalidStrategyError(InputError):
     """Weight vector is not an acceptable probability distribution."""
 
 
+class NonFiniteJSONError(RuntimeError):
+    """`canonical_json` met a NaN or an infinity, which JSON cannot hold.
+    Reports carry only finite numbers, so this is a bug (CLI exit 3)."""
+
+
 def check_tolerance(value: float, name: str) -> None:
     """Raise InputError unless the tolerance `value` is finite and positive.
 
@@ -50,6 +56,12 @@ def check_tolerance(value: float, name: str) -> None:
     """
     if not 0.0 < value < float("inf"):
         raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_finite(value: float, name: str) -> None:
+    """Raise InputError unless `value` is finite."""
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
 
 
 class Player(enum.Enum):
@@ -83,14 +95,21 @@ def canonical_json(obj, indent: int = 2) -> str:
     A float renders as `canonical_float` does, -0.0 as "0".  A list or
     tuple whose items are all exactly `float` renders with one format call,
     and strings and keys are escaped by the function `json.dumps` uses for
-    a str, so every rendering equals the item-by-item one.
+    a str, so every rendering equals the item-by-item one.  A NaN or an
+    infinity raises NonFiniteJSONError: JSON has no token for it.  No finite
+    float renders with an "n", so one test of the formatted text finds it.
     """
+
+    def finite(text: str) -> str:
+        if "n" in text:
+            raise NonFiniteJSONError(f"cannot render a non-finite float: {text}")
+        return text
 
     def render(o, level: int) -> str:
         pad = " " * (indent * (level + 1))
         close = " " * (indent * level)
         if isinstance(o, (float, np.floating)):
-            return canonical_float(o)
+            return finite(canonical_float(o))
         if isinstance(o, str):
             return encode_str(o)
         if o is None:
@@ -107,7 +126,9 @@ def canonical_json(obj, indent: int = 2) -> str:
             sep = ",\n" + pad
             if set(map(type, o)) == {float}:
                 # canonical_float's format; adding 0.0 maps -0.0 to 0.0.
-                inner = sep.join(["%.17g"] * len(o)) % tuple([v + 0.0 for v in o])
+                inner = finite(
+                    sep.join(["%.17g"] * len(o)) % tuple([v + 0.0 for v in o])
+                )
             else:
                 inner = sep.join([render(v, level + 1) for v in o])
             return "[\n" + pad + inner + "\n" + close + "]"

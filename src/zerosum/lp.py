@@ -7,6 +7,15 @@ expressed here; an Infeasible result's `farkas` answers them (see spectral.gorda
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau.
 
+`LinearProgram(...)` is the public way to state a program: it copies its
+arrays and checks their shapes and entries.  Callers inside the package
+build their arrays themselves and hand them over with the private
+`LinearProgram._trusted`, which copies and checks nothing; its docstring
+states what such a caller guarantees.  A guarantee that outside input can
+break (a payoff shift or an eigenvalue shift that overflows, a non-finite
+game value) is checked by that caller, before its arithmetic, with an
+InputError that names the cause.
+
 Phase 1 runs on one array, allocated once and filled in place:
 
     [ G | I | art | h ]    n_ineq rows, I the slacks of the G rows
@@ -135,6 +144,11 @@ class LinearProgram:
     z >= 0.
 
     Every variable is nonnegative; write any other bound as a row of ineq_lhs.
+    The constructor stores read-only float copies of its arguments, and an
+    absent pair as a (0, n) lhs with a (0,) rhs.  It raises
+    DimensionMismatchError for ragged or inconsistent shapes and InputError
+    for entries that are not finite numbers.  Code inside the package skips
+    the copies and checks through `_trusted`.
     """
 
     objective: np.ndarray
@@ -165,6 +179,41 @@ class LinearProgram:
         for name, val in fields.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
+
+    @classmethod
+    def _trusted(
+        cls,
+        objective: np.ndarray,
+        ineq_lhs: np.ndarray,
+        ineq_rhs: np.ndarray,
+        eq_lhs: np.ndarray,
+        eq_rhs: np.ndarray,
+    ) -> LinearProgram:
+        """The program of these five arrays as they are, for callers inside
+        the package: nothing is copied or checked.
+
+        The caller guarantees what `LinearProgram(...)` would otherwise
+        check or make.  All five arrays are finite float64, each C- or
+        Fortran-contiguous, as `np.array(a, dtype=float)` lays them out (a
+        strided view is not; its copy would be).  The objective is 1-D with
+        n > 0 entries; each lhs is 2-D with n columns and as many rows as
+        its rhs, a 1-D array, has entries.  An absent block is an explicit
+        (0, n) lhs with a (0,) rhs.  The caller does not write to the arrays
+        afterwards; they are marked read-only here.  `solve_lp` then answers
+        this program bit for bit as it answers `LinearProgram(...)` of the
+        same arrays.
+        """
+        p = object.__new__(cls)
+        for name, arr in (
+            ("objective", objective),
+            ("ineq_lhs", ineq_lhs),
+            ("ineq_rhs", ineq_rhs),
+            ("eq_lhs", eq_lhs),
+            ("eq_rhs", eq_rhs),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(p, name, arr)
+        return p
 
     @property
     def n_vars(self) -> int:

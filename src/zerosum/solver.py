@@ -12,6 +12,7 @@ the region's vertices off them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +70,9 @@ def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     G[:, m] = 1.0
     E = np.zeros((1, m + 1))
     E[0, :m] = 1.0
-    sol = solve_lp(
-        LinearProgram(
-            objective=c, ineq_lhs=G, ineq_rhs=np.zeros(n), eq_lhs=E, eq_rhs=[1.0]
-        )
-    )
+    # Fresh C-ordered arrays, finite because B is: solve_game checks that
+    # its shift does not overflow.
+    sol = solve_lp(LinearProgram._trusted(c, G, np.zeros(n), E, np.ones(1)))
     if sol.status is not LPStatus.OPTIMAL:
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
@@ -118,10 +117,20 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     and multiply the value back (strategies are unchanged; the game value is
     exactly scale-covariant).  Feeding huge payoffs directly makes the
     certificate checks refuse rather than return degraded certificates.
+    When the shift itself overflows, that is, when the largest entry plus c
+    exceeds the float range, InputError is raised before any LP is built.
     """
     check_tolerance(tol, "tol")
     V = A.values
     shift = _positivity_shift(V)
+    # V + shift overflows exactly when its largest entry does.
+    top = float(np.maximum.reduce(V, axis=None))
+    if not math.isfinite(top + shift):
+        raise InputError(
+            f"payoffs span too wide a range: shifting them by {shift:g} to make "
+            f"them positive overflows the largest entry {top:g}; normalize the "
+            "matrix first"
+        )
     x, v_row, duals = _value_lp(V + shift)
     value = v_row - shift
     row = normalized_strategy(x, Player.ROW)
@@ -279,15 +288,17 @@ def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.nda
     payoff is maximized and minimized over the region, one `solve_lp` call
     per objective, 2n in all."""
     m, n = V.shape
-    region = dict(
-        ineq_lhs=-V.T,
-        ineq_rhs=np.full(n, -(v - tol)),
-        eq_lhs=np.ones((1, m)),
-        eq_rhs=np.ones(1),
-    )
+    # G is Fortran-ordered.  A C-ordered copy would run `_residual`'s
+    # product through another BLAS kernel, which can round differently.
+    G, h = -V.T, np.full(n, -(v - tol))
+    E, f = np.ones((1, m)), np.ones(1)
+    # Row k is objective k: rows of a C-ordered array, so each is contiguous.
+    objectives = np.empty((2 * n, m))
+    objectives[:n] = V.T
+    objectives[n:] = G
     extrema = np.empty(2 * n)
-    for k, c in enumerate([*V.T, *-V.T]):
-        sol = solve_lp(LinearProgram(objective=c, **region))
+    for k, c in enumerate(objectives):
+        sol = solve_lp(LinearProgram._trusted(c, G, h, E, f))
         if sol.status is not LPStatus.OPTIMAL:
             raise RuntimeError(
                 f"optimal-set LP reported {sol.status.value}; the optimal "
@@ -312,9 +323,13 @@ def row_optima_column_extrema(
     the gate); in a nondegenerate game the region is a simplex and the gate
     passes.  Otherwise each column payoff is maximized and minimized by LP
     (`_lp_extrema`, 2n `solve_lp` calls).  `tol` must be finite and
-    positive (InputError otherwise).
+    positive, and `v` and v - tol finite (InputError otherwise).
     """
     check_tolerance(tol, "tol")
+    if not math.isfinite(float(v) - float(tol)):
+        raise InputError(
+            f"v must be finite, with v - tol finite; got v={v!r}, tol={tol!r}"
+        )
     V = A.values
     if solution is not None:
         extrema = _vertex_extrema(V, v, tol, solution)

@@ -6,6 +6,7 @@ Gordan's theorem of alternatives.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .core import (
     InvalidMatrixError,
     MixedStrategy,
     Player,
+    check_finite,
     normalized_strategy,
 )
 from .lp import LinearProgram, LPSolution, LPStatus, solve_lp
@@ -129,14 +131,16 @@ def null_space(A: GameMatrix) -> KernelBasis:
 
 
 def _stochastic_kernel(M: np.ndarray) -> LPSolution:
-    """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0."""
+    """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0.
+    M must be finite (the callers' guarantee for `LinearProgram._trusted`)."""
     m, n = M.shape
     E = np.empty((m + 1, n))
     E[:m] = M
     E[m] = 1.0
     f = np.zeros(m + 1)
     f[m] = 1.0
-    return solve_lp(LinearProgram(np.zeros(n), eq_lhs=E, eq_rhs=f))
+    no_rows = np.zeros((0, n))
+    return solve_lp(LinearProgram._trusted(np.zeros(n), no_rows, np.zeros(0), E, f))
 
 
 def stochastic_eigenvector(
@@ -148,14 +152,21 @@ def stochastic_eigenvector(
 
     Decided by LP feasibility: (A - lambda I) y = 0, sum y = 1, y >= 0.  No
     eigenvalue search is performed; the caller supplies lambda, which must be
-    finite.
+    finite, with every a_ii - lambda finite (InputError otherwise).
     """
     if not A.is_square:
         raise InvalidMatrixError(
             f"stochastic_eigenvector requires a square matrix, got {A.rows}x{A.cols}"
         )
-    if not np.isfinite(eigenvalue):
-        raise InputError(f"eigenvalue must be finite, got {eigenvalue!r}")
+    check_finite(eigenvalue, "eigenvalue")
+    # a_ii - lambda overflows only at the smallest or the largest a_ii.
+    diagonal = A.values.diagonal()
+    for a in (np.minimum.reduce(diagonal), np.maximum.reduce(diagonal)):
+        if not math.isfinite(float(a) - float(eigenvalue)):
+            raise InputError(
+                f"a_ii - eigenvalue overflows the float range: a_ii = {float(a):g}, "
+                f"eigenvalue = {eigenvalue!r}"
+            )
     sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows))
     if sol.status is not LPStatus.OPTIMAL:
         return None

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import sys
 
 import numpy as np
@@ -72,3 +73,67 @@ def integer_positive_games(trials: int, size: int = 6, seed: int = 11) -> list[G
     payoffs tie often, so many of these games are degenerate."""
     rng = np.random.default_rng(seed)
     return [GameMatrix(rng.integers(1, 4, (size, size))) for _ in range(trials)]
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens, which
+    Python's json accepts but JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def lp_solution_bits(sol):
+    """Every field of an LPSolution as raw bytes, so that two solutions
+    compare equal only when each float matches bit for bit (-0.0 and NaN
+    included)."""
+
+    def raw(a):
+        if a is None:
+            return None
+        return np.shape(a), np.asarray(a, dtype=float).tobytes()
+
+    return (
+        sol.status,
+        raw(sol.point),
+        raw(sol.objective_value),
+        raw(sol.primal_residual),
+        raw(sol.ineq_duals),
+        raw(sol.farkas),
+    )
+
+
+def assert_trusted_contract(p):
+    """What `LinearProgram._trusted` takes on trust: finite float64 arrays,
+    each C- or Fortran-contiguous and read-only, with consistent shapes and
+    explicit empty blocks."""
+    arrays = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
+    for a in arrays:
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous or a.flags.f_contiguous
+        assert not a.flags.writeable
+        assert np.all(np.isfinite(a))
+    n = p.objective.size
+    assert p.objective.shape == (n,) and n > 0
+    for lhs, rhs in ((p.ineq_lhs, p.ineq_rhs), (p.eq_lhs, p.eq_rhs)):
+        assert lhs.ndim == 2 and lhs.shape[1] == n
+        assert rhs.shape == (lhs.shape[0],)
+
+
+@pytest.fixture
+def internal_lps(monkeypatch):
+    """Every program that `solver` and `spectral` hand to `solve_lp`, in
+    order."""
+    from zerosum import solve_lp, solver, spectral
+
+    programs = []
+
+    def recording(p):
+        programs.append(p)
+        return solve_lp(p)
+
+    for module in (solver, spectral):
+        monkeypatch.setattr(module, "solve_lp", recording)
+    return programs

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import struct
 import subprocess
@@ -23,7 +22,7 @@ from zerosum import (
     render_matrix,
     run_cli,
 )
-from conftest import ensemble
+from conftest import ensemble, strict_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -210,8 +209,12 @@ class TestEnsembles:
 
 
 def run(capsys, *argv):
+    """(exit code, stdout, stderr) of one CLI run.  Whatever a command other
+    than --help writes to stdout must parse as strict JSON."""
     code = run_cli(list(argv))
     out = capsys.readouterr()
+    if out.out and "--help" not in argv:
+        strict_json(out.out)
     return code, out.out, out.err
 
 
@@ -302,7 +305,7 @@ class TestGoldenFiles:
             "verify_general30_negt.json": [A.values for A in ensemble("General", 30, 2, 7)],
         }
         for golden, matrices in inputs.items():
-            reports = json.loads((GOLDEN / golden).read_text())["reports"]
+            reports = strict_json((GOLDEN / golden).read_text())["reports"]
             assert [r["input_digest"] for r in reports] == [recipe(M) for M in matrices]
 
 
@@ -440,6 +443,49 @@ class TestExitCodes:
         )
         assert code == 2 and "tol must be finite and positive" in err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", "{wide}"],
+            ["verify", "--claim", "ShiftedEigenThm4General", "--input", "{wide}"],
+            # saddle.csv is not skew, so the claim is NotApplicable.
+            ["verify", "--claim", "EigenspaceLemma5", "--input", "{saddle}"],
+        ],
+        ids=["analyze", "shifted", "eigenspace"],
+    )
+    def test_non_finite_lambda_is_2(self, capsys, tmp_path, argv, lam):
+        # These runs never reach stochastic_eigenvector, so the flag itself
+        # must refuse the value, or a bare nan would land in the report.
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3\n4,5,6\n")
+        paths = {"wide": wide, "saddle": DATA / "saddle.csv"}
+        argv = [arg.format(**paths) for arg in argv]
+        code, out, err = run(capsys, *argv, f"--lambda={lam}")
+        assert code == 2 and out == ""
+        assert f"eigenvalue must be finite, got {float(lam)!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["verify", "--claim", "NegTransposeThm2"]]
+    )
+    def test_shift_overflow_is_2(self, capsys, tmp_path, argv):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1e308,-1e308\n")
+        code, out, err = run(capsys, *argv, "--input", str(huge))
+        assert code == 2 and out == ""
+        assert err.startswith("error: payoffs span too wide a range")
+
+    def test_non_finite_report_is_3(self, capsys, monkeypatch):
+        import zerosum.cli as cli_mod
+
+        def nan_report(args):
+            return 0, {"value": float("nan")}
+
+        monkeypatch.setattr(cli_mod, "_cmd_solve", nan_report)
+        code, out, err = run(capsys, "solve", "--input", str(DATA / "rps.csv"))
+        assert code == 3 and out == ""
+        assert err.startswith("internal inconsistency: cannot render a non-finite")
+
     def test_internal_error_is_3(self, capsys, monkeypatch):
         import zerosum.cli as cli_mod
 
@@ -501,7 +547,7 @@ class TestExitCodes:
             "11",
         )
         assert code == 1
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["summary"]["violated"] == 5
 
     def test_eigenspace_lambda_passthrough(self, capsys):
@@ -518,7 +564,7 @@ class TestExitCodes:
             "1.5",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         findings = payload["reports"][0]["computed"]["candidates"]
         assert [f["lambda"] for f in findings] == [0.0, 1.5]
 
@@ -536,7 +582,7 @@ class TestExitCodes:
             "2",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert [r["verdict"] for r in payload["reports"]] == [
             "Holds",
             "NotApplicable",
@@ -558,7 +604,7 @@ class TestExitCodes:
             "1",
         )
         assert code == 0
-        reports = json.loads(out)["reports"]
+        reports = strict_json(out)["reports"]
         assert [r["verdict"] for r in reports] == ["NotApplicable"] * 2
         assert all(r["computed"] == {"reason": "matrix is not square"} for r in reports)
 
@@ -578,14 +624,14 @@ class TestExitCodes:
             "7",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["summary"] == {"holds": 100, "violated": 0, "not_applicable": 0}
 
 
 class TestSchemas:
     def test_solve_keys(self, capsys):
         _, out, _ = run(capsys, "solve", "--input", str(DATA / "rps.csv"))
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert list(payload) == [
             "value",
             "row_strategy",
@@ -603,7 +649,7 @@ class TestSchemas:
             "--input",
             str(DATA / "saddle.csv"),
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert list(payload) == ["reports", "summary"]
         report = payload["reports"][0]
         assert list(report) == [
@@ -616,7 +662,7 @@ class TestSchemas:
 
     def test_analyze_keys(self, capsys):
         _, out, _ = run(capsys, "analyze", "--input", str(DATA / "saddle.csv"))
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert list(payload) == [
             "perron",
             "null_space_dimension",

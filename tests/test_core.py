@@ -17,7 +17,7 @@ from zerosum import (
     payoff,
     validate_strategy,
 )
-from zerosum.core import canonical_json, normalized_strategy
+from zerosum.core import NonFiniteJSONError, canonical_json, normalized_strategy
 
 
 class TestGameMatrix:
@@ -257,7 +257,8 @@ def test_canonical_json_empty_containers_and_unknown_types():
 
 def _reference_canonical_json(obj, indent: int = 2) -> str:
     """canonical_json item by item: one `canonical_float` call per float and
-    one `json.dumps` call per string or key."""
+    one `json.dumps` call per string or key.  A float that is not finite
+    raises NonFiniteJSONError."""
     import json
 
     from zerosum.core import canonical_float
@@ -272,6 +273,8 @@ def _reference_canonical_json(obj, indent: int = 2) -> str:
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, (float, np.floating)):
+            if not math.isfinite(o):
+                raise NonFiniteJSONError(repr(o))
             return canonical_float(float(o))
         if isinstance(o, str):
             return json.dumps(o)
@@ -337,19 +340,45 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(_PAYLOADS, st.sampled_from([0, 2, 3]))
 def test_canonical_json_renders_as_item_by_item(payload, indent):
-    assert canonical_json(payload, indent) == _reference_canonical_json(payload, indent)
+    try:
+        expected = _reference_canonical_json(payload, indent)
+    except NonFiniteJSONError:
+        with pytest.raises(NonFiniteJSONError):
+            canonical_json(payload, indent)
+    else:
+        assert canonical_json(payload, indent) == expected
 
 
 def test_canonical_json_float_lists():
     # A list of exact floats renders in one format call: -0.0 as "0", and
     # the same text as the item-by-item rendering.
-    floats = [-0.0, 1.5, math.nan, -math.inf, 5e-324]
+    floats = [-0.0, 1.5, -2.0, 5e-324]
     payload = {"v": floats, "t": (0.1,), "s": "\u00e9"}
     text = canonical_json(payload)
     assert text == _reference_canonical_json(payload)
-    items = ["0", "1.5", "nan", "-inf", "4.9406564584124654e-324"]
+    items = ["0", "1.5", "-2", "4.9406564584124654e-324"]
     assert '"v": [\n    ' + ",\n    ".join(items) + "\n  ]" in text
     assert '"s": "\\u00e9"' in text
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_json_refuses_non_finite_floats(bad):
+    # JSON has no token for them: every path that renders a float raises a
+    # RuntimeError (the CLI's exit 3), not the InputError of exit 2.
+    for payload in (
+        bad,
+        np.float64(bad),
+        {"a": bad},
+        [1.0, bad],  # exact floats: the one-format-call path
+        (bad,),
+        [1, bad],
+        [np.float64(1.0), np.float64(bad)],
+        np.array([[1.0, 2.0], [bad, 0.0]]),
+    ):
+        with pytest.raises(NonFiniteJSONError) as err:
+            canonical_json(payload)
+        assert isinstance(err.value, RuntimeError)
+        assert not isinstance(err.value, InputError)
 
 
 def test_game_solution_rejects_negative_duality_gap():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import highs_oracle as highs
+import zerosum
 from zerosum import (
+    ClaimId,
     DimensionMismatchError,
     GameMatrix,
     InputError,
     LinearProgram,
     LPStatus,
     row_optima_column_extrema,
+    run_checker,
     solve_game,
     solve_lp,
 )
@@ -23,7 +26,12 @@ from zerosum.lp import (
     _residual,
     _run_simplex,
 )
-from conftest import ensemble, integer_positive_games
+from conftest import (
+    assert_trusted_contract,
+    ensemble,
+    integer_positive_games,
+    lp_solution_bits,
+)
 
 FEAS_TOL = 1e-9
 
@@ -149,6 +157,47 @@ class TestValidation:
             LinearProgram(**kwargs)
         assert not isinstance(err.value, DimensionMismatchError)
         assert isinstance(err.value.__cause__, (TypeError, ValueError, OverflowError))
+
+
+class TestTrustedConstructor:
+    @pytest.mark.parametrize(
+        "claim,family,size,seed",
+        [
+            (ClaimId.POSITIVE_DOMINATED_THM4, "Positive", 10, 1),
+            (ClaimId.NEG_TRANSPOSE_THM2, "General", 30, 7),
+            (ClaimId.GORDAN_THEOREM3, "Skew", 7, 1),
+        ],
+        ids=["posdom", "negt_general", "gordan_skew"],
+    )
+    def test_bench_lps_solve_as_through_the_public_constructor(
+        self, internal_lps, claim, family, size, seed
+    ):
+        # The first 20 trials of each bench ensemble: every LP the audit
+        # builds keeps the private constructor's contract, and solving it
+        # gives the same bits as solving LinearProgram(...) of its arrays.
+        for A in ensemble(family, size, 20, seed):
+            run_checker(claim, A)
+        assert len(internal_lps) >= 20
+        for p in internal_lps:
+            assert_trusted_contract(p)
+            public = LinearProgram(
+                p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs
+            )
+            assert lp_solution_bits(solve_lp(p)) == lp_solution_bits(solve_lp(public))
+
+    def test_takes_the_arrays_as_they_are(self):
+        arrays = [
+            np.ones(2), np.zeros((0, 2)), np.zeros(0), np.ones((1, 2)), np.ones(1)
+        ]
+        p = LinearProgram._trusted(*arrays)
+        fields = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
+        assert all(got is given for got, given in zip(fields, arrays))
+        assert_trusted_contract(p)
+        assert solve_lp(p).objective_value == 1.0
+
+    def test_is_not_public(self):
+        assert all(not name.startswith("_") for name in zerosum.__all__)
+        assert not hasattr(zerosum, "_trusted")
 
 
 def _random_feasible_program(rng):

@@ -1,5 +1,7 @@
 import dataclasses
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,20 +10,26 @@ import highs_oracle as highs
 from zerosum import (
     GameMatrix,
     InputError,
+    LinearProgram,
     OracleSizeError,
     oracle_solve,
     row_optima_column_extrema,
     solve_game,
+    solve_lp,
 )
 from zerosum.claims import check_positive_dominated
 from zerosum.solver import extrema_dominated
 from conftest import (
     BAD_TOLERANCES,
+    assert_trusted_contract,
     ensemble,
     integer_positive_games,
+    lp_solution_bits,
     random_matrix,
     random_skew,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def saddle_point_value(values):
@@ -73,6 +81,15 @@ class TestSolveGame:
         sol = solve_game(rps)
         with pytest.raises(InputError, match="tolerance"):
             dataclasses.replace(sol, tolerance=bad)
+
+    @pytest.mark.parametrize("values", [[[1e308, -1e308]], [[-1e308], [1.5e308]]])
+    def test_shift_overflow_is_an_input_error(self, values):
+        # The positivity shift 1 - min would push the largest entry past the
+        # float range: refused before any arithmetic, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="shifting them .* overflows"):
+                solve_game(GameMatrix(values))
 
 
 class TestGameValue:
@@ -205,6 +222,44 @@ class TestAllRowOptimaDominated:
     def test_non_finite_or_non_positive_tolerances_rejected(self, rps, bad):
         with pytest.raises(InputError, match="tol"):
             row_optima_column_extrema(rps, 0.0, bad)
+
+    @pytest.mark.parametrize(
+        "v,tol",
+        [(float("nan"), 1e-7), (float("inf"), 1e-7), (-float("inf"), 1e-7),
+         (-1.7e308, 1e308)],
+    )
+    def test_non_finite_v_is_an_input_error(self, rps, v, tol):
+        sol = solve_game(rps)
+        for solution in (None, sol):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError, match="v must be finite"):
+                    row_optima_column_extrema(rps, v, tol, solution=solution)
+
+    def test_extrema_lps_solve_as_the_public_constructor_built_them(self, internal_lps):
+        # Without a solution the extrema come from 2n LPs.  Each solves bit
+        # for bit as the one LinearProgram(...) builds from a strided row of
+        # V^T and from the Fortran-ordered -V^T, on degenerate3 (whose vertex
+        # gate refuses, so `verify` takes this path) and five integer games.
+        degenerate = GameMatrix(np.loadtxt(DATA / "degenerate3.csv", delimiter=","))
+        tol = 1e-8
+        for A in [degenerate, *integer_positive_games(5)]:
+            V, (m, n) = A.values, A.values.shape
+            v = solve_game(A).value
+            internal_lps.clear()
+            row_optima_column_extrema(A, v, tol)
+            assert len(internal_lps) == 2 * n
+            for p, c in zip(internal_lps, [*V.T, *-V.T]):
+                assert_trusted_contract(p)
+                public = LinearProgram(
+                    objective=c,
+                    ineq_lhs=-V.T,
+                    ineq_rhs=np.full(n, -(v - tol)),
+                    eq_lhs=np.ones((1, m)),
+                    eq_rhs=np.ones(1),
+                )
+                got, want = solve_lp(p), solve_lp(public)
+                assert lp_solution_bits(got) == lp_solution_bits(want)
 
     def test_identity_boundary(self):
         # Optimal set degenerates to the equalizer; extrema touch v +/- tol.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -246,6 +247,30 @@ class TestStochasticEigenvector:
             out = capsys.readouterr()
             assert out.out == ""
             assert "eigenvalue" in out.err
+
+
+    @pytest.mark.parametrize(
+        "diagonal,lam", [((1e308, 1.0), -1e308), ((1.0, -1e308), 1e308)]
+    )
+    def test_shifted_diagonal_overflow_is_an_input_error(
+        self, capsys, tmp_path, diagonal, lam
+    ):
+        # A finite eigenvalue whose shift a_ii - lambda leaves the float
+        # range is refused before any arithmetic, with no RuntimeWarning.
+        A = GameMatrix(np.diag(diagonal))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="a_ii - eigenvalue overflows"):
+                stochastic_eigenvector(A, lam)
+            with pytest.raises(InputError, match="a_ii - eigenvalue overflows"):
+                run_checker(ClaimId.SHIFTED_EIGEN_THM4_GENERAL, A, lambdas=[lam])
+        csv = tmp_path / "diagonal.csv"
+        csv.write_text("\n".join(",".join(map(repr, row)) for row in A.values.tolist()))
+        argv = ["verify", "--claim", "ShiftedEigenThm4General", "--input", str(csv)]
+        capsys.readouterr()
+        assert run_cli([*argv, f"--lambda={lam!r}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "a_ii - eigenvalue overflows" in out.err
 
 
 class TestGordan:
