@@ -390,7 +390,10 @@ def check_shifted_eigen(
 
     Optimal-dominated at value 0 means each witness's largest deviation,
     max_j |(x^T B)_j| for the row witness and max_i |(B y)_i| for the column
-    witness, is at most tol.  A non-square A is NotApplicable.
+    witness, is at most tol.  Weak duality, min(x^T B) <= v(B) <= max(B y),
+    then bounds |v(B)| by the larger deviation, so no game is solved, and
+    `shifted_value` is that interval's midpoint.  A non-square A is
+    NotApplicable.
     """
     claim = ClaimId.SHIFTED_EIGEN_THM4_GENERAL
     if not A.is_square:
@@ -399,31 +402,28 @@ def check_shifted_eigen(
     col_witness = stochastic_eigenvector(A, lam, Player.COL)
     row_witness = stochastic_eigenvector(A.transpose(), lam, Player.ROW)
     if col_witness is None or row_witness is None:
-        return _report(
-            claim,
-            A,
-            {
-                "lambda": lam,
-                "row_witness_found": row_witness is not None,
-                "col_witness_found": col_witness is not None,
-                "reason": "no stochastic eigenvector on at least one side",
-            },
-            tol,
-        )
-    B = GameMatrix(A.values - lam * np.eye(A.rows))
-    value = solve_game(B).value
-    row_dev = float(np.maximum.reduce(np.abs(row_witness.weights @ B.values)))
-    col_dev = float(np.maximum.reduce(np.abs(B.values @ col_witness.weights)))
-    holds = abs(value) <= tol and row_dev <= tol and col_dev <= tol
+        computed = {
+            "lambda": lam,
+            "row_witness_found": row_witness is not None,
+            "col_witness_found": col_witness is not None,
+            "reason": "no stochastic eigenvector on at least one side",
+        }
+        return _report(claim, A, computed, tol)
+    B = A.values - lam * np.eye(A.rows)
+    row_payoffs, col_payoffs = row_witness.weights @ B, B @ col_witness.weights
+    row_dev = float(np.maximum.reduce(np.abs(row_payoffs)))
+    col_dev = float(np.maximum.reduce(np.abs(col_payoffs)))
+    # Each end is halved first, so the sum cannot overflow.
+    value = np.minimum.reduce(row_payoffs) / 2 + np.maximum.reduce(col_payoffs) / 2
     computed = {
         "lambda": lam,
-        "shifted_value": value,
+        "shifted_value": float(value),
         "row_witness": _listify(row_witness.weights),
         "col_witness": _listify(col_witness.weights),
         "row_witness_max_deviation": row_dev,
         "col_witness_max_deviation": col_dev,
     }
-    return _report(claim, A, computed, tol, holds)
+    return _report(claim, A, computed, tol, row_dev <= tol and col_dev <= tol)
 
 
 # The claims whose checker needs nothing but (A, tol).

@@ -1,6 +1,6 @@
-"""Game value and optimal strategies via linear programming, plus an
-independent support-enumeration oracle for small games and the
-optimal-dominated decision procedures.
+"""Game value and optimal strategies via linear programming, an exact
+support-enumeration oracle for small games (decided in rationals, rounded
+to doubles once), and the optimal-dominated decision procedures.
 
 `solve_game` solves one LP per game: the row player's value LP, whose
 inequality multipliers are a column strategy (LP duality is the minimax
@@ -11,9 +11,10 @@ the region's vertices off them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -29,10 +30,6 @@ from .core import (
 from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
-# No pure deviation may improve a player by more than this at an accepted
-# oracle candidate.
-ORACLE_DEVIATION_TOL = 1e-8
-ORACLE_NONNEG_TOL = 1e-9
 ORACLE_MAX_SIZE = 5
 
 
@@ -145,37 +142,72 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     )
 
 
-def _equalizing_weights(sub: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Weights making every column of `sub` pay the same amount.
+def _exact_solve(rows, rhs):
+    """Exact z with rows z = rhs, all ints or Fractions, or None when the
+    square system is singular.  Scaled to integers, it is solved by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    every entry stays an integer minor, so each division is exact."""
+    T = [[*row, b] for row, b in zip(rows, rhs)]
+    scale = math.lcm(*(e.denominator for row in T for e in row))
+    T, pivot = [[e.numerator * (scale // e.denominator) for e in row] for row in T], 1
+    for c in range(len(T)):
+        p = next((i for i in range(c, len(T)) if T[i][c]), None)
+        if p is None:
+            return None
+        T[c], T[p] = T[p], T[c]
+        for i, row in enumerate(T):
+            if i != c:
+                T[i] = [(T[c][c] * a - row[c] * b) // pivot for a, b in zip(row, T[c])]
+        pivot = T[c][c]
+    return [Fraction(row[-1], pivot) for row in T]
 
-    Solves  sub^T w = v 1,  sum w = 1  for (w, v); returns None when the
-    bordered system is singular or too ill-conditioned to trust.
+
+def _equalizing(S, size, support):
+    """Exact weights w on `support` of range(size) and v with S w = v 1 and
+    sum w = 1, S square; None when this bordered system is singular."""
+    z = _exact_solve([[*r, -1] for r in S] + [[1] * len(S) + [0]], [0] * len(S) + [1])
+    if z is None:
+        return None
+    on_support = dict(zip(support, z))
+    return [on_support.get(i, Fraction(0)) for i in range(size)], z[-1]
+
+
+def _support_equilibria(A: GameMatrix):
+    """Yield (I, J, x, y, v), in Fractions, for every support pair of A
+    whose equalizing strategies are exactly optimal, by support size, then
+    lexicographically.
+
+    Every double is a dyadic rational, so A is read exactly, unshifted.  On
+    rows I and columns J, x equalizes the columns J and y the rows I.  Both
+    bordered systems are singular exactly when 1^T adj(sub) 1 is 0, and
+    otherwise x^T sub y is both equalized payoffs: one value v.  The pair
+    is accepted when x, y >= 0 and no pure deviation improves on v.  By
+    Shapley and Snow ("Basic solutions of discrete games", 1950) every
+    extreme optimal strategy of either player is some accepted x or y.
     """
-    k = sub.shape[0]
-    M = np.zeros((k + 1, k + 1))
-    M[:k, :k] = sub.T
-    M[:k, k] = -1.0
-    M[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.max(np.abs(M @ sol - rhs)) > 1e-9 * scale:
-        return None
-    return sol[:k], float(sol[k])
+    V = [[Fraction(e) for e in row] for row in A.values.tolist()]
+    m, n = A.rows, A.cols
+    for k in range(1, min(m, n) + 1):
+        for I, J in product(combinations(range(m), k), combinations(range(n), k)):
+            row = _equalizing([[V[i][j] for i in I] for j in J], m, I)
+            if row is None or min(row[0]) < 0:
+                continue
+            x, v = row
+            if any(sum(x[i] * V[i][j] for i in I) < v for j in range(n)):
+                continue
+            y = _equalizing([[V[i][j] for j in J] for i in I], n, J)[0]
+            if min(y) >= 0 and all(sum(r[j] * y[j] for j in J) <= v for r in V):
+                yield I, J, x, y, v
 
 
 def oracle_solve(A: GameMatrix) -> OracleSolution:
     """Brute-force equilibrium by enumerating equal-size support pairs.
 
-    Pairs are visited ordered by support size, then lexicographically; the
-    first candidate with nonnegative weights and no improving pure deviation
-    (beyond 1e-8) wins, which makes the result deterministic.  The minimax
-    theorem guarantees such a pair exists, so exhausting the enumeration
-    indicates a bug.
+    The first pair `_support_equilibria` accepts wins, which makes the
+    result deterministic; each pair is decided in exact rational arithmetic
+    with no tolerance.  The value and the weights are rounded to doubles
+    once, at the end, and not renormalized.  The minimax theorem guarantees
+    an accepted pair, so exhausting the enumeration indicates a bug.
     """
     m, n = A.rows, A.cols
     if m > ORACLE_MAX_SIZE or n > ORACLE_MAX_SIZE:
@@ -183,44 +215,12 @@ def oracle_solve(A: GameMatrix) -> OracleSolution:
             f"oracle_solve is limited to {ORACLE_MAX_SIZE}x{ORACLE_MAX_SIZE}, "
             f"got {m}x{n}"
         )
-    shift = _positivity_shift(A.values)
-    B = A.values + shift
-
-    for k in range(1, min(m, n) + 1):
-        for I in itertools.combinations(range(m), k):
-            for J in itertools.combinations(range(n), k):
-                sub = B[np.ix_(I, J)]
-                row_sol = _equalizing_weights(sub)
-                col_sol = _equalizing_weights(sub.T)
-                if row_sol is None or col_sol is None:
-                    continue
-                x_sub, v = row_sol
-                y_sub, w = col_sol
-                if (
-                    x_sub.min() < -ORACLE_NONNEG_TOL
-                    or y_sub.min() < -ORACLE_NONNEG_TOL
-                    or abs(v - w) > ORACLE_DEVIATION_TOL
-                ):
-                    continue
-                x = np.zeros(m)
-                x[list(I)] = x_sub
-                y = np.zeros(n)
-                y[list(J)] = y_sub
-                row = normalized_strategy(x, Player.ROW)
-                col = normalized_strategy(y, Player.COL)
-                floor = float((row.weights @ B).min())
-                ceiling = float((B @ col.weights).max())
-                if floor < v - ORACLE_DEVIATION_TOL:
-                    continue
-                if ceiling > v + ORACLE_DEVIATION_TOL:
-                    continue
-                return OracleSolution(
-                    value=v - shift,
-                    row_support=I,
-                    col_support=J,
-                    row_strategy=row,
-                    col_strategy=col,
-                )
+    for I, J, x, y, v in _support_equilibria(A):
+        return OracleSolution(
+            value=float(v), row_support=I, col_support=J,
+            row_strategy=MixedStrategy(Player.ROW, [float(w) for w in x]),
+            col_strategy=MixedStrategy(Player.COL, [float(w) for w in y]),
+        )
     raise RuntimeError("no valid support pair found; oracle bug")
 
 

@@ -36,6 +36,12 @@ def test_lp_solves_one_objective_at_a_time():
     assert not hasattr(zerosum.lp, "maximize_each")
 
 
+def test_the_oracle_keeps_no_tolerance():
+    # oracle_solve decides each support pair in exact rational arithmetic.
+    for name in ("ORACLE_DEVIATION_TOL", "ORACLE_NONNEG_TOL", "_equalizing_weights"):
+        assert not hasattr(zerosum.solver, name), name
+
+
 def test_removed_fields_stay_removed():
     for cls, name in REMOVED_FIELDS.items():
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__

@@ -18,9 +18,11 @@ from zerosum import (
     solve_lp,
 )
 from zerosum.claims import check_positive_dominated
-from zerosum.solver import extrema_dominated
+from zerosum.cli import run_cli
+from zerosum.solver import _exact_solve, _support_equilibria, extrema_dominated
 from conftest import (
     BAD_TOLERANCES,
+    RPS_ENTRIES,
     assert_trusted_contract,
     ensemble,
     integer_positive_games,
@@ -196,6 +198,64 @@ class TestOracle:
             off_col = np.setdiff1d(np.arange(A.cols), sol.col_support)
             assert np.all(sol.row_strategy.weights[off_row] == 0.0)
             assert np.all(sol.col_strategy.weights[off_col] == 0.0)
+            # The oracle's answer is the enumeration's first pair, rounded.
+            I, J, x, y, v = next(_support_equilibria(A))
+            assert (I, J) == (sol.row_support, sol.col_support)
+            assert float(v) == sol.value
+            assert [float(w) for w in x] == sol.row_strategy.weights.tolist()
+            assert [float(w) for w in y] == sol.col_strategy.weights.tolist()
+
+    @pytest.mark.parametrize(
+        "values,value,row,col",
+        [
+            (RPS_ENTRIES, 0.0, [1 / 3] * 3, [1 / 3] * 3),
+            ("degenerate3.csv", 2.0, [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]),
+            ([[3, -1], [-2, 1]], 1 / 7, [3 / 7, 4 / 7], [2 / 7, 5 / 7]),
+        ],
+        ids=["rps", "degenerate3", "two-by-two"],
+    )
+    def test_exact_answers_round_once(self, values, value, row, col):
+        # Each number is the double nearest the exact rational: the float
+        # enumeration gave -4.4e-16 and 0.33333333333333337 on rps, a weight
+        # 0.50000000000000011 on degenerate3 and 0.14285714285714235 here.
+        if isinstance(values, str):
+            values = np.loadtxt(DATA / values, delimiter=",")
+        sol = oracle_solve(GameMatrix(values))
+        assert sol.value == value
+        assert sol.row_strategy.weights.tolist() == row
+        assert sol.col_strategy.weights.tolist() == col
+
+    def test_wide_payoff_range_is_solved_exactly(self, capsys, tmp_path):
+        # Nothing is shifted, so payoffs spanning the float range neither
+        # overflow nor warn, in the API or on the command line.
+        A = GameMatrix([[1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle_solve(A).value == -1e308
+            csv = tmp_path / "wide.csv"
+            csv.write_text("1e308,-1e308\n")
+            capsys.readouterr()
+            assert run_cli(["oracle", "--input", str(csv)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_exact_solve(self):
+        # Each right-hand side is built from a chosen solution z.  A mixed
+        # upper-triangular matrix with its rows shuffled is nonsingular and
+        # meets zero pivots; putting the sum of its first and next-to-last
+        # rows in its last row makes it singular.  Its entries are doubles
+        # read as Fractions.
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            k = int(rng.integers(1, 7))
+            U = np.triu(rng.choice([1.0, -2.0, 0.5, 3e-5, 1e10, -0.1], (k, k)))
+            rows = [[Fraction(e) for e in U[i]] for i in rng.permutation(k)]
+            z = [Fraction(int(a), int(b)) for a, b in rng.integers(-9, 10, (k, 2)) if b]
+            z += [Fraction(1)] * (k - len(z))
+            rhs = [sum(a * b for a, b in zip(row, z)) for row in rows]
+            assert _exact_solve(rows, rhs) == z
+            if k > 1:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+                assert _exact_solve(rows, rhs) is None
 
     def test_no_improving_pure_deviation(self):
         rng = np.random.default_rng(9)
@@ -281,19 +341,6 @@ class TestAllRowOptimaDominated:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
 
-def _exact_solve(rows, rhs):
-    """Gauss-Jordan elimination over Fractions: z with rows z = rhs."""
-    T = [row + [b] for row, b in zip(rows, rhs)]
-    for c in range(len(T)):
-        p = next(i for i in range(c, len(T)) if T[i][c] != 0)
-        T[c], T[p] = T[p], T[c]
-        T[c] = [e / T[c][c] for e in T[c]]
-        for i in range(len(T)):
-            if i != c and T[i][c] != 0:
-                T[i] = [a - T[i][c] * b for a, b in zip(T[i], T[c])]
-    return [row[-1] for row in T]
-
-
 def _exact_vertex_payoffs(A, sol, tol):
     """Column payoffs, in Fractions, at each vertex of the region
     {x stochastic : x^T A >= v - tol} that the supports of sol's strategies
@@ -315,6 +362,7 @@ def _exact_vertex_payoffs(A, sol, tol):
     for k, (normal, bound) in enumerate(facets):
         tight = facets[:k] + facets[k + 1 :] + [([Fraction(1)] * m, Fraction(1))]
         x = _exact_solve([row for row, _ in tight], [b for _, b in tight])
+        assert x is not None
         payoffs = [sum(x[i] * V[i][j] for i in range(m)) for j in range(n)]
         assert min(x) >= 0 and min(payoffs) >= level
         assert sum(a * xi for a, xi in zip(normal, x)) > bound
