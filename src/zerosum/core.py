@@ -20,12 +20,8 @@ from json.encoder import encode_basestring_ascii as encode_str
 
 import numpy as np
 
-# Tightest tolerance: a constructed strategy must sum to 1 within this.
+# A constructed strategy must sum to 1 within this.
 STRATEGY_SUM_TOL = 1e-12
-# Weights above -NEGATIVE_CLAMP_TOL are treated as rounding noise and clamped.
-NEGATIVE_CLAMP_TOL = 1e-12
-# Sums within SUM_REPAIR_TOL of 1 are renormalized instead of rejected.
-SUM_REPAIR_TOL = 1e-9
 
 
 class InputError(ValueError):
@@ -72,12 +68,11 @@ class Player(enum.Enum):
 def canonical_float(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact).
 
-    Negative zero is normalized to "0" so canonical renderings are unique.
+    Negative zero is normalized to "0" so canonical renderings are unique:
+    adding 0.0 maps -0.0 to 0.0 and leaves every other float, NaN and
+    +/-inf included, as it is.
     """
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return "%.17g" % x
+    return "%.17g" % (float(x) + 0.0)
 
 
 def canonical_rows(values: np.ndarray) -> list[str]:
@@ -88,9 +83,10 @@ def canonical_rows(values: np.ndarray) -> list[str]:
     return [fmt % tuple(row) for row in (values + 0.0).tolist()]
 
 
-def canonical_json(obj, indent: int = 2) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: fixed key order (insertion), floats at 17
-    significant digits, no platform-dependent repr involved.
+    significant digits, two spaces a nesting level, no platform-dependent
+    repr involved.
 
     A float renders as `canonical_float` does, -0.0 as "0".  A list or
     tuple whose items are all exactly `float` renders with one format call,
@@ -106,8 +102,8 @@ def canonical_json(obj, indent: int = 2) -> str:
         return text
 
     def render(o, level: int) -> str:
-        pad = " " * (indent * (level + 1))
-        close = " " * (indent * level)
+        pad = "  " * (level + 1)
+        close = "  " * level
         if isinstance(o, (float, np.floating)):
             return finite(canonical_float(o))
         if isinstance(o, str):
@@ -179,13 +175,6 @@ class GameMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> float:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DimensionMismatchError(
-                f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix"
-            )
-        return float(self.values[i, j])
-
     def transpose(self) -> "GameMatrix":
         return GameMatrix(self.values.T)
 
@@ -206,22 +195,6 @@ class GameMatrix:
         return f"GameMatrix({self.rows}x{self.cols}[{body}])"
 
 
-def _weight_vector(weights) -> np.ndarray:
-    """A new nonempty, finite float vector holding `weights`, or
-    InvalidStrategyError."""
-    try:
-        w = np.array(weights, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidStrategyError(
-            "strategy weights must be a vector of numbers"
-        ) from exc
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidStrategyError("strategy must be a nonempty vector")
-    if not np.logical_and.reduce(np.isfinite(w)):
-        raise InvalidStrategyError("strategy weights must be finite")
-    return w
-
-
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability distribution over one player's pure strategies."""
@@ -230,49 +203,31 @@ class MixedStrategy:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _weight_vector(self.weights)
+        try:
+            w = np.array(self.weights, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidStrategyError(
+                "strategy weights must be a vector of numbers"
+            ) from exc
+        if w.ndim != 1 or w.size == 0:
+            raise InvalidStrategyError("strategy must be a nonempty vector")
+        if not np.logical_and.reduce(np.isfinite(w)):
+            raise InvalidStrategyError("strategy weights must be finite")
         lowest = np.minimum.reduce(w)
         if lowest < 0.0:
-            raise InvalidStrategyError(
-                f"negative weight {lowest:g}; use validate_strategy to clamp noise"
-            )
+            raise InvalidStrategyError(f"negative weight {lowest:g}")
         total = np.add.reduce(w)
         if abs(total - 1.0) > STRATEGY_SUM_TOL:
-            raise InvalidStrategyError(
-                f"weights sum to {total!r}, not 1; use validate_strategy to repair"
-            )
+            raise InvalidStrategyError(f"weights sum to {total!r}, not 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return self.weights.size
 
-    def support(self, tol: float = 0.0) -> tuple[int, ...]:
-        """Indices carrying weight strictly greater than tol."""
-        return tuple(int(i) for i in np.nonzero(self.weights > tol)[0])
-
     def __repr__(self) -> str:
         body = ",".join(canonical_float(v) for v in self.weights)
         return f"MixedStrategy({self.player.value},[{body}])"
-
-
-def validate_strategy(weights, player: Player = Player.ROW) -> MixedStrategy:
-    """Build a MixedStrategy from raw (possibly LP-noisy) weights.
-
-    Entries in [-1e-12, 0) are clamped to zero; sums within 1e-9 of 1 are
-    renormalized.  Anything dirtier is rejected with InvalidStrategyError.
-    """
-    w = _weight_vector(weights)
-    if np.any(w < -NEGATIVE_CLAMP_TOL):
-        raise InvalidStrategyError(
-            f"weight {w.min():g} is negative beyond tolerance {-NEGATIVE_CLAMP_TOL:g}"
-        )
-    total = np.where(w < 0.0, 0.0, w).sum()
-    if abs(total - 1.0) > SUM_REPAIR_TOL:
-        raise InvalidStrategyError(
-            f"weights sum to {total!r}, outside 1 +/- {SUM_REPAIR_TOL:g}"
-        )
-    return normalized_strategy(w, player)
 
 
 def normalized_strategy(z, player: Player) -> MixedStrategy:

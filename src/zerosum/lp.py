@@ -215,10 +215,6 @@ class LinearProgram:
             object.__setattr__(p, name, arr)
         return p
 
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
-
 
 @dataclass(frozen=True)
 class LPSolution:

@@ -27,7 +27,7 @@ from .core import (
     check_tolerance,
     normalized_strategy,
 )
-from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp
+from .lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LPStatus, solve_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
 ORACLE_MAX_SIZE = 5
@@ -71,6 +71,15 @@ def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     # its shift does not overflow.
     sol = solve_lp(LinearProgram._trusted(c, G, np.zeros(n), E, np.ones(1)))
     if sol.status is not LPStatus.OPTIMAL:
+        # Phase 1 reads entries at or below PIVOT_TOL times their column's
+        # largest magnitude as zero, so the unit entries of sum x = 1 vanish
+        # once a payoff reaches 1 / PIVOT_TOL: the input's scale is at fault.
+        top = float(np.maximum.reduce(B, axis=None))
+        if top * PIVOT_TOL >= 1.0:
+            raise InputError(
+                f"payoffs too large: the largest shifted payoff {top:g} reaches "
+                f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
+            )
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
         )
@@ -116,6 +125,8 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     certificate checks refuse rather than return degraded certificates.
     When the shift itself overflows, that is, when the largest entry plus c
     exceeds the float range, InputError is raised before any LP is built.
+    When a shifted payoff reaches 1/PIVOT_TOL = 1e11 and the value LP then
+    fails, InputError is raised too; every other LP failure is RuntimeError.
     """
     check_tolerance(tol, "tol")
     V = A.values

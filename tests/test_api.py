@@ -9,7 +9,13 @@ from pathlib import Path
 import zerosum
 from zerosum.solver import extrema_dominated
 
-REMOVED = ("is_optimal_dominated", "matrix_rank", "uniform_strategy", "pure_strategy")
+REMOVED = (
+    "is_optimal_dominated",
+    "matrix_rank",
+    "uniform_strategy",
+    "pure_strategy",
+    "validate_strategy",
+)
 # The LP feasibility and kernel rank tolerances are the module constants
 # `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters, and every LP starts
 # from phase 1, so no function takes a `start` basis.
@@ -40,6 +46,24 @@ def test_the_oracle_keeps_no_tolerance():
     # oracle_solve decides each support pair in exact rational arithmetic.
     for name in ("ORACLE_DEVIATION_TOL", "ORACLE_NONNEG_TOL", "_equalizing_weights"):
         assert not hasattr(zerosum.solver, name), name
+
+
+def test_strategy_cleanup_keeps_no_tolerance():
+    # normalized_strategy is the one cleanup path: it clips and divides.
+    for name in ("NEGATIVE_CLAMP_TOL", "SUM_REPAIR_TOL"):
+        assert not hasattr(zerosum.core, name), name
+
+
+def test_removed_accessors_stay_removed():
+    # Read A.values[i, j], np.flatnonzero(s.weights > tol), p.objective.size.
+    assert not hasattr(zerosum.GameMatrix, "entry")
+    assert not hasattr(zerosum.MixedStrategy, "support")
+    assert not hasattr(zerosum.LinearProgram, "n_vars")
+
+
+def test_canonical_json_takes_only_the_object():
+    # Every report indents by two spaces.
+    assert list(inspect.signature(zerosum.core.canonical_json).parameters) == ["obj"]
 
 
 def test_removed_fields_stay_removed():

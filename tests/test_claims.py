@@ -555,3 +555,37 @@ class TestReportMechanics:
         assert len(reports) == 2
         assert reports[0].verdict is Verdict.HOLDS
         assert reports[1].verdict is Verdict.NOT_APPLICABLE
+
+
+# ROADMAP item 9's claims on their ensembles; sizes are the bench's where it
+# has the family.
+PERMUTATION_CASES = [
+    (ClaimId.POSITIVE_DOMINATED_THM4, "Positive", 10, None),
+    (ClaimId.NEG_TRANSPOSE_THM2, "General", 30, None),
+    (ClaimId.SKEW_ZERO_COR3, "Skew", 7, None),
+    (ClaimId.SHARED_OPTIMA_COR4, "Skew", 7, None),
+    (ClaimId.EIGENSPACE_LEMMA5, "General", 30, [0.0, 1.0]),
+    (ClaimId.SHIFTED_EIGEN_THM4_GENERAL, "Skew", 7, [0.0]),
+    (ClaimId.DIAGONAL_THEOREM1, "Diagonal", 10, None),
+    (ClaimId.GORDAN_THEOREM3, "Skew", 7, None),
+]
+
+
+@pytest.mark.parametrize(
+    "claim,family,size,lambdas",
+    PERMUTATION_CASES,
+    ids=[case[0].value for case in PERMUTATION_CASES],
+)
+def test_verdicts_survive_relabelling_strategies(claim, family, size, lambdas):
+    # Permuting rows and columns together only renames pure strategies, and
+    # it keeps a matrix diagonal, skew or positive, so no claim may move.
+    p = np.random.default_rng(1).permutation(size)
+    for A in ensemble(family, size, 20, 1):
+        B = GameMatrix(A.values[p][:, p])
+        before = run_checker(claim, A, lambdas=lambdas)
+        after = run_checker(claim, B, lambdas=lambdas)
+        assert len(before) == len(after)
+        for r, s in zip(before, after):
+            assert r.verdict is s.verdict, A
+            if "value" in r.computed:
+                assert abs(r.computed["value"] - s.computed["value"]) <= 1e-9

@@ -469,11 +469,20 @@ class TestExitCodes:
         "argv", [["solve"], ["verify", "--claim", "NegTransposeThm2"]]
     )
     def test_shift_overflow_is_2(self, capsys, tmp_path, argv):
+        # The first shift overflows; the others shift to a payoff of at least
+        # 1 / PIVOT_TOL, where the value LP fails on the input's scale.
         huge = tmp_path / "huge.csv"
-        huge.write_text("1e308,-1e308\n")
-        code, out, err = run(capsys, *argv, "--input", str(huge))
-        assert code == 2 and out == ""
-        assert err.startswith("error: payoffs span too wide a range")
+        for text, message in [
+            ("1e308,-1e308", "payoffs span too wide a range"),
+            ("1e308,-1e307", "payoffs too large"),
+            ("2e11,1", "payoffs too large"),
+            ("1e12,1", "payoffs too large"),
+        ]:
+            huge.write_text(text + "\n")
+            code, out, err = run(capsys, *argv, "--input", str(huge))
+            assert code == 2 and out == "", text
+            assert err.startswith("error: " + message), text
+            assert err.endswith("normalize the matrix first\n"), text
 
     def test_non_finite_report_is_3(self, capsys, monkeypatch):
         import zerosum.cli as cli_mod

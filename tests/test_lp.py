@@ -240,7 +240,7 @@ def test_weak_duality_on_random_feasible_instances():
         assert sol.status is LPStatus.OPTIMAL
         assert sol.primal_residual <= FEAS_TOL
         # any feasible point scores at most the reported optimum
-        samples = rng.uniform(0.0, 2.0, (400, p.n_vars))
+        samples = rng.uniform(0.0, 2.0, (400, p.objective.size))
         samples[0] = z0
         feasible = samples[_feasible_mask(p, samples, 1e-12)]
         assert len(feasible) >= 1
@@ -675,7 +675,7 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
             spectral.gordan,
             claims._skew_gate,
             claims.check_positive_dominated,
-            core._weight_vector,
+            core.MixedStrategy.__post_init__,
             core.canonical_json,
             lp_mod._residual,
             lp_mod._priced_cost_row,

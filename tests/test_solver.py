@@ -84,13 +84,28 @@ class TestSolveGame:
         with pytest.raises(InputError, match="tolerance"):
             dataclasses.replace(sol, tolerance=bad)
 
-    @pytest.mark.parametrize("values", [[[1e308, -1e308]], [[-1e308], [1.5e308]]])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1e308, -1e308]],
+            [[-1e308], [1.5e308]],
+            [[1e308, -1e307]],
+            [[2e11, 1]],
+            [[1e12, 1]],
+        ],
+    )
     def test_shift_overflow_is_an_input_error(self, values):
         # The positivity shift 1 - min would push the largest entry past the
-        # float range: refused before any arithmetic, with no warning.
+        # float range: refused before any arithmetic, with no warning.  Once
+        # a shifted payoff reaches 1 / PIVOT_TOL, the value LP's phase 1 can
+        # no longer resolve sum x = 1, and its failure is the input's scale.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="shifting them .* overflows"):
+            with pytest.raises(
+                InputError,
+                match="(shifting them .* overflows|largest shifted payoff .* "
+                "reaches 1/PIVOT_TOL).*normalize the matrix first",
+            ):
                 solve_game(GameMatrix(values))
 
 
