@@ -319,8 +319,8 @@ def check_gordan_theorem3(
         return na
     verdict_branch = gordan(A)
     positive_image = verdict_branch.branch is GordanBranch.POSITIVE_IMAGE
-    # For square A, gordan's kernel LP is the stochastic-eigenvector LP at
-    # eigenvalue 0, and its witness is normalized the same way.
+    # For square A, gordan's kernel question is the stochastic-eigenvector
+    # one at eigenvalue 0, and its witness is normalized the same way.
     exists = not positive_image and _is_optimal_at_zero(
         A, verdict_branch.witness, tol
     )

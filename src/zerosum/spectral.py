@@ -1,6 +1,6 @@
-"""Eigen-structure computations tied to games: Perron root/vector of a
-positive matrix, null spaces, stochastic vectors inside eigenspaces, and
-Gordan's theorem of alternatives.
+"""Eigen-structure computations tied to games: Perron pairs of positive
+matrices, null spaces, and stochastic kernel vectors (one SVD certifies a
+no where it can, else one LP) behind eigenvectors and Gordan's alternatives.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .core import (
     check_finite,
     normalized_strategy,
 )
-from .lp import LinearProgram, LPSolution, LPStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LPSolution, LPStatus, solve_lp
 
 PERRON_RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -120,8 +120,7 @@ def null_space(A: GameMatrix) -> KernelBasis:
         raise InvalidMatrixError(
             f"null_space requires a square matrix, got {A.rows}x{A.cols}"
         )
-    _, sigma, vt = np.linalg.svd(A.values)
-    rank = int(np.count_nonzero(sigma > RANK_TOL * float(np.abs(A.values).max())))
+    _, _, vt, rank, _ = _svd(A.values)
     basis = []
     for vec in vt[rank:]:
         vec = vec / np.max(np.abs(vec))
@@ -130,10 +129,45 @@ def null_space(A: GameMatrix) -> KernelBasis:
     return KernelBasis(dimension=len(basis), basis_vectors=tuple(basis))
 
 
+def _svd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+    """u, sigma, vt of V, its rank above RANK_TOL * a, and a = max |V_ij|."""
+    u, sigma, vt = np.linalg.svd(V)
+    a = float(np.maximum.reduce(np.abs(V), axis=None))
+    return u, sigma, vt, int(np.count_nonzero(sigma > RANK_TOL * a)), a
+
+
 def _stochastic_kernel(M: np.ndarray) -> LPSolution:
     """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0.
-    M must be finite (the callers' guarantee for `LinearProgram._trusted`)."""
+    M must be finite (the callers' guarantee for `LinearProgram._trusted`).
+
+    One SVD answers first if M is n x n, n >= 2, of `_svd` rank n - 1, and
+    its kernel's k has both signs: b = S- on k > 0, S+ elsewhere (S+, S- the
+    sizes of k's positive and negative sums) is positive with k.b = 0, so
+    y = (M^T)^+ b gives M^T y = b.  Infeasible, with ray [y, -floor], if
+    floor = min(M^T y) > (2 t + n a (2 t + 2^-51)) ||y||_1, t = FEAS_TOL (a >
+    2 t follows, and keeps y finite).  A z that `_residual` passes has z >= -t,
+    sum z >= 1 - t, ||M z||_inf <= t, so y.M z <= t ||y||_1 and (M^T y).z >=
+    floor (1 - t) - n t a ||y||_1, each up to roundoff u n a ||y||_1 (u = 2^-53;
+    Higham 3.1).  The margin is twice what makes these contradict, so the LP
+    could not say Optimal.  Every other case, a LinAlgError included, runs it."""
     m, n = M.shape
+    rank = -1
+    if m == n >= 2:
+        try:
+            u, sigma, vt, rank, a = _svd(M)
+        except np.linalg.LinAlgError:
+            pass
+    if rank == n - 1 and a > 2 * FEAS_TOL:
+        k = vt[-1]
+        pos = k > 0.0
+        s_pos, s_neg = np.add.reduce(k, where=pos), -np.add.reduce(k, where=~pos)
+        if s_pos > 0.0 and s_neg > 0.0:
+            y = u[:, :-1] @ ((vt[:-1] @ np.where(pos, s_neg, s_pos)) / sigma[:-1])
+            floor = float(np.minimum.reduce(M.T @ y))
+            margin = 2 * FEAS_TOL + n * a * (2 * FEAS_TOL + 2.0**-51)
+            if floor > margin * np.add.reduce(np.abs(y)):
+                farkas = np.concatenate([y, [-floor]])
+                return LPSolution(status=LPStatus.INFEASIBLE, farkas=farkas)
     E = np.empty((m + 1, n))
     E[:m] = M
     E[m] = 1.0
@@ -150,8 +184,8 @@ def stochastic_eigenvector(
 ) -> MixedStrategy | None:
     """A stochastic vector y with (A - eigenvalue*I) y = 0, or None.
 
-    Decided by LP feasibility: (A - lambda I) y = 0, sum y = 1, y >= 0.  No
-    eigenvalue search is performed; the caller supplies lambda, which must be
+    Decided by `_stochastic_kernel` for (A - lambda I) y = 0, sum y = 1, y >= 0.
+    No eigenvalue search is performed; the caller supplies lambda, which must be
     finite, with every a_ii - lambda finite (InputError otherwise).
     """
     if not A.is_square:
@@ -176,7 +210,7 @@ def stochastic_eigenvector(
 def gordan(A: GameMatrix) -> GordanVerdict:
     """Decide which Gordan alternative holds for A and return its witness.
 
-    One LP decides: [A; 1^T] x = e_{m+1}, x >= 0.  Branch 1, when it is
+    `_stochastic_kernel` decides [A; 1^T] x = e_{m+1}, x >= 0.  Branch 1, when
     feasible: A x = 0 has a nonzero nonnegative solution, the stochastic x.
     Branch 2, when it is infeasible: its Farkas multipliers w satisfy
     A^T w[:m] >= -w[m] > 0, so y = w[:m] solves A^T y > 0; y is certified on

@@ -277,12 +277,29 @@ class TestGoldenFiles:
                 ],
                 0,
             ),
+            # A singular skew matrix whose kernel, spanned by (3, -2, 1), has
+            # both signs: the SVD certificate, not an LP, makes the witness.
+            (
+                "analyze_skew3_image.json",
+                ["analyze", "--input", str(DATA / "skew3_image.csv"), "--lambda", "0"],
+                0,
+            ),
         ],
     )
     def test_golden(self, capsys, golden, argv, code):
         got_code, out, _ = run(capsys, *argv)
         assert got_code == code
         assert out == (GOLDEN / golden).read_text()
+
+    def test_skew3_image_witness_proves_its_branch(self):
+        A = np.loadtxt(DATA / "skew3_image.csv", delimiter=",")
+        report = strict_json((GOLDEN / "analyze_skew3_image.json").read_text())
+        assert report["gordan"]["branch"] == "PositiveImage"
+        witness = np.array(report["gordan"]["witness"])
+        np.testing.assert_allclose(witness, np.array([2.0, 1.0, -4.0]) / 7, rtol=1e-14)
+        # A^T witness >= 1, up to the roundoff of the product.
+        assert np.all(A.T @ witness >= 1.0 - 1e-14)
+        assert report["eigenvectors"] == [{"lambda": 0, "vector": None}]
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

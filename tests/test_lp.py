@@ -165,16 +165,20 @@ class TestTrustedConstructor:
         [
             (ClaimId.POSITIVE_DOMINATED_THM4, "Positive", 10, 1),
             (ClaimId.NEG_TRANSPOSE_THM2, "General", 30, 7),
-            (ClaimId.GORDAN_THEOREM3, "Skew", 7, 1),
+            # Even order: the skew matrices are nonsingular, so every trial
+            # builds an LP (the bench's Skew 7 builds one in 6 of 400, where
+            # the SVD certificate does not answer).
+            (ClaimId.GORDAN_THEOREM3, "Skew", 6, 1),
         ],
-        ids=["posdom", "negt_general", "gordan_skew"],
+        ids=["posdom", "negt_general", "gordan_skew6"],
     )
     def test_bench_lps_solve_as_through_the_public_constructor(
         self, internal_lps, claim, family, size, seed
     ):
-        # The first 20 trials of each bench ensemble: every LP the audit
-        # builds keeps the private constructor's contract, and solving it
-        # gives the same bits as solving LinearProgram(...) of its arrays.
+        # The first 20 trials of each ensemble, two of them the bench's: every
+        # LP the audit builds keeps the private constructor's contract, and
+        # solving it gives the same bits as solving LinearProgram(...) of its
+        # arrays.
         for A in ensemble(family, size, 20, seed):
             run_checker(claim, A)
         assert len(internal_lps) >= 20
@@ -673,6 +677,7 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
             solver.extrema_dominated,
             spectral.perron,
             spectral.gordan,
+            spectral._svd,
             claims._skew_gate,
             claims.check_positive_dominated,
             core.MixedStrategy.__post_init__,

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,19 @@ from zerosum import (
     InconsistentAlternativesError,
     InputError,
     InvalidMatrixError,
+    LinearProgram,
+    LPStatus,
     Player,
     gordan,
     GordanBranch,
     null_space,
     perron,
     run_checker,
+    solve_lp,
     stochastic_eigenvector,
 )
 from zerosum.cli import run_cli
-from conftest import ensemble, random_skew
+from conftest import ensemble, lp_solution_bits, random_skew
 
 
 def perron_2x2_oracle(a, b, c, d):
@@ -350,6 +354,149 @@ class TestGordan:
         monkeypatch.setattr(spectral_mod, "solve_lp", flipped_ray)
         with pytest.raises(InconsistentAlternativesError):
             gordan(GameMatrix(np.eye(2)))
+
+
+def _kernel_lp(M):
+    """The program `_stochastic_kernel` hands to `solve_lp` for M:
+    [M; 1^T] z = e_{m+1}, z >= 0, with a zero objective."""
+    m, n = M.shape
+    eq_rhs = np.zeros(m + 1)
+    eq_rhs[m] = 1.0
+    return LinearProgram._trusted(
+        np.zeros(n), np.zeros((0, n)), np.zeros(0), np.vstack([M, np.ones(n)]), eq_rhs
+    )
+
+
+class TestSvdCertificate:
+    """`_stochastic_kernel` answers Infeasible from one SVD when M's kernel is
+    one line with entries of both signs and a margin certifies it on M; every
+    other M takes the LP."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        real = spectral_mod.solve_lp
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(spectral_mod, "solve_lp", counting)
+        return calls
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        real = spectral_mod._svd
+        calls = []
+
+        def recording(V):
+            calls.append(V)
+            return real(V)
+
+        monkeypatch.setattr(spectral_mod, "_svd", recording)
+        return calls
+
+    def test_answers_only_what_the_lp_finds_infeasible(self, lp_calls):
+        matrices = [
+            A.values
+            for size in range(3, 16, 2)
+            for seed in (1, 2, 3)
+            for A in ensemble("Skew", size, 20, seed)
+        ]
+        # Integer skew matrices: many have a kernel of dimension 2 or more.
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            upper = np.triu(rng.integers(-2, 3, (n, n)), 1).astype(float)
+            matrices.append(upper - upper.T)
+        # The shifted matrices of EigenspaceLemma5's skew audits.
+        for size, seed in ((3, 1), (5, 3)):
+            for A in ensemble("Skew", size, 40, seed):
+                matrices += [A.values - lam * np.eye(size) for lam in (0.0, 1.0)]
+        fast = wide = 0
+        for M in matrices:
+            lp_calls.clear()
+            sol = spectral_mod._stochastic_kernel(M)
+            if null_space(GameMatrix(M)).dimension >= 2:
+                wide += 1
+                assert len(lp_calls) == 1
+            if lp_calls:
+                continue
+            fast += 1
+            assert sol.status is LPStatus.INFEASIBLE
+            assert solve_lp(_kernel_lp(M)).status is LPStatus.INFEASIBLE
+            # [M; 1^T]^T w >= 0 and e_{m+1}.w < 0, on M's own entries; and
+            # M^T y > 0 holds in exact arithmetic, not only in floating point.
+            y, last = sol.farkas[:-1], sol.farkas[-1]
+            assert last < 0.0
+            assert np.all(M.T @ y + last >= 0.0)
+            exact = [
+                sum(Fraction(a) * Fraction(b) for a, b in zip(column, y.tolist()))
+                for column in M.T.tolist()
+            ]
+            assert min(exact) > 0
+        assert wide >= 20
+        assert fast >= 500
+
+    def test_skew7_builds_an_lp_only_for_its_nonnegative_kernels(self, lp_calls):
+        kernels = 0
+        for A in ensemble("Skew", 7, 400, 1):
+            [report] = run_checker(ClaimId.GORDAN_THEOREM3, A)
+            kernels += report.computed["gordan_branch"] == "NonnegativeKernel"
+        assert len(lp_calls) == kernels == 6
+
+    @pytest.mark.parametrize(
+        "entries,branch,witness",
+        [
+            ([[0.0]], GordanBranch.NONNEGATIVE_KERNEL, [1.0]),
+            ([[2.0]], GordanBranch.POSITIVE_IMAGE, [0.5]),
+            ([[0.0, 0.0], [0.0, 0.0]], GordanBranch.NONNEGATIVE_KERNEL, [1.0, 0.0]),
+            ([[1.0, -1.0]], GordanBranch.NONNEGATIVE_KERNEL, [0.5, 0.5]),
+            ([[1.0], [-1.0]], GordanBranch.POSITIVE_IMAGE, [0.0, -1.0]),
+        ],
+    )
+    def test_small_matrices_take_the_lp(
+        self, lp_calls, svd_calls, entries, branch, witness
+    ):
+        verdict = gordan(GameMatrix(entries))
+        assert len(lp_calls) == 1
+        assert verdict.branch is branch
+        np.testing.assert_array_equal(verdict.witness, witness)
+        # Only the square matrix of order 2 reaches the SVD; rank 0 is no line.
+        assert len(svd_calls) == (np.shape(entries) == (2, 2))
+
+    def test_margin_leaves_a_kernel_within_tolerance_to_the_lp(
+        self, lp_calls, svd_calls
+    ):
+        # The kernel is the line of (1, 1, -1e-12), so no stochastic vector
+        # spans it exactly; but z = (1/2, 1/2, 0) has ||A z|| = 5e-13, within
+        # FEAS_TOL, and the LP accepts it.  The SVD's ray proves A^T y > 0
+        # on A, yet only the margin keeps it from overruling the LP.
+        eps = 1e-12
+        A = GameMatrix([[0.0, -eps, -1.0], [eps, 0.0, 1.0], [1.0, -1.0, 0.0]])
+        verdict = gordan(A)
+        assert len(svd_calls) == len(lp_calls) == 1
+        assert verdict.branch is GordanBranch.NONNEGATIVE_KERNEL
+        np.testing.assert_allclose(verdict.witness, [0.5, 0.5, 0.0], atol=1e-12)
+
+    def test_svd_failure_takes_the_lp(self, monkeypatch, lp_calls):
+        A = ensemble("Skew", 7, 1, 1)[0]
+        branch = gordan(A).branch
+        assert lp_calls == []
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        verdict = gordan(A)
+        assert len(lp_calls) == 1
+        sol = solve_lp(_kernel_lp(A.values))
+        assert lp_solution_bits(solve_lp(lp_calls[0])) == lp_solution_bits(sol)
+        y = sol.farkas[:7]
+        assert verdict.branch is branch
+        np.testing.assert_array_equal(
+            verdict.witness, y / np.minimum.reduce(A.values.T @ y)
+        )
 
 
 def assert_certified(V, verdict):
