@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .core import (
 )
 from .solver import SOLVE_TOL_DEFAULT, oracle_solve, solve_game
 from .spectral import (
+    GordanBranch,
     gordan,
     null_space,
     perron,
@@ -226,13 +228,17 @@ def _cmd_analyze(args) -> tuple[int, dict]:
     }
     eigenvectors = []
     for lam in args.lambdas or []:
-        witness = stochastic_eigenvector(A, lam) if A.is_square else None
-        eigenvectors.append(
-            {
-                "lambda": lam,
-                "vector": witness.weights if witness is not None else None,
-            }
-        )
+        if not A.is_square:
+            vector = None
+        elif lam == 0.0 and math.copysign(1.0, lam) > 0.0:
+            # A - (+0.0) I is A bit for bit, so gordan has decided this
+            # kernel; -0.0 would turn a -0.0 entry into +0.0.
+            kernel = verdict.branch is GordanBranch.NONNEGATIVE_KERNEL
+            vector = verdict.witness if kernel else None
+        else:
+            witness = stochastic_eigenvector(A, lam)
+            vector = witness.weights if witness is not None else None
+        eigenvectors.append({"lambda": lam, "vector": vector})
     report["eigenvectors"] = eigenvectors
     return 0, report
 

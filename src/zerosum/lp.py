@@ -16,6 +16,12 @@ break (a payoff shift or an eigenvalue shift that overflows, a non-finite
 game value) is checked by that caller, before its arithmetic, with an
 InputError that names the cause.
 
+Every `solve_lp` call runs both phases.  One LP skips phase 1: a game's
+value LP (`solver._value_lp`), whose phase 1 always ends at the same
+tableau after one forced pivot.  It writes that tableau down and hands it to
+`_phase_two`, the phase 2, read-out and certificate that `solve_lp` runs
+after its own phase 1, so the two take the same pivots.
+
 Phase 1 runs on one array, allocated once and filled in place:
 
     [ G | I | art | h ]    n_ineq rows, I the slacks of the G rows
@@ -438,6 +444,24 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     costs = np.zeros(width)
     costs[:N] = p.objective
     _priced_cost_row(T, basis, costs)
+    return _phase_two(p, T, basis, keep, iter_limit)
+
+
+def _phase_two(
+    p: LinearProgram, T: np.ndarray, basis: list[int], keep: list[bool], iter_limit: int
+) -> LPSolution:
+    """Phase 2 of p from a feasible basis, and the read-out of its answer.
+
+    T is the phase-2 tableau [rows | rhs; reduced costs of p's objective |
+    -objective]: the kept rows of p, flipped where their rhs is negative,
+    over the columns of z and of the G rows' slacks, with `basis` the basic
+    column of each row.  `keep` marks which of p's rows T kept.  Returns
+    Optimal with a point certified against p's own rows, or Unbounded.
+    `solve_lp` calls this after its phase 1, and `solver._value_lp` with the
+    tableau its phase 1 would end at, written down.
+    """
+    n_ineq, N = p.ineq_lhs.shape
+    width = N + n_ineq
     if _run_simplex(T, basis, iter_limit) == "unbounded":
         return LPSolution(status=LPStatus.UNBOUNDED)
     u = np.zeros(width)
@@ -448,7 +472,8 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     if not residual <= FEAS_TOL:
         # The tableau carries roundoff from every pivot so far; solve for
         # x_B against the original rows of the final basis instead.
-        rows = np.zeros((m, width + 1))
+        flipped = np.concatenate([p.ineq_rhs, p.eq_rhs]) < 0.0
+        rows = np.zeros((flipped.size, width + 1))
         _write_rows(rows, p, flipped)
         rows = rows[keep]
         u[basis] = np.linalg.solve(rows[:, basis], rows[:, -1])

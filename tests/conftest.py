@@ -124,8 +124,9 @@ def assert_trusted_contract(p):
 
 @pytest.fixture
 def internal_lps(monkeypatch):
-    """Every program that `solver` and `spectral` hand to `solve_lp`, in
-    order."""
+    """Every program that `solver` and `spectral` hand to `solve_lp`, and
+    that `solver._value_lp` hands to `lp._phase_two` with its written-down
+    start, in order."""
     from zerosum import solve_lp, solver, spectral
 
     programs = []
@@ -134,6 +135,13 @@ def internal_lps(monkeypatch):
         programs.append(p)
         return solve_lp(p)
 
+    phase_two = solver._phase_two
+
+    def recording_phase_two(p, *start):
+        programs.append(p)
+        return phase_two(p, *start)
+
     for module in (solver, spectral):
         monkeypatch.setattr(module, "solve_lp", recording)
+    monkeypatch.setattr(solver, "_phase_two", recording_phase_two)
     return programs

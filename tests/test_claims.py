@@ -156,17 +156,22 @@ class TestCheckNegTranspose:
 
     def test_negated_transpose_value_takes_one_lp(self, monkeypatch):
         # -A^T is A with the players swapped: its value is read off A's
-        # certified solution, and agrees with a cold LP of its own.
+        # certified solution, and agrees with a cold LP of its own.  An LP
+        # runs through solve_lp, or, as the value LP does, through phase 2
+        # alone from a written-down start.
         import zerosum.solver as solver_mod
 
         calls = []
-        solve_lp = solver_mod.solve_lp
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
+        def counted(solve):
+            def count(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "solve_lp", counted)
+            return count
+
+        for name in ("solve_lp", "_phase_two"):
+            monkeypatch.setattr(solver_mod, name, counted(getattr(solver_mod, name)))
         for A in ensemble("General", 30, 20, 7):
             calls.clear()
             rep = check_neg_transpose(A)

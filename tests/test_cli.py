@@ -301,6 +301,36 @@ class TestGoldenFiles:
         assert np.all(A.T @ witness >= 1.0 - 1e-14)
         assert report["eigenvectors"] == [{"lambda": 0, "vector": None}]
 
+    @pytest.mark.parametrize(
+        "data,golden,lam,svds",
+        [
+            ("skew3_image.csv", "analyze_skew3_image.json", "0", 2),
+            ("rps.csv", "analyze_rps.json", "0", 2),
+            # A - (-0.0) I would turn a -0.0 entry into +0.0, so -0 is asked
+            # again; its report renders -0 as 0, the same bytes.
+            ("skew3_image.csv", "analyze_skew3_image.json", "-0", 3),
+        ],
+    )
+    def test_analyze_reads_lambda_zero_off_gordan(
+        self, capsys, monkeypatch, data, golden, lam, svds
+    ):
+        # A - 0.0 I is A bit for bit, so gordan has answered lambda = 0: one
+        # SVD for null_space and one for gordan's kernel question.
+        from zerosum import spectral
+
+        calls = []
+        svd = spectral._svd
+
+        def counted(V):
+            calls.append(V.shape)
+            return svd(V)
+
+        monkeypatch.setattr(spectral, "_svd", counted)
+        code, out, _ = run(capsys, "analyze", "--input", str(DATA / data), "--lambda", lam)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+        assert len(calls) == svds
+
     def test_output_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run(

@@ -176,9 +176,9 @@ class TestTrustedConstructor:
         self, internal_lps, claim, family, size, seed
     ):
         # The first 20 trials of each ensemble, two of them the bench's: every
-        # LP the audit builds keeps the private constructor's contract, and
-        # solving it gives the same bits as solving LinearProgram(...) of its
-        # arrays.
+        # LP the audit builds, value LPs started at phase 2 included, keeps
+        # the private constructor's contract, and solving it gives the same
+        # bits as solving LinearProgram(...) of its arrays.
         for A in ensemble(family, size, 20, seed):
             run_checker(claim, A)
         assert len(internal_lps) >= 20
@@ -620,7 +620,8 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
     # In numpy 2.x `a.min()`, `a.max()`, `a.sum()`, `a.any()` and `a.all()`
     # run Python code in numpy's `_methods`, and `np.max`, `np.clip`, ... in
     # `fromnumeric`; the pivot loop and the setup of each LP call neither
-    # (see the lp docstring).
+    # (see the lp docstring).  The value LP of a game starts at phase 2; the
+    # LP fallback of the optimal-strategy extrema runs solve_lp's two phases.
     try:
         from numpy._core import _methods, fromnumeric
     except ImportError:  # numpy 1.x
@@ -630,7 +631,13 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
     wrappers = {_methods.__file__, fromnumeric.__file__}
     loop = {
         fn.__code__
-        for fn in (lp_mod._run_simplex, lp_mod._pivot, lp_mod.solve_lp)
+        for fn in (
+            lp_mod._run_simplex,
+            lp_mod._pivot,
+            lp_mod.solve_lp,
+            lp_mod._priced_cost_row,
+            lp_mod._phase_two,
+        )
     }
     entered = {code: 0 for code in loop}
     wrapped = []
@@ -644,9 +651,11 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
             wrapped.append((frame.f_back.f_code.co_name, frame.f_code.co_name))
 
     A = ensemble("General", 30, 1, 7)[0]
+    degenerate = GameMatrix([[1, 1, 1], [1, 1, 2], [3, 3, 1]])
     sys.setprofile(profile)
     try:
         solve_game(A)
+        row_optima_column_extrema(degenerate, 5 / 3, 1e-8)
     finally:
         sys.setprofile(None)
     assert wrapped == []
@@ -682,8 +691,9 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
             claims.check_positive_dominated,
             core.MixedStrategy.__post_init__,
             core.canonical_json,
+            solver._value_lp,
+            lp_mod._phase_two,
             lp_mod._residual,
-            lp_mod._priced_cost_row,
         )
     }
     entered = set()

@@ -11,6 +11,7 @@ from zerosum import (
     GameMatrix,
     InputError,
     LinearProgram,
+    LPStatus,
     OracleSizeError,
     oracle_solve,
     row_optima_column_extrema,
@@ -19,6 +20,7 @@ from zerosum import (
 )
 from zerosum.claims import check_positive_dominated
 from zerosum.cli import run_cli
+from zerosum.lp import PIVOT_TOL
 from zerosum.solver import _exact_solve, _support_equilibria, extrema_dominated
 from conftest import (
     BAD_TOLERANCES,
@@ -179,6 +181,155 @@ class TestGameValue:
         for tol in (0.0, -1.0):
             with pytest.raises(InputError):
                 solve_game(rps, tol=tol)
+
+
+def _payoffs_at_pivot_scale() -> list[np.ndarray]:
+    """Shifted payoffs at the ratio test's scale edge.  `big` is the first
+    float whose product with PIVOT_TOL reaches 1, so phase 1's bounded ratio
+    test refuses the sum row's unit entry in a column whose payoffs reach
+    it; `below`, the float before it, still passes."""
+    big = 1 / PIVOT_TOL
+    while PIVOT_TOL * big < 1.0:
+        big = np.nextafter(big, np.inf)
+    below = np.nextafter(big, 0.0)
+    rng = np.random.default_rng(131)
+    games = []
+    for refused in range(1, 4):
+        B = rng.uniform(1.0, 5.0, (4, 3))
+        B[:refused, 1] = big
+        games.append(B)
+    B = rng.uniform(1.0, 5.0, (3, 3))
+    B[0, 2], B[1, 0] = big, below  # x_1 enters at the very edge
+    games.append(B)
+    B = rng.uniform(1.0, 5.0, (3, 4))
+    B[:, 3] = big * 3.0  # every row refused: the scale error
+    games.append(B)
+    return games
+
+
+def _value_lp_by_solve_lp(B):
+    """The value LP of B stated through the public constructor, solved by
+    `solve_lp`'s two phases, and read as `_value_lp` reads it: the LP's bits,
+    or the same error for a failed solve."""
+    m, n = B.shape
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    # C-ordered, as _value_lp lays it out: a Fortran-ordered G would run
+    # `_residual`'s product through another BLAS kernel.
+    G = np.ones((n, m + 1))
+    G[:, :m] = -B.T
+    E = [[1.0] * m + [0.0]]
+    sol = solve_lp(LinearProgram(c, G, np.zeros(n), E, [1.0]))
+    if sol.status is not LPStatus.OPTIMAL:
+        top = float(B.max())
+        if top * PIVOT_TOL >= 1.0:
+            raise InputError(
+                f"payoffs too large: the largest shifted payoff {top:g} reaches "
+                f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
+            )
+        raise RuntimeError(
+            f"value LP reported {sol.status.value}; impossible for a valid game"
+        )
+    return lp_solution_bits(sol)
+
+
+class TestValueLpStart:
+    """`_value_lp` writes down the tableau that phase 1 of its program always
+    ends at and runs phase 2 alone: every simplex run, pivot, bit of the
+    answer and error must be `solve_lp`'s on the same program."""
+
+    @staticmethod
+    def traced(monkeypatch, solve, B):
+        """What solve(B) returns, or the class and message of what it raises,
+        and one [bounded, iteration budget, tableau shape and bytes, basis,
+        *pivots] entry per simplex run it makes."""
+        import zerosum.lp as lp_mod
+
+        runs = []
+        run, pivot = lp_mod._run_simplex, lp_mod._pivot
+
+        def run_spy(T, basis, iter_limit, bounded=False):
+            runs.append([bounded, iter_limit, T.shape, T.tobytes(), list(basis)])
+            return run(T, basis, iter_limit, bounded)
+
+        def pivot_spy(T, row, col):
+            runs[-1].append((row, col))
+            pivot(T, row, col)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_mod, "_run_simplex", run_spy)
+            patch.setattr(lp_mod, "_pivot", pivot_spy)
+            try:
+                got = solve(B)
+            except (InputError, RuntimeError) as exc:
+                got = type(exc), str(exc)
+        return got, runs
+
+    @staticmethod
+    def value_lp(B):
+        """`_value_lp`'s LP bits, with its (x, v, y) checked to be read off
+        them."""
+        import zerosum.solver as solver_mod
+
+        answers = []
+        phase_two = solver_mod._phase_two
+
+        def capture(*args):
+            answers.append(phase_two(*args))
+            return answers[-1]
+
+        solver_mod._phase_two = capture
+        try:
+            x, v, y = solver_mod._value_lp(B)
+        finally:
+            solver_mod._phase_two = phase_two
+        (sol,) = answers
+        m = B.shape[0]
+        assert x.tobytes() == sol.point[:m].tobytes()
+        assert v == sol.point[m] == sol.objective_value
+        assert y is sol.ineq_duals
+        return lp_solution_bits(sol)
+
+    def assert_same_as_solve_lp(self, monkeypatch, B):
+        got, runs = self.traced(monkeypatch, self.value_lp, B)
+        want, want_runs = self.traced(monkeypatch, _value_lp_by_solve_lp, B)
+        assert got == want
+        # Phase 1 is solve_lp's first run and the value LP's none; phase 2
+        # starts from the same tableau, basis and budget and pivots alike.
+        assert want_runs[0][0] is True
+        assert [run[0] for run in runs] == [False] * len(runs)
+        assert runs == want_runs[1:]
+        return got
+
+    @pytest.mark.parametrize(
+        "family,size,seed",
+        [("Positive", 10, 1), ("General", 30, 7), ("Skew", 7, 1)],
+        ids=["posdom", "negt_general", "gordan_skew"],
+    )
+    def test_bench_ensembles(self, monkeypatch, family, size, seed):
+        for A in ensemble(family, size, 50, seed):
+            V = A.values
+            B = V + (1.0 - V.min() if V.min() < 1.0 else 0.0)
+            self.assert_same_as_solve_lp(monkeypatch, B)
+
+    def test_tied_and_degenerate_games(self, monkeypatch):
+        for A in integer_positive_games(60):
+            self.assert_same_as_solve_lp(monkeypatch, A.values)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (3, 5), (5, 3)])
+    def test_shapes(self, monkeypatch, shape):
+        rng = np.random.default_rng(137)
+        for _ in range(10):
+            self.assert_same_as_solve_lp(monkeypatch, rng.uniform(1.0, 6.0, shape))
+
+    def test_phase_one_starts_past_rows_at_the_pivot_scale(self, monkeypatch):
+        *passing, refused = _payoffs_at_pivot_scale()
+        for B in passing:
+            got = self.assert_same_as_solve_lp(monkeypatch, B)
+            assert got[0] is LPStatus.OPTIMAL
+        error, message = self.assert_same_as_solve_lp(monkeypatch, refused)
+        assert error is InputError
+        assert "reaches 1/PIVOT_TOL" in message
 
 
 class TestOracle:
