@@ -262,15 +262,19 @@ def _cmd_verify(args) -> tuple[int, dict]:
         if missing:
             raise InputError(f"--ensemble requires {', '.join(missing)}")
         family = Family(args.ensemble)
-        matrices = generate_ensemble(
-            EnsembleSpec(
-                family=family,
-                size=args.size,
-                trials=args.trials,
-                seed=args.seed,
-                entry_range=DEFAULT_RANGES[family.value],
-            )
+        spec = EnsembleSpec(
+            family=family,
+            size=args.size,
+            trials=args.trials,
+            seed=args.seed,
+            entry_range=DEFAULT_RANGES[family.value],
         )
+        try:
+            matrices = generate_ensemble(spec)
+        except MemoryError as exc:
+            raise InputError(
+                f"--size {args.size} does not fit in memory: {exc}"
+            ) from exc
     reports = []
     for i, A in enumerate(matrices):
         try:
@@ -317,6 +321,25 @@ def _checked_float(check, name: str):
         return value
 
     return parse
+
+
+def _attach_lambda_values(argv: list[str]) -> list[str]:
+    """argv with each `--lambda VALUE` whose VALUE starts with "-" and is a
+    float written as `--lambda=VALUE`.  argparse reads such a VALUE as an
+    option unless it is a plain decimal like -1 or -0.5, so -1e-3, as
+    reports print floats, or -inf would not reach the flag's check."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--lambda" and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,7 +390,7 @@ def run_cli(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_lambda_values(list(argv)))
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code) if exc.code else 0
     try:

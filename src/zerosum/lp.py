@@ -16,11 +16,17 @@ break (a payoff shift or an eigenvalue shift that overflows, a non-finite
 game value) is checked by that caller, before its arithmetic, with an
 InputError that names the cause.
 
-Every `solve_lp` call runs both phases.  One LP skips phase 1: a game's
-value LP (`solver._value_lp`), whose phase 1 always ends at the same
-tableau after one forced pivot.  It writes that tableau down and hands it to
+Every `solve_lp` call runs both phases.  `solve_value_lp`, a game's value
+LP, skips phase 1, which on that program always ends at the same tableau
+after one forced pivot: it writes that tableau down and hands it to
 `_phase_two`, the phase 2, read-out and certificate that `solve_lp` runs
-after its own phase 1, so the two take the same pivots.
+after its own phase 1, so the two take the same pivots.  Each simplex run
+sizes its own pivot budget from the tableau it pivots (IterationLimitError).
+
+Every program is C-ordered: `LinearProgram(...)` copies its arrays in C
+order, and `_trusted` takes only C-ordered ones.  A Fortran-ordered array
+would run `_residual`'s products through another BLAS kernel, which can
+round differently; so no answer depends on the caller's memory layout.
 
 Phase 1 runs on one array, allocated once and filled in place:
 
@@ -115,8 +121,9 @@ ITERATION_FACTOR = 50
 
 
 class IterationLimitError(RuntimeError):
-    """Simplex exceeded 50*(variables+constraints) pivots; solver bug, since
-    Dantzig pricing with its Bland fallback terminates."""
+    """One simplex run exceeded its budget of 50 * (rows + columns of the
+    tableau it pivots) pivots; solver bug, since Dantzig pricing with its
+    Bland fallback terminates."""
 
 
 class LPStatus(enum.Enum):
@@ -126,11 +133,11 @@ class LPStatus(enum.Enum):
 
 
 def _as_array(v, ndim: int, name: str) -> np.ndarray:
-    """A new float array holding v, with `ndim` dimensions and finite entries:
-    DimensionMismatchError when v is ragged or has another ndim, InputError
-    when an entry is not a number or not finite."""
+    """A new C-ordered float array holding v, with `ndim` dimensions and
+    finite entries: DimensionMismatchError when v is ragged or has another
+    ndim, InputError when an entry is not a number or not finite."""
     try:
-        arr = np.array(v, dtype=float)
+        arr = np.array(v, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         try:
             np.asarray(v)
@@ -199,9 +206,9 @@ class LinearProgram:
         the package: nothing is copied or checked.
 
         The caller guarantees what `LinearProgram(...)` would otherwise
-        check or make.  All five arrays are finite float64, each C- or
-        Fortran-contiguous, as `np.array(a, dtype=float)` lays them out (a
-        strided view is not; its copy would be).  The objective is 1-D with
+        check or make.  All five arrays are finite float64 and C-contiguous,
+        as `np.array(a, dtype=float, order="C")` lays them out (a strided or
+        transposed view is not; its copy would be).  The objective is 1-D with
         n > 0 entries; each lhs is 2-D with n columns and as many rows as
         its rhs, a 1-D array, has entries.  An absent block is an explicit
         (0, n) lhs with a (0,) rhs.  The caller does not write to the arrays
@@ -252,9 +259,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
         rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
 
 
-def _run_simplex(
-    T: np.ndarray, basis: list[int], iter_limit: int, bounded: bool = False
-) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> str:
     """Pivot to optimality ('optimal') or detect an improving ray ('unbounded').
 
     Last tableau row holds reduced costs for maximization plus -objective in
@@ -264,7 +269,9 @@ def _run_simplex(
     until a pivot moves the point again.  Leaving = minimum ratio with ties
     broken by smallest basic variable.  This terminates: a nondegenerate
     pivot strictly raises the objective, so no basis repeats across one, and
-    within a degenerate stretch Bland's rule ends any cycle.
+    within a degenerate stretch Bland's rule ends any cycle.  So a run that
+    exceeds ITERATION_FACTOR * (rows + columns) pivots, counting T's
+    constraint rows and variable columns, raises IterationLimitError.
 
     With `bounded` (phase 1, whose objective is at most 0) an improving
     column without a positive entry can only be roundoff dust: its reduced
@@ -292,7 +299,8 @@ def _run_simplex(
     ratios_reversed = ratios[::-1]  # its argmin finds the last minimum
     magnitudes = np.empty(m)
     stalled = 0
-    for _ in range(iter_limit):
+    limit = ITERATION_FACTOR * (m + reduced.size)
+    for _ in range(limit):
         if stalled < DEGENERATE_STALL:
             enter = int(reduced.argmax())
         else:
@@ -336,7 +344,7 @@ def _run_simplex(
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise IterationLimitError(
-        f"simplex did not finish within {iter_limit} pivots; "
+        f"simplex did not finish within {limit} pivots; "
         "this signals a bug since the pricing rule terminates"
     )
 
@@ -393,7 +401,6 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     flipped = np.concatenate([p.ineq_rhs, p.eq_rhs]) < 0.0
     art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
     total = width + art_rows.size
-    iter_limit = ITERATION_FACTOR * (total + m)
 
     # [G | I | art | h; E | 0 | art | f; cost row], filled in place.
     T = np.zeros((m + 1, total + 1))
@@ -409,7 +416,7 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     phase1_costs = np.zeros(total)
     phase1_costs[width:] = -1.0
     _priced_cost_row(T, basis, phase1_costs)
-    _run_simplex(T, basis, iter_limit, bounded=True)
+    _run_simplex(T, basis, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
     if art_sum > FEAS_TOL:
         w = np.empty(m)
@@ -444,11 +451,75 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     costs = np.zeros(width)
     costs[:N] = p.objective
     _priced_cost_row(T, basis, costs)
-    return _phase_two(p, T, basis, keep, iter_limit)
+    return _phase_two(p, T, basis, keep)
+
+
+def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
+    x >= 0, v >= 0.  The bound on v is never active, since callers pass a
+    finite B >= 1, so v >= 1.  Returns (x, v, y), y the multipliers of the n
+    column rows: up to roundoff a column strategy holding B's payoffs to v.
+
+    `solve_lp`'s phase 1 on this program is forced, so it is not run.  Its
+    one artificial sits on sum x = 1, and every x column prices at 1, so x_0,
+    x_1, ... enter in turn.  The bounded ratio test admits only the sum row,
+    and only when its unit entry passes PIVOT_TOL times the column's largest
+    magnitude, max(1, max_j B_ij); a column it refuses is zeroed as dust.
+    So phase 1 is one pivot, on x_i for the first row i whose payoffs pass,
+    and it leaves the G rows as (-B^T) - (-B_i) with rhs B_i, the sum row as
+    written, and, every basic cost being 0, the phase-2 cost row e_v.  That
+    tableau is written down here and `_phase_two` runs from it: the same
+    pivots, point and duals as `solve_lp`, bit for bit.  When no row passes,
+    phase 1 ends Infeasible, and InputError names the payoff scale.
+    """
+    m, n = B.shape
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    G = np.empty((n, m + 1))  # v - (B^T x)_j <= 0
+    np.negative(B.T, out=G[:, :m])
+    G[:, m] = 1.0
+    E = np.zeros((1, m + 1))
+    E[0, :m] = 1.0
+    # Fresh C-ordered arrays, finite because B is.  `_phase_two` certifies
+    # against them.
+    p = LinearProgram._trusted(c, G, np.zeros(n), E, np.ones(1))
+    passes = PIVOT_TOL * np.maximum(np.maximum.reduce(B, axis=1), 1.0) < 1.0
+    i = int(passes.argmax())
+    status = LPStatus.INFEASIBLE
+    if passes[i]:
+        # Columns: x, v, the n slacks, rhs.  Rows: the G rows, sum x = 1,
+        # the cost row.  Slack j sits at (j, m + 1 + j), flat index
+        # m + 1 + j * (width + 2).
+        width = m + 1 + n
+        T = np.zeros((n + 2, width + 1))
+        np.subtract(G[:, :m], G[:, i : i + 1], out=T[:n, :m])
+        T[:n, m] = 1.0
+        T.reshape(-1)[m + 1 : n * (width + 2) : width + 2] = 1.0
+        T[:n, -1] = B[i]
+        T[n, :m] = 1.0
+        T[n, -1] = 1.0
+        T[-1, m] = 1.0
+        basis = [*range(m + 1, width), i]
+        sol = _phase_two(p, T, basis, [True] * (n + 1))
+        if sol.status is LPStatus.OPTIMAL:
+            return sol.point[:m], float(sol.point[m]), sol.ineq_duals
+        status = sol.status
+    # Phase 1 reads entries at or below PIVOT_TOL times their column's
+    # largest magnitude as zero, so the unit entries of sum x = 1 vanish
+    # once a payoff reaches 1 / PIVOT_TOL: the input's scale is at fault.
+    top = float(np.maximum.reduce(B, axis=None))
+    if top * PIVOT_TOL >= 1.0:
+        raise InputError(
+            f"payoffs too large: the largest shifted payoff {top:g} reaches "
+            f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
+        )
+    raise RuntimeError(
+        f"value LP reported {status.value}; impossible for a valid game"
+    )
 
 
 def _phase_two(
-    p: LinearProgram, T: np.ndarray, basis: list[int], keep: list[bool], iter_limit: int
+    p: LinearProgram, T: np.ndarray, basis: list[int], keep: list[bool]
 ) -> LPSolution:
     """Phase 2 of p from a feasible basis, and the read-out of its answer.
 
@@ -457,12 +528,12 @@ def _phase_two(
     over the columns of z and of the G rows' slacks, with `basis` the basic
     column of each row.  `keep` marks which of p's rows T kept.  Returns
     Optimal with a point certified against p's own rows, or Unbounded.
-    `solve_lp` calls this after its phase 1, and `solver._value_lp` with the
+    `solve_lp` calls this after its phase 1, and `solve_value_lp` with the
     tableau its phase 1 would end at, written down.
     """
     n_ineq, N = p.ineq_lhs.shape
     width = N + n_ineq
-    if _run_simplex(T, basis, iter_limit) == "unbounded":
+    if _run_simplex(T, basis) == "unbounded":
         return LPSolution(status=LPStatus.UNBOUNDED)
     u = np.zeros(width)
     u[basis] = T[:-1, -1]

@@ -4,9 +4,8 @@ to doubles once), and the optimal-dominated decision procedures.
 
 `solve_game` solves one LP per game: the row player's value LP, whose
 inequality multipliers are a column strategy (LP duality is the minimax
-theorem).  Its phase 1 is forced, so `_value_lp` writes down where phase 1
-ends and runs phase 2 alone.  The supports of that certified pair name the
-facets of the row player's optimal-strategy region, so
+theorem), solved by `lp.solve_value_lp`.  The supports of that certified
+pair name the facets of the row player's optimal-strategy region, so
 `row_optima_column_extrema` reads the region's vertices off them.
 """
 
@@ -28,15 +27,7 @@ from .core import (
     check_tolerance,
     normalized_strategy,
 )
-from .lp import (
-    FEAS_TOL,
-    ITERATION_FACTOR,
-    PIVOT_TOL,
-    LinearProgram,
-    LPStatus,
-    _phase_two,
-    solve_lp,
-)
+from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp, solve_value_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
 ORACLE_MAX_SIZE = 5
@@ -61,72 +52,6 @@ def _positivity_shift(values: np.ndarray) -> float:
     """Constant c making every entry of A + cJ at least 1 (0 if already)."""
     lo = float(np.minimum.reduce(values, axis=None))
     return 1.0 - lo if lo < 1.0 else 0.0
-
-
-def _value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
-    x >= 0, v >= 0.  The bound on v is never active, since callers pass
-    B >= 1, so v >= 1.  Returns (x, v, y), y the multipliers of the n column
-    rows: up to roundoff a column strategy holding B's payoffs to v.
-
-    `solve_lp`'s phase 1 on this program is forced, so it is not run.  Its
-    one artificial sits on sum x = 1, and every x column prices at 1, so x_0,
-    x_1, ... enter in turn.  The bounded ratio test admits only the sum row,
-    and only when its unit entry passes PIVOT_TOL times the column's largest
-    magnitude, max(1, max_j B_ij); a column it refuses is zeroed as dust.
-    So phase 1 is one pivot, on x_i for the first row i whose payoffs pass,
-    and it leaves the G rows as (-B^T) - (-B_i) with rhs B_i, the sum row as
-    written, and, every basic cost being 0, the phase-2 cost row e_v.  That
-    tableau is written down here and `lp._phase_two` runs from it with
-    solve_lp's iteration budget: the same pivots, point and duals, bit for
-    bit.  When no row passes, phase 1 ends Infeasible.
-    """
-    m, n = B.shape
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    G = np.empty((n, m + 1))  # v - (B^T x)_j <= 0
-    np.negative(B.T, out=G[:, :m])
-    G[:, m] = 1.0
-    E = np.zeros((1, m + 1))
-    E[0, :m] = 1.0
-    # Fresh C-ordered arrays, finite because B is: solve_game checks that
-    # its shift does not overflow.  `_phase_two` certifies against them.
-    p = LinearProgram._trusted(c, G, np.zeros(n), E, np.ones(1))
-    passes = PIVOT_TOL * np.maximum(np.maximum.reduce(B, axis=1), 1.0) < 1.0
-    i = int(passes.argmax())
-    status = LPStatus.INFEASIBLE
-    if passes[i]:
-        # Columns: x, v, the n slacks, rhs.  Rows: the G rows, sum x = 1,
-        # the cost row.  Slack j sits at (j, m + 1 + j), flat index
-        # m + 1 + j * (width + 2).
-        width = m + 1 + n
-        T = np.zeros((n + 2, width + 1))
-        np.subtract(G[:, :m], G[:, i : i + 1], out=T[:n, :m])
-        T[:n, m] = 1.0
-        T.reshape(-1)[m + 1 : n * (width + 2) : width + 2] = 1.0
-        T[:n, -1] = B[i]
-        T[n, :m] = 1.0
-        T[n, -1] = 1.0
-        T[-1, m] = 1.0
-        basis = [*range(m + 1, width), i]
-        # solve_lp's budget: n + m + 1 columns and one artificial, n + 1 rows.
-        iter_limit = ITERATION_FACTOR * (width + n + 2)
-        sol = _phase_two(p, T, basis, [True] * (n + 1), iter_limit)
-        if sol.status is LPStatus.OPTIMAL:
-            return sol.point[:m], float(sol.point[m]), sol.ineq_duals
-        status = sol.status
-    # Phase 1 reads entries at or below PIVOT_TOL times their column's
-    # largest magnitude as zero, so the unit entries of sum x = 1 vanish
-    # once a payoff reaches 1 / PIVOT_TOL: the input's scale is at fault.
-    top = float(np.maximum.reduce(B, axis=None))
-    if top * PIVOT_TOL >= 1.0:
-        raise InputError(
-            f"payoffs too large: the largest shifted payoff {top:g} reaches "
-            f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
-        )
-    raise RuntimeError(
-        f"value LP reported {status.value}; impossible for a valid game"
-    )
 
 
 def _certify(
@@ -154,14 +79,12 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     """Value and one optimal strategy pair for the matrix game A.
 
     The matrix is shifted by c = 1 - min entry so the shifted value is
-    positive, and the row player's value LP is solved once, from phase 2:
-    `_value_lp` writes down the tableau its phase 1 always ends at, and the
-    answer is `solve_lp`'s on the same program, bit for bit.  Its point gives
-    the row strategy and the value (un-shifted); its inequality multipliers,
-    clipped at 0 and normalized, give the column strategy.  The pair is
-    checked against the original payoffs, so the returned solution satisfies
-    the GameSolution floor/ceiling invariants at `tol`, or RuntimeError is
-    raised.
+    positive, and the row player's value LP is solved once
+    (`solve_value_lp`).  Its point gives the row strategy and the value
+    (un-shifted); its inequality multipliers, clipped at 0 and normalized,
+    give the column strategy.  The pair is checked against the original
+    payoffs, so the returned solution satisfies the GameSolution
+    floor/ceiling invariants at `tol`, or RuntimeError is raised.
 
     All tolerances are absolute and sized for desk-scale payoffs.  For
     entries far beyond ~1e4 in magnitude, normalize first: solve A / max|A|
@@ -184,7 +107,7 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
             f"them positive overflows the largest entry {top:g}; normalize the "
             "matrix first"
         )
-    x, v_row, duals = _value_lp(V + shift)
+    x, v_row, duals = solve_value_lp(V + shift)
     value = v_row - shift
     row = normalized_strategy(x, Player.ROW)
     col = normalized_strategy(duals, Player.COL)
@@ -344,9 +267,7 @@ def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.nda
     payoff is maximized and minimized over the region, one `solve_lp` call
     per objective, 2n in all."""
     m, n = V.shape
-    # G is Fortran-ordered.  A C-ordered copy would run `_residual`'s
-    # product through another BLAS kernel, which can round differently.
-    G, h = -V.T, np.full(n, -(v - tol))
+    G, h = np.negative(V.T, order="C"), np.full(n, -(v - tol))
     E, f = np.ones((1, m)), np.ones(1)
     # Row k is objective k: rows of a C-ordered array, so each is contiguous.
     objectives = np.empty((2 * n, m))

@@ -107,12 +107,12 @@ def lp_solution_bits(sol):
 
 def assert_trusted_contract(p):
     """What `LinearProgram._trusted` takes on trust: finite float64 arrays,
-    each C- or Fortran-contiguous and read-only, with consistent shapes and
-    explicit empty blocks."""
+    each C-contiguous and read-only, with consistent shapes and explicit
+    empty blocks."""
     arrays = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
     for a in arrays:
         assert a.dtype == np.float64
-        assert a.flags.c_contiguous or a.flags.f_contiguous
+        assert a.flags.c_contiguous
         assert not a.flags.writeable
         assert np.all(np.isfinite(a))
     n = p.objective.size
@@ -125,23 +125,33 @@ def assert_trusted_contract(p):
 @pytest.fixture
 def internal_lps(monkeypatch):
     """Every program that `solver` and `spectral` hand to `solve_lp`, and
-    that `solver._value_lp` hands to `lp._phase_two` with its written-down
+    that `lp.solve_value_lp` hands to `lp._phase_two` with its written-down
     start, in order."""
-    from zerosum import solve_lp, solver, spectral
+    from zerosum import lp, solve_lp, solver, spectral
 
     programs = []
+    in_value_lp = []
 
     def recording(p):
         programs.append(p)
         return solve_lp(p)
 
-    phase_two = solver._phase_two
+    value_lp, phase_two = lp.solve_value_lp, lp._phase_two
+
+    def recording_value_lp(B):
+        in_value_lp.append(B)
+        try:
+            return value_lp(B)
+        finally:
+            in_value_lp.pop()
 
     def recording_phase_two(p, *start):
-        programs.append(p)
+        if in_value_lp:
+            programs.append(p)
         return phase_two(p, *start)
 
     for module in (solver, spectral):
         monkeypatch.setattr(module, "solve_lp", recording)
-    monkeypatch.setattr(solver, "_phase_two", recording_phase_two)
+    monkeypatch.setattr(solver, "solve_value_lp", recording_value_lp)
+    monkeypatch.setattr(lp, "_phase_two", recording_phase_two)
     return programs

@@ -1,6 +1,7 @@
 """The package's public surface: what `zerosum.__all__` promises, and the
 hooks the benchmark's tracer wraps."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -80,6 +81,63 @@ def test_no_removed_knobs_in_signatures():
     for fn in functions + [extrema_dominated]:
         params = set(inspect.signature(fn).parameters)
         assert not params & REMOVED_PARAMETERS, fn.__name__
+
+
+# What only `lp` may touch: the tableau's set-up, pivots, pricing, read-out
+# and pivot budget.  Other modules state a program and call `solve_lp` or
+# `solve_value_lp`.
+LP_INTERNALS = {
+    "_phase_two",
+    "_run_simplex",
+    "_pivot",
+    "_write_rows",
+    "_priced_cost_row",
+    "_residual",
+    "ITERATION_FACTOR",
+}
+
+
+def _package_trees():
+    package = Path(zerosum.__file__).parent
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+
+
+def test_simplex_internals_stay_in_lp():
+    # `from .lp import _pivot` and `from . import lp` then `lp._pivot` alike.
+    trees = _package_trees()
+    assert {"lp", "solver", "spectral"} <= trees.keys()
+    leaks = []
+    for module, tree in trees.items():
+        if module == "lp":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("lp", "zerosum.lp"):
+                names = [alias.name for alias in node.names]
+                leaks += [(module, name) for name in names if name in LP_INTERNALS]
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "lp"
+                and node.attr in LP_INTERNALS
+            ):
+                leaks.append((module, node.attr))
+    assert leaks == []
+
+
+def test_each_simplex_run_sizes_its_own_budget():
+    functions = [
+        node
+        for node in ast.walk(_package_trees()["lp"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert len(functions) > 5
+    for fn in functions:
+        args = fn.args
+        params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+        assert "iter_limit" not in params, fn.name
 
 
 def _bench_tracing(monkeypatch):

@@ -156,9 +156,9 @@ class TestCheckNegTranspose:
 
     def test_negated_transpose_value_takes_one_lp(self, monkeypatch):
         # -A^T is A with the players swapped: its value is read off A's
-        # certified solution, and agrees with a cold LP of its own.  An LP
-        # runs through solve_lp, or, as the value LP does, through phase 2
-        # alone from a written-down start.
+        # certified solution, and agrees with a cold LP of its own.  The
+        # solver runs an LP through solve_lp, or a value LP through
+        # solve_value_lp.
         import zerosum.solver as solver_mod
 
         calls = []
@@ -170,7 +170,7 @@ class TestCheckNegTranspose:
 
             return count
 
-        for name in ("solve_lp", "_phase_two"):
+        for name in ("solve_lp", "solve_value_lp"):
             monkeypatch.setattr(solver_mod, name, counted(getattr(solver_mod, name)))
         for A in ensemble("General", 30, 20, 7):
             calls.clear()

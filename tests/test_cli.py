@@ -513,6 +513,41 @@ class TestExitCodes:
         assert f"eigenvalue must be finite, got {float(lam)!r}" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["verify", "--claim", "EigenspaceLemma5"],
+            ["verify", "--claim", "ShiftedEigenThm4General"],
+        ],
+        ids=["analyze", "eigenspace", "shifted"],
+    )
+    def test_negative_lambda_in_any_float_form_is_read(self, capsys, argv):
+        # argparse took -1e-3 and -inf for options: "expected one argument".
+        # Reports print floats in exponent form, so each must be read back.
+        argv = [*argv, "--input", str(DATA / "rps.csv")]
+        for lam in ["-1e-3", "-2.5E+1", "-.5e1", "-1_000", "-1"]:
+            code, out, err = run(capsys, *argv, "--lambda", lam, "--lambda", "0")
+            assert code in (0, 1) and err == "", lam
+            joined = run(capsys, *argv, f"--lambda={lam}", "--lambda=0")
+            assert (code, out) == joined[:2], lam
+            lambdas = [c["lambda"] for c in strict_json(out).get("eigenvectors", [])]
+            assert lambdas in ([], [float(lam), 0.0]), lam
+        for lam in ["-inf", "-Infinity", "-nan"]:
+            code, out, err = run(capsys, *argv, "--lambda", lam)
+            assert code == 2 and out == "", lam
+            assert f"eigenvalue must be finite, got {float(lam)!r}" in err, lam
+
+    @pytest.mark.parametrize("family", ["General", "Skew", "Positive"])
+    def test_ensemble_beyond_memory_is_2(self, capsys, family):
+        # A 10^7 x 10^7 matrix needs 728 TiB, which numpy refuses before
+        # allocating anything.  It used to end in a MemoryError traceback,
+        # exit 1, the code of a Violated verdict.
+        argv = _ensemble_argv("NegTransposeThm2", family, 10_000_000, 1, 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --size 10000000 does not fit in memory")
+
+    @pytest.mark.parametrize(
         "argv", [["solve"], ["verify", "--claim", "NegTransposeThm2"]]
     )
     def test_shift_overflow_is_2(self, capsys, tmp_path, argv):

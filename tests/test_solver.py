@@ -151,13 +151,13 @@ class TestGameValue:
     def test_refuses_a_bad_column_certificate(self, rps, monkeypatch):
         import zerosum.solver as solver_mod
 
-        value_lp = solver_mod._value_lp
+        value_lp = solver_mod.solve_value_lp
 
         def pure_column_duals(B):
             x, v, y = value_lp(B)
             return x, v, np.eye(len(y))[0]
 
-        monkeypatch.setattr(solver_mod, "_value_lp", pure_column_duals)
+        monkeypatch.setattr(solver_mod, "solve_value_lp", pure_column_duals)
         with pytest.raises(RuntimeError, match="violates its certificates"):
             solve_game(rps)
 
@@ -166,13 +166,13 @@ class TestGameValue:
         # input error, though the clipped point passes the certificate.
         import zerosum.solver as solver_mod
 
-        value_lp = solver_mod._value_lp
+        value_lp = solver_mod.solve_value_lp
 
         def noisy_point(B):
             x, v, y = value_lp(B)
             return x + np.array([-1e-11, 1e-11]), v, y
 
-        monkeypatch.setattr(solver_mod, "_value_lp", noisy_point)
+        monkeypatch.setattr(solver_mod, "solve_value_lp", noisy_point)
         sol = solve_game(saddle)
         assert list(sol.row_strategy.weights) == [0.0, 1.0]
         assert sol.value == 3.0
@@ -209,15 +209,12 @@ def _payoffs_at_pivot_scale() -> list[np.ndarray]:
 
 def _value_lp_by_solve_lp(B):
     """The value LP of B stated through the public constructor, solved by
-    `solve_lp`'s two phases, and read as `_value_lp` reads it: the LP's bits,
-    or the same error for a failed solve."""
+    `solve_lp`'s two phases, and read as `solve_value_lp` reads it: the LP's
+    bits, or the same error for a failed solve."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
-    # C-ordered, as _value_lp lays it out: a Fortran-ordered G would run
-    # `_residual`'s product through another BLAS kernel.
-    G = np.ones((n, m + 1))
-    G[:, :m] = -B.T
+    G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)
     E = [[1.0] * m + [0.0]]
     sol = solve_lp(LinearProgram(c, G, np.zeros(n), E, [1.0]))
     if sol.status is not LPStatus.OPTIMAL:
@@ -234,23 +231,23 @@ def _value_lp_by_solve_lp(B):
 
 
 class TestValueLpStart:
-    """`_value_lp` writes down the tableau that phase 1 of its program always
-    ends at and runs phase 2 alone: every simplex run, pivot, bit of the
-    answer and error must be `solve_lp`'s on the same program."""
+    """`lp.solve_value_lp` writes down the tableau that phase 1 of its
+    program always ends at and runs phase 2 alone: every simplex run, pivot,
+    bit of the answer and error must be `solve_lp`'s on the same program."""
 
     @staticmethod
     def traced(monkeypatch, solve, B):
         """What solve(B) returns, or the class and message of what it raises,
-        and one [bounded, iteration budget, tableau shape and bytes, basis,
-        *pivots] entry per simplex run it makes."""
+        and one [bounded, tableau shape and bytes, basis, *pivots] entry per
+        simplex run it makes.  The shape fixes the run's pivot budget."""
         import zerosum.lp as lp_mod
 
         runs = []
         run, pivot = lp_mod._run_simplex, lp_mod._pivot
 
-        def run_spy(T, basis, iter_limit, bounded=False):
-            runs.append([bounded, iter_limit, T.shape, T.tobytes(), list(basis)])
-            return run(T, basis, iter_limit, bounded)
+        def run_spy(T, basis, bounded=False):
+            runs.append([bounded, T.shape, T.tobytes(), list(basis)])
+            return run(T, basis, bounded)
 
         def pivot_spy(T, row, col):
             runs[-1].append((row, col))
@@ -267,22 +264,22 @@ class TestValueLpStart:
 
     @staticmethod
     def value_lp(B):
-        """`_value_lp`'s LP bits, with its (x, v, y) checked to be read off
-        them."""
-        import zerosum.solver as solver_mod
+        """`solve_value_lp`'s LP bits, with its (x, v, y) checked to be read
+        off them."""
+        import zerosum.lp as lp_mod
 
         answers = []
-        phase_two = solver_mod._phase_two
+        phase_two = lp_mod._phase_two
 
         def capture(*args):
             answers.append(phase_two(*args))
             return answers[-1]
 
-        solver_mod._phase_two = capture
+        lp_mod._phase_two = capture
         try:
-            x, v, y = solver_mod._value_lp(B)
+            x, v, y = lp_mod.solve_value_lp(B)
         finally:
-            solver_mod._phase_two = phase_two
+            lp_mod._phase_two = phase_two
         (sol,) = answers
         m = B.shape[0]
         assert x.tobytes() == sol.point[:m].tobytes()
@@ -465,8 +462,8 @@ class TestAllRowOptimaDominated:
     def test_extrema_lps_solve_as_the_public_constructor_built_them(self, internal_lps):
         # Without a solution the extrema come from 2n LPs.  Each solves bit
         # for bit as the one LinearProgram(...) builds from a strided row of
-        # V^T and from the Fortran-ordered -V^T, on degenerate3 (whose vertex
-        # gate refuses, so `verify` takes this path) and five integer games.
+        # V^T and from -V^T, on degenerate3 (whose vertex gate refuses, so
+        # `verify` takes this path) and five integer games.
         degenerate = GameMatrix(np.loadtxt(DATA / "degenerate3.csv", delimiter=","))
         tol = 1e-8
         for A in [degenerate, *integer_positive_games(5)]:
