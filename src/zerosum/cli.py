@@ -95,16 +95,24 @@ class EnsembleSpec:
 
 def generate_ensemble(spec: EnsembleSpec) -> list[GameMatrix]:
     """Deterministic matrix sequence for an ensemble (PCG64, one stream)."""
+    return list(_draw_ensemble(spec))
+
+
+def _draw_ensemble(spec: EnsembleSpec):
+    """`generate_ensemble`'s matrices, each drawn from the stream when it is
+    asked for, so only the current one is held."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     lo, hi = spec.entry_range
     n = spec.size
-    out = []
-    for _ in range(spec.trials):
+    for trial in range(spec.trials):
         if spec.family is Family.DIAGONAL:
             M = np.diag(rng.uniform(lo, hi, n))
         elif spec.family is Family.SKEW:
             upper = np.zeros((n, n))
-            idx = np.triu_indices(n, k=1)
+            if trial == 0:
+                # The same for every trial, and slow to build.  It comes
+                # after np.zeros, which refuses an n too large at once.
+                idx = np.triu_indices(n, k=1)
             upper[idx] = rng.uniform(lo, hi, idx[0].size)
             M = upper - upper.T
         elif spec.family is Family.POSITIVE:
@@ -112,8 +120,7 @@ def generate_ensemble(spec: EnsembleSpec) -> list[GameMatrix]:
         else:
             m = spec.rows if spec.rows is not None else n
             M = rng.uniform(lo, hi, (m, n))
-        out.append(GameMatrix(M))
-    return out
+        yield GameMatrix(M)
 
 
 def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
@@ -269,12 +276,17 @@ def _cmd_verify(args) -> tuple[int, dict]:
             seed=args.seed,
             entry_range=DEFAULT_RANGES[family.value],
         )
-        try:
-            matrices = generate_ensemble(spec)
-        except MemoryError as exc:
-            raise InputError(
-                f"--size {args.size} does not fit in memory: {exc}"
-            ) from exc
+
+        def draws():
+            # One matrix at a time: memory holds the current trial only.
+            try:
+                yield from _draw_ensemble(spec)
+            except MemoryError as exc:
+                raise InputError(
+                    f"--size {args.size} does not fit in memory: {exc}"
+                ) from exc
+
+        matrices = draws()
     reports = []
     for i, A in enumerate(matrices):
         try:
@@ -327,10 +339,13 @@ def _attach_lambda_values(argv: list[str]) -> list[str]:
     """argv with each `--lambda VALUE` whose VALUE starts with "-" and is a
     float written as `--lambda=VALUE`.  argparse reads such a VALUE as an
     option unless it is a plain decimal like -1 or -0.5, so -1e-3, as
-    reports print floats, or -inf would not reach the flag's check."""
+    reports print floats, or -inf would not reach the flag's check.  The
+    flag may be abbreviated down to `--l`, as argparse expands any unique
+    prefix, and no other option of `analyze` or `verify` starts with `--l`."""
     out = []
     for token in argv:
-        if out and out[-1] == "--lambda" and token.startswith("-"):
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--lambda".startswith(flag) and token.startswith("-"):
             try:
                 float(token)
             except ValueError:

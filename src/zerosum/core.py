@@ -88,12 +88,19 @@ def canonical_json(obj) -> str:
     significant digits, two spaces a nesting level, no platform-dependent
     repr involved.
 
-    A float renders as `canonical_float` does, -0.0 as "0".  A list or
-    tuple whose items are all exactly `float` renders with one format call,
-    and strings and keys are escaped by the function `json.dumps` uses for
-    a str, so every rendering equals the item-by-item one.  A NaN or an
-    infinity raises NonFiniteJSONError: JSON has no token for it.  No finite
-    float renders with an "n", so one test of the formatted text finds it.
+    A float renders as `canonical_float` does, -0.0 as "0".  Strings and
+    keys are escaped by the function `json.dumps` uses for a str.  A NaN or
+    an infinity raises NonFiniteJSONError: JSON has no token for it.  No
+    finite float renders with an "n", so one test of the formatted text
+    finds it.
+
+    Every rendering equals the item-by-item one; only the work differs.
+    Each node is dispatched on its exact type first: a dict, a list or
+    tuple, a float, a str.  A dict renders its str, float and bool values
+    in its own loop, with no call per value.  A list or tuple whose items are
+    all exactly `float` renders with one format call.  Anything else (None,
+    int, numpy scalars and arrays, subclasses) takes the `isinstance`
+    chain.
     """
 
     def finite(text: str) -> str:
@@ -101,9 +108,17 @@ def canonical_json(obj) -> str:
             raise NonFiniteJSONError(f"cannot render a non-finite float: {text}")
         return text
 
-    def render(o, level: int) -> str:
-        pad = "  " * (level + 1)
-        close = "  " * level
+    def render(o, pad: str) -> str:
+        # pad indents o's closing bracket; its items go one level deeper.
+        t = type(o)
+        if t is dict:
+            return render_dict(o, pad)
+        if t is list or t is tuple:
+            return render_list(o, pad)
+        if t is float:
+            return finite("%.17g" % (o + 0.0))
+        if t is str:
+            return encode_str(o)
         if isinstance(o, (float, np.floating)):
             return finite(canonical_float(o))
         if isinstance(o, str):
@@ -117,28 +132,45 @@ def canonical_json(obj) -> str:
         if isinstance(o, np.ndarray):
             o = o.tolist()
         if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            sep = ",\n" + pad
-            if set(map(type, o)) == {float}:
-                # canonical_float's format; adding 0.0 maps -0.0 to 0.0.
-                inner = finite(
-                    sep.join(["%.17g"] * len(o)) % tuple([v + 0.0 for v in o])
-                )
-            else:
-                inner = sep.join([render(v, level + 1) for v in o])
-            return "[\n" + pad + inner + "\n" + close + "]"
+            return render_list(o, pad)
         if isinstance(o, dict):
-            if not o:
-                return "{}"
-            inner = ",\n".join(
-                f"{pad}{encode_str(str(k))}: {render(v, level + 1)}"
-                for k, v in o.items()
-            )
-            return "{\n" + inner + "\n" + close + "}"
+            return render_dict(o, pad)
         raise TypeError(f"cannot canonicalize {type(o).__name__}")
 
-    return render(obj, 0) + "\n"
+    def render_dict(o, pad: str) -> str:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for k, v in o.items():
+            t = type(v)
+            if t is str:
+                text = encode_str(v)
+            elif t is float:
+                # canonical_float's format; adding 0.0 maps -0.0 to 0.0.
+                text = finite("%.17g" % (v + 0.0))
+            elif t is bool:
+                text = "true" if v else "false"
+            else:
+                text = render(v, inner)
+            items.append(f"{inner}{encode_str(str(k))}: {text}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+    def render_list(o, pad: str) -> str:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if set(map(type, o)) == {float}:
+            # canonical_float's format; adding 0.0 maps -0.0 to 0.0.
+            text = finite(
+                sep.join(["%.17g"] * len(o)) % tuple([v + 0.0 for v in o])
+            )
+        else:
+            text = sep.join([render(v, inner) for v in o])
+        return "[\n" + inner + text + "\n" + pad + "]"
+
+    return render(obj, "") + "\n"
 
 
 @dataclass(frozen=True, eq=False)

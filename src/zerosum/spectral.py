@@ -1,6 +1,13 @@
 """Eigen-structure computations tied to games: Perron pairs of positive
-matrices, null spaces, and stochastic kernel vectors (one SVD certifies a
-no where it can, else one LP) behind eigenvectors and Gordan's alternatives.
+matrices, null spaces, and the stochastic kernel question behind
+eigenvectors and Gordan's alternatives.
+
+That question, is there a stochastic z with M z = 0 or else a y with
+M^T y > 0, is answered from one SVD of a square M whose kernel has
+dimension 0 or 1: a nonsingular M, or a kernel line with both signs, by a
+ray y certified on M with a roundoff margin; a one-signed kernel line by
+its stochastic vector, once it passes the LP's own feasibility test.  Every
+other M, a kernel of dimension 2 or more above all, builds one LP.
 """
 
 from __future__ import annotations
@@ -136,45 +143,108 @@ def _svd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]
     return u, sigma, vt, int(np.count_nonzero(sigma > RANK_TOL * a)), a
 
 
+def _sign_sums(k: np.ndarray) -> tuple[float, float]:
+    """S+, the sum of k's positive entries, and S-, minus the sum of the
+    others: bit for bit np.add.reduce(k, where=k > 0) and its negated
+    complement, without their masked loops.  Such a reduction adds each
+    maximal run of selected entries on its own, by numpy's pairwise sum, to
+    a total that starts at 0; below 8 entries a pairwise sum is the plain
+    left-to-right one, so only a longer run calls numpy."""
+    totals = [0.0, 0.0]  # [others, positive]
+    values = k.tolist()
+    start = 0
+    for end in range(1, len(values) + 1):
+        positive = values[start] > 0.0
+        if end < len(values) and (values[end] > 0.0) is positive:
+            continue
+        if end - start < 8:
+            run = 0.0
+            for v in values[start:end]:
+                run += v
+        else:
+            run = float(np.add.reduce(k[start:end], initial=0.0))
+        totals[positive] += run
+        start = end
+    return totals[1], -totals[0]
+
+
 def _stochastic_kernel(M: np.ndarray) -> LPSolution:
     """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0.
     M must be finite (the callers' guarantee for `LinearProgram._trusted`).
+    An Infeasible answer's `farkas` is [y, -min(M^T y)], computed on M: a
+    Farkas ray of the system exactly when its last entry is negative, that
+    is when M^T y > 0.
 
-    One SVD answers first if M is n x n, n >= 2, of `_svd` rank n - 1, and
-    its kernel's k has both signs: b = S- on k > 0, S+ elsewhere (S+, S- the
-    sizes of k's positive and negative sums) is positive with k.b = 0, so
-    y = (M^T)^+ b gives M^T y = b.  Infeasible, with ray [y, -floor], if
-    floor = min(M^T y) > (2 t + n a (2 t + 2^-51)) ||y||_1, t = FEAS_TOL (a >
-    2 t follows, and keeps y finite).  A z that `_residual` passes has z >= -t,
-    sum z >= 1 - t, ||M z||_inf <= t, so y.M z <= t ||y||_1 and (M^T y).z >=
-    floor (1 - t) - n t a ||y||_1, each up to roundoff u n a ||y||_1 (u = 2^-53;
-    Higham 3.1).  The margin is twice what makes these contradict, so the LP
-    could not say Optimal.  Every other case, a LinAlgError included, runs it."""
+    A square M whose kernel has dimension 0 or 1 (`_svd` rank n or n - 1)
+    is answered from that one SVD, M = U S V^T:
+      - rank n: y = U S^-1 V^T 1 solves M^T y = 1 > 0;
+      - rank n - 1, kernel line k with both signs: b = S- on k > 0, S+
+        elsewhere (`_sign_sums`) is positive with k.b = 0, so it lies in
+        the range of M^T, and y = (M^T)^+ b, from the first n - 1 singular
+        triplets, solves M^T y = b > 0;
+      - rank n - 1, k one-signed: z = |k| / sum |k| is the only stochastic
+        vector on the line.  It is Optimal if it passes the test `solve_lp`
+        puts to its own points, a violation of at most FEAS_TOL (z >= 0, so
+        the violation is max(||M z||_inf, |sum z - 1|)).
+    A ray needs floor = min(M^T y) > (2 t + n a (2 t + 2^-51)) ||y||_1,
+    t = FEAS_TOL, a = max |M_ij| (a > 2 t follows, and keeps y finite).  A z
+    that passes the LP's test has z >= -t, sum z >= 1 - t, ||M z||_inf <= t,
+    so y.M z <= t ||y||_1 and (M^T y).z >= floor (1 - t) - n t a ||y||_1,
+    each up to roundoff u n a ||y||_1 (u = 2^-53; Higham 3.1).  The margin
+    is twice what makes these contradict, so the LP could not say Optimal.
+    The LP runs for the rest: a kernel of dimension 2 or more, a failed
+    margin or test, a LinAlgError, and a non-square M."""
     m, n = M.shape
-    rank = -1
-    if m == n >= 2:
+    vb = None  # V^T b
+    if m == n:
         try:
             u, sigma, vt, rank, a = _svd(M)
         except np.linalg.LinAlgError:
-            pass
-    if rank == n - 1 and a > 2 * FEAS_TOL:
-        k = vt[-1]
-        pos = k > 0.0
-        s_pos, s_neg = np.add.reduce(k, where=pos), -np.add.reduce(k, where=~pos)
-        if s_pos > 0.0 and s_neg > 0.0:
-            y = u[:, :-1] @ ((vt[:-1] @ np.where(pos, s_neg, s_pos)) / sigma[:-1])
-            floor = float(np.minimum.reduce(M.T @ y))
-            margin = 2 * FEAS_TOL + n * a * (2 * FEAS_TOL + 2.0**-51)
-            if floor > margin * np.add.reduce(np.abs(y)):
-                farkas = np.concatenate([y, [-floor]])
-                return LPSolution(status=LPStatus.INFEASIBLE, farkas=farkas)
+            rank = -1
+        if rank == n:
+            vb = np.add.reduce(vt, axis=1)
+        elif rank == n - 1:
+            k = vt[-1]
+            s_pos, s_neg = _sign_sums(k)
+            if s_pos > 0.0 and s_neg > 0.0:
+                vb = vt[:-1] @ np.where(k > 0.0, s_neg, s_pos)
+            else:
+                z = np.abs(k) / (s_pos + s_neg)
+                residual = max(
+                    float(np.maximum.reduce(np.abs(M @ z))),
+                    abs(float(np.add.reduce(z)) - 1.0),
+                )
+                if residual <= FEAS_TOL:
+                    return LPSolution(
+                        status=LPStatus.OPTIMAL,
+                        point=z,
+                        objective_value=0.0,
+                        primal_residual=residual,
+                        ineq_duals=np.zeros(0),
+                    )
+    if vb is not None and a > 2 * FEAS_TOL:
+        y = u[:, :rank] @ (vb / sigma[:rank])
+        floor = float(np.minimum.reduce(M.T @ y))
+        margin = 2 * FEAS_TOL + n * a * (2 * FEAS_TOL + 2.0**-51)
+        if floor > margin * np.add.reduce(np.abs(y)):
+            return _ray(y, floor)
     E = np.empty((m + 1, n))
     E[:m] = M
     E[m] = 1.0
     f = np.zeros(m + 1)
     f[m] = 1.0
     no_rows = np.zeros((0, n))
-    return solve_lp(LinearProgram._trusted(np.zeros(n), no_rows, np.zeros(0), E, f))
+    sol = solve_lp(LinearProgram._trusted(np.zeros(n), no_rows, np.zeros(0), E, f))
+    if sol.status is not LPStatus.INFEASIBLE:
+        return sol
+    y = sol.farkas[:m]
+    return _ray(y, float(np.minimum.reduce(M.T @ y)))
+
+
+def _ray(y: np.ndarray, floor: float) -> LPSolution:
+    """Infeasible, with the ray [y, -floor]; floor is min(M^T y) on the
+    caller's M."""
+    return LPSolution(status=LPStatus.INFEASIBLE, farkas=np.concatenate([y, [-floor]]))
 
 
 def stochastic_eigenvector(
@@ -212,10 +282,11 @@ def gordan(A: GameMatrix) -> GordanVerdict:
 
     `_stochastic_kernel` decides [A; 1^T] x = e_{m+1}, x >= 0.  Branch 1, when
     feasible: A x = 0 has a nonzero nonnegative solution, the stochastic x.
-    Branch 2, when it is infeasible: its Farkas multipliers w satisfy
-    A^T w[:m] >= -w[m] > 0, so y = w[:m] solves A^T y > 0; y is certified on
-    A and scaled so that min(A^T y) = 1.  A witness that fails its
-    certificate raises InconsistentAlternativesError.
+    Branch 2, when it is infeasible: its ray [y, -min(A^T y)] has a negative
+    last entry exactly when y solves A^T y > 0, a certificate on A that the
+    kernel question has already computed; y is scaled so that
+    min(A^T y) = 1.  A witness that fails its certificate raises
+    InconsistentAlternativesError.
     """
     V = A.values
     kernel = _stochastic_kernel(V)
@@ -226,8 +297,7 @@ def gordan(A: GameMatrix) -> GordanVerdict:
                 "kernel witness fails ||A x||_inf <= 1e-9 after cleanup"
             )
         return GordanVerdict(branch=GordanBranch.NONNEGATIVE_KERNEL, witness=x)
-    y = kernel.farkas[: V.shape[0]]
-    floor = float(np.minimum.reduce(V.T @ y))
+    y, floor = kernel.farkas[:-1], -kernel.farkas[-1]
     if not floor > 0.0:
         raise InconsistentAlternativesError(
             f"Farkas witness fails A^T y > 0: min(A^T y) = {floor:g}"

@@ -62,6 +62,14 @@ def random_skew(rng: np.random.Generator, n: int, lo=-5.0, hi=5.0) -> GameMatrix
     return GameMatrix(upper - upper.T)
 
 
+def skew4(upper) -> np.ndarray:
+    """The 4 x 4 skew matrix whose strict upper triangle, row by row, is
+    `upper`."""
+    M = np.zeros((4, 4))
+    M[np.triu_indices(4, k=1)] = upper
+    return M - M.T
+
+
 def ensemble(family: str, size: int, trials: int, seed: int) -> list[GameMatrix]:
     """The first `trials` matrices of the CLI's seeded `family` ensemble."""
     spec = EnsembleSpec(Family(family), size, trials, seed, DEFAULT_RANGES[family])

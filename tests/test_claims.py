@@ -424,7 +424,9 @@ class TestShiftedEigen:
     def test_a_witness_that_misses_reads_violated(self, monkeypatch):
         # [[1, 2], [2, 1]] at 3 has the witnesses (1/2, 1/2).  With the pure
         # column witness (1, 0) in their place, B y = (-2, 2): the column
-        # deviation is 2, and the value interval [0, 2] has midpoint 1.
+        # deviation is 2, and the value interval [0, 2] has midpoint 1.  The
+        # row witness comes from the SVD's kernel line, so it is (1/2, 1/2)
+        # up to one ulp, and so are the zeros it pays.
         import zerosum.claims as claims_mod
 
         found = claims_mod.stochastic_eigenvector
@@ -437,9 +439,9 @@ class TestShiftedEigen:
         monkeypatch.setattr(claims_mod, "stochastic_eigenvector", pure_column)
         rep = check_shifted_eigen(GameMatrix([[1, 2], [2, 1]]), 3.0)
         assert rep.verdict is Verdict.VIOLATED
-        assert rep.computed["row_witness_max_deviation"] == 0.0
+        assert rep.computed["row_witness_max_deviation"] <= 2.0**-52
         assert rep.computed["col_witness_max_deviation"] == 2.0
-        assert rep.computed["shifted_value"] == 1.0
+        assert abs(rep.computed["shifted_value"] - 1.0) <= 2.0**-52
 
     def test_decided_by_its_witnesses(self, monkeypatch):
         # Weak duality pins v(A - lambda I) between the witnesses' payoffs,

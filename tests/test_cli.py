@@ -22,6 +22,7 @@ from zerosum import (
     render_matrix,
     run_cli,
 )
+from zerosum.cli import DEFAULT_RANGES
 from conftest import ensemble, strict_json
 
 DATA = Path(__file__).parent / "data"
@@ -191,6 +192,36 @@ class TestEnsembles:
         )
         for M in generate_ensemble(spec):
             assert (M.rows, M.cols) == (3, 8)
+
+    @pytest.mark.parametrize("family", ["Diagonal", "Skew", "Positive", "General"])
+    def test_verify_draws_each_matrix_when_its_trial_runs(
+        self, capsys, monkeypatch, family
+    ):
+        # The same PCG64 stream as generate_ensemble, one matrix at a time.
+        import zerosum.cli as cli_mod
+
+        spec = EnsembleSpec(Family(family), 4, 12, 5, DEFAULT_RANGES[family])
+        want = [A.digest() for A in generate_ensemble(spec)]
+        drawn, ready = [], []
+        make, check = cli_mod.GameMatrix, cli_mod.run_checker
+
+        def drawing(M):
+            A = make(M)
+            drawn.append(A.digest())
+            return A
+
+        def checking(claim, A, **kwargs):
+            ready.append(len(drawn))
+            return check(claim, A, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "GameMatrix", drawing)
+        monkeypatch.setattr(cli_mod, "run_checker", checking)
+        argv = _ensemble_argv("NegTransposeThm2", family, 4, 12, 5)
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert [rep["input_digest"] for rep in strict_json(out)["reports"]] == want
+        assert drawn == want
+        assert ready == list(range(1, 13))
 
     def test_invalid_specs(self):
         valid = dict(family=Family.GENERAL, size=2, trials=1, seed=0, entry_range=(-1, 1))
@@ -536,6 +567,20 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv, "--lambda", lam)
             assert code == 2 and out == "", lam
             assert f"eigenvalue must be finite, got {float(lam)!r}" in err, lam
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["verify", "--claim", "EigenspaceLemma5"]],
+        ids=["analyze", "verify"],
+    )
+    def test_lambda_prefixes_read_a_negative_value(self, capsys, argv):
+        # argparse expands --lam to --lambda, but took the -1e-3 after it for
+        # an option: "expected one argument".
+        argv = [*argv, "--input", str(DATA / "rps.csv")]
+        full = run(capsys, *argv, "--lambda", "-1e-3")
+        assert full[0] == 0 and full[1] and full[2] == ""
+        for flag in ["--l", "--la", "--lam", "--lamb", "--lambd"]:
+            assert run(capsys, *argv, flag, "-1e-3") == full, flag
 
     @pytest.mark.parametrize("family", ["General", "Skew", "Positive"])
     def test_ensemble_beyond_memory_is_2(self, capsys, family):

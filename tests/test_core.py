@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,122 @@ def test_canonical_json_float_lists():
     items = ["0", "1.5", "-2", "4.9406564584124654e-324"]
     assert '"v": [\n    ' + ",\n    ".join(items) + "\n  ]" in text
     assert '"s": "\\u00e9"' in text
+
+
+def _isinstance_chain_canonical_json(obj) -> str:
+    """The renderer canonical_json replaced: every node through one chain of
+    `isinstance` tests, every dict value through its own call, and a list of
+    exact floats in one format call."""
+    from json.encoder import encode_basestring_ascii as encode_str
+
+    from zerosum.core import canonical_float
+
+    def finite(text: str) -> str:
+        if "n" in text:
+            raise NonFiniteJSONError(f"cannot render a non-finite float: {text}")
+        return text
+
+    def render(o, level: int) -> str:
+        pad = "  " * (level + 1)
+        close = "  " * level
+        if isinstance(o, (float, np.floating)):
+            return finite(canonical_float(o))
+        if isinstance(o, str):
+            return encode_str(o)
+        if o is None:
+            return "null"
+        if isinstance(o, (bool, np.bool_)):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, np.ndarray):
+            o = o.tolist()
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            sep = ",\n" + pad
+            if set(map(type, o)) == {float}:
+                inner = finite(
+                    sep.join(["%.17g"] * len(o)) % tuple([v + 0.0 for v in o])
+                )
+            else:
+                inner = sep.join([render(v, level + 1) for v in o])
+            return "[\n" + pad + inner + "\n" + close + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = ",\n".join(
+                f"{pad}{encode_str(str(k))}: {render(v, level + 1)}"
+                for k, v in o.items()
+            )
+            return "{\n" + inner + "\n" + close + "}"
+        raise TypeError(f"cannot canonicalize {type(o).__name__}")
+
+    return render(obj, 0) + "\n"
+
+
+class _Text(str):
+    pass
+
+
+class _Number(float):
+    pass
+
+
+_EXACT_TYPE_PAYLOADS = [
+    {"x": np.float64(-0.0), "b": np.bool_(True), "i": np.int64(-7)},
+    {"f": np.float64(0.1), "g": [np.float64(1.5), 2.5], "h": (np.float64(-0.0),)},
+    {"a": np.array([[1.5, -0.0], [2.0, 3.0]]), "t": (1.0, -0.0, 2.5), "e": np.zeros(0)},
+    {"mix": [True, 1, 0, False, 1.0, np.bool_(False), np.int64(2)], "flag": False},
+    [{}, [], (), {"a": {}, "b": [[], {}], "c": ([], ())}, [[[]]]],
+    {"\u00e9t\u00e9": "caf\u00e9 \u20ac \U0001d11e", "-0": -0.0, "": [-0.0]},
+    {1: "int key", False: "bool key", 2.5: "float key", None: None},
+    {"sub": _Text("a \"str\" subclass"), "num": _Number(-0.0), "list": [_Number(1.0)]},
+    ({"nested": {"deeper": {"deepest": [0.1, 0.2, {"leaf": 0.30000000000000004}]}}},),
+    ["a", 1.0, None, True, np.float32(0.1), np.array([True]), np.array([[]])],
+]
+
+
+@pytest.mark.parametrize("payload", _EXACT_TYPE_PAYLOADS)
+def test_canonical_json_renders_as_the_isinstance_chain(payload):
+    text = canonical_json(payload)
+    assert text == _isinstance_chain_canonical_json(payload)
+    assert text == _reference_canonical_json(payload)
+
+
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [np.array(2.0)], {"a": b"x"}])
+def test_canonical_json_refuses_what_the_isinstance_chain_refuses(payload):
+    # A 0-d array lists as a bare float, which is not a container.
+    with pytest.raises(TypeError) as want:
+        _isinstance_chain_canonical_json(payload)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        canonical_json(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_canonical_json_agrees_with_the_isinstance_chain(payload):
+    try:
+        expected = _isinstance_chain_canonical_json(payload)
+    except NonFiniteJSONError:
+        with pytest.raises(NonFiniteJSONError):
+            canonical_json(payload)
+    else:
+        assert canonical_json(payload) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_json_refuses_non_finite_floats_at_every_depth(bad):
+    for payload in (
+        {"a": {"b": bad}},
+        {"a": "text", "b": True, "c": bad},
+        [{"a": [bad]}],
+        {"a": [1.0, 2.0, bad]},
+        {"a": (bad, 1.0)},
+        {"a": [[bad]]},
+    ):
+        with pytest.raises(NonFiniteJSONError):
+            canonical_json(payload)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -31,6 +32,7 @@ from conftest import (
     ensemble,
     integer_positive_games,
     lp_solution_bits,
+    skew4,
 )
 
 FEAS_TOL = 1e-9
@@ -159,27 +161,36 @@ class TestValidation:
         assert isinstance(err.value.__cause__, (TypeError, ValueError, OverflowError))
 
 
+def _skew4_wide_kernels():
+    """The first 40 of the 4 x 4 skew matrices with upper entries in
+    {-2, -1, 1, 2} and a zero Pfaffian, so of rank 2: kernels of dimension
+    2, the only kernel questions the SVD leaves to an LP."""
+    out = []
+    for upper in itertools.product((-2.0, -1.0, 1.0, 2.0), repeat=6):
+        a12, a13, a14, a23, a24, a34 = upper
+        if a12 * a34 - a13 * a24 + a14 * a23 == 0.0:
+            out.append(GameMatrix(skew4(upper)))
+    return out[:40]
+
+
 class TestTrustedConstructor:
     @pytest.mark.parametrize(
-        "claim,family,size,seed",
+        "claim,matrices",
         [
-            (ClaimId.POSITIVE_DOMINATED_THM4, "Positive", 10, 1),
-            (ClaimId.NEG_TRANSPOSE_THM2, "General", 30, 7),
-            # Even order: the skew matrices are nonsingular, so every trial
-            # builds an LP (the bench's Skew 7 builds one in 6 of 400, where
-            # the SVD certificate does not answer).
-            (ClaimId.GORDAN_THEOREM3, "Skew", 6, 1),
+            (ClaimId.POSITIVE_DOMINATED_THM4, lambda: ensemble("Positive", 10, 20, 1)),
+            (ClaimId.NEG_TRANSPOSE_THM2, lambda: ensemble("General", 30, 20, 7)),
+            (ClaimId.GORDAN_THEOREM3, _skew4_wide_kernels),
         ],
-        ids=["posdom", "negt_general", "gordan_skew6"],
+        ids=["posdom", "negt_general", "gordan_skew4_wide_kernels"],
     )
     def test_bench_lps_solve_as_through_the_public_constructor(
-        self, internal_lps, claim, family, size, seed
+        self, internal_lps, claim, matrices
     ):
-        # The first 20 trials of each ensemble, two of them the bench's: every
-        # LP the audit builds, value LPs started at phase 2 included, keeps
-        # the private constructor's contract, and solving it gives the same
-        # bits as solving LinearProgram(...) of its arrays.
-        for A in ensemble(family, size, 20, seed):
+        # The first 20 trials of two of the bench's ensembles, and Gordan's
+        # kernel LPs: every LP the audit builds, value LPs started at phase 2
+        # included, keeps the private constructor's contract, and solving it
+        # gives the same bits as solving LinearProgram(...) of its arrays.
+        for A in matrices():
             run_checker(claim, A)
         assert len(internal_lps) >= 20
         for p in internal_lps:
@@ -690,9 +701,11 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper():
 
 def test_per_trial_path_calls_no_python_level_numpy_wrapper():
     # The pivot loop's rule holds on the whole per-trial path (see the lp
-    # docstring): one trial of PositiveDominatedThm4 on Positive 10, one of
-    # GordanTheorem3 on Skew 7, and the rendering of their reports.  No
-    # zerosum function calls into `_methods` or `fromnumeric` directly.
+    # docstring): one trial of PositiveDominatedThm4 on Positive 10, and
+    # GordanTheorem3 on each kind of matrix its SVD answers (a Skew 7 trial,
+    # a kernel line with both signs; a nonsingular Skew 6 trial; RPS, a
+    # one-signed line), and the rendering of their reports.  No zerosum
+    # function calls into `_methods` or `fromnumeric` directly.
     try:
         from numpy._core import _methods, fromnumeric
     except ImportError:  # numpy 1.x
@@ -713,6 +726,7 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
             spectral.perron,
             spectral.gordan,
             spectral._svd,
+            spectral._sign_sums,
             claims._skew_gate,
             claims.check_positive_dominated,
             core.MixedStrategy.__post_init__,
@@ -735,13 +749,15 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
             wrapped.append((caller.co_name, code.co_name))
 
     positive = ensemble("Positive", 10, 1, 1)[0]
-    skew = ensemble("Skew", 7, 1, 1)[0]
+    skews = [
+        ensemble("Skew", 7, 1, 1)[0],
+        ensemble("Skew", 6, 1, 1)[0],
+        GameMatrix([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]),
+    ]
     sys.setprofile(profile)
     try:
-        reports = [
-            claims.check_positive_dominated(positive),
-            claims.check_gordan_theorem3(skew),
-        ]
+        reports = [claims.check_positive_dominated(positive)]
+        reports += [claims.check_gordan_theorem3(skew) for skew in skews]
         for report in reports:
             report.to_canonical_json()
     finally:

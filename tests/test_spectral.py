@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -27,7 +28,8 @@ from zerosum import (
     stochastic_eigenvector,
 )
 from zerosum.cli import run_cli
-from conftest import ensemble, lp_solution_bits, random_skew
+from zerosum.lp import FEAS_TOL, _residual
+from conftest import ensemble, lp_solution_bits, random_skew, skew4
 
 
 def perron_2x2_oracle(a, b, c, d):
@@ -326,25 +328,24 @@ class TestGordan:
         A = ensemble("Skew", size, trial + 1, seed)[trial]
         assert_certified(A.values, gordan(A))
 
-    def test_one_lp_per_matrix(self, monkeypatch, rps):
-        real = spectral_mod.solve_lp
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(spectral_mod, "solve_lp", counting)
+    def test_one_lp_per_matrix(self, lp_calls, rps):
+        # At most one: the SVD answers every square kernel of dimension 0 or
+        # 1, so only the wider kernels, here of ones(3) and zeros(2), and a
+        # 4 x 4 skew matrix of rank 2, build the LP.
         matrices = [rps, GameMatrix(np.eye(2)), GameMatrix([[1, 2], [3, 4]])]
         matrices += [random_skew(np.random.default_rng(k), 6) for k in range(6)]
-        branches = set()
+        matrices += [GameMatrix(np.ones((3, 3))), GameMatrix(np.zeros((2, 2)))]
+        matrices.append(GameMatrix(skew4([1, -1, 0, 1, -1, 1])))
+        branches = {True: set(), False: set()}
         for A in matrices:
-            calls.clear()
-            branches.add(gordan(A).branch)
-            assert len(calls) == 1
-        assert branches == set(GordanBranch)
+            lp_calls.clear()
+            wide = null_space(A).dimension >= 2
+            branches[wide].add(gordan(A).branch)
+            assert len(lp_calls) == wide
+        assert branches == {True: set(GordanBranch), False: set(GordanBranch)}
 
     def test_refuses_non_positive_ray(self, monkeypatch):
+        # ones(3) has a kernel of dimension 2, so its answer comes from the LP.
         real = spectral_mod.solve_lp
 
         def flipped_ray(*args, **kwargs):
@@ -353,7 +354,7 @@ class TestGordan:
 
         monkeypatch.setattr(spectral_mod, "solve_lp", flipped_ray)
         with pytest.raises(InconsistentAlternativesError):
-            gordan(GameMatrix(np.eye(2)))
+            gordan(GameMatrix(np.ones((3, 3))))
 
 
 def _kernel_lp(M):
@@ -367,22 +368,47 @@ def _kernel_lp(M):
     )
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every program `spectral` hands to `solve_lp`, in order."""
+    real = spectral_mod.solve_lp
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(spectral_mod, "solve_lp", counting)
+    return calls
+
+
+def assert_lp_agrees(M, sol):
+    """`_stochastic_kernel`'s answer `sol` on M, made without an LP, has the
+    LP's status and proves it on M: a point passes the LP's own feasibility
+    test, and a ray y has M^T y > 0 in exact rationals, so [y, -min M^T y]
+    is a Farkas ray of [M; 1^T] z = e_{m+1}, z >= 0."""
+    program = _kernel_lp(M)
+    assert sol.status is solve_lp(program).status
+    if sol.status is LPStatus.OPTIMAL:
+        assert _residual(program, sol.point) <= FEAS_TOL
+        return
+    y, last = sol.farkas[:-1], sol.farkas[-1]
+    assert last < 0.0
+    # The ray's last entry is min(M^T y) as rounded, so it holds in floats.
+    assert np.all(M.T @ y + last >= 0.0)
+    exact = [
+        sum(Fraction(a) * Fraction(b) for a, b in zip(column, y.tolist()))
+        for column in M.T.tolist()
+    ]
+    assert min(exact) > 0
+
+
 class TestSvdCertificate:
-    """`_stochastic_kernel` answers Infeasible from one SVD when M's kernel is
-    one line with entries of both signs and a margin certifies it on M; every
-    other M takes the LP."""
-
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        real = spectral_mod.solve_lp
-        calls = []
-
-        def counting(p):
-            calls.append(p)
-            return real(p)
-
-        monkeypatch.setattr(spectral_mod, "solve_lp", counting)
-        return calls
+    """`_stochastic_kernel` answers a square M from one SVD when M's kernel
+    has dimension 0 or 1: Infeasible with a margin-certified ray when M is
+    nonsingular or its kernel line has both signs, Optimal when the line is
+    one-signed and its stochastic vector passes the LP's test.  Every other
+    M takes the LP."""
 
     @pytest.fixture
     def svd_calls(self, monkeypatch):
@@ -397,59 +423,65 @@ class TestSvdCertificate:
         return calls
 
     def test_answers_only_what_the_lp_finds_infeasible(self, lp_calls):
+        # And, since the SVD answers Optimal too, only what the LP finds
+        # feasible; every fast answer is checked against the LP.
         matrices = [
             A.values
-            for size in range(3, 16, 2)
+            for size in range(2, 16)
             for seed in (1, 2, 3)
             for A in ensemble("Skew", size, 20, seed)
         ]
+        matrices += [A.values for A in ensemble("General", 5, 40, 3)]
         # Integer skew matrices: many have a kernel of dimension 2 or more.
         rng = np.random.default_rng(29)
         for _ in range(300):
             n = int(rng.integers(2, 8))
             upper = np.triu(rng.integers(-2, 3, (n, n)), 1).astype(float)
             matrices.append(upper - upper.T)
-        # The shifted matrices of EigenspaceLemma5's skew audits.
+        # The shifted matrices of EigenspaceLemma5's skew audits, and of
+        # ShiftedEigenThm4General's on Skew 5 (A - lambda I and its
+        # transpose).
         for size, seed in ((3, 1), (5, 3)):
             for A in ensemble("Skew", size, 40, seed):
-                matrices += [A.values - lam * np.eye(size) for lam in (0.0, 1.0)]
-        fast = wide = 0
+                for lam in (0.0, 1.0):
+                    M = A.values - lam * np.eye(size)
+                    matrices += [M, M.T.copy()]
+        counts = {"wide": 0, "nonsingular": 0, "mixed": 0, "one-signed": 0}
         for M in matrices:
             lp_calls.clear()
             sol = spectral_mod._stochastic_kernel(M)
-            if null_space(GameMatrix(M)).dimension >= 2:
-                wide += 1
+            dimension = null_space(GameMatrix(M)).dimension
+            if dimension >= 2:
+                counts["wide"] += 1
                 assert len(lp_calls) == 1
             if lp_calls:
                 continue
-            fast += 1
-            assert sol.status is LPStatus.INFEASIBLE
-            assert solve_lp(_kernel_lp(M)).status is LPStatus.INFEASIBLE
-            # [M; 1^T]^T w >= 0 and e_{m+1}.w < 0, on M's own entries; and
-            # M^T y > 0 holds in exact arithmetic, not only in floating point.
-            y, last = sol.farkas[:-1], sol.farkas[-1]
-            assert last < 0.0
-            assert np.all(M.T @ y + last >= 0.0)
-            exact = [
-                sum(Fraction(a) * Fraction(b) for a, b in zip(column, y.tolist()))
-                for column in M.T.tolist()
-            ]
-            assert min(exact) > 0
-        assert wide >= 20
-        assert fast >= 500
+            assert_lp_agrees(M, sol)
+            if dimension == 0:
+                counts["nonsingular"] += 1
+            elif sol.status is LPStatus.INFEASIBLE:
+                counts["mixed"] += 1
+            else:
+                counts["one-signed"] += 1
+        assert counts["wide"] >= 20
+        assert counts["nonsingular"] >= 500
+        assert counts["mixed"] >= 500
+        assert counts["one-signed"] >= 50
 
-    def test_skew7_builds_an_lp_only_for_its_nonnegative_kernels(self, lp_calls):
+    def test_skew7_builds_no_lp(self, lp_calls):
+        # Its 6 nonnegative kernels are one-signed lines: the SVD answers.
         kernels = 0
         for A in ensemble("Skew", 7, 400, 1):
             [report] = run_checker(ClaimId.GORDAN_THEOREM3, A)
             kernels += report.computed["gordan_branch"] == "NonnegativeKernel"
-        assert len(lp_calls) == kernels == 6
+        assert kernels == 6
+        assert lp_calls == []
 
     @pytest.mark.parametrize(
         "entries,branch,witness",
         [
-            ([[0.0]], GordanBranch.NONNEGATIVE_KERNEL, [1.0]),
-            ([[2.0]], GordanBranch.POSITIVE_IMAGE, [0.5]),
+            ([[0.0], [0.0]], GordanBranch.NONNEGATIVE_KERNEL, [1.0]),
+            ([[2.0], [1.0]], GordanBranch.POSITIVE_IMAGE, [1.0, -1.0]),
             ([[0.0, 0.0], [0.0, 0.0]], GordanBranch.NONNEGATIVE_KERNEL, [1.0, 0.0]),
             ([[1.0, -1.0]], GordanBranch.NONNEGATIVE_KERNEL, [0.5, 0.5]),
             ([[1.0], [-1.0]], GordanBranch.POSITIVE_IMAGE, [0.0, -1.0]),
@@ -462,8 +494,84 @@ class TestSvdCertificate:
         assert len(lp_calls) == 1
         assert verdict.branch is branch
         np.testing.assert_array_equal(verdict.witness, witness)
-        # Only the square matrix of order 2 reaches the SVD; rank 0 is no line.
+        # Only the square matrix of order 2 reaches the SVD; its kernel is
+        # the whole plane.
         assert len(svd_calls) == (np.shape(entries) == (2, 2))
+
+    @pytest.mark.parametrize(
+        "entries,branch,witness",
+        [
+            ([[0.0]], GordanBranch.NONNEGATIVE_KERNEL, [1.0]),
+            ([[2.0]], GordanBranch.POSITIVE_IMAGE, [0.5]),
+            ([[-3.0]], GordanBranch.POSITIVE_IMAGE, [-1 / 3]),
+        ],
+    )
+    def test_order_one_takes_the_svd(
+        self, lp_calls, svd_calls, entries, branch, witness
+    ):
+        verdict = gordan(GameMatrix(entries))
+        assert len(svd_calls) == 1 and lp_calls == []
+        assert verdict.branch is branch
+        np.testing.assert_array_equal(verdict.witness, witness)
+
+    def test_nonsingular_and_one_signed_answers(self, lp_calls):
+        # A - lambda I on Skew 5 at lambda in {0, 1}: odd skew matrices are
+        # singular, and at 1 the shift makes them nonsingular.  Each answer
+        # is the LP's, and the points are the LP's up to roundoff.
+        seen = set()
+        for A in ensemble("Skew", 5, 40, 3):
+            for lam in (0.0, 1.0):
+                M = A.values - lam * np.eye(5)
+                sol = spectral_mod._stochastic_kernel(M)
+                assert_lp_agrees(M, sol)
+                rank = 5 - null_space(GameMatrix(M)).dimension
+                seen.add((lam, rank, sol.status))
+                if sol.status is LPStatus.OPTIMAL:
+                    lp_point = solve_lp(_kernel_lp(M)).point
+                    np.testing.assert_allclose(sol.point, lp_point, atol=1e-13)
+        assert lp_calls == []
+        assert seen == {
+            (0.0, 4, LPStatus.INFEASIBLE),
+            (0.0, 4, LPStatus.OPTIMAL),
+            (1.0, 5, LPStatus.INFEASIBLE),
+        }
+
+    def test_sign_sums_are_the_masked_reductions(self):
+        # Bit for bit, on kernel lines of every size the audits meet, long
+        # one-signed runs and zeros included.
+        rng = np.random.default_rng(32)
+        lines = [np.linalg.svd(A.values)[2][-1] for A in ensemble("Skew", 25, 20, 5)]
+        for _ in range(2000):
+            n = int(rng.integers(1, 300))
+            k = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+            if rng.random() < 0.5:
+                # Runs of 9 entries of one sign.
+                signs = np.repeat(rng.choice([-1.0, 1.0], n // 9 + 1), 9)
+                k = np.abs(k) * signs[:n]
+            k[rng.integers(0, n, n // 10)] = 0.0
+            lines.append(k)
+        for k in lines:
+            pos = k > 0.0
+            want = [np.add.reduce(k, where=pos), -np.add.reduce(k, where=~pos)]
+            got = np.array(spectral_mod._sign_sums(k))
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_witnesses_keep_the_bits_of_the_masked_sums(self):
+        # A mixed-sign line's ray, as the SVD certificate first computed it.
+        for size, seed in ((7, 1), (9, 2), (15, 3)):
+            for A in ensemble("Skew", size, 40, seed):
+                V = A.values
+                u, sigma, vt = np.linalg.svd(V)
+                k = vt[-1]
+                pos = k > 0.0
+                s_pos = np.add.reduce(k, where=pos)
+                s_neg = -np.add.reduce(k, where=~pos)
+                if not (s_pos > 0.0 and s_neg > 0.0):
+                    continue
+                b = np.where(pos, s_neg, s_pos)
+                y = u[:, :-1] @ ((vt[:-1] @ b) / sigma[:-1])
+                want = y / np.minimum.reduce(V.T @ y)
+                assert gordan(A).witness.tobytes() == want.tobytes()
 
     def test_margin_leaves_a_kernel_within_tolerance_to_the_lp(
         self, lp_calls, svd_calls
@@ -497,6 +605,39 @@ class TestSvdCertificate:
         np.testing.assert_array_equal(
             verdict.witness, y / np.minimum.reduce(A.values.T @ y)
         )
+
+
+def _lp_building_skew4(uppers, lp_calls):
+    """Ask `_stochastic_kernel` about each 4 x 4 integer skew matrix with the
+    given strict upper triangles; check every answer made without an LP
+    against the LP, and return how many built one.  Each that did has a
+    kernel of dimension 2, and every other one has dimension 0 or 1."""
+    built = 0
+    for upper in uppers:
+        M = skew4(upper)
+        lp_calls.clear()
+        sol = spectral_mod._stochastic_kernel(M)
+        wide = null_space(GameMatrix(M)).dimension >= 2
+        assert len(lp_calls) == wide, upper
+        if wide:
+            built += 1
+        else:
+            assert_lp_agrees(M, sol)
+    return built
+
+
+class TestIntegerSkew4:
+    """Every 4 x 4 skew matrix with entries in {-2, ..., 2}: 15,625 of them,
+    2,313 with a kernel of dimension 2."""
+
+    def test_sample_agrees_with_the_lp(self, lp_calls):
+        uppers = np.random.default_rng(32).integers(-2, 3, (300, 6)).tolist()
+        assert 10 <= _lp_building_skew4(uppers, lp_calls) <= 100
+
+    @pytest.mark.slow
+    def test_every_matrix_agrees_with_the_lp(self, lp_calls):
+        uppers = itertools.product(range(-2, 3), repeat=6)
+        assert _lp_building_skew4(uppers, lp_calls) == 2313
 
 
 def assert_certified(V, verdict):
