@@ -100,7 +100,7 @@ def canonical_json(obj) -> str:
     in its own loop, with no call per value.  A list or tuple whose items are
     all exactly `float` renders with one format call.  Anything else (None,
     int, numpy scalars and arrays, subclasses) takes the `isinstance`
-    chain.
+    chain; an array renders as its `tolist()`, so a 0-d one as its scalar.
     """
 
     def finite(text: str) -> str:
@@ -130,7 +130,8 @@ def canonical_json(obj) -> str:
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, np.ndarray):
-            o = o.tolist()
+            # A 0-d array lists as a bare scalar, which renders as one.
+            return render(o.tolist(), pad)
         if isinstance(o, (list, tuple)):
             return render_list(o, pad)
         if isinstance(o, dict):

@@ -5,9 +5,10 @@ eigenvectors and Gordan's alternatives.
 That question, is there a stochastic z with M z = 0 or else a y with
 M^T y > 0, is answered from one SVD of a square M whose kernel has
 dimension 0 or 1: a nonsingular M, or a kernel line with both signs, by a
-ray y certified on M with a roundoff margin; a one-signed kernel line by
-its stochastic vector, once it passes the LP's own feasibility test.  Every
-other M, a kernel of dimension 2 or more above all, builds one LP.
+y certified on M with a roundoff margin; a one-signed kernel line by its
+stochastic vector, once it passes the LP's own feasibility test.  Every
+other M, a kernel of dimension 2 or more above all, builds one LP.  The
+answer is the z or the y itself, whichever way it was found.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
     check_finite,
     normalized_strategy,
 )
-from .lp import FEAS_TOL, LinearProgram, LPSolution, LPStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp
 
 PERRON_RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -145,55 +146,45 @@ def _svd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]
 
 def _sign_sums(k: np.ndarray) -> tuple[float, float]:
     """S+, the sum of k's positive entries, and S-, minus the sum of the
-    others: bit for bit np.add.reduce(k, where=k > 0) and its negated
-    complement, without their masked loops.  Such a reduction adds each
-    maximal run of selected entries on its own, by numpy's pairwise sum, to
-    a total that starts at 0; below 8 entries a pairwise sum is the plain
-    left-to-right one, so only a longer run calls numpy."""
-    totals = [0.0, 0.0]  # [others, positive]
+    others, each correctly rounded (`math.fsum`: Shewchuk, Discrete Comput.
+    Geom. 18, 1997)."""
     values = k.tolist()
-    start = 0
-    for end in range(1, len(values) + 1):
-        positive = values[start] > 0.0
-        if end < len(values) and (values[end] > 0.0) is positive:
-            continue
-        if end - start < 8:
-            run = 0.0
-            for v in values[start:end]:
-                run += v
-        else:
-            run = float(np.add.reduce(k[start:end], initial=0.0))
-        totals[positive] += run
-        start = end
-    return totals[1], -totals[0]
+    return (
+        math.fsum([v for v in values if v > 0.0]),
+        -math.fsum([v for v in values if not v > 0.0]),
+    )
 
 
-def _stochastic_kernel(M: np.ndarray) -> LPSolution:
-    """Solve [M; 1^T] z = e_{m+1}, z >= 0: a stochastic z with M z = 0.
-    M must be finite (the callers' guarantee for `LinearProgram._trusted`).
-    An Infeasible answer's `farkas` is [y, -min(M^T y)], computed on M: a
-    Farkas ray of the system exactly when its last entry is negative, that
-    is when M^T y > 0.
+def _stochastic_kernel(
+    M: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+    """Is there a stochastic z with M z = 0, or else a y with M^T y > 0?
+    (z, None, 0.0) names such a z; (None, y, floor) names a y, with
+    floor = min(M^T y) computed on M, so y is a witness exactly when
+    floor > 0.  M must be finite (the callers' guarantee for
+    `LinearProgram._trusted`).
 
     A square M whose kernel has dimension 0 or 1 (`_svd` rank n or n - 1)
     is answered from that one SVD, M = U S V^T:
       - rank n: y = U S^-1 V^T 1 solves M^T y = 1 > 0;
       - rank n - 1, kernel line k with both signs: b = S- on k > 0, S+
-        elsewhere (`_sign_sums`) is positive with k.b = 0, so it lies in
-        the range of M^T, and y = (M^T)^+ b, from the first n - 1 singular
-        triplets, solves M^T y = b > 0;
+        elsewhere (`_sign_sums`, each correctly rounded) is positive with
+        k.b = 0 up to roundoff, so y = (M^T)^+ b, from the first n - 1
+        singular triplets, has M^T y close to b.  The margin below is
+        checked on M, so b need not lie exactly in the range of M^T;
       - rank n - 1, k one-signed: z = |k| / sum |k| is the only stochastic
-        vector on the line.  It is Optimal if it passes the test `solve_lp`
-        puts to its own points, a violation of at most FEAS_TOL (z >= 0, so
-        the violation is max(||M z||_inf, |sum z - 1|)).
-    A ray needs floor = min(M^T y) > (2 t + n a (2 t + 2^-51)) ||y||_1,
-    t = FEAS_TOL, a = max |M_ij| (a > 2 t follows, and keeps y finite).  A z
-    that passes the LP's test has z >= -t, sum z >= 1 - t, ||M z||_inf <= t,
-    so y.M z <= t ||y||_1 and (M^T y).z >= floor (1 - t) - n t a ||y||_1,
+        vector on the line.  It is the answer if it passes the test
+        `solve_lp` puts to its own points, a violation of at most FEAS_TOL
+        (z >= 0, so the violation is max(||M z||_inf, |sum z - 1|)).
+    A ray needs floor > (2 t + n a (2 t + 2^-51)) ||y||_1, t = FEAS_TOL,
+    a = max |M_ij| (a > 2 t follows, and keeps y finite).  A z that passes
+    the LP's test has z >= -t, sum z >= 1 - t, ||M z||_inf <= t, so
+    y.M z <= t ||y||_1 and (M^T y).z >= floor (1 - t) - n t a ||y||_1,
     each up to roundoff u n a ||y||_1 (u = 2^-53; Higham 3.1).  The margin
-    is twice what makes these contradict, so the LP could not say Optimal.
-    The LP runs for the rest: a kernel of dimension 2 or more, a failed
-    margin or test, a LinAlgError, and a non-square M."""
+    is twice what makes these contradict, so the LP could not find a z.
+    The LP [M; 1^T] z = e_{m+1}, z >= 0 answers the rest: a kernel of
+    dimension 2 or more, a failed margin or test, a LinAlgError, and a
+    non-square M.  Its y is the first m entries of its Farkas ray."""
     m, n = M.shape
     vb = None  # V^T b
     if m == n:
@@ -215,19 +206,13 @@ def _stochastic_kernel(M: np.ndarray) -> LPSolution:
                     abs(float(np.add.reduce(z)) - 1.0),
                 )
                 if residual <= FEAS_TOL:
-                    return LPSolution(
-                        status=LPStatus.OPTIMAL,
-                        point=z,
-                        objective_value=0.0,
-                        primal_residual=residual,
-                        ineq_duals=np.zeros(0),
-                    )
+                    return z, None, 0.0
     if vb is not None and a > 2 * FEAS_TOL:
         y = u[:, :rank] @ (vb / sigma[:rank])
         floor = float(np.minimum.reduce(M.T @ y))
         margin = 2 * FEAS_TOL + n * a * (2 * FEAS_TOL + 2.0**-51)
         if floor > margin * np.add.reduce(np.abs(y)):
-            return _ray(y, floor)
+            return None, y, floor
     E = np.empty((m + 1, n))
     E[:m] = M
     E[m] = 1.0
@@ -235,16 +220,10 @@ def _stochastic_kernel(M: np.ndarray) -> LPSolution:
     f[m] = 1.0
     no_rows = np.zeros((0, n))
     sol = solve_lp(LinearProgram._trusted(np.zeros(n), no_rows, np.zeros(0), E, f))
-    if sol.status is not LPStatus.INFEASIBLE:
-        return sol
+    if sol.status is LPStatus.OPTIMAL:
+        return sol.point, None, 0.0
     y = sol.farkas[:m]
-    return _ray(y, float(np.minimum.reduce(M.T @ y)))
-
-
-def _ray(y: np.ndarray, floor: float) -> LPSolution:
-    """Infeasible, with the ray [y, -floor]; floor is min(M^T y) on the
-    caller's M."""
-    return LPSolution(status=LPStatus.INFEASIBLE, farkas=np.concatenate([y, [-floor]]))
+    return None, y, float(np.minimum.reduce(M.T @ y))
 
 
 def stochastic_eigenvector(
@@ -271,33 +250,29 @@ def stochastic_eigenvector(
                 f"a_ii - eigenvalue overflows the float range: a_ii = {float(a):g}, "
                 f"eigenvalue = {eigenvalue!r}"
             )
-    sol = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows))
-    if sol.status is not LPStatus.OPTIMAL:
-        return None
-    return normalized_strategy(sol.point, player)
+    z, _, _ = _stochastic_kernel(A.values - eigenvalue * np.eye(A.rows))
+    return None if z is None else normalized_strategy(z, player)
 
 
 def gordan(A: GameMatrix) -> GordanVerdict:
     """Decide which Gordan alternative holds for A and return its witness.
 
-    `_stochastic_kernel` decides [A; 1^T] x = e_{m+1}, x >= 0.  Branch 1, when
-    feasible: A x = 0 has a nonzero nonnegative solution, the stochastic x.
-    Branch 2, when it is infeasible: its ray [y, -min(A^T y)] has a negative
-    last entry exactly when y solves A^T y > 0, a certificate on A that the
-    kernel question has already computed; y is scaled so that
-    min(A^T y) = 1.  A witness that fails its certificate raises
+    `_stochastic_kernel` answers for A.  Branch 1: A x = 0 has a nonzero
+    nonnegative solution, the stochastic x it finds.  Branch 2: its y solves
+    A^T y > 0 exactly when floor = min(A^T y), computed on A, is positive;
+    y is scaled so that min(A^T y) = 1.  A witness that fails its
+    certificate, ||A x||_inf <= GORDAN_WITNESS_TOL or floor > 0, raises
     InconsistentAlternativesError.
     """
     V = A.values
-    kernel = _stochastic_kernel(V)
-    if kernel.status is LPStatus.OPTIMAL:
-        x = normalized_strategy(kernel.point, Player.COL).weights
+    x, y, floor = _stochastic_kernel(V)
+    if y is None:
+        x = normalized_strategy(x, Player.COL).weights
         if float(np.maximum.reduce(np.abs(V @ x))) > GORDAN_WITNESS_TOL:
             raise InconsistentAlternativesError(
                 "kernel witness fails ||A x||_inf <= 1e-9 after cleanup"
             )
         return GordanVerdict(branch=GordanBranch.NONNEGATIVE_KERNEL, witness=x)
-    y, floor = kernel.farkas[:-1], -kernel.farkas[-1]
     if not floor > 0.0:
         raise InconsistentAlternativesError(
             f"Farkas witness fails A^T y > 0: min(A^T y) = {floor:g}"

@@ -315,6 +315,23 @@ class TestGoldenFiles:
                 ["analyze", "--input", str(DATA / "skew3_image.csv"), "--lambda", "0"],
                 0,
             ),
+            # Trial 32 of Skew 5, seed 3: at lambda = 0 its kernel is a
+            # one-signed line, so the SVD makes the stochastic eigenvector.
+            (
+                "verify_skew5_shifted.json",
+                [
+                    "verify",
+                    "--claim",
+                    "ShiftedEigenThm4General",
+                    "--input",
+                    str(DATA / "skew5_shifted.csv"),
+                    "--lambda",
+                    "0",
+                    "--lambda",
+                    "1",
+                ],
+                0,
+            ),
         ],
     )
     def test_golden(self, capsys, golden, argv, code):

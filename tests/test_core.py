@@ -399,13 +399,30 @@ def test_canonical_json_renders_as_the_isinstance_chain(payload):
     assert text == _reference_canonical_json(payload)
 
 
-@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [np.array(2.0)], {"a": b"x"}])
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [np.array(1j)], {"a": b"x"}])
 def test_canonical_json_refuses_what_the_isinstance_chain_refuses(payload):
-    # A 0-d array lists as a bare float, which is not a container.
+    # A 0-d array renders as its scalar, so a complex one is refused as
+    # complex.
     with pytest.raises(TypeError) as want:
         _isinstance_chain_canonical_json(payload)
     with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
         canonical_json(payload)
+
+
+@pytest.mark.parametrize(
+    "array,text",
+    [
+        (np.array(2.0), "2"),
+        (np.array(-0.0), "0"),
+        (np.array(-7), "-7"),
+        (np.array(True), "true"),
+    ],
+)
+def test_canonical_json_renders_a_0d_array_as_its_scalar(array, text):
+    # As the numpy scalar array[()] renders: np.array(2.0) as np.float64(2.0).
+    assert canonical_json(array) == canonical_json(array[()]) == text + "\n"
+    assert canonical_json([array]) == f"[\n  {text}\n]\n"
+    assert canonical_json({"a": array}) == f'{{\n  "a": {text}\n}}\n'
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,6 +464,7 @@ def test_canonical_json_refuses_non_finite_floats(bad):
         [1, bad],
         [np.float64(1.0), np.float64(bad)],
         np.array([[1.0, 2.0], [bad, 0.0]]),
+        np.array(bad),
     ):
         with pytest.raises(NonFiniteJSONError) as err:
             canonical_json(payload)

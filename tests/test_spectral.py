@@ -382,20 +382,28 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def assert_lp_agrees(M, sol):
-    """`_stochastic_kernel`'s answer `sol` on M, made without an LP, has the
-    LP's status and proves it on M: a point passes the LP's own feasibility
-    test, and a ray y has M^T y > 0 in exact rationals, so [y, -min M^T y]
-    is a Farkas ray of [M; 1^T] z = e_{m+1}, z >= 0."""
+def _status(answer):
+    """The LP status that `_stochastic_kernel`'s answer (z, y, floor) stands
+    for: Optimal for a point z, Infeasible for a y."""
+    return LPStatus.OPTIMAL if answer[1] is None else LPStatus.INFEASIBLE
+
+
+def assert_lp_agrees(M, answer):
+    """`_stochastic_kernel`'s answer (z, y, floor) on M, made without an LP,
+    has the LP's status and proves it on M: a point z passes the LP's own
+    feasibility test, and a y has M^T y > 0 in exact rationals, so
+    [y, -floor] is a Farkas ray of [M; 1^T] z = e_{m+1}, z >= 0."""
+    z, y, floor = answer
     program = _kernel_lp(M)
-    assert sol.status is solve_lp(program).status
-    if sol.status is LPStatus.OPTIMAL:
-        assert _residual(program, sol.point) <= FEAS_TOL
+    assert (z is None) is (y is not None)
+    assert _status(answer) is solve_lp(program).status
+    if y is None:
+        assert floor == 0.0
+        assert _residual(program, z) <= FEAS_TOL
         return
-    y, last = sol.farkas[:-1], sol.farkas[-1]
-    assert last < 0.0
-    # The ray's last entry is min(M^T y) as rounded, so it holds in floats.
-    assert np.all(M.T @ y + last >= 0.0)
+    assert floor > 0.0
+    # floor is min(M^T y) as rounded, so it holds in floats.
+    assert np.all(M.T @ y - floor >= 0.0)
     exact = [
         sum(Fraction(a) * Fraction(b) for a, b in zip(column, y.tolist()))
         for column in M.T.tolist()
@@ -449,17 +457,17 @@ class TestSvdCertificate:
         counts = {"wide": 0, "nonsingular": 0, "mixed": 0, "one-signed": 0}
         for M in matrices:
             lp_calls.clear()
-            sol = spectral_mod._stochastic_kernel(M)
+            answer = spectral_mod._stochastic_kernel(M)
             dimension = null_space(GameMatrix(M)).dimension
             if dimension >= 2:
                 counts["wide"] += 1
                 assert len(lp_calls) == 1
             if lp_calls:
                 continue
-            assert_lp_agrees(M, sol)
+            assert_lp_agrees(M, answer)
             if dimension == 0:
                 counts["nonsingular"] += 1
-            elif sol.status is LPStatus.INFEASIBLE:
+            elif _status(answer) is LPStatus.INFEASIBLE:
                 counts["mixed"] += 1
             else:
                 counts["one-signed"] += 1
@@ -522,13 +530,13 @@ class TestSvdCertificate:
         for A in ensemble("Skew", 5, 40, 3):
             for lam in (0.0, 1.0):
                 M = A.values - lam * np.eye(5)
-                sol = spectral_mod._stochastic_kernel(M)
-                assert_lp_agrees(M, sol)
+                answer = spectral_mod._stochastic_kernel(M)
+                assert_lp_agrees(M, answer)
                 rank = 5 - null_space(GameMatrix(M)).dimension
-                seen.add((lam, rank, sol.status))
-                if sol.status is LPStatus.OPTIMAL:
+                seen.add((lam, rank, _status(answer)))
+                if _status(answer) is LPStatus.OPTIMAL:
                     lp_point = solve_lp(_kernel_lp(M)).point
-                    np.testing.assert_allclose(sol.point, lp_point, atol=1e-13)
+                    np.testing.assert_allclose(answer[0], lp_point, atol=1e-13)
         assert lp_calls == []
         assert seen == {
             (0.0, 4, LPStatus.INFEASIBLE),
@@ -537,8 +545,10 @@ class TestSvdCertificate:
         }
 
     def test_sign_sums_are_the_masked_reductions(self):
-        # Bit for bit, on kernel lines of every size the audits meet, long
-        # one-signed runs and zeros included.
+        # Each is the exact sum under its mask, rounded once, so within a
+        # pairwise sum's roundoff of numpy's masked reduction, on kernel
+        # lines of every size the audits meet, long one-signed runs, zeros
+        # and -0.0 included.
         rng = np.random.default_rng(32)
         lines = [np.linalg.svd(A.values)[2][-1] for A in ensemble("Skew", 25, 20, 5)]
         for _ in range(2000):
@@ -549,29 +559,44 @@ class TestSvdCertificate:
                 signs = np.repeat(rng.choice([-1.0, 1.0], n // 9 + 1), 9)
                 k = np.abs(k) * signs[:n]
             k[rng.integers(0, n, n // 10)] = 0.0
+            odd = k[1::2]
+            odd[odd == 0.0] = -0.0
             lines.append(k)
+        assert any(np.signbit(k[k == 0.0]).any() for k in lines)
         for k in lines:
+            values = k.tolist()
+            want = (
+                float(sum(Fraction(v) for v in values if v > 0)),
+                -float(sum(Fraction(v) for v in values if not v > 0)),
+            )
+            got = spectral_mod._sign_sums(k)
+            assert got == want
             pos = k > 0.0
-            want = [np.add.reduce(k, where=pos), -np.add.reduce(k, where=~pos)]
-            got = np.array(spectral_mod._sign_sums(k))
-            assert got.tobytes() == np.array(want).tobytes()
+            for total, mask in zip(got, (pos, ~pos)):
+                masked = abs(float(np.add.reduce(k, where=mask)))
+                bound = 2 * len(k) * 2.0**-53 * np.add.reduce(np.abs(k), where=mask)
+                assert abs(total - masked) <= bound
 
     def test_witnesses_keep_the_bits_of_the_masked_sums(self):
-        # A mixed-sign line's ray, as the SVD certificate first computed it.
+        # A mixed-sign line's ray, from the correctly rounded sums of k's
+        # positive entries and of the others.
+        checked = 0
         for size, seed in ((7, 1), (9, 2), (15, 3)):
             for A in ensemble("Skew", size, 40, seed):
                 V = A.values
                 u, sigma, vt = np.linalg.svd(V)
                 k = vt[-1]
                 pos = k > 0.0
-                s_pos = np.add.reduce(k, where=pos)
-                s_neg = -np.add.reduce(k, where=~pos)
+                s_pos = float(sum(Fraction(v) for v in k[pos].tolist()))
+                s_neg = -float(sum(Fraction(v) for v in k[~pos].tolist()))
                 if not (s_pos > 0.0 and s_neg > 0.0):
                     continue
                 b = np.where(pos, s_neg, s_pos)
                 y = u[:, :-1] @ ((vt[:-1] @ b) / sigma[:-1])
                 want = y / np.minimum.reduce(V.T @ y)
                 assert gordan(A).witness.tobytes() == want.tobytes()
+                checked += 1
+        assert checked > 0
 
     def test_margin_leaves_a_kernel_within_tolerance_to_the_lp(
         self, lp_calls, svd_calls
@@ -616,13 +641,13 @@ def _lp_building_skew4(uppers, lp_calls):
     for upper in uppers:
         M = skew4(upper)
         lp_calls.clear()
-        sol = spectral_mod._stochastic_kernel(M)
+        answer = spectral_mod._stochastic_kernel(M)
         wide = null_space(GameMatrix(M)).dimension >= 2
         assert len(lp_calls) == wide, upper
         if wide:
             built += 1
         else:
-            assert_lp_agrees(M, sol)
+            assert_lp_agrees(M, answer)
     return built
 
 
