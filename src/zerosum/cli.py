@@ -193,8 +193,10 @@ def render_matrix(A: GameMatrix, fmt: str = "csv") -> str:
 
 
 def _load_matrix(path: str, fmt: str) -> GameMatrix:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" and
+    # Notepad write, and reads a file without one as utf-8 does.
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -254,18 +256,14 @@ def _cmd_verify(args) -> tuple[int, dict]:
     claim = ClaimId(args.claim)
     if (args.input is None) == (args.ensemble is None):
         raise InputError("verify needs exactly one of --input or --ensemble")
+    flags = (("--size", args.size), ("--trials", args.trials), ("--seed", args.seed))
     if args.input is not None:
+        given = [flag for flag, val in flags if val is not None]
+        if given:
+            raise InputError(f"only --ensemble takes {', '.join(given)}")
         matrices = [_load_matrix(args.input, args.format)]
     else:
-        missing = [
-            flag
-            for flag, val in (
-                ("--size", args.size),
-                ("--trials", args.trials),
-                ("--seed", args.seed),
-            )
-            if val is None
-        ]
+        missing = [flag for flag, val in flags if val is None]
         if missing:
             raise InputError(f"--ensemble requires {', '.join(missing)}")
         family = Family(args.ensemble)

@@ -7,14 +7,14 @@ expressed here; an Infeasible result's `farkas` answers them (see spectral.gorda
 The implementation favors simplicity over speed: desk-scale instances only
 (tens of variables and constraints), dense tableau.
 
-`LinearProgram(...)` is the public way to state a program: it copies its
-arrays and checks their shapes and entries.  Callers inside the package
-build their arrays themselves and hand them over with the private
-`LinearProgram._trusted`, which copies and checks nothing; its docstring
-states what such a caller guarantees.  A guarantee that outside input can
-break (a payoff shift or an eigenvalue shift that overflows, a non-finite
-game value) is checked by that caller, before its arithmetic, with an
-InputError that names the cause.
+This module is internal: `solver` and `spectral` state their programs
+here, and no public function takes or returns its types.  A program is
+stated one way, `LinearProgram(c, G, h, E, f)` of five arrays that its
+caller lays out; the constructor copies and checks nothing, and its
+docstring states what the caller guarantees.  A guarantee that outside
+input can break (a payoff shift or an eigenvalue shift that overflows, a
+non-finite game value) is checked by that caller, before its arithmetic,
+with an InputError that names the cause.
 
 Every `solve_lp` call runs both phases.  `solve_value_lp`, a game's value
 LP, skips phase 1, which on that program always ends at the same tableau
@@ -23,10 +23,9 @@ after one forced pivot: it writes that tableau down and hands it to
 after its own phase 1, so the two take the same pivots.  Each simplex run
 sizes its own pivot budget from the tableau it pivots (IterationLimitError).
 
-Every program is C-ordered: `LinearProgram(...)` copies its arrays in C
-order, and `_trusted` takes only C-ordered ones.  A Fortran-ordered array
-would run `_residual`'s products through another BLAS kernel, which can
-round differently; so no answer depends on the caller's memory layout.
+Every program is C-ordered, by its callers' contract.  A Fortran-ordered
+array would run `_residual`'s products through another BLAS kernel, which
+can round differently; so no answer depends on a caller's memory layout.
 
 Phase 1 runs on one array, allocated once and filled in place:
 
@@ -105,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, InputError
+from .core import InputError
 
 # Largest constraint violation an Optimal point may keep; a phase-1 sum of
 # artificials above it makes the region Infeasible.
@@ -121,9 +120,9 @@ ITERATION_FACTOR = 50
 
 
 class IterationLimitError(RuntimeError):
-    """One simplex run exceeded its budget of 50 * (rows + columns of the
-    tableau it pivots) pivots; solver bug, since Dantzig pricing with its
-    Bland fallback terminates."""
+    """One simplex run exceeded its budget of ITERATION_FACTOR * (rows +
+    columns of the tableau it pivots) pivots; solver bug, since Dantzig
+    pricing with its Bland fallback terminates."""
 
 
 class LPStatus(enum.Enum):
@@ -132,101 +131,31 @@ class LPStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-def _as_array(v, ndim: int, name: str) -> np.ndarray:
-    """A new C-ordered float array holding v, with `ndim` dimensions and
-    finite entries: DimensionMismatchError when v is ragged or has another
-    ndim, InputError when an entry is not a number or not finite."""
-    try:
-        arr = np.array(v, dtype=float, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:
-        try:
-            np.asarray(v)
-        except ValueError:
-            raise DimensionMismatchError(f"{name} is ragged") from exc
-        raise InputError(f"{name} must have numeric entries") from exc
-    if arr.ndim != ndim:
-        raise DimensionMismatchError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
-        raise InputError(f"{name} must have finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective.z  s.t.  ineq_lhs z <= ineq_rhs,  eq_lhs z = eq_rhs,
     z >= 0.
 
     Every variable is nonnegative; write any other bound as a row of ineq_lhs.
-    The constructor stores read-only float copies of its arguments, and an
-    absent pair as a (0, n) lhs with a (0,) rhs.  It raises
-    DimensionMismatchError for ragged or inconsistent shapes and InputError
-    for entries that are not finite numbers.  Code inside the package skips
-    the copies and checks through `_trusted`.
+    The five arrays are stored as they are: nothing is copied or checked,
+    and each is marked read-only.  The caller guarantees that all five are
+    finite float64 and C-contiguous, as `np.array(a, dtype=float,
+    order="C")` lays them out (a strided or transposed view is not; its
+    copy would be).  The objective is 1-D with n > 0 entries; each lhs is
+    2-D with n columns and as many rows as its rhs, a 1-D array, has
+    entries.  An absent block is an explicit (0, n) lhs with a (0,) rhs.
+    The caller does not write to the arrays afterwards.
     """
 
     objective: np.ndarray
-    ineq_lhs: np.ndarray | None = None
-    ineq_rhs: np.ndarray | None = None
-    eq_lhs: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
+    ineq_lhs: np.ndarray
+    ineq_rhs: np.ndarray
+    eq_lhs: np.ndarray
+    eq_rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = _as_array(self.objective, 1, "objective")
-        n = c.size
-        if n == 0:
-            raise InputError("objective must be nonempty")
-        fields = {"objective": c}
-        for lhs, rhs in (("ineq_lhs", "ineq_rhs"), ("eq_lhs", "eq_rhs")):
-            M, v = getattr(self, lhs), getattr(self, rhs)
-            if M is None and v is None:
-                fields[lhs], fields[rhs] = np.zeros((0, n)), np.zeros(0)
-                continue
-            if M is None or v is None:
-                raise DimensionMismatchError(f"{lhs} and {rhs} must be given together")
-            fields[lhs] = M = _as_array(M, 2, lhs)
-            if M.shape[1] != n:
-                raise DimensionMismatchError(f"{lhs} has {M.shape[1]} columns, expected {n}")
-            fields[rhs] = v = _as_array(v, 1, rhs)
-            if v.size != M.shape[0]:
-                raise DimensionMismatchError(f"{rhs} must have length {M.shape[0]}")
-        for name, val in fields.items():
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-
-    @classmethod
-    def _trusted(
-        cls,
-        objective: np.ndarray,
-        ineq_lhs: np.ndarray,
-        ineq_rhs: np.ndarray,
-        eq_lhs: np.ndarray,
-        eq_rhs: np.ndarray,
-    ) -> LinearProgram:
-        """The program of these five arrays as they are, for callers inside
-        the package: nothing is copied or checked.
-
-        The caller guarantees what `LinearProgram(...)` would otherwise
-        check or make.  All five arrays are finite float64 and C-contiguous,
-        as `np.array(a, dtype=float, order="C")` lays them out (a strided or
-        transposed view is not; its copy would be).  The objective is 1-D with
-        n > 0 entries; each lhs is 2-D with n columns and as many rows as
-        its rhs, a 1-D array, has entries.  An absent block is an explicit
-        (0, n) lhs with a (0,) rhs.  The caller does not write to the arrays
-        afterwards; they are marked read-only here.  `solve_lp` then answers
-        this program bit for bit as it answers `LinearProgram(...)` of the
-        same arrays.
-        """
-        p = object.__new__(cls)
-        for name, arr in (
-            ("objective", objective),
-            ("ineq_lhs", ineq_lhs),
-            ("ineq_rhs", ineq_rhs),
-            ("eq_lhs", eq_lhs),
-            ("eq_rhs", eq_rhs),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(p, name, arr)
-        return p
+        for a in (self.objective, self.ineq_lhs, self.ineq_rhs, self.eq_lhs, self.eq_rhs):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -482,7 +411,7 @@ def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     E[0, :m] = 1.0
     # Fresh C-ordered arrays, finite because B is.  `_phase_two` certifies
     # against them.
-    p = LinearProgram._trusted(c, G, np.zeros(n), E, np.ones(1))
+    p = LinearProgram(c, G, np.zeros(n), E, np.ones(1))
     passes = PIVOT_TOL * np.maximum(np.maximum.reduce(B, axis=1), 1.0) < 1.0
     i = int(passes.argmax())
     status = LPStatus.INFEASIBLE

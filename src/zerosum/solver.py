@@ -275,7 +275,7 @@ def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.nda
     objectives[n:] = G
     extrema = np.empty(2 * n)
     for k, c in enumerate(objectives):
-        sol = solve_lp(LinearProgram._trusted(c, G, h, E, f))
+        sol = solve_lp(LinearProgram(c, G, h, E, f))
         if sol.status is not LPStatus.OPTIMAL:
             raise RuntimeError(
                 f"optimal-set LP reported {sol.status.value}; the optimal "

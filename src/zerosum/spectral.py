@@ -162,7 +162,7 @@ def _stochastic_kernel(
     (z, None, 0.0) names such a z; (None, y, floor) names a y, with
     floor = min(M^T y) computed on M, so y is a witness exactly when
     floor > 0.  M must be finite (the callers' guarantee for
-    `LinearProgram._trusted`).
+    `LinearProgram`).
 
     A square M whose kernel has dimension 0 or 1 (`_svd` rank n or n - 1)
     is answered from that one SVD, M = U S V^T:
@@ -219,7 +219,7 @@ def _stochastic_kernel(
     f = np.zeros(m + 1)
     f[m] = 1.0
     no_rows = np.zeros((0, n))
-    sol = solve_lp(LinearProgram._trusted(np.zeros(n), no_rows, np.zeros(0), E, f))
+    sol = solve_lp(LinearProgram(np.zeros(n), no_rows, np.zeros(0), E, f))
     if sol.status is LPStatus.OPTIMAL:
         return sol.point, None, 0.0
     y = sol.farkas[:m]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zerosum import GameMatrix
+from zerosum.lp import LinearProgram
 from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
 
 RPS_ENTRIES = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -113,10 +114,24 @@ def lp_solution_bits(sol):
     )
 
 
-def assert_trusted_contract(p):
-    """What `LinearProgram._trusted` takes on trust: finite float64 arrays,
-    each C-contiguous and read-only, with consistent shapes and explicit
-    empty blocks."""
+def lp_program(objective, ineq_lhs=None, ineq_rhs=None, eq_lhs=None, eq_rhs=None):
+    """`lp.LinearProgram` of these arrays laid out as its contract asks:
+    C-ordered float copies, and an absent block as a (0, n) lhs with a (0,)
+    rhs.  Nothing is checked; a test states a valid program."""
+    c = np.array(objective, dtype=float, order="C")
+    n = c.size
+    blocks = []
+    for lhs, rhs in ((ineq_lhs, ineq_rhs), (eq_lhs, eq_rhs)):
+        if lhs is None:
+            lhs, rhs = np.zeros((0, n)), np.zeros(0)
+        blocks += [np.array(a, dtype=float, order="C") for a in (lhs, rhs)]
+    return LinearProgram(c, *blocks)
+
+
+def assert_program_contract(p):
+    """What `lp.LinearProgram` takes on trust: finite float64 arrays, each
+    C-contiguous and read-only, with consistent shapes and explicit empty
+    blocks."""
     arrays = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
     for a in arrays:
         assert a.dtype == np.float64
@@ -135,14 +150,14 @@ def internal_lps(monkeypatch):
     """Every program that `solver` and `spectral` hand to `solve_lp`, and
     that `lp.solve_value_lp` hands to `lp._phase_two` with its written-down
     start, in order."""
-    from zerosum import lp, solve_lp, solver, spectral
+    from zerosum import lp, solver, spectral
 
     programs = []
     in_value_lp = []
 
     def recording(p):
         programs.append(p)
-        return solve_lp(p)
+        return lp.solve_lp(p)
 
     value_lp, phase_two = lp.solve_value_lp, lp._phase_two
 

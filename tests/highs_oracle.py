@@ -1,8 +1,8 @@
 """scipy's HiGHS as the independent LP oracle of the cross-checks.
 
 Each LP is formulated here from the mathematics, on the original data, never
-through zerosum's `LinearProgram`, so the oracle shares no code with what it
-checks.  HiGHS runs without presolve and at 1e-10 feasibility tolerances:
+through the package's internal `zerosum.lp.LinearProgram`, so the oracle
+shares no code with what it checks.  HiGHS runs without presolve and at 1e-10 feasibility tolerances:
 with presolve on it reports some unbounded LPs whose z = 0 is feasible as
 infeasible (see the first example in test_lp_differential).  A test that
 calls the oracle skips when scipy is not installed.

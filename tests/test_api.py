@@ -10,12 +10,17 @@ from pathlib import Path
 import zerosum
 from zerosum.solver import extrema_dominated
 
+# The LP layer is how the package computes a game's value and a Gordan
+# alternative; no public function takes or returns its types, so they live in
+# `zerosum.lp` alone.
+LP_NAMES = ("LinearProgram", "LPSolution", "LPStatus", "solve_lp", "IterationLimitError")
 REMOVED = (
     "is_optimal_dominated",
     "matrix_rank",
     "uniform_strategy",
     "pure_strategy",
     "validate_strategy",
+    *LP_NAMES,
 )
 # The LP feasibility and kernel rank tolerances are the module constants
 # `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters.  No caller hands an
@@ -25,7 +30,7 @@ REMOVED = (
 REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol", "start"}
 # The optimal-strategy extrema read their facets off the strategy pair, so no
 # solution carries the value LP's basis.
-REMOVED_FIELDS = {zerosum.LPSolution: "basis", zerosum.GameSolution: "lp_basis"}
+REMOVED_FIELDS = {zerosum.lp.LPSolution: "basis", zerosum.GameSolution: "lp_basis"}
 
 
 def test_every_exported_name_resolves_once():
@@ -38,6 +43,23 @@ def test_removed_names_stay_removed():
     for name in REMOVED:
         assert name not in zerosum.__all__
         assert not hasattr(zerosum, name), name
+
+
+def test_no_exported_signature_mentions_an_lp_type():
+    # Every module postpones its annotations, so each is the string as written.
+    exported = [getattr(zerosum, name) for name in zerosum.__all__]
+    annotations = [
+        a for fn in exported if inspect.isfunction(fn) for a in fn.__annotations__.values()
+    ]
+    annotations += [
+        f.type
+        for cls in exported
+        if dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+    ]
+    assert len(annotations) > 50
+    for text in map(str, annotations):
+        assert "LinearProgram" not in text and "LPSolution" not in text, text
 
 
 def test_lp_solves_one_objective_at_a_time():
@@ -61,7 +83,7 @@ def test_removed_accessors_stay_removed():
     # Read A.values[i, j], np.flatnonzero(s.weights > tol), p.objective.size.
     assert not hasattr(zerosum.GameMatrix, "entry")
     assert not hasattr(zerosum.MixedStrategy, "support")
-    assert not hasattr(zerosum.LinearProgram, "n_vars")
+    assert not hasattr(zerosum.lp.LinearProgram, "n_vars")
 
 
 def test_canonical_json_takes_only_the_object():

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import os
 import struct
@@ -522,6 +523,15 @@ class TestExitCodes:
         )
         assert code == 2 and "--size" in err
 
+    @pytest.mark.parametrize("flag", ["--size", "--trials", "--seed"])
+    def test_ensemble_flag_with_input_is_2(self, capsys, flag):
+        code, out, err = run(
+            capsys, "verify", "--claim", "NegTransposeThm2",
+            "--input", str(DATA / "rps.csv"), flag, "3",
+        )
+        assert code == 2 and out == ""
+        assert f"only --ensemble takes {flag}" in err
+
     def test_oracle_size_gate_is_2(self, capsys, tmp_path):
         big = tmp_path / "big.csv"
         big.write_text(render_matrix(GameMatrix(np.ones((6, 2)))))
@@ -829,6 +839,16 @@ class TestSchemas:
         code, out, _ = run(
             capsys, "solve", "--input", str(doc), "--format", "json"
         )
+        assert code == 0
+        assert out == (GOLDEN / "solve_rps.json").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_input_with_a_byte_order_mark(self, capsys, tmp_path, rps, fmt):
+        # Excel's "CSV UTF-8" and Notepad start their files with one.
+        text = {"csv": (DATA / "rps.csv").read_text(), "json": render_matrix(rps, "json")}
+        doc = tmp_path / f"rps.{fmt}"
+        doc.write_bytes(codecs.BOM_UTF8 + text[fmt].encode())
+        code, out, _ = run(capsys, "solve", "--input", str(doc), "--format", fmt)
         assert code == 0
         assert out == (GOLDEN / "solve_rps.json").read_text()
 

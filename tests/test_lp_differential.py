@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import highs_oracle as highs
-from zerosum import LinearProgram, LPStatus, solve_lp
+from zerosum.lp import LPStatus, solve_lp
+from conftest import lp_program
 
 pytest.importorskip("scipy.optimize")
 
@@ -67,7 +68,7 @@ def test_solve_lp_matches_highs(program):
     if res.status == HIGHS_NUMERICAL_DIFFICULTIES:
         return
     sol = solve_lp(
-        LinearProgram(
+        lp_program(
             objective=c,
             ineq_lhs=G if G else None,
             ineq_rhs=h if G else None,

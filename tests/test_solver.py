@@ -10,24 +10,22 @@ import highs_oracle as highs
 from zerosum import (
     GameMatrix,
     InputError,
-    LinearProgram,
-    LPStatus,
     OracleSizeError,
     oracle_solve,
     row_optima_column_extrema,
     solve_game,
-    solve_lp,
 )
 from zerosum.claims import check_positive_dominated
 from zerosum.cli import run_cli
-from zerosum.lp import PIVOT_TOL
+from zerosum.lp import PIVOT_TOL, LPStatus, solve_lp
 from zerosum.solver import _exact_solve, _support_equilibria, extrema_dominated
 from conftest import (
     BAD_TOLERANCES,
     RPS_ENTRIES,
-    assert_trusted_contract,
+    assert_program_contract,
     ensemble,
     integer_positive_games,
+    lp_program,
     lp_solution_bits,
     random_matrix,
     random_skew,
@@ -208,7 +206,7 @@ def _payoffs_at_pivot_scale() -> list[np.ndarray]:
 
 
 def _value_lp_by_solve_lp(B):
-    """The value LP of B stated through the public constructor, solved by
+    """The value LP of B stated in the documented layout, solved by
     `solve_lp`'s two phases, and read as `solve_value_lp` reads it: the LP's
     bits, or the same error for a failed solve."""
     m, n = B.shape
@@ -216,7 +214,7 @@ def _value_lp_by_solve_lp(B):
     c[m] = 1.0
     G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)
     E = [[1.0] * m + [0.0]]
-    sol = solve_lp(LinearProgram(c, G, np.zeros(n), E, [1.0]))
+    sol = solve_lp(lp_program(c, G, np.zeros(n), E, [1.0]))
     if sol.status is not LPStatus.OPTIMAL:
         top = float(B.max())
         if top * PIVOT_TOL >= 1.0:
@@ -459,11 +457,12 @@ class TestAllRowOptimaDominated:
                 with pytest.raises(InputError, match="v must be finite"):
                     row_optima_column_extrema(rps, v, tol, solution=solution)
 
-    def test_extrema_lps_solve_as_the_public_constructor_built_them(self, internal_lps):
-        # Without a solution the extrema come from 2n LPs.  Each solves bit
-        # for bit as the one LinearProgram(...) builds from a strided row of
-        # V^T and from -V^T, on degenerate3 (whose vertex gate refuses, so
-        # `verify` takes this path) and five integer games.
+    def test_extrema_lps_are_the_documented_programs(self, internal_lps):
+        # Without a solution the extrema come from 2n LPs.  Each keeps the
+        # constructor's contract and is, bit for bit, maximize c.x over
+        # -V^T x <= -(v - tol) 1, 1^T x = 1 with c a row of V^T, then of
+        # -V^T, on degenerate3 (whose vertex gate refuses, so `verify` takes
+        # this path) and five integer games.
         degenerate = GameMatrix(np.loadtxt(DATA / "degenerate3.csv", delimiter=","))
         tol = 1e-8
         for A in [degenerate, *integer_positive_games(5)]:
@@ -473,16 +472,11 @@ class TestAllRowOptimaDominated:
             row_optima_column_extrema(A, v, tol)
             assert len(internal_lps) == 2 * n
             for p, c in zip(internal_lps, [*V.T, *-V.T]):
-                assert_trusted_contract(p)
-                public = LinearProgram(
-                    objective=c,
-                    ineq_lhs=-V.T,
-                    ineq_rhs=np.full(n, -(v - tol)),
-                    eq_lhs=np.ones((1, m)),
-                    eq_rhs=np.ones(1),
-                )
-                got, want = solve_lp(p), solve_lp(public)
-                assert lp_solution_bits(got) == lp_solution_bits(want)
+                assert_program_contract(p)
+                got = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
+                want = [c, -V.T, np.full(n, -(v - tol)), np.ones((1, m)), np.ones(1)]
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_identity_boundary(self):
         # Optimal set degenerates to the equalizer; extrema touch v +/- tol.

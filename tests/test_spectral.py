@@ -16,19 +16,16 @@ from zerosum import (
     InconsistentAlternativesError,
     InputError,
     InvalidMatrixError,
-    LinearProgram,
-    LPStatus,
     Player,
     gordan,
     GordanBranch,
     null_space,
     perron,
     run_checker,
-    solve_lp,
     stochastic_eigenvector,
 )
 from zerosum.cli import run_cli
-from zerosum.lp import FEAS_TOL, _residual
+from zerosum.lp import FEAS_TOL, LinearProgram, LPStatus, _residual, solve_lp
 from conftest import ensemble, lp_solution_bits, random_skew, skew4
 
 
@@ -363,7 +360,7 @@ def _kernel_lp(M):
     m, n = M.shape
     eq_rhs = np.zeros(m + 1)
     eq_rhs[m] = 1.0
-    return LinearProgram._trusted(
+    return LinearProgram(
         np.zeros(n), np.zeros((0, n)), np.zeros(0), np.vstack([M, np.ones(n)]), eq_rhs
     )
 
