@@ -19,21 +19,22 @@ from zerosum import (
     run_checker,
 )
 
+# Only the eigenvalue claims take eigenvalues; the others refuse them.
 PLAN = [
-    (ClaimId.DIAGONAL_THEOREM1, Family.DIAGONAL, (-5.0, 5.0)),
-    (ClaimId.SKEW_ZERO_COR3, Family.SKEW, (-5.0, 5.0)),
-    (ClaimId.SHARED_OPTIMA_COR4, Family.SKEW, (-5.0, 5.0)),
-    (ClaimId.NEG_TRANSPOSE_THM2, Family.GENERAL, (-5.0, 5.0)),
-    (ClaimId.EIGENSPACE_LEMMA5, Family.SKEW, (-5.0, 5.0)),
-    (ClaimId.GORDAN_THEOREM3, Family.SKEW, (-5.0, 5.0)),
-    (ClaimId.POSITIVE_DOMINATED_THM4, Family.POSITIVE, (0.1, 5.0)),
+    (ClaimId.DIAGONAL_THEOREM1, Family.DIAGONAL, (-5.0, 5.0), None),
+    (ClaimId.SKEW_ZERO_COR3, Family.SKEW, (-5.0, 5.0), None),
+    (ClaimId.SHARED_OPTIMA_COR4, Family.SKEW, (-5.0, 5.0), None),
+    (ClaimId.NEG_TRANSPOSE_THM2, Family.GENERAL, (-5.0, 5.0), None),
+    (ClaimId.EIGENSPACE_LEMMA5, Family.SKEW, (-5.0, 5.0), [0.0]),
+    (ClaimId.GORDAN_THEOREM3, Family.SKEW, (-5.0, 5.0), None),
+    (ClaimId.POSITIVE_DOMINATED_THM4, Family.POSITIVE, (0.1, 5.0), None),
 ]
 
-for claim, family, entry_range in PLAN:
+for claim, family, entry_range, lambdas in PLAN:
     spec = EnsembleSpec(family, size=4, trials=50, seed=2024, entry_range=entry_range)
     tally = Counter()
     for A in generate_ensemble(spec):
-        for rep in run_checker(claim, A, lambdas=[0.0]):
+        for rep in run_checker(claim, A, lambdas=lambdas):
             tally[rep.verdict.value] += 1
     print(f"{claim.value:28s} over {family.value:8s}: {dict(tally)}")
 

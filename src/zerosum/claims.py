@@ -448,7 +448,8 @@ def run_checker(
     Each checker decides its own applicability, so this is a lookup.  Only
     the two eigenvalue claims read `lambdas`: EigenspaceLemma5 adds them to
     its candidates, and ShiftedEigenThm4General requires at least one and
-    emits one report per supplied eigenvalue.  Every other claim yields
+    emits one report per supplied eigenvalue.  Every other claim refuses
+    them with InputError, rather than dropping them unread, and yields
     exactly one report.
     """
     check_tolerance(tol, "tol")
@@ -463,4 +464,9 @@ def run_checker(
         return [check_shifted_eigen(A, lam, tol) for lam in lambdas]
     if claim not in _CHECKERS:
         raise InputError(f"unknown claim {claim!r}")
+    if lambdas:
+        raise InputError(
+            f"{claim.value} takes no eigenvalue (lambdas / --lambda); only "
+            "EigenspaceLemma5 and ShiftedEigenThm4General read them"
+        )
     return [_CHECKERS[claim](A, tol)]

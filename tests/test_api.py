@@ -25,8 +25,9 @@ REMOVED = (
 # The LP feasibility and kernel rank tolerances are the module constants
 # `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters.  No caller hands an
 # LP a starting basis: `solve_lp` finds its own in phase 1, and a game's value
-# LP writes down, inside the solver, the basis its phase 1 always ends at.  So
-# no exported function takes a `start` basis.
+# LP chooses its own, inside the solver, from the payoffs: x_i basic for the
+# passing row i of the largest payoff sum.  So no exported function takes a
+# `start` basis.
 REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol", "start"}
 # The optimal-strategy extrema read their facets off the strategy pair, so no
 # solution carries the value LP's basis.

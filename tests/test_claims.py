@@ -563,6 +563,21 @@ class TestReportMechanics:
         assert reports[0].verdict is Verdict.HOLDS
         assert reports[1].verdict is Verdict.NOT_APPLICABLE
 
+    @pytest.mark.parametrize(
+        "claim",
+        sorted(
+            set(ClaimId)
+            - {ClaimId.EIGENSPACE_LEMMA5, ClaimId.SHIFTED_EIGEN_THM4_GENERAL},
+            key=lambda c: c.value,
+        ),
+        ids=lambda c: c.value,
+    )
+    def test_lambdas_refused_where_unread(self, rps, claim):
+        # A claim that reads no eigenvalue refuses them, not drops them unread.
+        with pytest.raises(InputError, match=f"{claim.value} takes no eigenvalue"):
+            run_checker(claim, rps, lambdas=[3.0])
+        assert len(run_checker(claim, rps, lambdas=[])) == 1
+
 
 # ROADMAP item 9's claims on their ensembles; sizes are the bench's where it
 # has the family.

@@ -412,12 +412,12 @@ _ENSEMBLE_DIGESTS = [
     (
         ("NegTransposeThm2", "General", 30, 7),
         0,
-        "35c666bf6afcbad80d9c20518a0134bee263eadf2a94e49dd468dd4eb0f390be",
+        "7a73cdfdacf43aa7d1f39bb5211f640b99ac0a2f35899085e094c2d9a6a3d1be",
     ),
     (
         ("PositiveDominatedThm4", "Positive", 10, 1),
         1,
-        "a97fe77b2e1dde52206469941743dea51823031171a5b19fe87acac2dd492f4e",
+        "2bd3c6879fc0d1e436036c2b17bffdabf441cfb630495ba0f9e1997a7471ef84",
     ),
     (
         ("GordanTheorem3", "Skew", 7, 1),
@@ -531,6 +531,21 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert f"only --ensemble takes {flag}" in err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--input", str(DATA / "rps.csv")],
+            ["--ensemble", "General", "--size", "3", "--trials", "2", "--seed", "1"],
+        ],
+        ids=["input", "ensemble"],
+    )
+    def test_lambda_for_a_claim_without_eigenvalues_is_2(self, capsys, source):
+        code, out, err = run(
+            capsys, "verify", "--claim", "NegTransposeThm2", *source, "--lambda", "3"
+        )
+        assert code == 2 and out == ""
+        assert "NegTransposeThm2 takes no eigenvalue" in err
 
     def test_oracle_size_gate_is_2(self, capsys, tmp_path):
         big = tmp_path / "big.csv"

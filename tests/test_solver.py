@@ -11,14 +11,22 @@ from zerosum import (
     GameMatrix,
     InputError,
     OracleSizeError,
+    Player,
     oracle_solve,
     row_optima_column_extrema,
     solve_game,
 )
 from zerosum.claims import check_positive_dominated
 from zerosum.cli import run_cli
+from zerosum.core import normalized_strategy
 from zerosum.lp import PIVOT_TOL, LPStatus, solve_lp
-from zerosum.solver import _exact_solve, _support_equilibria, extrema_dominated
+from zerosum.solver import (
+    SOLVE_TOL_DEFAULT,
+    _certify,
+    _exact_solve,
+    _support_equilibria,
+    extrema_dominated,
+)
 from conftest import (
     BAD_TOLERANCES,
     RPS_ENTRIES,
@@ -206,9 +214,9 @@ def _payoffs_at_pivot_scale() -> list[np.ndarray]:
 
 
 def _value_lp_by_solve_lp(B):
-    """The value LP of B stated in the documented layout, solved by
-    `solve_lp`'s two phases, and read as `solve_value_lp` reads it: the LP's
-    bits, or the same error for a failed solve."""
+    """The value LP of B stated in the documented layout and solved by
+    `solve_lp`'s two phases: its LPSolution, or the error `solve_value_lp`
+    raises for a failed solve."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
@@ -225,106 +233,180 @@ def _value_lp_by_solve_lp(B):
         raise RuntimeError(
             f"value LP reported {sol.status.value}; impossible for a valid game"
         )
-    return lp_solution_bits(sol)
+    return sol
+
+
+BENCH_ENSEMBLES = pytest.mark.parametrize(
+    "family,size,seed",
+    [("Positive", 10, 1), ("General", 30, 7), ("Skew", 7, 1)],
+    ids=["posdom", "negt_general", "gordan_skew"],
+)
+
+
+def _bench_payoffs(family, size, seed):
+    """The shifted payoffs `solve_game` hands the value LP on the first 50
+    trials of a bench ensemble."""
+    for A in ensemble(family, size, 50, seed):
+        V = A.values
+        yield V + (1.0 - V.min() if V.min() < 1.0 else 0.0)
 
 
 class TestValueLpStart:
-    """`lp.solve_value_lp` writes down the tableau that phase 1 of its
-    program always ends at and runs phase 2 alone: every simplex run, pivot,
-    bit of the answer and error must be `solve_lp`'s on the same program."""
+    """`lp.solve_value_lp` starts phase 2 at x_i basic in the sum row, for
+    i the passing row with the largest payoff sum: the row player's best
+    response to a uniform column player.  That tableau is what one pivot of
+    `solve_lp`'s phase 1 on the same program makes of its start, written
+    down; `_phase_two` then runs from it as it does in `solve_lp`."""
 
     @staticmethod
-    def traced(monkeypatch, solve, B):
-        """What solve(B) returns, or the class and message of what it raises,
-        and one [bounded, tableau shape and bytes, basis, *pivots] entry per
-        simplex run it makes.  The shape fixes the run's pivot budget."""
-        import zerosum.lp as lp_mod
-
-        runs = []
-        run, pivot = lp_mod._run_simplex, lp_mod._pivot
-
-        def run_spy(T, basis, bounded=False):
-            runs.append([bounded, T.shape, T.tobytes(), list(basis)])
-            return run(T, basis, bounded)
-
-        def pivot_spy(T, row, col):
-            runs[-1].append((row, col))
-            pivot(T, row, col)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(lp_mod, "_run_simplex", run_spy)
-            patch.setattr(lp_mod, "_pivot", pivot_spy)
-            try:
-                got = solve(B)
-            except (InputError, RuntimeError) as exc:
-                got = type(exc), str(exc)
-        return got, runs
+    def start_row(B):
+        """Among the rows whose payoffs pass the ratio test's scale,
+        PIVOT_TOL * max(1, max_j B_ij) < 1, the first with the largest sum;
+        None when no row passes."""
+        passing = [i for i, row in enumerate(B) if PIVOT_TOL * max(1.0, row.max()) < 1.0]
+        sums = B.sum(axis=1)
+        return max(passing, key=sums.__getitem__, default=None)
 
     @staticmethod
-    def value_lp(B):
-        """`solve_value_lp`'s LP bits, with its (x, v, y) checked to be read
-        off them."""
+    def handed_to_phase_two(monkeypatch, B):
+        """What `solve_value_lp(B)` returns, or the class and message of what
+        it raises, and the tableau shape and bytes, basis and kept rows it
+        hands to `_phase_two` (None when it hands none).  The returned
+        (x, v, y) is checked to be read off `_phase_two`'s answer."""
         import zerosum.lp as lp_mod
 
-        answers = []
+        starts, answers = [], []
         phase_two = lp_mod._phase_two
 
-        def capture(*args):
-            answers.append(phase_two(*args))
+        def spy(p, T, basis, keep):
+            starts.append((T.shape, T.tobytes(), list(basis), list(keep)))
+            answers.append(phase_two(p, T, basis, keep))
             return answers[-1]
 
-        lp_mod._phase_two = capture
-        try:
-            x, v, y = lp_mod.solve_value_lp(B)
-        finally:
-            lp_mod._phase_two = phase_two
-        (sol,) = answers
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_mod, "_phase_two", spy)
+            try:
+                got = lp_mod.solve_value_lp(B)
+            except (InputError, RuntimeError) as exc:
+                return (type(exc), str(exc)), starts[0] if starts else None
+        (start,), (sol,) = starts, answers
+        x, v, y = got
         m = B.shape[0]
         assert x.tobytes() == sol.point[:m].tobytes()
         assert v == sol.point[m] == sol.objective_value
         assert y is sol.ineq_duals
-        return lp_solution_bits(sol)
+        return got, start
 
-    def assert_same_as_solve_lp(self, monkeypatch, B):
-        got, runs = self.traced(monkeypatch, self.value_lp, B)
-        want, want_runs = self.traced(monkeypatch, _value_lp_by_solve_lp, B)
-        assert got == want
-        # Phase 1 is solve_lp's first run and the value LP's none; phase 2
-        # starts from the same tableau, basis and budget and pivots alike.
-        assert want_runs[0][0] is True
-        assert [run[0] for run in runs] == [False] * len(runs)
-        assert runs == want_runs[1:]
-        return got
+    @staticmethod
+    def solve_lp_start(monkeypatch, B, i):
+        """`solve_lp`'s answer on B's value LP, and what `_pivot` makes of
+        its phase-1 start at (sum row, x_i) once the artificial column is
+        dropped and e_v is priced, in `handed_to_phase_two`'s form."""
+        import zerosum.lp as lp_mod
 
-    @pytest.mark.parametrize(
-        "family,size,seed",
-        [("Positive", 10, 1), ("General", 30, 7), ("Skew", 7, 1)],
-        ids=["posdom", "negt_general", "gordan_skew"],
-    )
+        starts = []
+        run = lp_mod._run_simplex
+
+        def spy(T, basis, bounded=False):
+            if bounded:
+                starts.append((T.copy(), list(basis)))
+            return run(T, basis, bounded)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_mod, "_run_simplex", spy)
+            sol = _value_lp_by_solve_lp(B)
+        ((T, basis),) = starts
+        m, n = B.shape
+        width = m + 1 + n  # x, v and the n slacks; the artificial follows
+        assert T.shape == (n + 2, width + 2) and basis[n] == width
+        lp_mod._pivot(T, n, i)
+        basis[n] = i
+        T = np.concatenate([T[:, :width], T[:, width + 1 :]], axis=1)
+        costs = np.zeros(width)
+        costs[m] = 1.0
+        lp_mod._priced_cost_row(T, basis, costs)
+        return sol, (T.shape, T.tobytes(), basis, [True] * (n + 1))
+
+    def assert_start(self, monkeypatch, B, certify=True):
+        """B's value LP starts at the largest passing sum, byte for byte as
+        `solve_lp`'s phase 1 would leave it there, and answers with a v
+        within 1e-12 relative of `solve_lp`'s that, with `certify`, passes
+        `_certify`.  Returns the start row."""
+        i = self.start_row(B)
+        (x, v, y), start = self.handed_to_phase_two(monkeypatch, B)
+        sol, want = self.solve_lp_start(monkeypatch, B, i)
+        assert start == want
+        assert abs(v - sol.point[B.shape[0]]) <= 1e-12 * max(1.0, abs(v))
+        if certify:
+            row = normalized_strategy(x, Player.ROW).weights
+            col = normalized_strategy(y, Player.COL).weights
+            _certify(B, row, col, v, SOLVE_TOL_DEFAULT)
+        return i
+
+    @BENCH_ENSEMBLES
     def test_bench_ensembles(self, monkeypatch, family, size, seed):
-        for A in ensemble(family, size, 50, seed):
-            V = A.values
-            B = V + (1.0 - V.min() if V.min() < 1.0 else 0.0)
-            self.assert_same_as_solve_lp(monkeypatch, B)
+        for B in _bench_payoffs(family, size, seed):
+            self.assert_start(monkeypatch, B)
 
     def test_tied_and_degenerate_games(self, monkeypatch):
         for A in integer_positive_games(60):
-            self.assert_same_as_solve_lp(monkeypatch, A.values)
+            self.assert_start(monkeypatch, A.values)
 
     @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (3, 5), (5, 3)])
     def test_shapes(self, monkeypatch, shape):
         rng = np.random.default_rng(137)
         for _ in range(10):
-            self.assert_same_as_solve_lp(monkeypatch, rng.uniform(1.0, 6.0, shape))
+            self.assert_start(monkeypatch, rng.uniform(1.0, 6.0, shape))
 
-    def test_phase_one_starts_past_rows_at_the_pivot_scale(self, monkeypatch):
-        *passing, refused = _payoffs_at_pivot_scale()
-        for B in passing:
-            got = self.assert_same_as_solve_lp(monkeypatch, B)
-            assert got[0] is LPStatus.OPTIMAL
-        error, message = self.assert_same_as_solve_lp(monkeypatch, refused)
-        assert error is InputError
-        assert "reaches 1/PIVOT_TOL" in message
+    def test_start_skips_rows_at_the_pivot_scale(self, monkeypatch):
+        # In the first three games the largest sum is a refused row's, so
+        # the start is the largest sum among the others; in the fourth, row
+        # 0 is refused and row 1 reaches the edge, passes and starts.
+        # Payoffs of 1e11 are beyond the absolute certificate's reach, as
+        # `solve_game` documents (a dual of -5e-12 clipped to 0 drops 0.5 of
+        # a payoff), so `_certify` is not asked here.
+        *refused_top, edge, refused = _payoffs_at_pivot_scale()
+        for B in refused_top:
+            top = int(B.sum(axis=1).argmax())
+            assert PIVOT_TOL * B[top].max() >= 1.0
+            i = self.assert_start(monkeypatch, B, certify=False)
+            assert i != top and PIVOT_TOL * B[i].max() < 1.0
+        assert self.assert_start(monkeypatch, edge, certify=False) == 1
+        got, start = self.handed_to_phase_two(monkeypatch, refused)
+        assert start is None
+        with pytest.raises(InputError) as want:
+            _value_lp_by_solve_lp(refused)
+        assert got == (InputError, str(want.value))
+        assert "reaches 1/PIVOT_TOL" in got[1]
+
+    @BENCH_ENSEMBLES
+    def test_fewer_pivots_than_solve_lp(self, monkeypatch, family, size, seed):
+        # Phase-2 pivots only: solve_lp's phase 1 adds one more per game.
+        import zerosum.lp as lp_mod
+
+        run, pivot = lp_mod._run_simplex, lp_mod._pivot
+        counting = [False]
+        pivots = {"value_lp": 0, "solve_lp": 0}
+
+        def run_spy(T, basis, bounded=False):
+            counting[0] = not bounded
+            try:
+                return run(T, basis, bounded)
+            finally:
+                counting[0] = False
+
+        def pivot_spy(T, row, col):
+            pivots[path] += counting[0]
+            pivot(T, row, col)
+
+        monkeypatch.setattr(lp_mod, "_run_simplex", run_spy)
+        monkeypatch.setattr(lp_mod, "_pivot", pivot_spy)
+        for B in _bench_payoffs(family, size, seed):
+            path = "value_lp"
+            lp_mod.solve_value_lp(B)
+            path = "solve_lp"
+            _value_lp_by_solve_lp(B)
+        assert pivots["value_lp"] < pivots["solve_lp"], pivots
 
 
 class TestOracle:
@@ -562,16 +644,17 @@ class TestVertexExtrema:
             want_maxs = [float(max(c)) for c in columns]
             np.testing.assert_allclose(mins, want_mins, rtol=0, atol=1e-12)
             np.testing.assert_allclose(maxs, want_maxs, rtol=0, atol=1e-12)
-        assert checked >= 3 + 166
+        assert checked >= 3 + 149, checked
 
     def test_closed_form_hit_rate_on_degenerate_games(self, lp_calls):
         # A region the closed form refuses costs an `_lp_extrema` call of
         # 2n LPs, each with its own phase 1: about 4.4 ms against the closed
-        # form's 0.06 ms on these games.  At most 298 of 400 regions may
-        # fall back.
+        # form's 0.06 ms on these games.  At most 300 of 400 regions may
+        # fall back; which optimal vertex the value LP ends at decides the
+        # supports the gate reads, so the count follows its start row.
         for A in integer_positive_games(400):
             check_positive_dominated(A)
-        assert len(lp_calls) <= 298
+        assert len(lp_calls) <= 300
 
     @pytest.mark.parametrize(
         "values,mins,maxs",
