@@ -1,29 +1,29 @@
-"""Dense two-phase primal simplex: Dantzig pricing with a Bland fallback.
+"""Dense two-phase primal simplex: Dantzig pricing with a Bland fallback,
+on a dense tableau, for desk-scale programs (tens of variables and rows).
 
-Solves  maximize c.z  subject to  G z <= h,  E z = f,  z >= 0.
-Other bounds are written as rows of G.  Strict inequalities cannot be
-expressed here; an Infeasible result's `farkas` answers them (see spectral.gordan).
-
-The implementation favors simplicity over speed: desk-scale instances only
-(tens of variables and constraints), dense tableau.
+Solves  maximize c.z  subject to  G z <= h,  E z = f,  z >= 0, other
+bounds written as rows of G.  Each program its callers state (a game's
+value LP, the optimal-strategy extrema LP, the kernel LP) has a row and a
+bounded objective, so it ends Optimal, or Infeasible with a `farkas` ray
+that answers strict inequalities (see spectral.gordan); a ray that
+improves the objective is a solver bug.
 
 This module is internal: `solver` and `spectral` state their programs
 here, and no public function takes or returns its types.  A program is
 stated one way, `LinearProgram(c, G, h, E, f)` of five arrays that its
 caller lays out; the constructor copies and checks nothing, and its
 docstring states what the caller guarantees.  A guarantee that outside
-input can break (a payoff shift or an eigenvalue shift that overflows, a
-non-finite game value) is checked by that caller, before its arithmetic,
-with an InputError that names the cause.
+input can break (a shifted payoff at or above 1/PIVOT_TOL, an eigenvalue
+shift that overflows, a non-finite game value) is checked by that caller,
+before its arithmetic, with an InputError that names the cause.
 
 Every `solve_lp` call runs both phases.  `solve_value_lp`, a game's value
 LP, runs no phase 1: it writes down a feasible start, x_i basic for one
 row i of the payoffs, and hands it to `_phase_two`, the phase 2, read-out
-and certificate that `solve_lp` runs after its own phase 1.  Any row whose
-payoffs the ratio test resolves gives a feasible start; it takes the one
-of the largest payoff sum, a crash basis (Bixby, ORSA J. Comput. 4, 1992)
-that saves pivots over the first such row, where `solve_lp`'s phase 1
-would end.
+and certificate that `solve_lp` runs after its own phase 1.  Every row
+gives a feasible start; it takes the one of the largest payoff sum, a
+crash basis (Bixby, ORSA J. Comput. 4, 1992) that saves pivots over the
+first row, where `solve_lp`'s phase 1 would end.
 Each simplex run sizes its own pivot budget from the tableau it pivots
 (IterationLimitError).
 
@@ -108,8 +108,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError
-
 # Largest constraint violation an Optimal point may keep; a phase-1 sum of
 # artificials above it makes the region Infeasible.
 FEAS_TOL = 1e-9
@@ -132,7 +130,6 @@ class IterationLimitError(RuntimeError):
 class LPStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -147,8 +144,10 @@ class LinearProgram:
     order="C")` lays them out (a strided or transposed view is not; its
     copy would be).  The objective is 1-D with n > 0 entries; each lhs is
     2-D with n columns and as many rows as its rhs, a 1-D array, has
-    entries.  An absent block is an explicit (0, n) lhs with a (0,) rhs.
-    The caller does not write to the arrays afterwards.
+    entries.  An absent block is an explicit (0, n) lhs with a (0,) rhs,
+    but the two blocks hold at least one row between them, and the
+    objective is bounded above on the region.  The caller does not write
+    to the arrays afterwards.
     """
 
     objective: np.ndarray
@@ -167,7 +166,6 @@ class LPSolution:
     status: LPStatus
     point: np.ndarray | None = None
     objective_value: float | None = None
-    primal_residual: float = 0.0
     # Multipliers of the caller's inequality rows (Optimal only); see the
     # module docstring.
     ineq_duals: np.ndarray | None = None
@@ -192,8 +190,8 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
         rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> str:
-    """Pivot to optimality ('optimal') or detect an improving ray ('unbounded').
+def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> None:
+    """Pivot T, which has at least one constraint row, to optimality.
 
     Last tableau row holds reduced costs for maximization plus -objective in
     the rhs slot.  Entering = the largest reduced cost (Dantzig's rule);
@@ -204,7 +202,9 @@ def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> str:
     pivot strictly raises the objective, so no basis repeats across one, and
     within a degenerate stretch Bland's rule ends any cycle.  So a run that
     exceeds ITERATION_FACTOR * (rows + columns) pivots, counting T's
-    constraint rows and variable columns, raises IterationLimitError.
+    constraint rows and variable columns, raises IterationLimitError.  An
+    improving column without an eligible row is a ray, which no program
+    here has: RuntimeError.
 
     With `bounded` (phase 1, whose objective is at most 0) an improving
     column without a positive entry can only be roundoff dust: its reduced
@@ -219,14 +219,6 @@ def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> str:
     body = T[:-1, :-1]
     rhs = T[:-1, -1]
     m = rhs.size
-    if m == 0:
-        # No rows, so no ratio: an improving column is a ray, or in phase 1
-        # dust that is zeroed.  NaN counts as improving, as argmax finds it.
-        improving = ~(reduced <= PIVOT_TOL)
-        if not bounded:
-            return "unbounded" if np.logical_or.reduce(improving) else "optimal"
-        reduced[improving] = 0.0
-        return "optimal"
     eligible = np.empty(m, dtype=bool)
     ratios = np.empty(m)
     ratios_reversed = ratios[::-1]  # its argmin finds the last minimum
@@ -239,7 +231,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> str:
         else:
             enter = int((reduced > PIVOT_TOL).argmax())  # first improving
         if reduced[enter] <= PIVOT_TOL:
-            return "optimal"
+            return
         col = body[:, enter]
         tol = PIVOT_TOL
         if bounded:
@@ -256,7 +248,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> str:
             if bounded:
                 reduced[enter] = 0.0
                 continue
-            return "unbounded"
+            raise RuntimeError(f"column {enter} is an improving ray; solver bug")
         if best > PIVOT_TOL:
             stalled = 0
         elif best <= PIVOT_TOL:
@@ -322,10 +314,8 @@ def _write_rows(T: np.ndarray, p: LinearProgram, flipped: np.ndarray) -> None:
 
 
 def solve_lp(p: LinearProgram) -> LPSolution:
-    """Two-phase simplex.  Returns Optimal with a feasible point, Infeasible
-    with `farkas` when the phase-1 optimum exceeds FEAS_TOL, or Unbounded
-    when an improving ray is certified.
-    """
+    """Two-phase simplex.  Returns Optimal with a feasible point, or
+    Infeasible with `farkas` when the phase-1 optimum exceeds FEAS_TOL."""
     n_ineq, N = p.ineq_lhs.shape
     m = n_ineq + p.eq_lhs.shape[0]
     width = N + n_ineq
@@ -389,9 +379,11 @@ def solve_lp(p: LinearProgram) -> LPSolution:
 
 def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Row player's value LP on B: maximize v s.t. B^T x >= v 1, sum x = 1,
-    x >= 0, v >= 0.  The bound on v is never active, since callers pass a
-    finite B >= 1, so v >= 1.  Returns (x, v, y), y the multipliers of the n
-    column rows: up to roundoff a column strategy holding B's payoffs to v.
+    x >= 0, v >= 0.  The caller passes B >= 1 with every entry below
+    1/PIVOT_TOL (`solve_game` checks it): so v >= 1, the bound on v is never
+    active, and the ratio test resolves every payoff.  Returns (x, v, y), y
+    the multipliers of the n column rows: up to roundoff a column strategy
+    holding B's payoffs to v.
 
     No phase 1 runs: phase 2 starts at x_i = 1, v = 0, with x_i basic in
     the sum row and the n slacks in the G rows.  That start is feasible for
@@ -404,12 +396,7 @@ def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     i is the row of the largest payoff sum, the row player's best response
     to a uniformly mixing column player; on a tie, the first.  On General
     30 games phase 2 takes 18 % fewer pivots from it than from the first
-    row, and fewer than from the maximin row.  Only a row whose payoffs the
-    ratio test resolves qualifies: `solve_lp`'s bounded ratio test admits
-    the sum row's unit entry in column x_i only when it passes PIVOT_TOL
-    times the column's largest magnitude, max(1, max_j B_ij).  When no row
-    passes, `solve_lp`'s phase 1 ends Infeasible, and InputError names the
-    payoff scale.
+    row, and fewer than from the maximin row.
     """
     m, n = B.shape
     c = np.zeros(m + 1)
@@ -422,39 +409,22 @@ def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     # Fresh C-ordered arrays, finite because B is.  `_phase_two` certifies
     # against them.
     p = LinearProgram(c, G, np.zeros(n), E, np.ones(1))
-    passes = PIVOT_TOL * np.maximum(np.maximum.reduce(B, axis=1), 1.0) < 1.0
-    i = int(np.where(passes, np.add.reduce(B, axis=1), -np.inf).argmax())
-    status = LPStatus.INFEASIBLE
-    if passes[i]:
-        # Columns: x, v, the n slacks, rhs.  Rows: the G rows, sum x = 1,
-        # the cost row.  Slack j sits at (j, m + 1 + j), flat index
-        # m + 1 + j * (width + 2).
-        width = m + 1 + n
-        T = np.zeros((n + 2, width + 1))
-        np.subtract(G[:, :m], G[:, i : i + 1], out=T[:n, :m])
-        T[:n, m] = 1.0
-        T.reshape(-1)[m + 1 : n * (width + 2) : width + 2] = 1.0
-        T[:n, -1] = B[i]
-        T[n, :m] = 1.0
-        T[n, -1] = 1.0
-        T[-1, m] = 1.0
-        basis = [*range(m + 1, width), i]
-        sol = _phase_two(p, T, basis, [True] * (n + 1))
-        if sol.status is LPStatus.OPTIMAL:
-            return sol.point[:m], float(sol.point[m]), sol.ineq_duals
-        status = sol.status
-    # Phase 1 reads entries at or below PIVOT_TOL times their column's
-    # largest magnitude as zero, so the unit entries of sum x = 1 vanish
-    # once a payoff reaches 1 / PIVOT_TOL: the input's scale is at fault.
-    top = float(np.maximum.reduce(B, axis=None))
-    if top * PIVOT_TOL >= 1.0:
-        raise InputError(
-            f"payoffs too large: the largest shifted payoff {top:g} reaches "
-            f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
-        )
-    raise RuntimeError(
-        f"value LP reported {status.value}; impossible for a valid game"
-    )
+    i = int(np.add.reduce(B, axis=1).argmax())
+    # Columns: x, v, the n slacks, rhs.  Rows: the G rows, sum x = 1, the
+    # cost row.  Slack j sits at (j, m + 1 + j), flat index
+    # m + 1 + j * (width + 2).
+    width = m + 1 + n
+    T = np.zeros((n + 2, width + 1))
+    np.subtract(G[:, :m], G[:, i : i + 1], out=T[:n, :m])
+    T[:n, m] = 1.0
+    T.reshape(-1)[m + 1 : n * (width + 2) : width + 2] = 1.0
+    T[:n, -1] = B[i]
+    T[n, :m] = 1.0
+    T[n, -1] = 1.0
+    T[-1, m] = 1.0
+    basis = [*range(m + 1, width), i]
+    sol = _phase_two(p, T, basis, [True] * (n + 1))
+    return sol.point[:m], float(sol.point[m]), sol.ineq_duals
 
 
 def _phase_two(
@@ -466,14 +436,14 @@ def _phase_two(
     -objective]: the kept rows of p, flipped where their rhs is negative,
     over the columns of z and of the G rows' slacks, with `basis` the basic
     column of each row.  `keep` marks which of p's rows T kept.  Returns
-    Optimal with a point certified against p's own rows, or Unbounded.
-    `solve_lp` calls this after its phase 1, and `solve_value_lp` with the
-    feasible start it writes down.
+    Optimal with a point certified against p's own rows; p's objective is
+    bounded, so any other end is a RuntimeError.  `solve_lp` calls this
+    after its phase 1, and `solve_value_lp` with the feasible start it
+    writes down.
     """
     n_ineq, N = p.ineq_lhs.shape
     width = N + n_ineq
-    if _run_simplex(T, basis) == "unbounded":
-        return LPSolution(status=LPStatus.UNBOUNDED)
+    _run_simplex(T, basis)
     u = np.zeros(width)
     u[basis] = T[:-1, -1]
     z = u[:N]
@@ -503,6 +473,5 @@ def _phase_two(
         status=LPStatus.OPTIMAL,
         point=z,
         objective_value=float(p.objective @ z),
-        primal_residual=residual,
         ineq_duals=-T[-1, N:width],
     )

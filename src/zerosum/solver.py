@@ -27,7 +27,7 @@ from .core import (
     check_tolerance,
     normalized_strategy,
 )
-from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp, solve_value_lp
+from .lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LPStatus, solve_lp, solve_value_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
 ORACLE_MAX_SIZE = 5
@@ -91,21 +91,20 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     and multiply the value back (strategies are unchanged; the game value is
     exactly scale-covariant).  Feeding huge payoffs directly makes the
     certificate checks refuse rather than return degraded certificates.
-    When the shift itself overflows, that is, when the largest entry plus c
-    exceeds the float range, InputError is raised before any LP is built.
-    When a shifted payoff reaches 1/PIVOT_TOL = 1e11 and the value LP then
-    fails, InputError is raised too; every other LP failure is RuntimeError.
+    A shifted payoff at or above 1/PIVOT_TOL = 1e11, an overflowing shift
+    included, is beyond the ratio test's resolution: InputError, raised
+    before any LP is built.  Every LP failure is RuntimeError.
     """
     check_tolerance(tol, "tol")
     V = A.values
     shift = _positivity_shift(V)
-    # V + shift overflows exactly when its largest entry does.
-    top = float(np.maximum.reduce(V, axis=None))
-    if not math.isfinite(top + shift):
+    # Rounding is monotone, so this is the largest entry of V + shift, and
+    # inf when the shift overflows.
+    top = float(np.maximum.reduce(V, axis=None)) + shift
+    if not top * PIVOT_TOL < 1.0:
         raise InputError(
-            f"payoffs span too wide a range: shifting them by {shift:g} to make "
-            f"them positive overflows the largest entry {top:g}; normalize the "
-            "matrix first"
+            f"payoffs too large: the largest shifted payoff {top:g} reaches "
+            f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
         )
     x, v_row, duals = solve_value_lp(V + shift)
     value = v_row - shift

@@ -84,6 +84,33 @@ def integer_positive_games(trials: int, size: int = 6, seed: int = 11) -> list[G
     return [GameMatrix(rng.integers(1, 4, (size, size))) for _ in range(trials)]
 
 
+def payoffs_at_pivot_scale() -> list[np.ndarray]:
+    """Five games of payoffs at least 1 that reach the ratio test's scale
+    edge, so `solve_game` refuses each.  `big` is the first float whose
+    product with PIVOT_TOL reaches 1, and `below` the float before it.  In
+    games 0-2 `big` fills column 1 of one, two or three rows; game 3 holds
+    it in row 0 and `below` in row 1; in game 4 every row holds 3 * big."""
+    from zerosum.lp import PIVOT_TOL
+
+    big = 1 / PIVOT_TOL
+    while PIVOT_TOL * big < 1.0:
+        big = np.nextafter(big, np.inf)
+    below = np.nextafter(big, 0.0)
+    rng = np.random.default_rng(131)
+    games = []
+    for refused in range(1, 4):
+        B = rng.uniform(1.0, 5.0, (4, 3))
+        B[:refused, 1] = big
+        games.append(B)
+    B = rng.uniform(1.0, 5.0, (3, 3))
+    B[0, 2], B[1, 0] = big, below
+    games.append(B)
+    B = rng.uniform(1.0, 5.0, (3, 4))
+    B[:, 3] = big * 3.0
+    games.append(B)
+    return games
+
+
 def strict_json(text: str):
     """json.loads that refuses the NaN, Infinity and -Infinity tokens, which
     Python's json accepts but JSON does not have."""
@@ -108,7 +135,6 @@ def lp_solution_bits(sol):
         sol.status,
         raw(sol.point),
         raw(sol.objective_value),
-        raw(sol.primal_residual),
         raw(sol.ineq_duals),
         raw(sol.farkas),
     )

@@ -308,7 +308,7 @@ def _sample_disagreements():
 # than the true one, and its column payoffs reach past v + tol over R.
 POSDOM_EXACT_XFAIL = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: PositiveDominatedThm4 reads Violated on games "
+    reason="ROADMAP item 1: PositiveDominatedThm4 reads Violated on games "
     "where the conclusion holds exactly",
 )
 

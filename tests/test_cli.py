@@ -24,7 +24,7 @@ from zerosum import (
     run_cli,
 )
 from zerosum.cli import DEFAULT_RANGES
-from conftest import ensemble, strict_json
+from conftest import ensemble, payoffs_at_pivot_scale, strict_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -638,20 +638,30 @@ class TestExitCodes:
         "argv", [["solve"], ["verify", "--claim", "NegTransposeThm2"]]
     )
     def test_shift_overflow_is_2(self, capsys, tmp_path, argv):
-        # The first shift overflows; the others shift to a payoff of at least
-        # 1 / PIVOT_TOL, where the value LP fails on the input's scale.
+        # Each shifts to a payoff of at least 1 / PIVOT_TOL, beyond the ratio
+        # test's resolution; the first shift overflows to inf.
         huge = tmp_path / "huge.csv"
-        for text, message in [
-            ("1e308,-1e308", "payoffs span too wide a range"),
-            ("1e308,-1e307", "payoffs too large"),
-            ("2e11,1", "payoffs too large"),
-            ("1e12,1", "payoffs too large"),
-        ]:
+        for text in ["1e308,-1e308", "1e308,-1e307", "2e11,1", "1e12,1"]:
             huge.write_text(text + "\n")
             code, out, err = run(capsys, *argv, "--input", str(huge))
             assert code == 2 and out == "", text
-            assert err.startswith("error: " + message), text
+            assert err.startswith("error: payoffs too large"), text
             assert err.endswith("normalize the matrix first\n"), text
+
+    def test_payoffs_at_the_pivot_scale_are_2(self, capsys, tmp_path):
+        # Refused whether one row, some rows or every row reach 1 / PIVOT_TOL;
+        # games 0-3 were once solved from a row below it, and game 2 then
+        # failed its certificate, exit 3.  Written at %.17g, each game reads
+        # back exactly; the committed CSV is game 2.
+        games = payoffs_at_pivot_scale()
+        committed = DATA / "pivot_scale_mixed.csv"
+        assert parse_matrix(committed.read_text()).values.tobytes() == games[2].tobytes()
+        for k, B in enumerate(games):
+            path = tmp_path / f"game{k}.csv"
+            np.savetxt(path, B, fmt="%.17g", delimiter=",")
+            code, out, err = run(capsys, "solve", "--input", str(path))
+            assert code == 2 and out == "", k
+            assert err.startswith("error: payoffs too large"), k
 
     def test_non_finite_report_is_3(self, capsys, monkeypatch):
         import zerosum.cli as cli_mod

@@ -69,8 +69,11 @@ class TestBasicOutcomes:
         assert solve_lp(p).status is LPStatus.INFEASIBLE
 
     def test_unbounded(self):
-        p = lp_program(objective=[1])
-        assert solve_lp(p).status is LPStatus.UNBOUNDED
+        # No program the package states is unbounded, so a ray in phase 2
+        # is a solver bug, not an outcome.
+        p = lp_program(objective=[1], ineq_lhs=[[-1]], ineq_rhs=[1])
+        with pytest.raises(RuntimeError, match="improving ray.*solver bug"):
+            solve_lp(p)
 
     def test_equality_with_bounds(self):
         p = lp_program(
@@ -206,7 +209,7 @@ def test_weak_duality_on_random_feasible_instances():
         p, z0 = _random_feasible_program(rng)
         sol = solve_lp(p)
         assert sol.status is LPStatus.OPTIMAL
-        assert sol.primal_residual <= FEAS_TOL
+        assert _residual(p, sol.point) <= FEAS_TOL
         # any feasible point scores at most the reported optimum
         samples = rng.uniform(0.0, 2.0, (400, p.objective.size))
         samples[0] = z0
@@ -399,7 +402,7 @@ class TestRatioTest:
         # basic variable 1 < 2, so it leaves although it comes second.
         T = _tableau([[1, 0, 1, 2], [1, 1, 0, 2]], [1, 0, 0, 0])
         basis = [2, 1]
-        assert _run_simplex(T, basis) == "optimal"
+        _run_simplex(T, basis)
         assert pivot_at == [(1, 0)]
         assert basis == [2, 0]
 
@@ -412,7 +415,7 @@ class TestRatioTest:
         )
         basis = [1, 2, 3]
         with np.errstate(all="ignore"):  # the pivot spreads inf and NaN
-            assert _run_simplex(T, basis) == "optimal"
+            _run_simplex(T, basis)
         assert pivot_at == [(1, 0)]
         assert basis == [1, 0, 3]
 
@@ -422,7 +425,7 @@ class TestRatioTest:
         rows = [[2e-11, 1, 1, 0, 1], [-3, 2, 0, 1, 4]]
         cost = [2, 1, 0, 0, 0]
         T = _tableau(rows, cost)
-        assert _run_simplex(T, [2, 3], bounded=True) == "optimal"
+        _run_simplex(T, [2, 3], bounded=True)
         assert pivot_at == [(0, 1)]
         # Zeroed, then reduced by row 0's 2e-11 in the pivot on column 1.
         assert T[-1, 0] == -2e-11
@@ -431,18 +434,14 @@ class TestRatioTest:
         assert pivot_at[0] == (0, 0)
 
     def test_no_positive_entry_is_unbounded(self, pivot_at):
+        # Column 0 improves and no row limits it: a ray, which no program
+        # the package states has, so a solver bug, raised before any pivot.
         T = _tableau([[-1, 1, 0, 1], [0, 0, 1, 2]], [1, 0, 0, 0])
         before = T.copy()
-        assert _run_simplex(T, [1, 2]) == "unbounded"
+        with pytest.raises(RuntimeError, match="column 0 is an improving ray; solver bug"):
+            _run_simplex(T, [1, 2])
         assert pivot_at == []
         assert T.tobytes() == before.tobytes()
-
-    def test_no_rows(self, pivot_at):
-        assert _run_simplex(_tableau([], [1, 0]), []) == "unbounded"
-        T = _tableau([], [1, 0])
-        assert _run_simplex(T, [], bounded=True) == "optimal"
-        assert T[-1, 0] == 0.0
-        assert pivot_at == []
 
     def test_nan_minimum_ratio_is_a_solver_error(self, pivot_at):
         # Row 0's NaN rhs makes its ratio the minimum: a RuntimeError, the
@@ -480,7 +479,7 @@ def _reference_simplex(T, basis, bounded, pivots):
         else:  # Bland: smallest improving index
             enter = next((j for j in range(n) if reduced[j] > PIVOT_TOL), 0)
         if reduced[enter] <= PIVOT_TOL:
-            return "optimal"
+            return
         col = [r[enter] for r in T[:-1]]
         tol = PIVOT_TOL
         if bounded:
@@ -490,7 +489,7 @@ def _reference_simplex(T, basis, bounded, pivots):
             if bounded:  # phase-1 dust
                 T[-1][enter] = 0.0
                 continue
-            return "unbounded"
+            raise RuntimeError("improving ray")
         ratios = [T[i][-1] / col[i] for i in rows]
         if any(r != r for r in ratios):
             raise RuntimeError("NaN minimum ratio")
@@ -542,18 +541,16 @@ def _random_tableaux(rng):
         rhs[overflow] = 1e300
         costs = np.concatenate([[10.0], rng.uniform(-1, 1, k - 1)])
         yield "overflow", *_canonical_tableau(rng, body, rhs, costs)
-    for _ in range(20):
-        T = np.zeros((1, int(rng.integers(2, 6))))
-        T[0, :-1] = rng.choice([-1.0, 0.0, PIVOT_TOL, 2e-11, 1.0], T.shape[1] - 1)
-        yield "no rows", T, []
 
 
 def _outcome(run, T, basis, *args):
-    """run's outcome, or the type of the RuntimeError it raised."""
+    """"optimal" when run returns, "ray" when it raises on an improving ray,
+    else the type of the RuntimeError it raised."""
     try:
-        return run(T, basis, *args)
+        run(T, basis, *args)
     except RuntimeError as exc:
-        return type(exc)
+        return "ray" if "improving ray" in str(exc) else type(exc)
+    return "optimal"
 
 
 @pytest.mark.parametrize("stall", [DEGENERATE_STALL, 2])
@@ -576,8 +573,8 @@ def test_run_simplex_matches_the_reference_loop(monkeypatch, pivot_at, stall):
         assert basis == want_basis, kind
         assert np.array_equal(T, np.array(want_T), equal_nan=True), kind
         seen.add((kind, got))
-    assert {kind for kind, _ in seen} == {"continuous", "integer", "overflow", "no rows"}
-    assert {outcome for _, outcome in seen} == {"optimal", "unbounded"}
+    assert {kind for kind, _ in seen} == {"continuous", "integer", "overflow"}
+    assert {outcome for _, outcome in seen} == {"optimal", "ray"}
 
 
 def test_pivot_loop_calls_no_python_level_numpy_wrapper():
@@ -714,7 +711,7 @@ def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     assert len(calls) == 2
     assert sol.status is LPStatus.OPTIMAL
     np.testing.assert_allclose(sol.point, [1.6, 1.2], atol=1e-12)
-    assert sol.primal_residual == _residual(p, sol.point)
+    assert calls[1] is sol.point  # the recomputed point is the one certified
 
     monkeypatch.setattr(lp_mod, "_residual", lambda region, z: 1.0)
     with pytest.raises(RuntimeError, match="solver bug"):
@@ -757,7 +754,7 @@ def _setup_programs(rng):
     """(kind, program) pairs covering each shape of the phase-1 set-up, with
     continuous and integer data (integer data makes -0 entries)."""
     for t in range(200):
-        kind = ["<= only", "flipped", "= rows", "no <= rows", "no rows"][t % 5]
+        kind = ["<= only", "flipped", "= rows", "no <= rows"][t % 4]
         integer = t % 2 == 0
         draw = (
             (lambda *shape: rng.integers(-3, 4, shape).astype(float))
@@ -765,7 +762,7 @@ def _setup_programs(rng):
             else (lambda *shape: rng.uniform(-2, 2, shape))
         )
         n = int(rng.integers(1, 6))
-        mg = 0 if kind in ("no <= rows", "no rows") else int(rng.integers(1, 5))
+        mg = 0 if kind == "no <= rows" else int(rng.integers(1, 5))
         me = int(rng.integers(1, 4)) if kind in ("= rows", "no <= rows") else 0
         h = draw(mg)
         if kind == "flipped":
@@ -797,7 +794,10 @@ def test_phase_one_tableau_is_the_documented_one(monkeypatch):
     for kind, p in _setup_programs(np.random.default_rng(83)):
         seen.clear()
         with np.errstate(all="ignore"):
-            solve_lp(p)
+            try:
+                solve_lp(p)
+            except RuntimeError as exc:  # phase 2 of an unbounded program
+                assert "improving ray" in str(exc), kind
         (T, basis, bounded), = seen
         want_T, want_basis = _reference_phase_one(p)
         assert bounded, kind
@@ -805,7 +805,7 @@ def test_phase_one_tableau_is_the_documented_one(monkeypatch):
         assert T.shape == want_T.shape, kind
         assert T.tobytes() == want_T.tobytes(), kind
         kinds.add(kind)
-    assert len(kinds) == 5
+    assert len(kinds) == 4
 
 
 def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
@@ -852,7 +852,7 @@ def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
     assert sol.status is LPStatus.OPTIMAL
     np.testing.assert_allclose(sol.point, want.point, atol=1e-12)
     np.testing.assert_allclose(sol.point, [0.0, 2.0, 1.0], atol=1e-12)
-    assert sol.primal_residual == _residual(p, sol.point)
+    assert calls[1].tobytes() == sol.point.tobytes()  # the point certified
 
 
 def test_overflowed_optimum_is_a_solver_error():
@@ -951,7 +951,9 @@ def test_no_ineq_rows_gives_empty_duals():
 
 def _random_infeasible_programs(rng, count):
     """`count` LPs over z >= 0 with <= and = rows that solve_lp reports
-    Infeasible.  Right-hand sides of both signs make the simplex flip rows."""
+    Infeasible.  Right-hand sides of both signs make the simplex flip rows.
+    A draw that is feasible and unbounded ends in phase 2's ray error and is
+    skipped with the feasible ones."""
     programs = []
     while len(programs) < count:
         n = int(rng.integers(1, 5))
@@ -966,7 +968,11 @@ def _random_infeasible_programs(rng, count):
             eq_lhs=rng.uniform(-2, 2, (me, n)) if me else None,
             eq_rhs=rng.uniform(-2, 2, me) if me else None,
         )
-        sol = solve_lp(p)
+        try:
+            sol = solve_lp(p)
+        except RuntimeError as exc:
+            assert "improving ray" in str(exc)
+            continue
         if sol.status is LPStatus.INFEASIBLE:
             programs.append((p, sol))
     return programs
@@ -991,7 +997,9 @@ def test_farkas_certifies_infeasibility():
 
 def test_farkas_only_on_infeasible():
     optimal = solve_lp(lp_program(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1]))
-    unbounded = solve_lp(lp_program(objective=[1], ineq_lhs=[[-1]], ineq_rhs=[1]))
+    infeasible = solve_lp(lp_program(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1]))
     assert optimal.status is LPStatus.OPTIMAL and optimal.farkas is None
-    assert unbounded.status is LPStatus.UNBOUNDED and unbounded.farkas is None
+    assert infeasible.status is LPStatus.INFEASIBLE
+    assert infeasible.farkas.tolist() == [1.0]  # 1 * z <= -1 with z >= 0
+    assert infeasible.point is None and infeasible.ineq_duals is None
 

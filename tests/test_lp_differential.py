@@ -1,10 +1,12 @@
 """Differential suite: `solve_lp` against scipy's HiGHS on small integer LPs.
 
 Every LP is  maximize c.z  s.t.  G z <= h,  E z = f,  z >= 0  with small
-integer data, so feasible, infeasible, unbounded and degenerate (zero
-right-hand sides, duplicated rows) cases all come up.  HiGHS runs without
-presolve and at 1e-10 tolerances: with presolve on it reports some unbounded
-LPs whose z = 0 is feasible as infeasible (see the first example below).
+integer data and at least one row, so feasible, infeasible, unbounded and
+degenerate (zero right-hand sides, duplicated rows) cases all come up.  No
+program the package states is unbounded, so where HiGHS reports a ray,
+`solve_lp` raises its solver-bug error.  HiGHS runs without presolve and at
+1e-10 tolerances: with presolve on it reports some unbounded LPs whose
+z = 0 is feasible as infeasible (see the first example below).
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from conftest import lp_program
 
 pytest.importorskip("scipy.optimize")
 
-HIGHS_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
+HIGHS_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE}
+HIGHS_UNBOUNDED = 3
 HIGHS_NUMERICAL_DIFFICULTIES = 4
 
 entry = st.integers(-3, 3)
@@ -26,10 +29,11 @@ entry = st.integers(-3, 3)
 
 @st.composite
 def integer_programs(draw):
-    """(c, G, h, E, f) with up to 4 variables, 4 <= rows and 2 = rows."""
+    """(c, G, h, E, f) with up to 4 variables, 4 <= rows and 2 = rows, and
+    at least one row."""
     n = draw(st.integers(1, 4))
     mg = draw(st.integers(0, 4))
-    me = draw(st.integers(0, 2))
+    me = draw(st.integers(0 if mg else 1, 2))
 
     def vector(size):
         return draw(st.lists(entry, min_size=size, max_size=size))
@@ -67,15 +71,18 @@ def test_solve_lp_matches_highs(program):
     res = _highs(c, G, h, E, f)
     if res.status == HIGHS_NUMERICAL_DIFFICULTIES:
         return
-    sol = solve_lp(
-        lp_program(
-            objective=c,
-            ineq_lhs=G if G else None,
-            ineq_rhs=h if G else None,
-            eq_lhs=E if E else None,
-            eq_rhs=f if E else None,
-        )
+    p = lp_program(
+        objective=c,
+        ineq_lhs=G if G else None,
+        ineq_rhs=h if G else None,
+        eq_lhs=E if E else None,
+        eq_rhs=f if E else None,
     )
+    if res.status == HIGHS_UNBOUNDED:
+        with pytest.raises(RuntimeError, match="improving ray.*solver bug"):
+            solve_lp(p)
+        return
+    sol = solve_lp(p)
     assert sol.status is HIGHS_STATUS[res.status], res.message
     if sol.status is LPStatus.OPTIMAL:
         assert abs(sol.objective_value - (-res.fun)) <= 1e-9 * max(1.0, abs(res.fun))

@@ -35,6 +35,7 @@ from conftest import (
     integer_positive_games,
     lp_program,
     lp_solution_bits,
+    payoffs_at_pivot_scale,
     random_matrix,
     random_skew,
 )
@@ -103,16 +104,16 @@ class TestSolveGame:
         ],
     )
     def test_shift_overflow_is_an_input_error(self, values):
-        # The positivity shift 1 - min would push the largest entry past the
-        # float range: refused before any arithmetic, with no warning.  Once
-        # a shifted payoff reaches 1 / PIVOT_TOL, the value LP's phase 1 can
-        # no longer resolve sum x = 1, and its failure is the input's scale.
+        # One rule: a shifted payoff at or above 1 / PIVOT_TOL is beyond the
+        # ratio test's resolution.  A shift 1 - min that pushes the largest
+        # entry past the float range reaches inf, so it is refused by the
+        # same check, before any arithmetic and with no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
                 InputError,
-                match="(shifting them .* overflows|largest shifted payoff .* "
-                "reaches 1/PIVOT_TOL).*normalize the matrix first",
+                match="largest shifted payoff .* reaches 1/PIVOT_TOL.*"
+                "normalize the matrix first",
             ):
                 solve_game(GameMatrix(values))
 
@@ -189,50 +190,16 @@ class TestGameValue:
                 solve_game(rps, tol=tol)
 
 
-def _payoffs_at_pivot_scale() -> list[np.ndarray]:
-    """Shifted payoffs at the ratio test's scale edge.  `big` is the first
-    float whose product with PIVOT_TOL reaches 1, so phase 1's bounded ratio
-    test refuses the sum row's unit entry in a column whose payoffs reach
-    it; `below`, the float before it, still passes."""
-    big = 1 / PIVOT_TOL
-    while PIVOT_TOL * big < 1.0:
-        big = np.nextafter(big, np.inf)
-    below = np.nextafter(big, 0.0)
-    rng = np.random.default_rng(131)
-    games = []
-    for refused in range(1, 4):
-        B = rng.uniform(1.0, 5.0, (4, 3))
-        B[:refused, 1] = big
-        games.append(B)
-    B = rng.uniform(1.0, 5.0, (3, 3))
-    B[0, 2], B[1, 0] = big, below  # x_1 enters at the very edge
-    games.append(B)
-    B = rng.uniform(1.0, 5.0, (3, 4))
-    B[:, 3] = big * 3.0  # every row refused: the scale error
-    games.append(B)
-    return games
-
-
 def _value_lp_by_solve_lp(B):
     """The value LP of B stated in the documented layout and solved by
-    `solve_lp`'s two phases: its LPSolution, or the error `solve_value_lp`
-    raises for a failed solve."""
+    `solve_lp`'s two phases: its Optimal LPSolution."""
     m, n = B.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
     G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)
     E = [[1.0] * m + [0.0]]
     sol = solve_lp(lp_program(c, G, np.zeros(n), E, [1.0]))
-    if sol.status is not LPStatus.OPTIMAL:
-        top = float(B.max())
-        if top * PIVOT_TOL >= 1.0:
-            raise InputError(
-                f"payoffs too large: the largest shifted payoff {top:g} reaches "
-                f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
-            )
-        raise RuntimeError(
-            f"value LP reported {sol.status.value}; impossible for a valid game"
-        )
+    assert sol.status is LPStatus.OPTIMAL
     return sol
 
 
@@ -253,26 +220,22 @@ def _bench_payoffs(family, size, seed):
 
 class TestValueLpStart:
     """`lp.solve_value_lp` starts phase 2 at x_i basic in the sum row, for
-    i the passing row with the largest payoff sum: the row player's best
-    response to a uniform column player.  That tableau is what one pivot of
+    i the row with the largest payoff sum: the row player's best response
+    to a uniform column player.  That tableau is what one pivot of
     `solve_lp`'s phase 1 on the same program makes of its start, written
     down; `_phase_two` then runs from it as it does in `solve_lp`."""
 
     @staticmethod
     def start_row(B):
-        """Among the rows whose payoffs pass the ratio test's scale,
-        PIVOT_TOL * max(1, max_j B_ij) < 1, the first with the largest sum;
-        None when no row passes."""
-        passing = [i for i, row in enumerate(B) if PIVOT_TOL * max(1.0, row.max()) < 1.0]
-        sums = B.sum(axis=1)
-        return max(passing, key=sums.__getitem__, default=None)
+        """The first row with the largest sum."""
+        sums = B.sum(axis=1).tolist()
+        return sums.index(max(sums))
 
     @staticmethod
     def handed_to_phase_two(monkeypatch, B):
-        """What `solve_value_lp(B)` returns, or the class and message of what
-        it raises, and the tableau shape and bytes, basis and kept rows it
-        hands to `_phase_two` (None when it hands none).  The returned
-        (x, v, y) is checked to be read off `_phase_two`'s answer."""
+        """What `solve_value_lp(B)` returns, and the tableau shape and bytes,
+        basis and kept rows it hands to `_phase_two`.  The returned (x, v, y)
+        is checked to be read off `_phase_two`'s answer."""
         import zerosum.lp as lp_mod
 
         starts, answers = [], []
@@ -285,10 +248,7 @@ class TestValueLpStart:
 
         with monkeypatch.context() as patch:
             patch.setattr(lp_mod, "_phase_two", spy)
-            try:
-                got = lp_mod.solve_value_lp(B)
-            except (InputError, RuntimeError) as exc:
-                return (type(exc), str(exc)), starts[0] if starts else None
+            got = lp_mod.solve_value_lp(B)
         (start,), (sol,) = starts, answers
         x, v, y = got
         m = B.shape[0]
@@ -327,21 +287,18 @@ class TestValueLpStart:
         lp_mod._priced_cost_row(T, basis, costs)
         return sol, (T.shape, T.tobytes(), basis, [True] * (n + 1))
 
-    def assert_start(self, monkeypatch, B, certify=True):
-        """B's value LP starts at the largest passing sum, byte for byte as
+    def assert_start(self, monkeypatch, B):
+        """B's value LP starts at the largest sum, byte for byte as
         `solve_lp`'s phase 1 would leave it there, and answers with a v
-        within 1e-12 relative of `solve_lp`'s that, with `certify`, passes
-        `_certify`.  Returns the start row."""
+        within 1e-12 relative of `solve_lp`'s that passes `_certify`."""
         i = self.start_row(B)
         (x, v, y), start = self.handed_to_phase_two(monkeypatch, B)
         sol, want = self.solve_lp_start(monkeypatch, B, i)
         assert start == want
         assert abs(v - sol.point[B.shape[0]]) <= 1e-12 * max(1.0, abs(v))
-        if certify:
-            row = normalized_strategy(x, Player.ROW).weights
-            col = normalized_strategy(y, Player.COL).weights
-            _certify(B, row, col, v, SOLVE_TOL_DEFAULT)
-        return i
+        row = normalized_strategy(x, Player.ROW).weights
+        col = normalized_strategy(y, Player.COL).weights
+        _certify(B, row, col, v, SOLVE_TOL_DEFAULT)
 
     @BENCH_ENSEMBLES
     def test_bench_ensembles(self, monkeypatch, family, size, seed):
@@ -358,26 +315,33 @@ class TestValueLpStart:
         for _ in range(10):
             self.assert_start(monkeypatch, rng.uniform(1.0, 6.0, shape))
 
-    def test_start_skips_rows_at_the_pivot_scale(self, monkeypatch):
-        # In the first three games the largest sum is a refused row's, so
-        # the start is the largest sum among the others; in the fourth, row
-        # 0 is refused and row 1 reaches the edge, passes and starts.
-        # Payoffs of 1e11 are beyond the absolute certificate's reach, as
-        # `solve_game` documents (a dual of -5e-12 clipped to 0 drops 0.5 of
-        # a payoff), so `_certify` is not asked here.
-        *refused_top, edge, refused = _payoffs_at_pivot_scale()
-        for B in refused_top:
-            top = int(B.sum(axis=1).argmax())
-            assert PIVOT_TOL * B[top].max() >= 1.0
-            i = self.assert_start(monkeypatch, B, certify=False)
-            assert i != top and PIVOT_TOL * B[i].max() < 1.0
-        assert self.assert_start(monkeypatch, edge, certify=False) == 1
-        got, start = self.handed_to_phase_two(monkeypatch, refused)
-        assert start is None
-        with pytest.raises(InputError) as want:
-            _value_lp_by_solve_lp(refused)
-        assert got == (InputError, str(want.value))
-        assert "reaches 1/PIVOT_TOL" in got[1]
+    def test_payoff_scale_is_refused_before_any_lp(self, monkeypatch):
+        # A shifted payoff at 1/PIVOT_TOL or above is refused in one place,
+        # `solve_game`, whether one row, some rows or every row reach it, and
+        # no value LP is built.
+        import zerosum.solver as solver_mod
+
+        games = payoffs_at_pivot_scale()
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_mod, "solve_value_lp", None)
+            for B in games:
+                with pytest.raises(InputError, match="reaches 1/PIVOT_TOL"):
+                    solve_game(GameMatrix(B))
+        # The float before the edge is accepted: game 3 without its refused
+        # entry keeps the edge's predecessor in row 1, the largest sum, and
+        # x_1 starts there.  `solve_lp`'s phase 1 ends at x_0 instead, and
+        # its phase 2 from there, on payoffs of 1e11, misses the saddle
+        # value B[1, 1] by 2.3e-6; so the start is compared, and the answer
+        # checked against the saddle.
+        B = games[3].copy()
+        B[0, 2] = 3.0
+        top = B.max()
+        assert PIVOT_TOL * top < 1.0 <= PIVOT_TOL * np.nextafter(top, np.inf)
+        assert self.start_row(B) == 1
+        _, start = self.handed_to_phase_two(monkeypatch, B)
+        assert start == self.solve_lp_start(monkeypatch, B, 1)[1]
+        sol = solve_game(GameMatrix(B))
+        assert sol.value == B[1, 1] and sol.duality_gap == 0.0
 
     @BENCH_ENSEMBLES
     def test_fewer_pivots_than_solve_lp(self, monkeypatch, family, size, seed):

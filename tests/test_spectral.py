@@ -293,6 +293,18 @@ class TestGordan:
         assert verdict.branch is GordanBranch.POSITIVE_IMAGE
         assert np.all(verdict.witness >= 1.0 - 1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="ROADMAP item 9: FEAS_TOL is absolute, so at 2^26 the kernel "
+        "LP's point misses it by 3.7e-9 and gordan raises a solver bug",
+    )
+    def test_zero_column_kernel_at_scale(self):
+        # Column 6 is zero, so e_6 is an exact stochastic kernel vector; the
+        # 2 x 6 matrix reads NonnegativeKernel at 2^0 through 2^24.
+        K = np.array([[1, 2, -2, -1, 1, 0], [1, 1, 1, -2, 2, 0]]) * 2.0**26
+        assert gordan(GameMatrix(K)).branch is GordanBranch.NONNEGATIVE_KERNEL
+
     def test_exclusivity_and_witnesses(self):
         rng = np.random.default_rng(46)
         for trial in range(120):
