@@ -267,7 +267,8 @@ def normalized_strategy(z, player: Player) -> MixedStrategy:
     """An LP vector z clipped at 0 and divided by its sum.  LP duals may sit
     about PIVOT_TOL below 0, so nothing is rejected: the caller certifies."""
     w = np.maximum(z, 0.0)
-    return MixedStrategy(player, w / np.add.reduce(w))
+    w /= np.add.reduce(w)
+    return MixedStrategy(player, w)
 
 
 def payoff(A: GameMatrix, x: MixedStrategy, y: MixedStrategy) -> float:

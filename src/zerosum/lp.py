@@ -2,28 +2,32 @@
 on a dense tableau, for desk-scale programs (tens of variables and rows).
 
 Solves  maximize c.z  subject to  G z <= h,  E z = f,  z >= 0, other
-bounds written as rows of G.  Each program its callers state (a game's
-value LP, the optimal-strategy extrema LP, the kernel LP) has a row and a
-bounded objective, so it ends Optimal, or Infeasible with a `farkas` ray
-that answers strict inequalities (see spectral.gordan); a ray that
+bounds written as rows of G.  Each of the three programs solved here (a
+game's value LP, the optimal-strategy extrema LP, the kernel LP) has a row
+and a bounded objective, so it ends Optimal, or Infeasible with a `farkas`
+ray that answers strict inequalities (see spectral.gordan); a ray that
 improves the objective is a solver bug.
 
 This module is internal: `solver` and `spectral` state their programs
-here, and no public function takes or returns its types.  A program is
-stated one way, `LinearProgram(c, G, h, E, f)` of five arrays that its
-caller lays out; the constructor copies and checks nothing, and its
-docstring states what the caller guarantees.  A guarantee that outside
-input can break (a shifted payoff at or above 1/PIVOT_TOL, an eigenvalue
-shift that overflows, a non-finite game value) is checked by that caller,
-before its arithmetic, with an InputError that names the cause.
+here, or hand `solve_value_lp` a game's payoffs, and no public function
+takes or returns its types.  A program is stated one way,
+`LinearProgram(c, G, h, E, f)` of five arrays that its caller lays out;
+the constructor copies and checks nothing, and its docstring states what
+the caller guarantees.  A guarantee that outside input can break (a
+shifted payoff at or above 1/PIVOT_TOL, an eigenvalue shift that
+overflows, a non-finite game value) is checked by that caller, before its
+arithmetic, with an InputError that names the cause.
 
 Every `solve_lp` call runs both phases.  `solve_value_lp`, a game's value
-LP, runs no phase 1: it writes down a feasible start, x_i basic for one
-row i of the payoffs, and hands it to `_phase_two`, the phase 2, read-out
-and certificate that `solve_lp` runs after its own phase 1.  Every row
-gives a feasible start; it takes the one of the largest payoff sum, a
-crash basis (Bixby, ORSA J. Comput. 4, 1992) that saves pivots over the
-first row, where `solve_lp`'s phase 1 would end.
+LP, runs no phase 1 and states no LinearProgram: from the payoffs B it
+writes down a feasible start, x_i basic for one row i, makes its first
+pivot, which no pricing or ratio test is needed to find, and hands the
+tableau to `_phase_two`, the phase 2 and certified read-out that
+`solve_lp` runs after its own phase 1.  Every row gives a feasible start;
+it takes the one of the largest payoff sum, a crash basis (Bixby, ORSA J.
+Comput. 4, 1992) that saves pivots over the first row, where `solve_lp`'s
+phase 1 would end.  Its certificate is read from B as well, and only the
+rare x_B recompute writes the program's rows, from B.
 Each simplex run sizes its own pivot budget from the tableau it pivots
 (IterationLimitError).
 
@@ -104,6 +108,7 @@ and h.w_G + f.w_E < 0.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +196,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> None:
-    """Pivot T, which has at least one constraint row, to optimality.
+    """Pivot T to optimality.
 
     Last tableau row holds reduced costs for maximization plus -objective in
     the rhs slot.  Entering = the largest reduced cost (Dantzig's rule);
@@ -204,7 +209,8 @@ def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> None
     exceeds ITERATION_FACTOR * (rows + columns) pivots, counting T's
     constraint rows and variable columns, raises IterationLimitError.  An
     improving column without an eligible row is a ray, which no program
-    here has: RuntimeError.
+    here has: RuntimeError.  So is any improving column of a phase-2
+    tableau whose rows the drive-out all dropped as redundant.
 
     With `bounded` (phase 1, whose objective is at most 0) an improving
     column without a positive entry can only be roundoff dust: its reduced
@@ -232,6 +238,8 @@ def _run_simplex(T: np.ndarray, basis: list[int], bounded: bool = False) -> None
             enter = int((reduced > PIVOT_TOL).argmax())  # first improving
         if reduced[enter] <= PIVOT_TOL:
             return
+        if not m:  # the drive-out dropped every row as redundant
+            raise RuntimeError(f"column {enter} is an improving ray; solver bug")
         col = body[:, enter]
         tol = PIVOT_TOL
         if bounded:
@@ -374,7 +382,32 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     costs = np.zeros(width)
     costs[:N] = p.objective
     _priced_cost_row(T, basis, costs)
-    return _phase_two(p, T, basis, keep)
+
+    def rows() -> np.ndarray:
+        R = np.zeros((m, width + 1))
+        _write_rows(R, p, flipped)
+        return R[keep]
+
+    z = _phase_two(T, basis, N, lambda z: _residual(p, z), rows)
+    return LPSolution(
+        status=LPStatus.OPTIMAL,
+        point=z,
+        objective_value=float(p.objective @ z),
+        ineq_duals=-T[-1, N:width],
+    )
+
+
+def _value_rows(B: np.ndarray, count: int) -> np.ndarray:
+    """`count` zero rows over the value LP's columns x, v, n slacks and rhs,
+    with v's 1s and the slacks in the n column rows, and sum x = 1."""
+    m, n = B.shape
+    width = m + 1 + n
+    T = np.zeros((count, width + 1))
+    T[:n, m] = 1.0
+    T.reshape(-1)[m + 1 : n * (width + 2) : width + 2] = 1.0  # slack j: (j, m + 1 + j)
+    T[n, :m] = 1.0
+    T[n, -1] = 1.0
+    return T
 
 
 def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -385,93 +418,77 @@ def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     the multipliers of the n column rows: up to roundoff a column strategy
     holding B's payoffs to v.
 
-    No phase 1 runs: phase 2 starts at x_i = 1, v = 0, with x_i basic in
-    the sum row and the n slacks in the G rows.  That start is feasible for
-    every row i, since B_i >= 0: it leaves the G rows as (-B^T) - (-B_i)
-    with rhs B_i, the sum row as written, and, every basic cost being 0, the
-    phase-2 cost row e_v.  It is what one pivot on (sum row, x_i) makes of
-    `solve_lp`'s phase-1 start on this program, and it is written down here
-    for `_phase_two` to run from.
-
-    i is the row of the largest payoff sum, the row player's best response
-    to a uniformly mixing column player; on a tie, the first.  On General
-    30 games phase 2 takes 18 % fewer pivots from it than from the first
-    row, and fewer than from the maximin row.
+    No phase 1 runs: the start x_i = 1, v = 0 has x_i basic in the sum row
+    and the slacks in the column rows, which it leaves as B_i - B^T (bit for
+    bit (-B^T) - (-B_i)) with rhs B_i >= 0, and the cost row e_v.  That is
+    what one pivot on (sum row, x_i) makes of `solve_lp`'s phase-1 start.
+    i is the row of the largest payoff sum, the best response to a uniform
+    column player (the first on a tie): on General 30 games phase 2 takes
+    18 % fewer pivots from it than from the first row.  v is then the only
+    improving column, each column row j is eligible at ratio B_ij, and the
+    tie rule takes the first minimum, so the first pivot, (argmin B_i, v),
+    is made without pricing.  The certificate is max(-min x, -v,
+    v - min(x^T B), |sum x - 1|) <= FEAS_TOL; only its rare recompute
+    writes the value LP's rows.
     """
     m, n = B.shape
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    G = np.empty((n, m + 1))  # v - (B^T x)_j <= 0
-    np.negative(B.T, out=G[:, :m])
-    G[:, m] = 1.0
-    E = np.zeros((1, m + 1))
-    E[0, :m] = 1.0
-    # Fresh C-ordered arrays, finite because B is.  `_phase_two` certifies
-    # against them.
-    p = LinearProgram(c, G, np.zeros(n), E, np.ones(1))
     i = int(np.add.reduce(B, axis=1).argmax())
-    # Columns: x, v, the n slacks, rhs.  Rows: the G rows, sum x = 1, the
-    # cost row.  Slack j sits at (j, m + 1 + j), flat index
-    # m + 1 + j * (width + 2).
-    width = m + 1 + n
-    T = np.zeros((n + 2, width + 1))
-    np.subtract(G[:, :m], G[:, i : i + 1], out=T[:n, :m])
-    T[:n, m] = 1.0
-    T.reshape(-1)[m + 1 : n * (width + 2) : width + 2] = 1.0
+    T = _value_rows(B, n + 2)
+    np.subtract(B[i][:, None], B.T, out=T[:n, :m])
     T[:n, -1] = B[i]
-    T[n, :m] = 1.0
-    T[n, -1] = 1.0
     T[-1, m] = 1.0
-    basis = [*range(m + 1, width), i]
-    sol = _phase_two(p, T, basis, [True] * (n + 1))
-    return sol.point[:m], float(sol.point[m]), sol.ineq_duals
+    basis = [*range(m + 1, m + 1 + n), i]
+    r = int(B[i].argmin())
+    _pivot(T, r, m)
+    basis[r] = m
+
+    def residual(z: np.ndarray) -> float:
+        x, v = z[:m], z[m]
+        floor = np.minimum.reduce(x @ B)
+        gaps = np.array([-x[x.argmin()], -v, v - floor, abs(np.add.reduce(x) - 1.0)])
+        return float(np.maximum.reduce(gaps))
+
+    def rows() -> np.ndarray:
+        R = _value_rows(B, n + 1)
+        np.negative(B.T, out=R[:n, :m])
+        return R
+
+    z = _phase_two(T, basis, m + 1, residual, rows)
+    return z[:m], float(z[m]), -T[-1, m + 1 : -1]
 
 
 def _phase_two(
-    p: LinearProgram, T: np.ndarray, basis: list[int], keep: list[bool]
-) -> LPSolution:
-    """Phase 2 of p from a feasible basis, and the read-out of its answer.
+    T: np.ndarray, basis: list[int], N: int, residual: Callable, rows: Callable
+) -> np.ndarray:
+    """Phase 2 from a feasible basis, and its certified optimal point z.
 
-    T is the phase-2 tableau [rows | rhs; reduced costs of p's objective |
-    -objective]: the kept rows of p, flipped where their rhs is negative,
-    over the columns of z and of the G rows' slacks, with `basis` the basic
-    column of each row.  `keep` marks which of p's rows T kept.  Returns
-    Optimal with a point certified against p's own rows; p's objective is
-    bounded, so any other end is a RuntimeError.  `solve_lp` calls this
-    after its phase 1, and `solve_value_lp` with the feasible start it
-    writes down.
+    T is a phase-2 tableau [rows | rhs; reduced costs | -objective] over
+    the columns of a program's N variables z and of its slacks; `basis`
+    holds each row's basic column.  z is accepted once `residual(z)`, its
+    largest violation of the program's own constraints, is at most
+    FEAS_TOL.  The tableau carries roundoff from every pivot, so on a first
+    failure x_B is solved against `rows()`, T's rows [rows | rhs] as the
+    program writes them, and tested again; a second failure, like a ray, is
+    a RuntimeError.  Both `solve_lp` and `solve_value_lp` end here.
     """
-    n_ineq, N = p.ineq_lhs.shape
-    width = N + n_ineq
     _run_simplex(T, basis)
-    u = np.zeros(width)
+    u = np.zeros(T.shape[1] - 1)
     u[basis] = T[:-1, -1]
-    z = u[:N]
-    residual = _residual(p, z)
+    z = u[:N]  # a view: the recompute writes through it
+    error = residual(z)
     # Both tests are written so that a NaN residual fails them.
-    if not residual <= FEAS_TOL:
-        # The tableau carries roundoff from every pivot so far; solve for
-        # x_B against the original rows of the final basis instead.
-        flipped = np.concatenate([p.ineq_rhs, p.eq_rhs]) < 0.0
-        rows = np.zeros((flipped.size, width + 1))
-        _write_rows(rows, p, flipped)
-        rows = rows[keep]
-        u[basis] = np.linalg.solve(rows[:, basis], rows[:, -1])
-        z = u[:N]
+    if not error <= FEAS_TOL:
+        R = rows()
+        u[basis] = np.linalg.solve(R[:, basis], R[:, -1])
         if not np.logical_and.reduce(np.isfinite(z)):
             raise RuntimeError(
                 "optimal point overflows the float range: the optimum is too "
                 "large to represent; rescale the program"
             )
-        residual = _residual(p, z)
-    if not residual <= FEAS_TOL:
+        error = residual(z)
+    if not error <= FEAS_TOL:
         raise RuntimeError(
-            f"optimal point violates feasibility by {residual:g} > "
+            f"optimal point violates feasibility by {error:g} > "
             f"{FEAS_TOL:g}; solver bug"
         )
-    return LPSolution(
-        status=LPStatus.OPTIMAL,
-        point=z,
-        objective_value=float(p.objective @ z),
-        ineq_duals=-T[-1, N:width],
-    )
+    return z

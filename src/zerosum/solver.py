@@ -103,7 +103,7 @@ def solve_game(A: GameMatrix, tol: float = SOLVE_TOL_DEFAULT) -> GameSolution:
     top = float(np.maximum.reduce(V, axis=None)) + shift
     if not top * PIVOT_TOL < 1.0:
         raise InputError(
-            f"payoffs too large: the largest shifted payoff {top:g} reaches "
+            f"payoffs too large: the largest shifted payoff {top!r} reaches "
             f"1/PIVOT_TOL = {1 / PIVOT_TOL:g}; normalize the matrix first"
         )
     x, v_row, duals = solve_value_lp(V + shift)

@@ -173,34 +173,16 @@ def assert_program_contract(p):
 
 @pytest.fixture
 def internal_lps(monkeypatch):
-    """Every program that `solver` and `spectral` hand to `solve_lp`, and
-    that `lp.solve_value_lp` hands to `lp._phase_two` with its written-down
-    start, in order."""
+    """Every program that `solver` and `spectral` hand to `solve_lp`, in
+    order.  A game's value LP states none (`lp.solve_value_lp`)."""
     from zerosum import lp, solver, spectral
 
     programs = []
-    in_value_lp = []
 
     def recording(p):
         programs.append(p)
         return lp.solve_lp(p)
 
-    value_lp, phase_two = lp.solve_value_lp, lp._phase_two
-
-    def recording_value_lp(B):
-        in_value_lp.append(B)
-        try:
-            return value_lp(B)
-        finally:
-            in_value_lp.pop()
-
-    def recording_phase_two(p, *start):
-        if in_value_lp:
-            programs.append(p)
-        return phase_two(p, *start)
-
     for module in (solver, spectral):
         monkeypatch.setattr(module, "solve_lp", recording)
-    monkeypatch.setattr(solver, "solve_value_lp", recording_value_lp)
-    monkeypatch.setattr(lp, "_phase_two", recording_phase_two)
     return programs

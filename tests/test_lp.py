@@ -132,13 +132,32 @@ class TestTrustedConstructor:
         ],
         ids=["posdom", "negt_general", "gordan_skew4_wide_kernels"],
     )
-    def test_bench_lps_keep_the_contract(self, internal_lps, claim, matrices):
+    def test_bench_lps_keep_the_contract(
+        self, internal_lps, monkeypatch, claim, matrices
+    ):
         # The first 20 trials of two of the bench's ensembles, and Gordan's
-        # kernel LPs: every LP the audit builds, value LPs started at phase 2
-        # included, keeps the constructor's contract.
+        # kernel LPs: every LP the audit builds keeps the constructor's
+        # contract and goes to `solve_lp`.  A game's value LP, whose
+        # certificate passes on each of these games, builds none.
+        import zerosum.solver as solver_mod
+
+        built, games = [], []
+        post_init, value_lp = LinearProgram.__post_init__, solver_mod.solve_value_lp
+
+        def recording_post_init(p):
+            built.append(p)
+            post_init(p)
+
+        def recording_value_lp(B):
+            games.append(B)
+            return value_lp(B)
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", recording_post_init)
+        monkeypatch.setattr(solver_mod, "solve_value_lp", recording_value_lp)
         for A in matrices():
             run_checker(claim, A)
-        assert len(internal_lps) >= 20
+        assert len(internal_lps) + len(games) >= 20
+        assert [id(p) for p in built] == [id(p) for p in internal_lps]
         for p in internal_lps:
             assert_program_contract(p)
 
@@ -656,9 +675,14 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
             core.MixedStrategy.__post_init__,
             core.canonical_json,
             lp_mod.solve_value_lp,
+            lp_mod._value_rows,
             lp_mod._phase_two,
-            lp_mod._residual,
         )
+    } | {
+        # The value LP's certificate.
+        code
+        for code in lp_mod.solve_value_lp.__code__.co_consts
+        if getattr(code, "co_name", None) == "residual"
     }
     entered = set()
     wrapped = []
@@ -716,6 +740,54 @@ def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     monkeypatch.setattr(lp_mod, "_residual", lambda region, z: 1.0)
     with pytest.raises(RuntimeError, match="solver bug"):
         solve_lp(p)
+
+
+def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
+    # The value LP's certificate is read from B; when it fails, x_B is solved
+    # against the rows `solve_lp` would write for the same program, and the
+    # recomputed point is the one certified and returned.
+    import zerosum.lp as lp_mod
+
+    B = np.random.default_rng(37).uniform(1.0, 6.0, (3, 4))
+    m, n = B.shape
+    tableau_x, tableau_v, _ = lp_mod.solve_value_lp(B)
+    phase_two = lp_mod._phase_two
+    calls, errors, written = [], [], []
+
+    def failing(times):
+        def spy(T, basis, N, residual, rows):
+            def certificate(z):
+                calls.append(z)
+                errors.append(residual(z))
+                return 1.0 if len(calls) <= times else errors[-1]
+
+            def recording_rows():
+                written.append(rows())
+                return written[-1]
+
+            return phase_two(T, basis, N, certificate, recording_rows)
+
+        return spy
+
+    monkeypatch.setattr(lp_mod, "_phase_two", failing(1))
+    x, v, y = lp_mod.solve_value_lp(B)
+    assert len(calls) == 2 and len(written) == 1
+    z = calls[1]  # the recomputed point, certified by the second call
+    assert errors[1] <= FEAS_TOL
+    assert np.shares_memory(x, z) and x.tobytes() == z[:m].tobytes() and v == z[m]
+    np.testing.assert_allclose(x, tableau_x, atol=1e-12)
+    assert abs(v - tableau_v) <= 1e-12
+    G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)
+    p = lp_program(np.eye(m + 1)[m], G, np.zeros(n), [[1.0] * m + [0.0]], [1.0])
+    rows = np.zeros((n + 1, m + 2 + n))
+    lp_mod._write_rows(rows, p, np.zeros(n + 1, dtype=bool))
+    assert written[0].tobytes() == rows.tobytes()
+
+    calls.clear()
+    monkeypatch.setattr(lp_mod, "_phase_two", failing(2))
+    with pytest.raises(RuntimeError, match="solver bug"):
+        lp_mod.solve_value_lp(B)
+    assert len(calls) == 2
 
 
 def _reference_phase_one(p):

@@ -66,6 +66,8 @@ def _highs(c, G, h, E, f):
 @example(([0, 1], [], [], [[1, 1], [1, 1]], [1, 2]))
 # Degenerate: zero right-hand sides and a redundant equality.
 @example(([1, 2, -1], [[1, -1, 0], [-1, 1, 0]], [0, 0], [[1, 1, 1], [2, 2, 2]], [1, 2]))
+# A ray with no rows left: the drive-out drops 0 z = 0 as redundant.
+@example(([1], [], [], [[0]], [0]))
 def test_solve_lp_matches_highs(program):
     c, G, h, E, f = program
     res = _highs(c, G, h, E, f)

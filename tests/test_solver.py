@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -94,26 +95,31 @@ class TestSolveGame:
             dataclasses.replace(sol, tolerance=bad)
 
     @pytest.mark.parametrize(
-        "values",
+        "values,top",
         [
-            [[1e308, -1e308]],
-            [[-1e308], [1.5e308]],
-            [[1e308, -1e307]],
-            [[2e11, 1]],
-            [[1e12, 1]],
+            ([[1e308, -1e308]], "inf"),
+            ([[-1e308], [1.5e308]], "inf"),
+            ([[1e308, -1e307]], "1.1e+308"),
+            ([[2e11, 1]], "200000000000.0"),
+            ([[1e12, 1]], "1000000000000.0"),
+            # The game of tests/data/pivot_scale_mixed.csv, whose largest
+            # payoff is the first float at 1 / PIVOT_TOL: "1e+11" at %g.
+            (payoffs_at_pivot_scale()[2], "100000000000.00002"),
         ],
+        ids=[f"values{k}" for k in range(6)],
     )
-    def test_shift_overflow_is_an_input_error(self, values):
+    def test_shift_overflow_is_an_input_error(self, values, top):
         # One rule: a shifted payoff at or above 1 / PIVOT_TOL is beyond the
         # ratio test's resolution.  A shift 1 - min that pushes the largest
         # entry past the float range reaches inf, so it is refused by the
-        # same check, before any arithmetic and with no warning.
+        # same check, before any arithmetic and with no warning.  The
+        # message shows the refused payoff exactly, as its repr.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
                 InputError,
-                match="largest shifted payoff .* reaches 1/PIVOT_TOL.*"
-                "normalize the matrix first",
+                match=f"largest shifted payoff {re.escape(top)} reaches "
+                "1/PIVOT_TOL.*normalize the matrix first",
             ):
                 solve_game(GameMatrix(values))
 
@@ -223,7 +229,9 @@ class TestValueLpStart:
     i the row with the largest payoff sum: the row player's best response
     to a uniform column player.  That tableau is what one pivot of
     `solve_lp`'s phase 1 on the same program makes of its start, written
-    down; `_phase_two` then runs from it as it does in `solve_lp`."""
+    down.  Its first pivot, on (first argmin of B_i, v), is the one
+    `_run_simplex` would make there; `_run_simplex` then runs from the
+    next tableau as it does in `solve_lp`."""
 
     @staticmethod
     def start_row(B):
@@ -233,39 +241,46 @@ class TestValueLpStart:
 
     @staticmethod
     def handed_to_phase_two(monkeypatch, B):
-        """What `solve_value_lp(B)` returns, and the tableau shape and bytes,
-        basis and kept rows it hands to `_phase_two`.  The returned (x, v, y)
-        is checked to be read off `_phase_two`'s answer."""
+        """What `solve_value_lp(B)` returns, and the tableau shape and bytes
+        and the basis that `_run_simplex` starts its phase 2 from.  The
+        returned (x, v, y) is checked to be read off `_phase_two`'s point
+        and the final tableau's cost row."""
         import zerosum.lp as lp_mod
 
         starts, answers = [], []
-        phase_two = lp_mod._phase_two
+        run, phase_two = lp_mod._run_simplex, lp_mod._phase_two
 
-        def spy(p, T, basis, keep):
-            starts.append((T.shape, T.tobytes(), list(basis), list(keep)))
-            answers.append(phase_two(p, T, basis, keep))
-            return answers[-1]
+        def run_spy(T, basis, bounded=False):
+            starts.append((T.shape, T.tobytes(), list(basis)))
+            return run(T, basis, bounded)
+
+        def phase_two_spy(T, *program):
+            answers.append((phase_two(T, *program), T))
+            return answers[-1][0]
 
         with monkeypatch.context() as patch:
-            patch.setattr(lp_mod, "_phase_two", spy)
+            patch.setattr(lp_mod, "_run_simplex", run_spy)
+            patch.setattr(lp_mod, "_phase_two", phase_two_spy)
             got = lp_mod.solve_value_lp(B)
-        (start,), (sol,) = starts, answers
+        (start,), ((z, T),) = starts, answers
         x, v, y = got
         m = B.shape[0]
-        assert x.tobytes() == sol.point[:m].tobytes()
-        assert v == sol.point[m] == sol.objective_value
-        assert y is sol.ineq_duals
+        assert x.tobytes() == z[:m].tobytes()
+        assert v == z[m]
+        assert y.tobytes() == (-T[-1, m + 1 : -1]).tobytes()
         return got, start
 
     @staticmethod
     def solve_lp_start(monkeypatch, B, i):
-        """`solve_lp`'s answer on B's value LP, and what `_pivot` makes of
-        its phase-1 start at (sum row, x_i) once the artificial column is
-        dropped and e_v is priced, in `handed_to_phase_two`'s form."""
+        """`solve_lp`'s answer on B's value LP, and, in
+        `handed_to_phase_two`'s form, what `_pivot` makes of its phase-1
+        start at (sum row, x_i) once the artificial column is dropped and
+        e_v is priced, and then at (first argmin of B_i, v), which is
+        checked to be `_run_simplex`'s own first pivot there."""
         import zerosum.lp as lp_mod
 
         starts = []
-        run = lp_mod._run_simplex
+        run, pivot = lp_mod._run_simplex, lp_mod._pivot
 
         def spy(T, basis, bounded=False):
             if bounded:
@@ -279,13 +294,28 @@ class TestValueLpStart:
         m, n = B.shape
         width = m + 1 + n  # x, v and the n slacks; the artificial follows
         assert T.shape == (n + 2, width + 2) and basis[n] == width
-        lp_mod._pivot(T, n, i)
+        pivot(T, n, i)
         basis[n] = i
         T = np.concatenate([T[:, :width], T[:, width + 1 :]], axis=1)
         costs = np.zeros(width)
         costs[m] = 1.0
         lp_mod._priced_cost_row(T, basis, costs)
-        return sol, (T.shape, T.tobytes(), basis, [True] * (n + 1))
+
+        r = B[i].tolist().index(min(B[i]))
+        first = []
+
+        def stop(T, row, col):
+            first.append((row, col))
+            raise StopIteration
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_mod, "_pivot", stop)
+            with pytest.raises(StopIteration):
+                run(T.copy(), list(basis))
+        assert first == [(r, m)]
+        pivot(T, r, m)
+        basis[r] = m
+        return sol, (T.shape, T.tobytes(), basis)
 
     def assert_start(self, monkeypatch, B):
         """B's value LP starts at the largest sum, byte for byte as
@@ -345,7 +375,8 @@ class TestValueLpStart:
 
     @BENCH_ENSEMBLES
     def test_fewer_pivots_than_solve_lp(self, monkeypatch, family, size, seed):
-        # Phase-2 pivots only: solve_lp's phase 1 adds one more per game.
+        # Phase-2 pivots only, the value LP's first one included: solve_lp's
+        # phase 1 adds one more per game.
         import zerosum.lp as lp_mod
 
         run, pivot = lp_mod._run_simplex, lp_mod._pivot
@@ -360,7 +391,8 @@ class TestValueLpStart:
                 counting[0] = False
 
         def pivot_spy(T, row, col):
-            pivots[path] += counting[0]
+            # The value LP's first pivot is made before `_run_simplex` runs.
+            pivots[path] += counting[0] or path == "value_lp"
             pivot(T, row, col)
 
         monkeypatch.setattr(lp_mod, "_run_simplex", run_spy)
