@@ -417,7 +417,7 @@ _ENSEMBLE_DIGESTS = [
     (
         ("PositiveDominatedThm4", "Positive", 10, 1),
         1,
-        "2bd3c6879fc0d1e436036c2b17bffdabf441cfb630495ba0f9e1997a7471ef84",
+        "22650ef6827483f5b86d3dea2ca95678ad614b2cffd4c7b0b0ef932be0e48c56",
     ),
     (
         ("GordanTheorem3", "Skew", 7, 1),

@@ -44,6 +44,26 @@ def exact_2x2_root(a, b, c, d):
         return (a + d + ((a - d) ** 2 + 4 * b * c).sqrt()) / 2
 
 
+def eig_perron_pair(V):
+    """The Perron pair as `perron` made it from np.linalg.eig: the
+    eigenvector of the eigenvalue with the largest real part, made
+    positive, then the same refining step and root.  A reference only."""
+    eigenvalues, eigenvectors = np.linalg.eig(V)
+    v = np.abs(eigenvectors[:, int(eigenvalues.real.argmax())].real)
+    v = V @ (v / np.add.reduce(v))
+    v /= np.add.reduce(v)
+    Av = V @ v
+    return float(np.add.reduce(Av) / np.add.reduce(v)), v
+
+
+def assert_matches_eig(A):
+    """`perron` agrees with the eigendecomposition's pair to 2^-49 relative."""
+    cert = perron(A)
+    root, v = eig_perron_pair(A.values)
+    assert abs(cert.perron_root - root) <= 2.0**-49 * root
+    np.testing.assert_array_less(np.abs(cert.perron_vector - v), 2.0**-49 * v)
+
+
 class TestPerron:
     def test_symmetric_pair(self):
         cert = perron(GameMatrix([[2, 1], [1, 2]]))
@@ -146,6 +166,124 @@ class TestPerron:
                     np.max(np.abs(A.values @ far - cert.perron_root * far))
                     > 1e-10 * scale
                 )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_the_eigendecomposition_on_positive10(self, seed):
+        for A in ensemble("Positive", 10, 400, seed):
+            assert_matches_eig(A)
+
+    @pytest.mark.slow
+    def test_agrees_with_the_eigendecomposition_on_every_3x3_in_1_2_3(self):
+        for entries in itertools.product((1.0, 2.0, 3.0), repeat=9):
+            assert_matches_eig(GameMatrix(np.reshape(entries, (3, 3))))
+
+    @pytest.mark.parametrize("k", [-40, -20])
+    def test_power_of_two_scaling_keeps_the_bits(self, k):
+        matrices = ensemble("Positive", 10, 20, 1) + [
+            GameMatrix([[1.0, 2.0], [3.0, 4.0]]),
+            GameMatrix(np.random.default_rng(38).uniform(0.1, 10.0, (6, 6))),
+        ]
+        for A in matrices:
+            cert = perron(A)
+            scaled = perron(GameMatrix(A.values * 2.0**k))
+            assert scaled.perron_root == cert.perron_root * 2.0**k
+            assert scaled.perron_vector.tobytes() == cert.perron_vector.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("c", [1.0, 0.3, 7.25, 2.0**-1000])
+    def test_constant_matrix_takes_no_squaring(self, monkeypatch, n, c):
+        counts, squarings = [], spectral_mod._squarings
+
+        def recording(low, high):
+            counts.append(squarings(low, high))
+            return counts[-1]
+
+        monkeypatch.setattr(spectral_mod, "_squarings", recording)
+        cert = perron(GameMatrix(np.full((n, n), c)))
+        assert counts == [0]
+        v = cert.perron_vector
+        # The refining step v <- A v rounds c / n for most n; it leaves
+        # every entry equal, and where n is a power of two, exactly 1/n.
+        assert np.all(v == v[0])
+        assert v[0] == pytest.approx(1.0 / n, rel=2.0**-51)
+        if n & (n - 1) == 0:
+            assert np.all(v == 1.0 / n)
+            assert cert.perron_root == n * c
+
+    @pytest.mark.parametrize(
+        "low,high,count",
+        [
+            (1.0, 1.0, 0),
+            (1.0, 1.0 + 2.0**-52, 0),
+            (1.0, 3.0, 6),
+            (0.1, 5.0, 10),
+            (1.0, 1e3, 15),
+            (1.0, 1e6, 25),
+            (1.0, 2.0**900, 905),
+            (5e-324, 5e-324, 0),
+            (5e-324, 1.0, 1079),
+            (5e-324, float(np.finfo(float).max), 2103),
+        ],
+    )
+    def test_squarings_are_the_least_the_bound_allows(self, low, high, count):
+        assert spectral_mod._squarings(low, high) == count
+        # tau^(2^k) ln R <= 2^-52 is 2^k (-ln tau) >= ln(2^52 ln R), with
+        # -ln tau = 2 atanh(1/R); checked for k and k - 1 in 60 digits.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(low) / Decimal(high)
+            if x == 1:
+                return
+            rate = ((1 + x) / (1 - x)).ln() if x > Decimal("1e-6") else 2 * x * (1 + x * x / 3)
+            need = (Decimal(2) ** 52 * (1 / x).ln()).ln()
+            assert Decimal(2) ** count * rate >= need
+            if count:
+                assert Decimal(2) ** (count - 1) * rate < need
+
+    @pytest.mark.parametrize(
+        "entries,certified",
+        [
+            ([[5e-324]], True),
+            ([[1.0, 5e-324, 2.0], [1.0, 1.0, 3.0], [0.5, 2.0, 1.0]], True),
+            ([[1e300, 5e-324], [1.0, 1.0]], True),
+            (
+                [[math.exp(300), math.exp(-300)], [math.exp(-300), math.exp(300)]],
+                True,
+            ),
+            ([[math.exp(300), 1.0], [2.0, math.exp(300)]], True),
+            ([[math.exp(-300), 1.0], [2.0, math.exp(-300)]], True),
+            ([[math.exp(-300), 2 * math.exp(-300)], [3 * math.exp(-300), math.exp(-300)]], True),
+            ([[math.exp(300), math.exp(-300)], [1.0, math.exp(300)]], True),
+            # The absolute residual tolerance refuses it, as it did before.
+            ([[math.exp(300), 2 * math.exp(300)], [3 * math.exp(300), math.exp(300)]], False),
+            # Every product of the refining step underflows to 0; the
+            # eigendecomposition warned of 0/0 here, then refused it too.
+            ([[5e-324, 5e-324], [5e-324, 5e-324]], False),
+            # The eigendecomposition certified v = (2.2e-162, 1).  The
+            # squares round the 5e-324 entry away, tend to a nilpotent
+            # matrix and reach 0 before the count runs out.
+            ([[1.0, 5e-324], [1.0, 1.0]], False),
+            # Row sums past the largest float: it warned of an overflow.
+            ([[1e308, 1.7e308], [1.5e308, 1e308]], False),
+        ],
+    )
+    def test_edges_of_the_float_range_end_warning_free(self, entries, certified):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if certified:
+                cert = perron(GameMatrix(entries))
+                assert np.all(cert.perron_vector > 0.0)
+                assert cert.residual <= spectral_mod.PERRON_RESIDUAL_TOL
+            else:
+                with pytest.raises(spectral_mod.ConvergenceError):
+                    perron(GameMatrix(entries))
+
+    def test_symmetric_matrix_past_the_corner_range_keeps_its_symmetry(self):
+        # The eigendecomposition certified (1, 2.7e-261): its eigenvalues
+        # e^300 +- e^-300 are one float, and the residual is absolute.
+        a, b = math.exp(300), math.exp(-300)
+        cert = perron(GameMatrix([[a, b], [b, a]]))
+        assert cert.perron_vector.tolist() == [0.5, 0.5]
 
 
 class TestNullSpace:
