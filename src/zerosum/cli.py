@@ -128,7 +128,8 @@ def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
     from a JSON document {"rows": m, "cols": n, "entries": [[...], ...]}.
 
     A blank comma-separated field (`1,,2`, `,1` or `1,`) is an error, not a
-    missing separator.  JSON entries must be JSON numbers."""
+    missing separator.  JSON entries must be JSON numbers, and rows and
+    cols JSON integers."""
     if fmt == "csv":
         rows = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -158,6 +159,11 @@ def parse_matrix(text: str, fmt: str = "csv") -> GameMatrix:
             m, n, entries = doc["rows"], doc["cols"], doc["entries"]
         except KeyError as exc:
             raise MatrixParseError(f"missing key {exc}") from exc
+        # bool is an int subclass, and true == 1; 1.0 == 1 too.
+        if any(type(d) is not int for d in (m, n)):
+            raise MatrixParseError(
+                f"rows and cols must be JSON integers, got {m!r} and {n!r}"
+            )
         if (
             not isinstance(entries, list)
             or len(entries) != m

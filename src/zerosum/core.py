@@ -303,5 +303,9 @@ class GameSolution:
 
     def __post_init__(self) -> None:
         check_tolerance(self.tolerance, "tolerance")
-        if self.duality_gap < 0.0:
-            raise InputError("duality gap cannot be negative")
+        check_finite(self.value, "value")
+        # Written so that a NaN gap fails too.
+        if not self.duality_gap >= 0.0:
+            raise InputError(
+                f"duality gap must be nonnegative, got {self.duality_gap!r}"
+            )

@@ -1,33 +1,34 @@
 """Dense two-phase primal simplex: Dantzig pricing with a Bland fallback,
 on a dense tableau, for desk-scale programs (tens of variables and rows).
 
-Solves  maximize c.z  subject to  G z <= h,  E z = f,  z >= 0, other
-bounds written as rows of G.  Each of the three programs solved here (a
-game's value LP, the optimal-strategy extrema LP, the kernel LP) has a row
-and a bounded objective, so it ends Optimal, or Infeasible with a `farkas`
-ray that answers strict inequalities (see spectral.gordan); a ray that
-improves the objective is a solver bug.
+Solves  maximize c.z  subject to  E z = f,  z >= 0, the standard form
+(Chvatal, Linear Programming, 1983), in which a caller writes any
+inequality with a slack or surplus column of its own.  Each of the three
+programs solved here (a game's value LP, the optimal-strategy extrema LP,
+the kernel LP) has a row and a bounded objective, so it ends Optimal, or
+Infeasible with a `farkas` ray that answers strict inequalities (see
+spectral.gordan); a ray that improves the objective is a solver bug.
 
 This module is internal: `solver` and `spectral` state their programs
 here, or hand `solve_value_lp` a game's payoffs, and no public function
 takes or returns its types.  A program is stated one way,
-`LinearProgram(c, G, h, E, f)` of five arrays that its caller lays out;
-the constructor copies and checks nothing, and its docstring states what
-the caller guarantees.  A guarantee that outside input can break (a
-shifted payoff at or above 1/PIVOT_TOL, an eigenvalue shift that
-overflows, a non-finite game value) is checked by that caller, before its
-arithmetic, with an InputError that names the cause.
+`LinearProgram(c, E, f)` of three arrays that its caller lays out; the
+constructor copies and checks nothing, and its docstring states what the
+caller guarantees.  A guarantee that outside input can break (a shifted
+payoff at or above 1/PIVOT_TOL, an eigenvalue shift that overflows, a
+non-finite game value) is checked by that caller, before its arithmetic,
+with an InputError that names the cause.
 
 Every `solve_lp` call runs both phases.  `solve_value_lp`, a game's value
 LP, runs no phase 1 and states no LinearProgram: from the payoffs B it
-writes down a feasible start, x_i basic for one row i, makes its first
-pivot, which no pricing or ratio test is needed to find, and hands the
-tableau to `_phase_two`, the phase 2 and certified read-out that
-`solve_lp` runs after its own phase 1.  Every row gives a feasible start;
-it takes the one of the largest payoff sum, a crash basis (Bixby, ORSA J.
-Comput. 4, 1992) that saves pivots over the first row, where `solve_lp`'s
-phase 1 would end.  Its certificate is read from B as well, and only the
-rare x_B recompute writes the program's rows, from B.
+writes down a feasible basis, x_i basic for one row i and each column
+row's slack, makes its first pivot, which no pricing or ratio test is
+needed to find, and hands the tableau to `_phase_two`, the phase 2 and
+certified read-out that `solve_lp` runs after its own phase 1.  Every row
+i gives a feasible start; it takes the one of the largest payoff sum, a
+crash basis (Bixby, ORSA J. Comput. 4, 1992) that saves pivots over the
+first row.  Its certificate is read from B as well, and only the rare x_B
+recompute writes the program's rows, from B.
 Each simplex run sizes its own pivot budget from the tableau it pivots
 (IterationLimitError).
 
@@ -37,20 +38,16 @@ can round differently; so no answer depends on a caller's memory layout.
 
 Phase 1 runs on one array, allocated once and filled in place:
 
-    [ G | I | art | h ]    n_ineq rows, I the slacks of the G rows
-    [ E | 0 | art | f ]
-    [   cost row      ]    reduced costs | -objective
+    [ E | I | f ]    m rows, I the artificials
+    [ cost row  ]    reduced costs | -objective
 
-A row whose rhs is negative is negated, its slack with it.  Every row but
-an unflipped inequality takes an artificial: the artificial columns follow
-those rows in order, each with a single 1 in its row.  A row starts basic
-on its artificial if it has one, else on its slack.  The cost row prices
-maximize -(sum of artificials) for that basis.  Phase 2 drops the
-artificial columns and prices c.  The rows go straight into that array:
-`np.concatenate(..., out=)` for the data and the rhs, a strided view of
-the flat array for the slack diagonal, and in-place negation for the
-flips.  The rare x_B recompute after phase 2 rebuilds the flipped rows the
-same way.
+A row whose rhs is negative is negated.  Every row starts basic on its
+artificial, column N + i of row i, and the cost row prices maximize
+-(sum of artificials) for that basis.  Phase 2 drops the artificial
+columns and prices c.  The rows go straight into that array, the
+artificials as a strided view of the flat array, and the flips as
+in-place negation.  The rare x_B recompute after phase 2 rebuilds the
+flipped rows the same way.
 
 At this scale a pivot is a few thousand flops, so what a numpy call costs
 is its dispatch, not its arithmetic, and a call that runs Python code
@@ -89,20 +86,10 @@ exactly when two rows tie.  Only then are the tied rows listed.
 `_pivot` stays a module attribute that `_run_simplex` looks up once per
 pivot: tests and the benchmark's tracer count pivots by replacing it.
 
-Every Optimal solution carries `ineq_duals`, the multipliers y >= 0 of
-the `G z <= h` rows, read off the final phase-2 cost row: the reduced cost of
-row i's slack is -y_i.  A row flipped to make its rhs nonnegative has its
-slack negated with it, so the same reading holds there.  At the optimum y may
-sit up to PIVOT_TOL below zero.  Up to roundoff it is complementary to the
-point's slacks, and when the region has only `G z <= h` rows, strong duality
-reads c.z = h.y.  Nothing here re-certifies the duals against the original
-data; a caller that builds on them checks its own certificate.
-
-Every Infeasible solution carries `farkas`, the phase-1 multipliers w of the
-`[G; E]` rows, read off the final phase-1 cost row: row i's slack has reduced
-cost -w_i, its artificial (cost -1) -1 - w_i, and a flipped row gets its sign
-back.  Up to roundoff w is a Farkas certificate: w_G >= 0, [G; E]^T w >= 0
-and h.w_G + f.w_E < 0.
+Every Infeasible solution carries `farkas`, the phase-1 multipliers w of
+the rows E z = f, read off the final phase-1 cost row: row i's artificial
+(cost -1) has reduced cost -1 - w_i, and a flipped row gets its sign back.
+Up to roundoff w is a Farkas certificate: E^T w >= 0 and f.w < 0.
 """
 
 from __future__ import annotations
@@ -139,30 +126,26 @@ class LPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective.z  s.t.  ineq_lhs z <= ineq_rhs,  eq_lhs z = eq_rhs,
-    z >= 0.
+    """maximize objective.z  s.t.  lhs z = rhs,  z >= 0.
 
-    Every variable is nonnegative; write any other bound as a row of ineq_lhs.
-    The five arrays are stored as they are: nothing is copied or checked,
-    and each is marked read-only.  The caller guarantees that all five are
+    Every variable is nonnegative; the caller writes any inequality or
+    other bound as a row with a slack or surplus column of its own.  The
+    three arrays are stored as they are: nothing is copied or checked, and
+    each is marked read-only.  The caller guarantees that all three are
     finite float64 and C-contiguous, as `np.array(a, dtype=float,
     order="C")` lays them out (a strided or transposed view is not; its
-    copy would be).  The objective is 1-D with n > 0 entries; each lhs is
-    2-D with n columns and as many rows as its rhs, a 1-D array, has
-    entries.  An absent block is an explicit (0, n) lhs with a (0,) rhs,
-    but the two blocks hold at least one row between them, and the
-    objective is bounded above on the region.  The caller does not write
-    to the arrays afterwards.
+    copy would be).  The objective is 1-D with n > 0 entries; lhs is 2-D
+    with n columns and at least one row, and rhs is 1-D with an entry a
+    row.  The objective is bounded above on the region.  The caller does
+    not write to the arrays afterwards.
     """
 
     objective: np.ndarray
-    ineq_lhs: np.ndarray
-    ineq_rhs: np.ndarray
-    eq_lhs: np.ndarray
-    eq_rhs: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.objective, self.ineq_lhs, self.ineq_rhs, self.eq_lhs, self.eq_rhs):
+        for a in (self.objective, self.lhs, self.rhs):
             a.setflags(write=False)
 
 
@@ -170,11 +153,8 @@ class LinearProgram:
 class LPSolution:
     status: LPStatus
     point: np.ndarray | None = None
-    objective_value: float | None = None
-    # Multipliers of the caller's inequality rows (Optimal only); see the
+    # Phase-1 multipliers of the caller's rows (Infeasible only); see the
     # module docstring.
-    ineq_duals: np.ndarray | None = None
-    # Phase-1 multipliers of the caller's rows (Infeasible only); see above.
     farkas: np.ndarray | None = None
 
 
@@ -294,66 +274,47 @@ def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> None
 def _residual(p: LinearProgram, z: np.ndarray) -> float:
     """Largest violation of p's constraints, z >= 0 included, at the point z;
     0.0 when feasible.  A NaN anywhere makes it NaN."""
-    gaps = np.concatenate(
-        [-z, z @ p.ineq_lhs.T - p.ineq_rhs, np.abs(z @ p.eq_lhs.T - p.eq_rhs)]
-    )
+    gaps = np.concatenate([-z, np.abs(z @ p.lhs.T - p.rhs)])
     return float(np.maximum(np.maximum.reduce(gaps), 0.0))
 
 
 def _write_rows(T: np.ndarray, p: LinearProgram, flipped: np.ndarray) -> None:
-    """Write p's rows [G | I | h; E | 0 | f] into the top rows of T, a new
-    C-ordered array of zeros: G and E into its first columns, the slacks
-    next, the rhs into its last column.  Each row marked in `flipped` is
-    negated, its slack with it."""
-    n_ineq, N = p.ineq_lhs.shape
-    m = flipped.size
-    np.concatenate([p.ineq_lhs, p.eq_lhs], out=T[:m, :N])
+    """Write p's rows [E | f] into the top rows of T, a new C-ordered array
+    of zeros: E into its first columns, f into its last.  Each row marked in
+    `flipped` is negated."""
+    m, N = p.lhs.shape
+    T[:m, :N] = p.lhs
     b = T[:m, -1]
-    np.concatenate([p.ineq_rhs, p.eq_rhs], out=b)
-    # The I block's diagonal: entry (i, N + i) is N + i * (row length + 1)
-    # in T's flat layout.
-    step = T.shape[1] + 1
-    slack = T.reshape(-1)[N : n_ineq * step : step]
-    slack.fill(1.0)
+    b[:] = p.rhs
     if np.logical_or.reduce(flipped):
         T[:m][flipped, :N] *= -1.0
         b[flipped] *= -1.0
-        slack[flipped[:n_ineq]] = -1.0
 
 
 def solve_lp(p: LinearProgram) -> LPSolution:
     """Two-phase simplex.  Returns Optimal with a feasible point, or
     Infeasible with `farkas` when the phase-1 optimum exceeds FEAS_TOL."""
-    n_ineq, N = p.ineq_lhs.shape
-    m = n_ineq + p.eq_lhs.shape[0]
-    width = N + n_ineq
-    # A row with a negative rhs is negated (_write_rows).  Every row but an
-    # unflipped inequality takes an artificial in phase 1.
-    flipped = np.concatenate([p.ineq_rhs, p.eq_rhs]) < 0.0
-    art_rows = (flipped | (np.arange(m) >= n_ineq)).nonzero()[0]
-    total = width + art_rows.size
+    m, N = p.lhs.shape
+    total = N + m
+    # A row with a negative rhs is negated (_write_rows).
+    flipped = p.rhs < 0.0
 
-    # [G | I | art | h; E | 0 | art | f; cost row], filled in place.
+    # [E | I | f; cost row], filled in place: row i starts on its
+    # artificial, column N + i, entry N + i * (row length + 1) of T's flat
+    # layout.
     T = np.zeros((m + 1, total + 1))
     _write_rows(T, p, flipped)
-    # Row i starts on its slack, column N + i, unless it takes an artificial:
-    # then on the next artificial column.
-    basis = list(range(N, N + m))
-    for col, r in enumerate(art_rows.tolist(), width):
-        T[r, col] = 1.0
-        basis[r] = col
+    T.reshape(-1)[N : m * (total + 2) : total + 2] = 1.0
+    basis = list(range(N, total))
 
     # Phase 1: maximize -(sum of artificials).
     phase1_costs = np.zeros(total)
-    phase1_costs[width:] = -1.0
+    phase1_costs[N:] = -1.0
     _priced_cost_row(T, basis, phase1_costs)
     _run_simplex(T, basis, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
     if art_sum > FEAS_TOL:
-        w = np.empty(m)
-        w[:n_ineq] = -T[-1, N:width]
-        # A flipped inequality row's artificial overrides its slack's reading.
-        w[art_rows] = -1.0 - T[-1, width:total]
+        w = -1.0 - T[-1, N:total]
         w[flipped] *= -1.0
         return LPSolution(status=LPStatus.INFEASIBLE, farkas=w)
 
@@ -362,11 +323,11 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     # value <= FEAS_TOL, which we are entitled to round to zero, keeping the
     # rhs nonnegative through the degenerate pivot.
     keep = [True] * m
-    if max(basis, default=-1) >= width:
+    if max(basis) >= N:
         for r in range(m):
-            if basis[r] >= width:
+            if basis[r] >= N:
                 T[r, -1] = 0.0
-                row_body = np.abs(T[r, :width])
+                row_body = np.abs(T[r, :N])
                 col = int(row_body.argmax())
                 if row_body[col] > PIVOT_TOL:
                     _pivot(T, r, col)
@@ -376,25 +337,18 @@ def solve_lp(p: LinearProgram) -> LPSolution:
         if not all(keep):
             T = np.concatenate([T[:-1][keep], T[-1:]])
             basis = [bvar for bvar, kept in zip(basis, keep) if kept]
-    T = np.concatenate([T[:, :width], T[:, total:]], axis=1)
+    T = np.concatenate([T[:, :N], T[:, total:]], axis=1)
 
     # Phase 2: maximize c.z from the feasible basis.
-    costs = np.zeros(width)
-    costs[:N] = p.objective
-    _priced_cost_row(T, basis, costs)
+    _priced_cost_row(T, basis, p.objective)
 
     def rows() -> np.ndarray:
-        R = np.zeros((m, width + 1))
+        R = np.zeros((m, N + 1))
         _write_rows(R, p, flipped)
         return R[keep]
 
     z = _phase_two(T, basis, N, lambda z: _residual(p, z), rows)
-    return LPSolution(
-        status=LPStatus.OPTIMAL,
-        point=z,
-        objective_value=float(p.objective @ z),
-        ineq_duals=-T[-1, N:width],
-    )
+    return LPSolution(status=LPStatus.OPTIMAL, point=z)
 
 
 def _value_rows(B: np.ndarray, count: int) -> np.ndarray:
@@ -418,11 +372,11 @@ def solve_value_lp(B: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     the multipliers of the n column rows: up to roundoff a column strategy
     holding B's payoffs to v.
 
-    No phase 1 runs: the start x_i = 1, v = 0 has x_i basic in the sum row
-    and the slacks in the column rows, which it leaves as B_i - B^T (bit for
-    bit (-B^T) - (-B_i)) with rhs B_i >= 0, and the cost row e_v.  That is
-    what one pivot on (sum row, x_i) makes of `solve_lp`'s phase-1 start.
-    i is the row of the largest payoff sum, the best response to a uniform
+    No phase 1 runs: for every row i, x_i = 1 and v = 0 is feasible, with
+    x_i basic in the sum row and column row j's slack basic in row j.  In
+    that basis row j reads B_ij - B_kj on x_k, 1 on v and on its slack,
+    rhs B_ij >= 0; the sum row reads 1 on each x_k, rhs 1; and the cost
+    row is e_v.  i is the row of the largest payoff sum, the best response to a uniform
     column player (the first on a tie): on General 30 games phase 2 takes
     18 % fewer pivots from it than from the first row.  v is then the only
     improving column, each column row j is eligible at ratio B_ij, and the
@@ -463,7 +417,8 @@ def _phase_two(
     """Phase 2 from a feasible basis, and its certified optimal point z.
 
     T is a phase-2 tableau [rows | rhs; reduced costs | -objective] over
-    the columns of a program's N variables z and of its slacks; `basis`
+    the columns of a program's N variables z and of any slacks after them;
+    `basis`
     holds each row's basic column.  z is accepted once `residual(z)`, its
     largest violation of the program's own constraints, is at most
     FEAS_TOL.  The tableau carries roundoff from every pivot, so on a first

@@ -264,23 +264,30 @@ def _vertex_extrema(
 def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Column extrema of `row_optima_column_extrema` by LP: each column
     payoff is maximized and minimized over the region, one `solve_lp` call
-    per objective, 2n in all."""
+    per objective, 2n in all.  The region is stated over (x, s), s the n
+    surplus columns: V^T x - s = (v - tol) 1, 1^T x = 1, x, s >= 0."""
     m, n = V.shape
-    G, h = np.negative(V.T, order="C"), np.full(n, -(v - tol))
-    E, f = np.ones((1, m)), np.ones(1)
-    # Row k is objective k: rows of a C-ordered array, so each is contiguous.
-    objectives = np.empty((2 * n, m))
-    objectives[:n] = V.T
-    objectives[n:] = G
+    E = np.zeros((n + 1, m + n))
+    E[:n, :m] = V.T
+    j = np.arange(n)
+    E[j, m + j] = -1.0
+    E[n, :m] = 1.0
+    f = np.full(n + 1, v - tol)
+    f[n] = 1.0
+    # Row k is objective k, zero on s: rows of a C-ordered array, so each
+    # is contiguous.
+    objectives = np.zeros((2 * n, m + n))
+    objectives[:n, :m] = V.T
+    np.negative(V.T, out=objectives[n:, :m])
     extrema = np.empty(2 * n)
     for k, c in enumerate(objectives):
-        sol = solve_lp(LinearProgram(c, G, h, E, f))
+        sol = solve_lp(LinearProgram(c, E, f))
         if sol.status is not LPStatus.OPTIMAL:
             raise RuntimeError(
                 f"optimal-set LP reported {sol.status.value}; the optimal "
                 "strategy polytope cannot be empty at the game value"
             )
-        extrema[k] = sol.objective_value
+        extrema[k] = c[:m] @ sol.point[:m]
     return -extrema[n:], extrema[:n]
 
 

@@ -264,8 +264,7 @@ def _stochastic_kernel(
     E[m] = 1.0
     f = np.zeros(m + 1)
     f[m] = 1.0
-    no_rows = np.zeros((0, n))
-    sol = solve_lp(LinearProgram(np.zeros(n), no_rows, np.zeros(0), E, f))
+    sol = solve_lp(LinearProgram(np.zeros(n), E, f))
     if sol.status is LPStatus.OPTIMAL:
         return sol.point, None, 0.0
     y = sol.farkas[:m]

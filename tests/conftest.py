@@ -131,44 +131,50 @@ def lp_solution_bits(sol):
             return None
         return np.shape(a), np.asarray(a, dtype=float).tobytes()
 
-    return (
-        sol.status,
-        raw(sol.point),
-        raw(sol.objective_value),
-        raw(sol.ineq_duals),
-        raw(sol.farkas),
+    return sol.status, raw(sol.point), raw(sol.farkas)
+
+
+def lp_program(objective, lhs, rhs):
+    """`lp.LinearProgram` of these arrays laid out as its contract asks:
+    C-ordered float copies.  Nothing is checked; a test states a valid
+    program."""
+    return LinearProgram(
+        *(np.array(a, dtype=float, order="C") for a in (objective, lhs, rhs))
     )
 
 
-def lp_program(objective, ineq_lhs=None, ineq_rhs=None, eq_lhs=None, eq_rhs=None):
-    """`lp.LinearProgram` of these arrays laid out as its contract asks:
-    C-ordered float copies, and an absent block as a (0, n) lhs with a (0,)
-    rhs.  Nothing is checked; a test states a valid program."""
-    c = np.array(objective, dtype=float, order="C")
+def with_slacks(objective, ineq_lhs=None, ineq_rhs=None, eq_lhs=None, eq_rhs=None):
+    """maximize c.z s.t. G z <= h, E z = f, z >= 0, written in the standard
+    form `lp.LinearProgram` takes: one slack column after z for each row of
+    G, so [G | I; E | 0] (z, s) = [h; f], with objective c on z and 0 on
+    s.  A point's first c.size entries are z, and the objective reads c.z."""
+    c = np.array(objective, dtype=float)
     n = c.size
-    blocks = []
-    for lhs, rhs in ((ineq_lhs, ineq_rhs), (eq_lhs, eq_rhs)):
-        if lhs is None:
-            lhs, rhs = np.zeros((0, n)), np.zeros(0)
-        blocks += [np.array(a, dtype=float, order="C") for a in (lhs, rhs)]
-    return LinearProgram(c, *blocks)
+    G = np.zeros((0, n)) if ineq_lhs is None else np.array(ineq_lhs, dtype=float)
+    E = np.zeros((0, n)) if eq_lhs is None else np.array(eq_lhs, dtype=float)
+    h = np.zeros(0) if ineq_rhs is None else np.array(ineq_rhs, dtype=float)
+    f = np.zeros(0) if eq_rhs is None else np.array(eq_rhs, dtype=float)
+    mg, me = G.shape[0], E.shape[0]
+    lhs = np.zeros((mg + me, n + mg))
+    lhs[:mg, :n] = G
+    lhs[mg:, :n] = E
+    lhs[np.arange(mg), n + np.arange(mg)] = 1.0
+    return lp_program(np.concatenate([c, np.zeros(mg)]), lhs, np.concatenate([h, f]))
 
 
 def assert_program_contract(p):
     """What `lp.LinearProgram` takes on trust: finite float64 arrays, each
-    C-contiguous and read-only, with consistent shapes and explicit empty
-    blocks."""
-    arrays = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
-    for a in arrays:
+    C-contiguous and read-only, with consistent shapes and at least one
+    row."""
+    for a in (p.objective, p.lhs, p.rhs):
         assert a.dtype == np.float64
         assert a.flags.c_contiguous
         assert not a.flags.writeable
         assert np.all(np.isfinite(a))
     n = p.objective.size
     assert p.objective.shape == (n,) and n > 0
-    for lhs, rhs in ((p.ineq_lhs, p.ineq_rhs), (p.eq_lhs, p.eq_rhs)):
-        assert lhs.ndim == 2 and lhs.shape[1] == n
-        assert rhs.shape == (lhs.shape[0],)
+    assert p.lhs.ndim == 2 and p.lhs.shape[1] == n and p.lhs.shape[0] > 0
+    assert p.rhs.shape == (p.lhs.shape[0],)
 
 
 @pytest.fixture

@@ -80,6 +80,13 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError):
             parse_matrix('{"rows": 3, "cols": 2, "entries": [[1, 2]]}', "json")
 
+    @pytest.mark.parametrize(
+        "dims", ['true, "cols": true', '1.0, "cols": 1', '1, "cols": "1"', '1, "cols": null']
+    )
+    def test_json_dimensions_must_be_integers(self, dims):
+        with pytest.raises(MatrixParseError, match="JSON integers"):
+            parse_matrix('{"rows": %s, "entries": [[1]]}' % dims, "json")
+
     def test_json_missing_key(self):
         with pytest.raises(MatrixParseError):
             parse_matrix('{"rows": 1, "entries": [[1]]}', "json")
@@ -331,6 +338,19 @@ class TestGoldenFiles:
                     "--lambda",
                     "1",
                 ],
+                0,
+            ),
+            # Non-square matrices, whose kernel question the SVD leaves to
+            # the kernel LP: a 3 x 5 with a nonnegative kernel vector, and
+            # one whose image witness is the LP's Farkas ray.
+            (
+                "analyze_kernel3x5.json",
+                ["analyze", "--input", str(DATA / "kernel3x5.csv")],
+                0,
+            ),
+            (
+                "analyze_image3x5.json",
+                ["analyze", "--input", str(DATA / "image3x5.csv")],
                 0,
             ),
         ],

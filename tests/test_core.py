@@ -478,3 +478,20 @@ def test_game_solution_rejects_negative_duality_gap():
         GameSolution(
             value=0.0, row_strategy=x, col_strategy=y, duality_gap=-1e-12, tolerance=1e-8
         )
+
+
+@pytest.mark.parametrize(
+    "value,gap,match",
+    [
+        (0.0, float("nan"), "duality gap"),
+        (float("nan"), 0.0, "value must be finite"),
+        (float("inf"), 0.0, "value must be finite"),
+    ],
+)
+def test_game_solution_rejects_nan_gap_and_non_finite_value(value, gap, match):
+    # `nan < 0.0` is False, so a gap check written that way lets NaN through.
+    x, y = MixedStrategy(Player.ROW, [1.0]), MixedStrategy(Player.COL, [1.0])
+    with pytest.raises(InputError, match=match):
+        GameSolution(
+            value=value, row_strategy=x, col_strategy=y, duality_gap=gap, tolerance=1e-8
+        )

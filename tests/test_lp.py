@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-import highs_oracle as highs
 import zerosum
 from zerosum import (
     ClaimId,
@@ -20,6 +19,7 @@ from zerosum.lp import (
     PIVOT_TOL,
     IterationLimitError,
     LinearProgram,
+    LPSolution,
     LPStatus,
     _pivot,
     _priced_cost_row,
@@ -33,6 +33,7 @@ from conftest import (
     integer_positive_games,
     lp_program,
     skew4,
+    with_slacks,
 )
 
 FEAS_TOL = 1e-9
@@ -56,27 +57,32 @@ def pivot_log(monkeypatch):
     return log
 
 
+def _objective(p, sol):
+    """c.z at the solution's point; 0 on the slacks `with_slacks` adds."""
+    return p.objective @ sol.point
+
+
 class TestBasicOutcomes:
     def test_box_optimum(self):
-        p = lp_program(objective=[1, 1], ineq_lhs=[[1, 0], [0, 1]], ineq_rhs=[1, 1])
+        p = with_slacks(objective=[1, 1], ineq_lhs=[[1, 0], [0, 1]], ineq_rhs=[1, 1])
         sol = solve_lp(p)
         assert sol.status is LPStatus.OPTIMAL
-        assert abs(sol.objective_value - 2.0) <= 1e-9
-        np.testing.assert_allclose(sol.point, [1.0, 1.0], atol=1e-9)
+        assert abs(_objective(p, sol) - 2.0) <= 1e-9
+        np.testing.assert_allclose(sol.point, [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
     def test_infeasible(self):
-        p = lp_program(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1])
+        p = with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1])
         assert solve_lp(p).status is LPStatus.INFEASIBLE
 
     def test_unbounded(self):
         # No program the package states is unbounded, so a ray in phase 2
         # is a solver bug, not an outcome.
-        p = lp_program(objective=[1], ineq_lhs=[[-1]], ineq_rhs=[1])
+        p = with_slacks(objective=[1], ineq_lhs=[[-1]], ineq_rhs=[1])
         with pytest.raises(RuntimeError, match="improving ray.*solver bug"):
             solve_lp(p)
 
     def test_equality_with_bounds(self):
-        p = lp_program(
+        p = with_slacks(
             objective=[1, 2],
             eq_lhs=[[1, 1]],
             eq_rhs=[1],
@@ -84,23 +90,20 @@ class TestBasicOutcomes:
             ineq_rhs=[0.7, 0.7],
         )
         sol = solve_lp(p)
-        assert abs(sol.objective_value - 1.7) <= 1e-9
+        assert abs(_objective(p, sol) - 1.7) <= 1e-9
 
     def test_beale_cycling_terminates(self, pivot_log):
-        # Classic instance on which Dantzig's rule cycles; the Bland
-        # fallback after DEGENERATE_STALL degenerate pivots must end it.
-        p = lp_program(
-            objective=[0.75, -150, 0.02, -6],
-            ineq_lhs=[
-                [0.25, -60, -1 / 25, 9],
-                [0.5, -90, -1 / 50, 3],
-                [0, 0, 1, 0],
-            ],
-            ineq_rhs=[0, 0, 1],
+        # Classic instance on which Dantzig's rule cycles from the slack
+        # basis; the Bland fallback after DEGENERATE_STALL degenerate pivots
+        # must end it.  Phase 1 leaves another basis, so the run starts at
+        # the slacks here.
+        G = [[0.25, -60, -1 / 25, 9], [0.5, -90, -1 / 50, 3], [0, 0, 1, 0]]
+        c, h = [0.75, -150, 0.02, -6], [0, 0, 1]
+        T = _tableau(
+            [[*row, *np.eye(3)[i], h[i]] for i, row in enumerate(G)], [*c, 0, 0, 0, 0]
         )
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        assert abs(sol.objective_value - 0.05) <= 1e-9
+        _run_simplex(T, [4, 5, 6])
+        assert abs(T[-1, -1] + 0.05) <= 1e-9  # -objective
         # Dantzig's rule through the whole degenerate stretch ...
         assert pivot_log[:DEGENERATE_STALL] == [(True, True)] * DEGENERATE_STALL
         # ... then Bland's smallest index, which leaves it within a few pivots.
@@ -108,6 +111,8 @@ class TestBasicOutcomes:
         assert 0 < len(fallback) <= 10
         assert not all(dantzig for dantzig, _ in fallback)
         assert not all(degenerate for _, degenerate in fallback)
+        p = with_slacks(objective=c, ineq_lhs=G, ineq_rhs=h)
+        assert abs(_objective(p, solve_lp(p)) - 0.05) <= 1e-9
 
 
 def _skew4_wide_kernels():
@@ -166,33 +171,33 @@ class TestTrustedConstructor:
         # for a 2 x 3 and a 3 x 2 matrix.
         for values in ([[1, -1, 2], [0, 1, -1]], [[1, -1], [2, 0], [-1, 1]]):
             gordan(GameMatrix(values))
-        assert [p.eq_lhs.shape for p in internal_lps] == [(3, 3), (4, 2)]
+        assert [p.lhs.shape for p in internal_lps] == [(3, 3), (4, 2)]
         for p in internal_lps:
             assert_program_contract(p)
 
     def test_takes_the_arrays_as_they_are(self):
-        arrays = [
-            np.ones(2), np.zeros((0, 2)), np.zeros(0), np.ones((1, 2)), np.ones(1)
-        ]
+        arrays = [np.ones(2), np.ones((1, 2)), np.ones(1)]
         p = LinearProgram(*arrays)
-        fields = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
+        fields = [p.objective, p.lhs, p.rhs]
         assert all(got is given for got, given in zip(fields, arrays))
         assert_program_contract(p)
-        assert solve_lp(p).objective_value == 1.0
+        assert _objective(p, solve_lp(p)) == 1.0
 
     def test_is_not_public(self):
-        # Only the package states programs, each with all five arrays.
+        # Only the package states programs, each with all three arrays, and
+        # a solution holds a status, a point and a Farkas ray.
         assert all(not name.startswith("_") for name in zerosum.__all__)
         assert not hasattr(zerosum, "LinearProgram")
         fields = dataclasses.fields(LinearProgram)
-        names = ["objective", "ineq_lhs", "ineq_rhs", "eq_lhs", "eq_rhs"]
-        assert [f.name for f in fields] == names
+        assert [f.name for f in fields] == ["objective", "lhs", "rhs"]
         assert all(f.default is dataclasses.MISSING for f in fields)
+        names = [f.name for f in dataclasses.fields(LPSolution)]
+        assert names == ["status", "point", "farkas"]
 
 
 def _random_feasible_program(rng):
-    """LP with a known interior point z0 inside the box [0, 2]^n, whose upper
-    side is written as the last n rows of G."""
+    """(c, G, h, E, f, z0): an LP with a known interior point z0 inside the
+    box [0, 2]^n, whose upper side is written as the last n rows of G."""
     n = int(rng.integers(1, 5))
     mg = int(rng.integers(0, 5))
     me = int(rng.integers(0, 2))
@@ -202,22 +207,13 @@ def _random_feasible_program(rng):
     E = rng.uniform(-2, 2, (me, n))
     f = E @ z0
     c = rng.uniform(-2, 2, n)
-    p = lp_program(
-        objective=c,
-        ineq_lhs=np.vstack([G, np.eye(n)]),
-        ineq_rhs=np.concatenate([h, np.full(n, 2.0)]),
-        eq_lhs=E if me else None,
-        eq_rhs=f if me else None,
-    )
-    return p, z0
+    G, h = np.vstack([G, np.eye(n)]), np.concatenate([h, np.full(n, 2.0)])
+    return c, G, h, E, f, z0
 
 
-def _feasible_mask(p, points, tol):
-    ok = np.ones(len(points), dtype=bool)
-    if p.ineq_lhs.shape[0]:
-        ok &= np.all(points @ p.ineq_lhs.T <= p.ineq_rhs + tol, axis=1)
-    if p.eq_lhs.shape[0]:
-        ok &= np.all(np.abs(points @ p.eq_lhs.T - p.eq_rhs) <= tol, axis=1)
+def _feasible_mask(G, h, E, f, points, tol):
+    ok = np.all(points @ G.T <= h + tol, axis=1)
+    ok &= np.all(np.abs(points @ E.T - f) <= tol, axis=1)
     ok &= np.all(points >= -tol, axis=1)
     return ok
 
@@ -225,16 +221,17 @@ def _feasible_mask(p, points, tol):
 def test_weak_duality_on_random_feasible_instances():
     rng = np.random.default_rng(2024)
     for _ in range(40):
-        p, z0 = _random_feasible_program(rng)
+        c, G, h, E, f, z0 = _random_feasible_program(rng)
+        p = with_slacks(c, G, h, E, f)
         sol = solve_lp(p)
         assert sol.status is LPStatus.OPTIMAL
         assert _residual(p, sol.point) <= FEAS_TOL
         # any feasible point scores at most the reported optimum
-        samples = rng.uniform(0.0, 2.0, (400, p.objective.size))
+        samples = rng.uniform(0.0, 2.0, (400, c.size))
         samples[0] = z0
-        feasible = samples[_feasible_mask(p, samples, 1e-12)]
+        feasible = samples[_feasible_mask(G, h, E, f, samples, 1e-12)]
         assert len(feasible) >= 1
-        assert np.all(feasible @ p.objective <= sol.objective_value + 1e-8)
+        assert np.all(feasible @ c <= _objective(p, sol) + 1e-8)
 
 
 def test_infeasible_reports_confirmed_by_rejection_sampling():
@@ -243,18 +240,15 @@ def test_infeasible_reports_confirmed_by_rejection_sampling():
     while confirmed < 10:
         n = int(rng.integers(1, 4))
         mg = int(rng.integers(1, 4))
-        G = rng.uniform(-2, 2, (mg, n))
-        h = rng.uniform(-3.0, -1.5, mg)  # likely contradicts the [0,1] box
-        p = lp_program(
-            objective=rng.uniform(-1, 1, n),
-            ineq_lhs=np.vstack([G, np.eye(n)]),
-            ineq_rhs=np.concatenate([h, np.ones(n)]),
-        )
-        sol = solve_lp(p)
+        # h likely contradicts the [0, 1] box.
+        G = np.vstack([rng.uniform(-2, 2, (mg, n)), np.eye(n)])
+        h = np.concatenate([rng.uniform(-3.0, -1.5, mg), np.ones(n)])
+        E, f = np.zeros((0, n)), np.zeros(0)
+        sol = solve_lp(with_slacks(rng.uniform(-1, 1, n), G, h))
         if sol.status is not LPStatus.INFEASIBLE:
             continue
         samples = rng.uniform(0.0, 1.0, (10_000, n))
-        assert not np.any(_feasible_mask(p, samples, FEAS_TOL))
+        assert not np.any(_feasible_mask(G, h, E, f, samples, FEAS_TOL))
         confirmed += 1
 
 
@@ -262,7 +256,7 @@ def test_iteration_limit_error_is_distinct(monkeypatch):
     import zerosum.lp as lp_mod
 
     monkeypatch.setattr(lp_mod, "ITERATION_FACTOR", 0)
-    p = lp_program(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1])
+    p = with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1])
     with pytest.raises(lp_mod.IterationLimitError):
         solve_lp(p)
 
@@ -716,14 +710,14 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
 
 def test_residual_counts_negative_coordinates():
     # z >= 0 is part of every region, so a negative coordinate is infeasible.
-    p = lp_program(objective=[1, 1])
+    p = lp_program([1, 1], [[0, 0]], [0])
     assert _residual(p, np.array([0.5, -1e-3])) == 1e-3
 
 
 def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     import zerosum.lp as lp_mod
 
-    p = lp_program(objective=[1, 1], ineq_lhs=[[1, 2], [3, 1]], ineq_rhs=[4, 6])
+    p = with_slacks(objective=[1, 1], ineq_lhs=[[1, 2], [3, 1]], ineq_rhs=[4, 6])
     calls = []
 
     def violated_once(region, z):
@@ -734,7 +728,7 @@ def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     sol = solve_lp(p)
     assert len(calls) == 2
     assert sol.status is LPStatus.OPTIMAL
-    np.testing.assert_allclose(sol.point, [1.6, 1.2], atol=1e-12)
+    np.testing.assert_allclose(sol.point, [1.6, 1.2, 0.0, 0.0], atol=1e-12)
     assert calls[1] is sol.point  # the recomputed point is the one certified
 
     monkeypatch.setattr(lp_mod, "_residual", lambda region, z: 1.0)
@@ -744,8 +738,9 @@ def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
 
 def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     # The value LP's certificate is read from B; when it fails, x_B is solved
-    # against the rows `solve_lp` would write for the same program, and the
-    # recomputed point is the one certified and returned.
+    # against the rows `solve_lp` would write for the same program over
+    # (x, v, slacks), and the recomputed point is the one certified and
+    # returned.
     import zerosum.lp as lp_mod
 
     B = np.random.default_rng(37).uniform(1.0, 6.0, (3, 4))
@@ -777,8 +772,10 @@ def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     assert np.shares_memory(x, z) and x.tobytes() == z[:m].tobytes() and v == z[m]
     np.testing.assert_allclose(x, tableau_x, atol=1e-12)
     assert abs(v - tableau_v) <= 1e-12
-    G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)
-    p = lp_program(np.eye(m + 1)[m], G, np.zeros(n), [[1.0] * m + [0.0]], [1.0])
+    lhs = np.zeros((n + 1, m + 1 + n))
+    lhs[:n] = np.concatenate([-B.T, np.ones((n, 1)), np.eye(n)], axis=1)
+    lhs[n, :m] = 1.0
+    p = lp_program(np.eye(m + 1 + n)[m], lhs, np.eye(n + 1)[n])
     rows = np.zeros((n + 1, m + 2 + n))
     lp_mod._write_rows(rows, p, np.zeros(n + 1, dtype=bool))
     assert written[0].tobytes() == rows.tobytes()
@@ -792,62 +789,41 @@ def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
 
 def _reference_phase_one(p):
     """The phase-1 tableau and basis as the lp module docstring states them,
-    entry by entry: [G | I | art | h; E | 0 | art | f] over the cost row of
-    maximize -(sum of artificials).  A row with a negative rhs has its data
-    and rhs multiplied by -1 and its slack set to -1; every other entry off
-    the data stays +0.  The cost row is c - c_B [rows], one matrix product
-    as in `_priced_cost_row`."""
-    n_ineq, N = p.ineq_lhs.shape
-    data = [*zip(p.ineq_lhs.tolist(), p.ineq_rhs.tolist())]
-    data += [*zip(p.eq_lhs.tolist(), p.eq_rhs.tolist())]
-    m, width = len(data), N + n_ineq
-    art_rows = [i for i, (_, rhs) in enumerate(data) if i >= n_ineq or rhs < 0.0]
-    total = width + len(art_rows)
-    T = np.zeros((m + 1, total + 1))
-    basis = []
-    for i, (lhs, rhs) in enumerate(data):
+    entry by entry: [E | I | f] over the cost row of maximize -(sum of
+    artificials), row i basic on its artificial, column N + i.  A row with a
+    negative rhs has its data and rhs multiplied by -1; every other entry
+    off the data stays +0.  The cost row is c - c_B [rows], one matrix
+    product as in `_priced_cost_row`."""
+    m, N = p.lhs.shape
+    T = np.zeros((m + 1, N + m + 1))
+    for i, (lhs, rhs) in enumerate(zip(p.lhs.tolist(), p.rhs.tolist())):
         flip = rhs < 0.0
         T[i, :N] = [a * -1.0 if flip else a for a in lhs]
         T[i, -1] = rhs * -1.0 if flip else rhs
-        if i < n_ineq:
-            T[i, N + i] = -1.0 if flip else 1.0
-        if i in art_rows:
-            T[i, width + art_rows.index(i)] = 1.0
-            basis.append(width + art_rows.index(i))
-        else:
-            basis.append(N + i)
-    costs = np.zeros(total + 1)
-    costs[width:total] = -1.0
+        T[i, N + i] = 1.0
+    basis = [N + i for i in range(m)]
+    costs = np.zeros(N + m + 1)
+    costs[N:-1] = -1.0
     T[-1] = costs - costs[basis] @ T[:-1]
     return T, basis
 
 
 def _setup_programs(rng):
-    """(kind, program) pairs covering each shape of the phase-1 set-up, with
+    """(kind, program) pairs with and without a flipped row, with
     continuous and integer data (integer data makes -0 entries)."""
     for t in range(200):
-        kind = ["<= only", "flipped", "= rows", "no <= rows"][t % 4]
-        integer = t % 2 == 0
+        kind = ["unflipped", "flipped"][t % 2]
+        integer = t % 4 < 2
         draw = (
             (lambda *shape: rng.integers(-3, 4, shape).astype(float))
             if integer
             else (lambda *shape: rng.uniform(-2, 2, shape))
         )
-        n = int(rng.integers(1, 6))
-        mg = 0 if kind == "no <= rows" else int(rng.integers(1, 5))
-        me = int(rng.integers(1, 4)) if kind in ("= rows", "no <= rows") else 0
-        h = draw(mg)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        rhs = np.abs(draw(m))
         if kind == "flipped":
-            h[0] = -abs(h[0]) - 1.0
-            me = int(rng.integers(0, 3))
-        elif kind in ("<= only", "= rows"):
-            h = np.abs(h)
-        kwargs = {}
-        if mg:
-            kwargs.update(ineq_lhs=draw(mg, n), ineq_rhs=h)
-        if me:
-            kwargs.update(eq_lhs=draw(me, n), eq_rhs=draw(me))
-        yield kind, lp_program(objective=draw(n), **kwargs)
+            rhs[0] = -rhs[0] - 1.0
+        yield kind, lp_program(draw(n), draw(m, n), rhs)
 
 
 def test_phase_one_tableau_is_the_documented_one(monkeypatch):
@@ -877,17 +853,17 @@ def test_phase_one_tableau_is_the_documented_one(monkeypatch):
         assert T.shape == want_T.shape, kind
         assert T.tobytes() == want_T.tobytes(), kind
         kinds.add(kind)
-    assert len(kinds) == 4
+    assert len(kinds) == 2
 
 
 def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
-    # Row 0 is flipped (-z0 - z1 <= -1), and the second equality repeats the
-    # first, so phase 1 drops its row, which is not the last.  The first
+    # Row 0 is flipped (-z0 - z1 + s0 = -1), and the second equality repeats
+    # the first, so phase 1 drops its row, which is not the last.  The first
     # residual check spoils the tableau's x_B and fails, so x_B must be
     # solved again against the rebuilt, flipped, kept rows.
     import zerosum.lp as lp_mod
 
-    p = lp_program(
+    p = with_slacks(
         objective=[1, 3, 0],
         ineq_lhs=[[-1, -1, 0], [1, 2, 0]],
         ineq_rhs=[-1, 4],
@@ -917,13 +893,13 @@ def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
     monkeypatch.setattr(lp_mod, "_run_simplex", recording)
     monkeypatch.setattr(lp_mod, "_residual", spoiled_once)
     sol = solve_lp(p)
-    # Phase 1: 5 rows, 3 variables, 2 slacks and 4 artificials (the flipped
-    # row's and the equalities').  Phase 2: 4 rows, no artificial.
-    assert shapes == [(5 + 1, 3 + 2 + 4 + 1), (4 + 1, 3 + 2 + 1)]
+    # Phase 1: 5 rows, 3 variables, 2 slacks and 5 artificials.  Phase 2:
+    # 4 rows, no artificial.
+    assert shapes == [(5 + 1, 3 + 2 + 5 + 1), (4 + 1, 3 + 2 + 1)]
     assert len(calls) == 2
     assert sol.status is LPStatus.OPTIMAL
     np.testing.assert_allclose(sol.point, want.point, atol=1e-12)
-    np.testing.assert_allclose(sol.point, [0.0, 2.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(sol.point[:3], [0.0, 2.0, 1.0], atol=1e-12)
     assert calls[1].tobytes() == sol.point.tobytes()  # the point certified
 
 
@@ -931,7 +907,7 @@ def test_overflowed_optimum_is_a_solver_error():
     # The optimum 1e300 / 1e-10 overflows, and the pivot turns its inf into
     # NaN; a NaN point must fail the residual checks, not end Optimal, and
     # the error names the overflow, not a solver bug.
-    p = lp_program(objective=[1.0], ineq_lhs=[[1e-10]], ineq_rhs=[1e300])
+    p = with_slacks(objective=[1.0], ineq_lhs=[[1e-10]], ineq_rhs=[1e300])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="overflows the float range") as err:
             solve_lp(p)
@@ -940,14 +916,10 @@ def test_overflowed_optimum_is_a_solver_error():
 
 def test_degenerate_equalities_and_redundant_rows():
     # Duplicated equality rows force redundant phase-1 rows to be dropped.
-    p = lp_program(
-        objective=[1, 1],
-        eq_lhs=[[1, 1], [1, 1], [2, 2]],
-        eq_rhs=[1, 1, 2],
-    )
+    p = lp_program([1, 1], [[1, 1], [1, 1], [2, 2]], [1, 1, 2])
     sol = solve_lp(p)
     assert sol.status is LPStatus.OPTIMAL
-    assert abs(sol.objective_value - 1.0) <= 1e-9
+    assert abs(_objective(p, sol) - 1.0) <= 1e-9
 
 
 def test_positive_game_extrema_take_no_pivots(pivot_log):
@@ -961,71 +933,11 @@ def test_positive_game_extrema_take_no_pivots(pivot_log):
         assert pivot_log == [], i
 
 
-def _random_leq_program(rng):
-    """maximize c.z s.t. G z <= h, z >= 0, bounded by one all-positive row.
-
-    h is G z0 plus a positive gap at a known z0 > 0, so some rows start with
-    a negative right-hand side and are flipped by the simplex.
-    """
-    n = int(rng.integers(1, 6))
-    mg = int(rng.integers(0, 5))
-    z0 = rng.uniform(0.2, 1.0, n)
-    G = np.vstack([rng.uniform(-2, 2, (mg, n)), rng.uniform(0.5, 2, (1, n))])
-    h = G @ z0 + rng.uniform(0.05, 1.0, mg + 1)
-    return lp_program(objective=rng.uniform(-2, 2, n), ineq_lhs=G, ineq_rhs=h)
-
-
-def test_ineq_duals_nonnegative_and_complementary():
-    rng = np.random.default_rng(31)
-    programs = [_random_feasible_program(rng)[0] for _ in range(40)]
-    programs += [_random_leq_program(rng) for _ in range(40)]
-    for p in programs:
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        y = sol.ineq_duals
-        assert y.shape == (p.ineq_lhs.shape[0],)
-        assert np.all(y >= -PIVOT_TOL)
-        slack = p.ineq_rhs - p.ineq_lhs @ sol.point
-        assert np.all(np.abs(y * slack) <= 1e-9)
-
-
-def test_ineq_duals_strong_duality():
-    rng = np.random.default_rng(32)
-    flipped = 0
-    for _ in range(60):
-        p = _random_leq_program(rng)
-        flipped += int(np.sum(p.ineq_rhs < 0))
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        assert abs(sol.objective_value - p.ineq_rhs @ sol.ineq_duals) <= 1e-9
-        # dual feasibility: G^T y >= c, since every z_j >= 0
-        assert np.all(p.ineq_lhs.T @ sol.ineq_duals >= p.objective - 1e-9)
-    assert flipped > 0
-
-
-def test_ineq_duals_against_highs():
-    rng = np.random.default_rng(34)
-    for _ in range(40):
-        p = _random_leq_program(rng)
-        sol = solve_lp(p)
-        res = highs.solve(-p.objective, A_ub=p.ineq_lhs, b_ub=p.ineq_rhs)
-        assert res.status == 0
-        # HiGHS minimizes -c.z; its marginals are d(min)/dh = -y.
-        np.testing.assert_allclose(
-            sol.ineq_duals, -res.ineqlin.marginals, rtol=0, atol=1e-8
-        )
-
-
-def test_no_ineq_rows_gives_empty_duals():
-    sol = solve_lp(lp_program(objective=[1, 1], eq_lhs=[[1, 1]], eq_rhs=[1]))
-    assert sol.ineq_duals.shape == (0,)
-
-
 def _random_infeasible_programs(rng, count):
-    """`count` LPs over z >= 0 with <= and = rows that solve_lp reports
-    Infeasible.  Right-hand sides of both signs make the simplex flip rows.
-    A draw that is feasible and unbounded ends in phase 2's ray error and is
-    skipped with the feasible ones."""
+    """`count` LPs over z >= 0 with <= and = rows, in standard form, that
+    solve_lp reports Infeasible.  Right-hand sides of both signs make the
+    simplex flip rows.  A draw that is feasible and unbounded ends in phase
+    2's ray error and is skipped with the feasible ones."""
     programs = []
     while len(programs) < count:
         n = int(rng.integers(1, 5))
@@ -1033,12 +945,12 @@ def _random_infeasible_programs(rng, count):
         me = int(rng.integers(0, 3))
         if mg + me == 0:
             continue
-        p = lp_program(
-            objective=rng.uniform(-1, 1, n),
-            ineq_lhs=rng.uniform(-2, 2, (mg, n)) if mg else None,
-            ineq_rhs=rng.uniform(-2, 1, mg) if mg else None,
-            eq_lhs=rng.uniform(-2, 2, (me, n)) if me else None,
-            eq_rhs=rng.uniform(-2, 2, me) if me else None,
+        p = with_slacks(
+            rng.uniform(-1, 1, n),
+            rng.uniform(-2, 2, (mg, n)),
+            rng.uniform(-2, 1, mg),
+            rng.uniform(-2, 2, (me, n)),
+            rng.uniform(-2, 2, me),
         )
         try:
             sol = solve_lp(p)
@@ -1052,26 +964,22 @@ def _random_infeasible_programs(rng, count):
 
 def test_farkas_certifies_infeasibility():
     rng = np.random.default_rng(35)
-    flipped_ineq = flipped_eq = mixed = 0
+    flipped = unflipped = 0
     for p, sol in _random_infeasible_programs(rng, 300):
-        mg = p.ineq_lhs.shape[0]
         w = sol.farkas
-        assert w.shape == (mg + p.eq_lhs.shape[0],)
+        assert w.shape == p.rhs.shape
         tol = 1e-9 * np.max(np.abs(w))
-        assert np.all(w[:mg] >= -tol)
-        assert np.all(np.vstack([p.ineq_lhs, p.eq_lhs]).T @ w >= -tol)
-        assert p.ineq_rhs @ w[:mg] + p.eq_rhs @ w[mg:] < 0.0
-        flipped_ineq += int(np.sum(p.ineq_rhs < 0))
-        flipped_eq += int(np.sum(p.eq_rhs < 0))
-        mixed += int(mg > 0 and p.eq_lhs.shape[0] > 0)
-    assert flipped_ineq > 0 and flipped_eq > 0 and mixed > 0
+        assert np.all(p.lhs.T @ w >= -tol)
+        assert p.rhs @ w < 0.0
+        flipped += int(np.sum(p.rhs < 0))
+        unflipped += int(np.sum(p.rhs >= 0))
+    assert flipped > 0 and unflipped > 0
 
 
 def test_farkas_only_on_infeasible():
-    optimal = solve_lp(lp_program(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1]))
-    infeasible = solve_lp(lp_program(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1]))
+    optimal = solve_lp(with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1]))
+    infeasible = solve_lp(with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1]))
     assert optimal.status is LPStatus.OPTIMAL and optimal.farkas is None
     assert infeasible.status is LPStatus.INFEASIBLE
-    assert infeasible.farkas.tolist() == [1.0]  # 1 * z <= -1 with z >= 0
-    assert infeasible.point is None and infeasible.ineq_duals is None
-
+    assert infeasible.farkas.tolist() == [1.0]  # z + s = -1 with z, s >= 0
+    assert infeasible.point is None

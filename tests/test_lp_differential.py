@@ -2,21 +2,22 @@
 
 Every LP is  maximize c.z  s.t.  G z <= h,  E z = f,  z >= 0  with small
 integer data and at least one row, so feasible, infeasible, unbounded and
-degenerate (zero right-hand sides, duplicated rows) cases all come up.  No
+degenerate (zero right-hand sides, duplicated rows) cases all come up.  The
+test writes each in standard form, a slack column for each row of G, and
+hands both solvers that same program over z and its slacks.  No
 program the package states is unbounded, so where HiGHS reports a ray,
 `solve_lp` raises its solver-bug error.  HiGHS runs without presolve and at
 1e-10 tolerances: with presolve on it reports some unbounded LPs whose
 z = 0 is feasible as infeasible (see the first example below).
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import highs_oracle as highs
 from zerosum.lp import LPStatus, solve_lp
-from conftest import lp_program
+from conftest import with_slacks
 
 pytest.importorskip("scipy.optimize")
 
@@ -44,17 +45,6 @@ def integer_programs(draw):
     return c, G, h, E, f
 
 
-def _highs(c, G, h, E, f):
-    n = len(c)
-    return highs.solve(
-        -np.array(c, dtype=float),
-        A_ub=np.array(G, dtype=float).reshape(-1, n) if G else None,
-        b_ub=np.array(h, dtype=float) if G else None,
-        A_eq=np.array(E, dtype=float).reshape(-1, n) if E else None,
-        b_eq=np.array(f, dtype=float) if E else None,
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(integer_programs())
 # Unbounded with z = 0 feasible; presolving HiGHS calls it infeasible.
@@ -70,16 +60,10 @@ def _highs(c, G, h, E, f):
 @example(([1], [], [], [[0]], [0]))
 def test_solve_lp_matches_highs(program):
     c, G, h, E, f = program
-    res = _highs(c, G, h, E, f)
+    p = with_slacks(c, G or None, h or None, E or None, f or None)
+    res = highs.solve(-p.objective, A_eq=p.lhs, b_eq=p.rhs)
     if res.status == HIGHS_NUMERICAL_DIFFICULTIES:
         return
-    p = lp_program(
-        objective=c,
-        ineq_lhs=G if G else None,
-        ineq_rhs=h if G else None,
-        eq_lhs=E if E else None,
-        eq_rhs=f if E else None,
-    )
     if res.status == HIGHS_UNBOUNDED:
         with pytest.raises(RuntimeError, match="improving ray.*solver bug"):
             solve_lp(p)
@@ -87,4 +71,5 @@ def test_solve_lp_matches_highs(program):
     sol = solve_lp(p)
     assert sol.status is HIGHS_STATUS[res.status], res.message
     if sol.status is LPStatus.OPTIMAL:
-        assert abs(sol.objective_value - (-res.fun)) <= 1e-9 * max(1.0, abs(res.fun))
+        got = p.objective @ sol.point
+        assert abs(got - (-res.fun)) <= 1e-9 * max(1.0, abs(res.fun))

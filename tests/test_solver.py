@@ -20,7 +20,7 @@ from zerosum import (
 from zerosum.claims import check_positive_dominated
 from zerosum.cli import run_cli
 from zerosum.core import normalized_strategy
-from zerosum.lp import PIVOT_TOL, LPStatus, solve_lp
+from zerosum.lp import PIVOT_TOL
 from zerosum.solver import (
     SOLVE_TOL_DEFAULT,
     _certify,
@@ -34,8 +34,6 @@ from conftest import (
     assert_program_contract,
     ensemble,
     integer_positive_games,
-    lp_program,
-    lp_solution_bits,
     payoffs_at_pivot_scale,
     random_matrix,
     random_skew,
@@ -196,17 +194,23 @@ class TestGameValue:
                 solve_game(rps, tol=tol)
 
 
-def _value_lp_by_solve_lp(B):
-    """The value LP of B stated in the documented layout and solved by
-    `solve_lp`'s two phases: its Optimal LPSolution."""
+def _value_lp_start(B, i):
+    """The value LP's tableau at x_i = 1, v = 0, written entry by entry from
+    B as `solve_value_lp` states it, and its basis: column row j reads
+    B_ij - B_kj on x_k, 1 on v and on slack j, rhs B_ij, basic slack j; the
+    sum row reads 1 on each x_k, rhs 1, basic x_i; the cost row is e_v."""
     m, n = B.shape
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    G = np.concatenate([-B.T, np.ones((n, 1))], axis=1)
-    E = [[1.0] * m + [0.0]]
-    sol = solve_lp(lp_program(c, G, np.zeros(n), E, [1.0]))
-    assert sol.status is LPStatus.OPTIMAL
-    return sol
+    width = m + 1 + n
+    T = np.zeros((n + 2, width + 1))
+    for j in range(n):
+        for k in range(m):
+            T[j, k] = B[i, j] - B[k, j]
+        T[j, m] = T[j, m + 1 + j] = 1.0
+        T[j, -1] = B[i, j]
+    T[n, :m] = 1.0
+    T[n, -1] = 1.0
+    T[-1, m] = 1.0
+    return T, [*range(m + 1, width), i]
 
 
 BENCH_ENSEMBLES = pytest.mark.parametrize(
@@ -227,11 +231,9 @@ def _bench_payoffs(family, size, seed):
 class TestValueLpStart:
     """`lp.solve_value_lp` starts phase 2 at x_i basic in the sum row, for
     i the row with the largest payoff sum: the row player's best response
-    to a uniform column player.  That tableau is what one pivot of
-    `solve_lp`'s phase 1 on the same program makes of its start, written
-    down.  Its first pivot, on (first argmin of B_i, v), is the one
-    `_run_simplex` would make there; `_run_simplex` then runs from the
-    next tableau as it does in `solve_lp`."""
+    to a uniform column player.  That tableau is `_value_lp_start(B, i)`.
+    Its first pivot, on (first argmin of B_i, v), is the one `_run_simplex`
+    would make there; `_run_simplex` then runs from the next tableau."""
 
     @staticmethod
     def start_row(B):
@@ -271,36 +273,14 @@ class TestValueLpStart:
         return got, start
 
     @staticmethod
-    def solve_lp_start(monkeypatch, B, i):
-        """`solve_lp`'s answer on B's value LP, and, in
-        `handed_to_phase_two`'s form, what `_pivot` makes of its phase-1
-        start at (sum row, x_i) once the artificial column is dropped and
-        e_v is priced, and then at (first argmin of B_i, v), which is
+    def written_start(monkeypatch, B, i):
+        """In `handed_to_phase_two`'s form, what `_pivot` makes of
+        `_value_lp_start(B, i)` at (first argmin of B_i, v), which is
         checked to be `_run_simplex`'s own first pivot there."""
         import zerosum.lp as lp_mod
 
-        starts = []
-        run, pivot = lp_mod._run_simplex, lp_mod._pivot
-
-        def spy(T, basis, bounded=False):
-            if bounded:
-                starts.append((T.copy(), list(basis)))
-            return run(T, basis, bounded)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(lp_mod, "_run_simplex", spy)
-            sol = _value_lp_by_solve_lp(B)
-        ((T, basis),) = starts
-        m, n = B.shape
-        width = m + 1 + n  # x, v and the n slacks; the artificial follows
-        assert T.shape == (n + 2, width + 2) and basis[n] == width
-        pivot(T, n, i)
-        basis[n] = i
-        T = np.concatenate([T[:, :width], T[:, width + 1 :]], axis=1)
-        costs = np.zeros(width)
-        costs[m] = 1.0
-        lp_mod._priced_cost_row(T, basis, costs)
-
+        T, basis = _value_lp_start(B, i)
+        m = B.shape[0]
         r = B[i].tolist().index(min(B[i]))
         first = []
 
@@ -311,21 +291,20 @@ class TestValueLpStart:
         with monkeypatch.context() as patch:
             patch.setattr(lp_mod, "_pivot", stop)
             with pytest.raises(StopIteration):
-                run(T.copy(), list(basis))
+                lp_mod._run_simplex(T.copy(), list(basis))
         assert first == [(r, m)]
-        pivot(T, r, m)
+        lp_mod._pivot(T, r, m)
         basis[r] = m
-        return sol, (T.shape, T.tobytes(), basis)
+        return T.shape, T.tobytes(), basis
 
     def assert_start(self, monkeypatch, B):
         """B's value LP starts at the largest sum, byte for byte as
-        `solve_lp`'s phase 1 would leave it there, and answers with a v
-        within 1e-12 relative of `solve_lp`'s that passes `_certify`."""
+        `_value_lp_start` writes it there, and answers with a v within
+        1e-12 relative of HiGHS's that passes `_certify`."""
         i = self.start_row(B)
         (x, v, y), start = self.handed_to_phase_two(monkeypatch, B)
-        sol, want = self.solve_lp_start(monkeypatch, B, i)
-        assert start == want
-        assert abs(v - sol.point[B.shape[0]]) <= 1e-12 * max(1.0, abs(v))
+        assert start == self.written_start(monkeypatch, B, i)
+        assert abs(v - highs.game_value(B)) <= 1e-12 * max(1.0, abs(v))
         row = normalized_strategy(x, Player.ROW).weights
         col = normalized_strategy(y, Player.COL).weights
         _certify(B, row, col, v, SOLVE_TOL_DEFAULT)
@@ -359,50 +338,43 @@ class TestValueLpStart:
                     solve_game(GameMatrix(B))
         # The float before the edge is accepted: game 3 without its refused
         # entry keeps the edge's predecessor in row 1, the largest sum, and
-        # x_1 starts there.  `solve_lp`'s phase 1 ends at x_0 instead, and
-        # its phase 2 from there, on payoffs of 1e11, misses the saddle
-        # value B[1, 1] by 2.3e-6; so the start is compared, and the answer
-        # checked against the saddle.
+        # x_1 starts there.  Phase 2 from the first row's start, x_0, on
+        # payoffs of 1e11, misses the saddle value B[1, 1] by 2.3e-6; so the
+        # start is compared, and the answer checked against the saddle.
         B = games[3].copy()
         B[0, 2] = 3.0
         top = B.max()
         assert PIVOT_TOL * top < 1.0 <= PIVOT_TOL * np.nextafter(top, np.inf)
         assert self.start_row(B) == 1
         _, start = self.handed_to_phase_two(monkeypatch, B)
-        assert start == self.solve_lp_start(monkeypatch, B, 1)[1]
+        assert start == self.written_start(monkeypatch, B, 1)
         sol = solve_game(GameMatrix(B))
         assert sol.value == B[1, 1] and sol.duality_gap == 0.0
 
     @BENCH_ENSEMBLES
-    def test_fewer_pivots_than_solve_lp(self, monkeypatch, family, size, seed):
-        # Phase-2 pivots only, the value LP's first one included: solve_lp's
-        # phase 1 adds one more per game.
+    def test_fewer_pivots_than_the_first_row(self, monkeypatch, family, size, seed):
+        # Phase-2 pivots, the first one included, from the largest sum's
+        # start and from the first row's, `_value_lp_start(B, 0)`.
         import zerosum.lp as lp_mod
 
-        run, pivot = lp_mod._run_simplex, lp_mod._pivot
-        counting = [False]
-        pivots = {"value_lp": 0, "solve_lp": 0}
-
-        def run_spy(T, basis, bounded=False):
-            counting[0] = not bounded
-            try:
-                return run(T, basis, bounded)
-            finally:
-                counting[0] = False
+        pivot = lp_mod._pivot
+        pivots = {"largest_sum": 0, "first_row": 0}
 
         def pivot_spy(T, row, col):
-            # The value LP's first pivot is made before `_run_simplex` runs.
-            pivots[path] += counting[0] or path == "value_lp"
+            pivots[path] += 1
             pivot(T, row, col)
 
-        monkeypatch.setattr(lp_mod, "_run_simplex", run_spy)
         monkeypatch.setattr(lp_mod, "_pivot", pivot_spy)
         for B in _bench_payoffs(family, size, seed):
-            path = "value_lp"
+            path = "largest_sum"
             lp_mod.solve_value_lp(B)
-            path = "solve_lp"
-            _value_lp_by_solve_lp(B)
-        assert pivots["value_lp"] < pivots["solve_lp"], pivots
+            path = "first_row"
+            T, basis = _value_lp_start(B, 0)
+            r = int(B[0].argmin())
+            lp_mod._pivot(T, r, B.shape[0])
+            basis[r] = B.shape[0]
+            lp_mod._run_simplex(T, basis)
+        assert pivots["largest_sum"] < pivots["first_row"], pivots
 
 
 class TestOracle:
@@ -538,8 +510,8 @@ class TestAllRowOptimaDominated:
     def test_extrema_lps_are_the_documented_programs(self, internal_lps):
         # Without a solution the extrema come from 2n LPs.  Each keeps the
         # constructor's contract and is, bit for bit, maximize c.x over
-        # -V^T x <= -(v - tol) 1, 1^T x = 1 with c a row of V^T, then of
-        # -V^T, on degenerate3 (whose vertex gate refuses, so `verify` takes
+        # V^T x - s = (v - tol) 1, 1^T x = 1, x, s >= 0 with c a row of V^T,
+        # then of -V^T, on degenerate3 (whose vertex gate refuses, so `verify` takes
         # this path) and five integer games.
         degenerate = GameMatrix(np.loadtxt(DATA / "degenerate3.csv", delimiter=","))
         tol = 1e-8
@@ -549,11 +521,14 @@ class TestAllRowOptimaDominated:
             internal_lps.clear()
             row_optima_column_extrema(A, v, tol)
             assert len(internal_lps) == 2 * n
+            lhs = np.zeros((n + 1, m + n))
+            lhs[:n] = np.concatenate([V.T, -np.eye(n) + 0.0], axis=1)
+            lhs[n, :m] = 1.0
+            rhs = np.append(np.full(n, v - tol), 1.0)
             for p, c in zip(internal_lps, [*V.T, *-V.T]):
                 assert_program_contract(p)
-                got = [p.objective, p.ineq_lhs, p.ineq_rhs, p.eq_lhs, p.eq_rhs]
-                want = [c, -V.T, np.full(n, -(v - tol)), np.ones((1, m)), np.ones(1)]
-                for g, w in zip(got, want):
+                want = [np.append(c, np.zeros(n)), lhs, rhs]
+                for g, w in zip([p.objective, p.lhs, p.rhs], want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_identity_boundary(self):

@@ -508,11 +508,9 @@ def _kernel_lp(M):
     """The program `_stochastic_kernel` hands to `solve_lp` for M:
     [M; 1^T] z = e_{m+1}, z >= 0, with a zero objective."""
     m, n = M.shape
-    eq_rhs = np.zeros(m + 1)
-    eq_rhs[m] = 1.0
-    return LinearProgram(
-        np.zeros(n), np.zeros((0, n)), np.zeros(0), np.vstack([M, np.ones(n)]), eq_rhs
-    )
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    return LinearProgram(np.zeros(n), np.vstack([M, np.ones(n)]), rhs)
 
 
 @pytest.fixture
