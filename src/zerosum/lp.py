@@ -6,21 +6,22 @@ Solves  maximize c.z  subject to  E z = f,  z >= 0, the standard form
 inequality with a slack or surplus column of its own.  Each of the three
 programs solved here (a game's value LP, the optimal-strategy extrema LP,
 the kernel LP) has a row and a bounded objective, so it ends Optimal, or
-Infeasible with a `farkas` ray that answers strict inequalities (see
+Infeasible with a Farkas ray w that answers strict inequalities (see
 spectral.gordan); a ray that improves the objective is a solver bug.
 
 This module is internal: `solver` and `spectral` state their programs
 here, or hand `solve_value_lp` a game's payoffs, and no public function
-takes or returns its types.  A program is stated one way,
-`LinearProgram(c, E, f)` of three arrays that its caller lays out; the
-constructor copies and checks nothing, and its docstring states what the
-caller guarantees.  A guarantee that outside input can break (a shifted
-payoff at or above 1/PIVOT_TOL, an eigenvalue shift that overflows, a
-non-finite game value) is checked by that caller, before its arithmetic,
-with an InputError that names the cause.
+takes or returns what it answers.  A program is stated one way,
+`solve_lp(c, E, f)` of three arrays that its caller lays out, and answered
+as a pair (z, w): the point z when it is Optimal, the Farkas ray w when it
+is Infeasible, and None for the other.  Nothing is checked; `solve_lp`'s
+docstring states what the caller guarantees.  A guarantee that outside
+input can break (a shifted payoff at or above 1/PIVOT_TOL, an eigenvalue
+shift that overflows, a non-finite game value) is checked by that caller,
+before its arithmetic, with an InputError that names the cause.
 
 Every `solve_lp` call runs both phases.  `solve_value_lp`, a game's value
-LP, runs no phase 1 and states no LinearProgram: from the payoffs B it
+LP, runs no phase 1 and calls no `solve_lp`: from the payoffs B it
 writes down a feasible basis, x_i basic for one row i and each column
 row's slack, makes its first pivot, which no pricing or ratio test is
 needed to find, and hands the tableau to `_phase_two`, the phase 2 and
@@ -41,13 +42,13 @@ Phase 1 runs on one array, allocated once and filled in place:
     [ E | I | f ]    m rows, I the artificials
     [ cost row  ]    reduced costs | -objective
 
-A row whose rhs is negative is negated.  Every row starts basic on its
-artificial, column N + i of row i, and the cost row prices maximize
--(sum of artificials) for that basis.  Phase 2 drops the artificial
-columns and prices c.  The rows go straight into that array, the
-artificials as a strided view of the flat array, and the flips as
-in-place negation.  The rare x_B recompute after phase 2 rebuilds the
-flipped rows the same way.
+A row whose rhs is negative is negated, once, in copies of E and f that
+the tableau, the rare x_B recompute after phase 2 and the residual all
+read.  Negation is exact, so |E z - f| is the same on a negated row.
+Every row starts basic on its artificial, column N + i of row i, and the
+cost row prices maximize -(sum of artificials) for that basis.  Phase 2
+drops the artificial columns and prices c.  The rows go straight into
+that array, and the artificials as a strided view of the flat array.
 
 At this scale a pivot is a few thousand flops, so what a numpy call costs
 is its dispatch, not its arithmetic, and a call that runs Python code
@@ -86,17 +87,16 @@ exactly when two rows tie.  Only then are the tied rows listed.
 `_pivot` stays a module attribute that `_run_simplex` looks up once per
 pivot: tests and the benchmark's tracer count pivots by replacing it.
 
-Every Infeasible solution carries `farkas`, the phase-1 multipliers w of
+An Infeasible program's answer is (None, w), w the phase-1 multipliers of
 the rows E z = f, read off the final phase-1 cost row: row i's artificial
-(cost -1) has reduced cost -1 - w_i, and a flipped row gets its sign back.
+(cost -1) has reduced cost -1 - w_i, and a negated row's w_i is negated
+back.
 Up to roundoff w is a Farkas certificate: E^T w >= 0 and f.w < 0.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,45 +117,6 @@ class IterationLimitError(RuntimeError):
     """One simplex run exceeded its budget of ITERATION_FACTOR * (rows +
     columns of the tableau it pivots) pivots; solver bug, since Dantzig
     pricing with its Bland fallback terminates."""
-
-
-class LPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective.z  s.t.  lhs z = rhs,  z >= 0.
-
-    Every variable is nonnegative; the caller writes any inequality or
-    other bound as a row with a slack or surplus column of its own.  The
-    three arrays are stored as they are: nothing is copied or checked, and
-    each is marked read-only.  The caller guarantees that all three are
-    finite float64 and C-contiguous, as `np.array(a, dtype=float,
-    order="C")` lays them out (a strided or transposed view is not; its
-    copy would be).  The objective is 1-D with n > 0 entries; lhs is 2-D
-    with n columns and at least one row, and rhs is 1-D with an entry a
-    row.  The objective is bounded above on the region.  The caller does
-    not write to the arrays afterwards.
-    """
-
-    objective: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        for a in (self.objective, self.lhs, self.rhs):
-            a.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    status: LPStatus
-    point: np.ndarray | None = None
-    # Phase-1 multipliers of the caller's rows (Infeasible only); see the
-    # module docstring.
-    farkas: np.ndarray | None = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -271,39 +232,41 @@ def _priced_cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> None
     row -= costs[basis] @ T[:-1]
 
 
-def _residual(p: LinearProgram, z: np.ndarray) -> float:
-    """Largest violation of p's constraints, z >= 0 included, at the point z;
-    0.0 when feasible.  A NaN anywhere makes it NaN."""
-    gaps = np.concatenate([-z, np.abs(z @ p.lhs.T - p.rhs)])
+def _residual(E: np.ndarray, f: np.ndarray, z: np.ndarray) -> float:
+    """Largest violation of E z = f and z >= 0 at the point z; 0.0 when
+    feasible.  A NaN anywhere makes it NaN."""
+    gaps = np.concatenate([-z, np.abs(z @ E.T - f)])
     return float(np.maximum(np.maximum.reduce(gaps), 0.0))
 
 
-def _write_rows(T: np.ndarray, p: LinearProgram, flipped: np.ndarray) -> None:
-    """Write p's rows [E | f] into the top rows of T, a new C-ordered array
-    of zeros: E into its first columns, f into its last.  Each row marked in
-    `flipped` is negated."""
-    m, N = p.lhs.shape
-    T[:m, :N] = p.lhs
-    b = T[:m, -1]
-    b[:] = p.rhs
-    if np.logical_or.reduce(flipped):
-        T[:m][flipped, :N] *= -1.0
-        b[flipped] *= -1.0
+def solve_lp(
+    c: np.ndarray, E: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """maximize c.z  s.t.  E z = f,  z >= 0, by the two-phase simplex.
+    Returns (z, None), z a point certified feasible within FEAS_TOL, when
+    the program is Optimal, and (None, w), w the Farkas ray, when the
+    phase-1 optimum exceeds FEAS_TOL.
 
-
-def solve_lp(p: LinearProgram) -> LPSolution:
-    """Two-phase simplex.  Returns Optimal with a feasible point, or
-    Infeasible with `farkas` when the phase-1 optimum exceeds FEAS_TOL."""
-    m, N = p.lhs.shape
+    Nothing is checked or kept past the call.  The caller guarantees that
+    all three arrays are finite float64 and C-contiguous, as `np.array(a,
+    dtype=float, order="C")` lays them out (a strided or transposed view is
+    not; its copy would be); that c is 1-D with n > 0 entries, E 2-D with n
+    columns and at least one row, and f 1-D with an entry a row; and that
+    c.z is bounded above on the region.
+    """
+    m, N = E.shape
     total = N + m
-    # A row with a negative rhs is negated (_write_rows).
-    flipped = p.rhs < 0.0
+    # Rows with a negative rhs are negated, in copies (the module docstring).
+    sign = np.where(f < 0.0, -1.0, 1.0)
+    E = E * sign[:, None]
+    f = f * sign
 
     # [E | I | f; cost row], filled in place: row i starts on its
     # artificial, column N + i, entry N + i * (row length + 1) of T's flat
     # layout.
     T = np.zeros((m + 1, total + 1))
-    _write_rows(T, p, flipped)
+    T[:m, :N] = E
+    T[:m, -1] = f
     T.reshape(-1)[N : m * (total + 2) : total + 2] = 1.0
     basis = list(range(N, total))
 
@@ -314,9 +277,7 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     _run_simplex(T, basis, bounded=True)
     art_sum = T[-1, -1]  # -objective = sum of artificials
     if art_sum > FEAS_TOL:
-        w = -1.0 - T[-1, N:total]
-        w[flipped] *= -1.0
-        return LPSolution(status=LPStatus.INFEASIBLE, farkas=w)
+        return None, (-1.0 - T[-1, N:total]) * sign
 
     # Drive leftover artificials out of the basis; rows where that is
     # impossible are redundant and dropped.  A lingering artificial sits at a
@@ -340,15 +301,12 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     T = np.concatenate([T[:, :N], T[:, total:]], axis=1)
 
     # Phase 2: maximize c.z from the feasible basis.
-    _priced_cost_row(T, basis, p.objective)
+    _priced_cost_row(T, basis, c)
 
     def rows() -> np.ndarray:
-        R = np.zeros((m, N + 1))
-        _write_rows(R, p, flipped)
-        return R[keep]
+        return np.concatenate([E, f[:, None]], axis=1)[keep]
 
-    z = _phase_two(T, basis, N, lambda z: _residual(p, z), rows)
-    return LPSolution(status=LPStatus.OPTIMAL, point=z)
+    return _phase_two(T, basis, N, lambda z: _residual(E, f, z), rows), None
 
 
 def _value_rows(B: np.ndarray, count: int) -> np.ndarray:

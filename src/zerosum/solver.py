@@ -27,7 +27,7 @@ from .core import (
     check_tolerance,
     normalized_strategy,
 )
-from .lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LPStatus, solve_lp, solve_value_lp
+from .lp import FEAS_TOL, PIVOT_TOL, solve_lp, solve_value_lp
 
 SOLVE_TOL_DEFAULT = 1e-8
 ORACLE_MAX_SIZE = 5
@@ -281,13 +281,13 @@ def _lp_extrema(V: np.ndarray, v: float, tol: float) -> tuple[np.ndarray, np.nda
     np.negative(V.T, out=objectives[n:, :m])
     extrema = np.empty(2 * n)
     for k, c in enumerate(objectives):
-        sol = solve_lp(LinearProgram(c, E, f))
-        if sol.status is not LPStatus.OPTIMAL:
-            raise RuntimeError(
-                f"optimal-set LP reported {sol.status.value}; the optimal "
-                "strategy polytope cannot be empty at the game value"
+        z, _ = solve_lp(c, E, f)
+        if z is None:
+            raise InputError(
+                f"no row strategy pays at least v - tol on every column: "
+                f"v={v!r} is above the game's value by more than tol={tol!r}"
             )
-        extrema[k] = c[:m] @ sol.point[:m]
+        extrema[k] = c[:m] @ z[:m]
     return -extrema[n:], extrema[:n]
 
 
@@ -306,7 +306,8 @@ def row_optima_column_extrema(
     the gate); in a nondegenerate game the region is a simplex and the gate
     passes.  Otherwise each column payoff is maximized and minimized by LP
     (`_lp_extrema`, 2n `solve_lp` calls).  `tol` must be finite and
-    positive, and `v` and v - tol finite (InputError otherwise).
+    positive, and `v` and v - tol finite (InputError otherwise).  An
+    empty region, v above A's value by more than tol, is an InputError.
     """
     check_tolerance(tol, "tol")
     if not math.isfinite(float(v) - float(tol)):

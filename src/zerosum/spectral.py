@@ -28,7 +28,7 @@ from .core import (
     check_finite,
     normalized_strategy,
 )
-from .lp import FEAS_TOL, LinearProgram, LPStatus, solve_lp
+from .lp import FEAS_TOL, solve_lp
 
 PERRON_RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -208,7 +208,7 @@ def _stochastic_kernel(
     (z, None, 0.0) names such a z; (None, y, floor) names a y, with
     floor = min(M^T y) computed on M, so y is a witness exactly when
     floor > 0.  M must be finite (the callers' guarantee for
-    `LinearProgram`).
+    `solve_lp`).
 
     A square M whose kernel has dimension 0 or 1 (`_svd` rank n or n - 1)
     is answered from that one SVD, M = U S V^T:
@@ -230,7 +230,8 @@ def _stochastic_kernel(
     is twice what makes these contradict, so the LP could not find a z.
     The LP [M; 1^T] z = e_{m+1}, z >= 0 answers the rest: a kernel of
     dimension 2 or more, a failed margin or test, a LinAlgError, and a
-    non-square M.  Its y is the first m entries of its Farkas ray."""
+    non-square M.  `solve_lp` answers (z, None) or (None, w), and y is the
+    first m entries of the Farkas ray w."""
     m, n = M.shape
     vb = None  # V^T b
     if m == n:
@@ -264,10 +265,10 @@ def _stochastic_kernel(
     E[m] = 1.0
     f = np.zeros(m + 1)
     f[m] = 1.0
-    sol = solve_lp(LinearProgram(np.zeros(n), E, f))
-    if sol.status is LPStatus.OPTIMAL:
-        return sol.point, None, 0.0
-    y = sol.farkas[:m]
+    z, w = solve_lp(np.zeros(n), E, f)
+    if z is not None:
+        return z, None, 0.0
+    y = w[:m]
     return None, y, float(np.minimum.reduce(M.T @ y))
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zerosum import GameMatrix
-from zerosum.lp import LinearProgram
 from zerosum.cli import DEFAULT_RANGES, EnsembleSpec, Family, generate_ensemble
 
 RPS_ENTRIES = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -121,9 +120,9 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def lp_solution_bits(sol):
-    """Every field of an LPSolution as raw bytes, so that two solutions
-    compare equal only when each float matches bit for bit (-0.0 and NaN
+def lp_solution_bits(answer):
+    """`solve_lp`'s answer (z, w) as raw bytes, so that two answers compare
+    equal only when each float matches bit for bit (-0.0 and NaN
     included)."""
 
     def raw(a):
@@ -131,23 +130,22 @@ def lp_solution_bits(sol):
             return None
         return np.shape(a), np.asarray(a, dtype=float).tobytes()
 
-    return sol.status, raw(sol.point), raw(sol.farkas)
+    return tuple(map(raw, answer))
 
 
 def lp_program(objective, lhs, rhs):
-    """`lp.LinearProgram` of these arrays laid out as its contract asks:
-    C-ordered float copies.  Nothing is checked; a test states a valid
+    """The three arrays (c, E, f) of `lp.solve_lp`, laid out as its contract
+    asks: C-ordered float copies.  Nothing is checked; a test states a valid
     program."""
-    return LinearProgram(
-        *(np.array(a, dtype=float, order="C") for a in (objective, lhs, rhs))
-    )
+    return tuple(np.array(a, dtype=float, order="C") for a in (objective, lhs, rhs))
 
 
 def with_slacks(objective, ineq_lhs=None, ineq_rhs=None, eq_lhs=None, eq_rhs=None):
-    """maximize c.z s.t. G z <= h, E z = f, z >= 0, written in the standard
-    form `lp.LinearProgram` takes: one slack column after z for each row of
-    G, so [G | I; E | 0] (z, s) = [h; f], with objective c on z and 0 on
-    s.  A point's first c.size entries are z, and the objective reads c.z."""
+    """maximize c.z s.t. G z <= h, E z = f, z >= 0, written as the standard
+    form (c, E, f) that `lp.solve_lp` takes: one slack column after z for
+    each row of G, so [G | I; E | 0] (z, s) = [h; f], with objective c on z
+    and 0 on s.  A point's first c.size entries are z, and the objective
+    reads c.z."""
     c = np.array(objective, dtype=float)
     n = c.size
     G = np.zeros((0, n)) if ineq_lhs is None else np.array(ineq_lhs, dtype=float)
@@ -162,32 +160,33 @@ def with_slacks(objective, ineq_lhs=None, ineq_rhs=None, eq_lhs=None, eq_rhs=Non
     return lp_program(np.concatenate([c, np.zeros(mg)]), lhs, np.concatenate([h, f]))
 
 
-def assert_program_contract(p):
-    """What `lp.LinearProgram` takes on trust: finite float64 arrays, each
-    C-contiguous and read-only, with consistent shapes and at least one
+def assert_program_contract(program):
+    """What `lp.solve_lp` takes on trust: three finite float64 arrays
+    (c, E, f), each C-contiguous, with consistent shapes and at least one
     row."""
-    for a in (p.objective, p.lhs, p.rhs):
+    c, E, f = program
+    for a in program:
         assert a.dtype == np.float64
         assert a.flags.c_contiguous
-        assert not a.flags.writeable
         assert np.all(np.isfinite(a))
-    n = p.objective.size
-    assert p.objective.shape == (n,) and n > 0
-    assert p.lhs.ndim == 2 and p.lhs.shape[1] == n and p.lhs.shape[0] > 0
-    assert p.rhs.shape == (p.lhs.shape[0],)
+    n = c.size
+    assert c.shape == (n,) and n > 0
+    assert E.ndim == 2 and E.shape[1] == n and E.shape[0] > 0
+    assert f.shape == (E.shape[0],)
 
 
 @pytest.fixture
 def internal_lps(monkeypatch):
-    """Every program that `solver` and `spectral` hand to `solve_lp`, in
-    order.  A game's value LP states none (`lp.solve_value_lp`)."""
+    """Every program (c, E, f) that `solver` and `spectral` hand to
+    `solve_lp`, in order.  A game's value LP states none
+    (`lp.solve_value_lp`)."""
     from zerosum import lp, solver, spectral
 
     programs = []
 
-    def recording(p):
-        programs.append(p)
-        return lp.solve_lp(p)
+    def recording(*program):
+        programs.append(program)
+        return lp.solve_lp(*program)
 
     for module in (solver, spectral):
         monkeypatch.setattr(module, "solve_lp", recording)

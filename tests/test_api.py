@@ -11,9 +11,12 @@ import zerosum
 from zerosum.solver import extrema_dominated
 
 # The LP layer is how the package computes a game's value and a Gordan
-# alternative; no public function takes or returns its types, so they live in
-# `zerosum.lp` alone.
-LP_NAMES = ("LinearProgram", "LPSolution", "LPStatus", "solve_lp", "IterationLimitError")
+# alternative; no public function takes or returns what it answers, so it
+# lives in `zerosum.lp` alone.
+LP_NAMES = ("solve_lp", "IterationLimitError")
+# `solve_lp` takes a program as its three arrays (c, E, f) and answers the
+# pair (z, w), so no type states a program, a solution or its status.
+LP_REMOVED = ("LinearProgram", "LPSolution", "LPStatus")
 REMOVED = (
     "is_optimal_dominated",
     "matrix_rank",
@@ -21,6 +24,7 @@ REMOVED = (
     "pure_strategy",
     "validate_strategy",
     *LP_NAMES,
+    *LP_REMOVED,
 )
 # The LP feasibility and kernel rank tolerances are the module constants
 # `lp.FEAS_TOL` and `spectral.RANK_TOL`, not parameters.  No caller hands an
@@ -31,7 +35,7 @@ REMOVED = (
 REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol", "start"}
 # The optimal-strategy extrema read their facets off the strategy pair, so no
 # solution carries the value LP's basis.
-REMOVED_FIELDS = {zerosum.lp.LPSolution: "basis", zerosum.GameSolution: "lp_basis"}
+REMOVED_FIELDS = {zerosum.GameSolution: "lp_basis"}
 
 
 def test_every_exported_name_resolves_once():
@@ -44,6 +48,8 @@ def test_removed_names_stay_removed():
     for name in REMOVED:
         assert name not in zerosum.__all__
         assert not hasattr(zerosum, name), name
+    for name in LP_REMOVED:
+        assert not hasattr(zerosum.lp, name), name
 
 
 def test_no_exported_signature_mentions_an_lp_type():
@@ -81,10 +87,9 @@ def test_strategy_cleanup_keeps_no_tolerance():
 
 
 def test_removed_accessors_stay_removed():
-    # Read A.values[i, j], np.flatnonzero(s.weights > tol), p.objective.size.
+    # Read A.values[i, j], np.flatnonzero(s.weights > tol).
     assert not hasattr(zerosum.GameMatrix, "entry")
     assert not hasattr(zerosum.MixedStrategy, "support")
-    assert not hasattr(zerosum.lp.LinearProgram, "n_vars")
 
 
 def test_canonical_json_takes_only_the_object():
@@ -113,7 +118,6 @@ LP_INTERNALS = {
     "_phase_two",
     "_run_simplex",
     "_pivot",
-    "_write_rows",
     "_priced_cost_row",
     "_residual",
     "ITERATION_FACTOR",

@@ -353,6 +353,32 @@ class TestGoldenFiles:
                 ["analyze", "--input", str(DATA / "image3x5.csv")],
                 0,
             ),
+            # The claim families that no other golden covers.
+            (
+                "verify_diagonal4.json",
+                _ensemble_argv("DiagonalTheorem1", "Diagonal", 4, 3, 1),
+                0,
+            ),
+            (
+                "verify_rps_shared.json",
+                ["verify", "--claim", "SharedOptimaCor4", "--input", str(DATA / "rps.csv")],
+                0,
+            ),
+            # A kernel of dimension 2: its lambda = 0 question takes the
+            # kernel LP once.
+            (
+                "verify_skew4_wide_eigenspace.json",
+                [
+                    "verify",
+                    "--claim",
+                    "EigenspaceLemma5",
+                    "--input",
+                    str(DATA / "skew4_wide_kernel.csv"),
+                    "--lambda",
+                    "1",
+                ],
+                0,
+            ),
         ],
     )
     def test_golden(self, capsys, golden, argv, code):

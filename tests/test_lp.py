@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import sys
 
@@ -18,9 +18,6 @@ from zerosum.lp import (
     DEGENERATE_STALL,
     PIVOT_TOL,
     IterationLimitError,
-    LinearProgram,
-    LPSolution,
-    LPStatus,
     _pivot,
     _priced_cost_row,
     _residual,
@@ -57,29 +54,30 @@ def pivot_log(monkeypatch):
     return log
 
 
-def _objective(p, sol):
-    """c.z at the solution's point; 0 on the slacks `with_slacks` adds."""
-    return p.objective @ sol.point
+def _objective(program, answer):
+    """c.z at the answer's point; 0 on the slacks `with_slacks` adds."""
+    return program[0] @ answer[0]
 
 
 class TestBasicOutcomes:
     def test_box_optimum(self):
         p = with_slacks(objective=[1, 1], ineq_lhs=[[1, 0], [0, 1]], ineq_rhs=[1, 1])
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        assert abs(_objective(p, sol) - 2.0) <= 1e-9
-        np.testing.assert_allclose(sol.point, [1.0, 1.0, 0.0, 0.0], atol=1e-9)
+        z, w = solve_lp(*p)
+        assert w is None
+        assert abs(_objective(p, (z, w)) - 2.0) <= 1e-9
+        np.testing.assert_allclose(z, [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
     def test_infeasible(self):
         p = with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1])
-        assert solve_lp(p).status is LPStatus.INFEASIBLE
+        z, w = solve_lp(*p)
+        assert z is None and w is not None
 
     def test_unbounded(self):
         # No program the package states is unbounded, so a ray in phase 2
         # is a solver bug, not an outcome.
         p = with_slacks(objective=[1], ineq_lhs=[[-1]], ineq_rhs=[1])
         with pytest.raises(RuntimeError, match="improving ray.*solver bug"):
-            solve_lp(p)
+            solve_lp(*p)
 
     def test_equality_with_bounds(self):
         p = with_slacks(
@@ -89,8 +87,7 @@ class TestBasicOutcomes:
             ineq_lhs=np.eye(2),
             ineq_rhs=[0.7, 0.7],
         )
-        sol = solve_lp(p)
-        assert abs(_objective(p, sol) - 1.7) <= 1e-9
+        assert abs(_objective(p, solve_lp(*p)) - 1.7) <= 1e-9
 
     def test_beale_cycling_terminates(self, pivot_log):
         # Classic instance on which Dantzig's rule cycles from the slack
@@ -112,7 +109,7 @@ class TestBasicOutcomes:
         assert not all(dantzig for dantzig, _ in fallback)
         assert not all(degenerate for _, degenerate in fallback)
         p = with_slacks(objective=c, ineq_lhs=G, ineq_rhs=h)
-        assert abs(_objective(p, solve_lp(p)) - 0.05) <= 1e-9
+        assert abs(_objective(p, solve_lp(*p)) - 0.05) <= 1e-9
 
 
 def _skew4_wide_kernels():
@@ -128,6 +125,9 @@ def _skew4_wide_kernels():
 
 
 class TestTrustedConstructor:
+    """What `solve_lp` takes on trust: its callers' three arrays (c, E, f),
+    neither copied nor checked on the way in (see its docstring)."""
+
     @pytest.mark.parametrize(
         "claim,matrices",
         [
@@ -141,28 +141,22 @@ class TestTrustedConstructor:
         self, internal_lps, monkeypatch, claim, matrices
     ):
         # The first 20 trials of two of the bench's ensembles, and Gordan's
-        # kernel LPs: every LP the audit builds keeps the constructor's
-        # contract and goes to `solve_lp`.  A game's value LP, whose
-        # certificate passes on each of these games, builds none.
+        # kernel LPs: every LP the audit states keeps `solve_lp`'s contract.
+        # A game's value LP, whose certificate passes on each of these
+        # games, states none.
         import zerosum.solver as solver_mod
 
-        built, games = [], []
-        post_init, value_lp = LinearProgram.__post_init__, solver_mod.solve_value_lp
-
-        def recording_post_init(p):
-            built.append(p)
-            post_init(p)
+        games = []
+        value_lp = solver_mod.solve_value_lp
 
         def recording_value_lp(B):
             games.append(B)
             return value_lp(B)
 
-        monkeypatch.setattr(LinearProgram, "__post_init__", recording_post_init)
         monkeypatch.setattr(solver_mod, "solve_value_lp", recording_value_lp)
         for A in matrices():
             run_checker(claim, A)
         assert len(internal_lps) + len(games) >= 20
-        assert [id(p) for p in built] == [id(p) for p in internal_lps]
         for p in internal_lps:
             assert_program_contract(p)
 
@@ -171,28 +165,34 @@ class TestTrustedConstructor:
         # for a 2 x 3 and a 3 x 2 matrix.
         for values in ([[1, -1, 2], [0, 1, -1]], [[1, -1], [2, 0], [-1, 1]]):
             gordan(GameMatrix(values))
-        assert [p.lhs.shape for p in internal_lps] == [(3, 3), (4, 2)]
+        assert [E.shape for _, E, _ in internal_lps] == [(3, 3), (4, 2)]
         for p in internal_lps:
             assert_program_contract(p)
 
     def test_takes_the_arrays_as_they_are(self):
-        arrays = [np.ones(2), np.ones((1, 2)), np.ones(1)]
-        p = LinearProgram(*arrays)
-        fields = [p.objective, p.lhs, p.rhs]
-        assert all(got is given for got, given in zip(fields, arrays))
-        assert_program_contract(p)
-        assert _objective(p, solve_lp(p)) == 1.0
+        # Row 0 is negated for the tableau, in a copy: the caller's arrays
+        # come back as they went in, and the point is read against them.
+        p = lp_program([1, 1], [[-1, -1], [1, 0]], [-1, 0.25])
+        before = [a.copy() for a in p]
+        z, w = solve_lp(*p)
+        assert w is None and _objective(p, (z, w)) == 1.0
+        assert _residual(p[1], p[2], z) <= FEAS_TOL
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(p, before))
 
     def test_is_not_public(self):
-        # Only the package states programs, each with all three arrays, and
-        # a solution holds a status, a point and a Farkas ray.
+        # Only the package states programs, each as its three arrays, and
+        # an answer is the pair (z, w): `lp` defines no type to hold either.
+        import zerosum.lp as lp_mod
+
         assert all(not name.startswith("_") for name in zerosum.__all__)
-        assert not hasattr(zerosum, "LinearProgram")
-        fields = dataclasses.fields(LinearProgram)
-        assert [f.name for f in fields] == ["objective", "lhs", "rhs"]
-        assert all(f.default is dataclasses.MISSING for f in fields)
-        names = [f.name for f in dataclasses.fields(LPSolution)]
-        assert names == ["status", "point", "farkas"]
+        assert not hasattr(zerosum, "solve_lp")
+        assert list(inspect.signature(solve_lp).parameters) == ["c", "E", "f"]
+        classes = [
+            v
+            for v in vars(lp_mod).values()
+            if inspect.isclass(v) and v.__module__ == lp_mod.__name__
+        ]
+        assert classes == [IterationLimitError]
 
 
 def _random_feasible_program(rng):
@@ -223,9 +223,9 @@ def test_weak_duality_on_random_feasible_instances():
     for _ in range(40):
         c, G, h, E, f, z0 = _random_feasible_program(rng)
         p = with_slacks(c, G, h, E, f)
-        sol = solve_lp(p)
-        assert sol.status is LPStatus.OPTIMAL
-        assert _residual(p, sol.point) <= FEAS_TOL
+        sol = solve_lp(*p)
+        assert sol[1] is None
+        assert _residual(p[1], p[2], sol[0]) <= FEAS_TOL
         # any feasible point scores at most the reported optimum
         samples = rng.uniform(0.0, 2.0, (400, c.size))
         samples[0] = z0
@@ -244,8 +244,8 @@ def test_infeasible_reports_confirmed_by_rejection_sampling():
         G = np.vstack([rng.uniform(-2, 2, (mg, n)), np.eye(n)])
         h = np.concatenate([rng.uniform(-3.0, -1.5, mg), np.ones(n)])
         E, f = np.zeros((0, n)), np.zeros(0)
-        sol = solve_lp(with_slacks(rng.uniform(-1, 1, n), G, h))
-        if sol.status is not LPStatus.INFEASIBLE:
+        z, _ = solve_lp(*with_slacks(rng.uniform(-1, 1, n), G, h))
+        if z is not None:
             continue
         samples = rng.uniform(0.0, 1.0, (10_000, n))
         assert not np.any(_feasible_mask(G, h, E, f, samples, FEAS_TOL))
@@ -258,7 +258,7 @@ def test_iteration_limit_error_is_distinct(monkeypatch):
     monkeypatch.setattr(lp_mod, "ITERATION_FACTOR", 0)
     p = with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1])
     with pytest.raises(lp_mod.IterationLimitError):
-        solve_lp(p)
+        solve_lp(*p)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -710,8 +710,7 @@ def test_per_trial_path_calls_no_python_level_numpy_wrapper():
 
 def test_residual_counts_negative_coordinates():
     # z >= 0 is part of every region, so a negative coordinate is infeasible.
-    p = lp_program([1, 1], [[0, 0]], [0])
-    assert _residual(p, np.array([0.5, -1e-3])) == 1e-3
+    assert _residual(np.zeros((1, 2)), np.zeros(1), np.array([0.5, -1e-3])) == 1e-3
 
 
 def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
@@ -720,27 +719,27 @@ def test_phase_two_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     p = with_slacks(objective=[1, 1], ineq_lhs=[[1, 2], [3, 1]], ineq_rhs=[4, 6])
     calls = []
 
-    def violated_once(region, z):
+    def violated_once(E, f, z):
         calls.append(z)
-        return 1.0 if len(calls) == 1 else _residual(region, z)
+        return 1.0 if len(calls) == 1 else _residual(E, f, z)
 
     monkeypatch.setattr(lp_mod, "_residual", violated_once)
-    sol = solve_lp(p)
+    z, w = solve_lp(*p)
     assert len(calls) == 2
-    assert sol.status is LPStatus.OPTIMAL
-    np.testing.assert_allclose(sol.point, [1.6, 1.2, 0.0, 0.0], atol=1e-12)
-    assert calls[1] is sol.point  # the recomputed point is the one certified
+    assert w is None
+    np.testing.assert_allclose(z, [1.6, 1.2, 0.0, 0.0], atol=1e-12)
+    assert calls[1] is z  # the recomputed point is the one certified
 
-    monkeypatch.setattr(lp_mod, "_residual", lambda region, z: 1.0)
+    monkeypatch.setattr(lp_mod, "_residual", lambda E, f, z: 1.0)
     with pytest.raises(RuntimeError, match="solver bug"):
-        solve_lp(p)
+        solve_lp(*p)
 
 
 def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     # The value LP's certificate is read from B; when it fails, x_B is solved
-    # against the rows `solve_lp` would write for the same program over
-    # (x, v, slacks), and the recomputed point is the one certified and
-    # returned.
+    # against the program's rows [-B^T 1 I | 0; 1^T 0 0 | 1] over
+    # (x, v, slacks) and rhs, and the recomputed point is the one certified
+    # and returned.
     import zerosum.lp as lp_mod
 
     B = np.random.default_rng(37).uniform(1.0, 6.0, (3, 4))
@@ -772,12 +771,10 @@ def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     assert np.shares_memory(x, z) and x.tobytes() == z[:m].tobytes() and v == z[m]
     np.testing.assert_allclose(x, tableau_x, atol=1e-12)
     assert abs(v - tableau_v) <= 1e-12
-    lhs = np.zeros((n + 1, m + 1 + n))
-    lhs[:n] = np.concatenate([-B.T, np.ones((n, 1)), np.eye(n)], axis=1)
-    lhs[n, :m] = 1.0
-    p = lp_program(np.eye(m + 1 + n)[m], lhs, np.eye(n + 1)[n])
     rows = np.zeros((n + 1, m + 2 + n))
-    lp_mod._write_rows(rows, p, np.zeros(n + 1, dtype=bool))
+    rows[:n, : m + 1 + n] = np.concatenate([-B.T, np.ones((n, 1)), np.eye(n)], axis=1)
+    rows[n, :m] = 1.0
+    rows[n, -1] = 1.0
     assert written[0].tobytes() == rows.tobytes()
 
     calls.clear()
@@ -787,16 +784,16 @@ def test_value_lp_recomputes_x_b_before_declaring_a_solver_bug(monkeypatch):
     assert len(calls) == 2
 
 
-def _reference_phase_one(p):
+def _reference_phase_one(E, f):
     """The phase-1 tableau and basis as the lp module docstring states them,
     entry by entry: [E | I | f] over the cost row of maximize -(sum of
     artificials), row i basic on its artificial, column N + i.  A row with a
     negative rhs has its data and rhs multiplied by -1; every other entry
     off the data stays +0.  The cost row is c - c_B [rows], one matrix
     product as in `_priced_cost_row`."""
-    m, N = p.lhs.shape
+    m, N = E.shape
     T = np.zeros((m + 1, N + m + 1))
-    for i, (lhs, rhs) in enumerate(zip(p.lhs.tolist(), p.rhs.tolist())):
+    for i, (lhs, rhs) in enumerate(zip(E.tolist(), f.tolist())):
         flip = rhs < 0.0
         T[i, :N] = [a * -1.0 if flip else a for a in lhs]
         T[i, -1] = rhs * -1.0 if flip else rhs
@@ -843,11 +840,11 @@ def test_phase_one_tableau_is_the_documented_one(monkeypatch):
         seen.clear()
         with np.errstate(all="ignore"):
             try:
-                solve_lp(p)
+                solve_lp(*p)
             except RuntimeError as exc:  # phase 2 of an unbounded program
                 assert "improving ray" in str(exc), kind
         (T, basis, bounded), = seen
-        want_T, want_basis = _reference_phase_one(p)
+        want_T, want_basis = _reference_phase_one(*p[1:])
         assert bounded, kind
         assert basis == want_basis, kind
         assert T.shape == want_T.shape, kind
@@ -870,7 +867,7 @@ def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
         eq_lhs=[[1, 1, 1], [2, 2, 2], [1, 0, 0]],
         eq_rhs=[3, 6, 0],
     )
-    want = solve_lp(p)
+    want, _ = solve_lp(*p)
     shapes, phase_two_basis = [], []
     run = lp_mod._run_simplex
 
@@ -882,25 +879,25 @@ def test_x_b_recompute_after_a_flip_and_a_dropped_row(monkeypatch):
 
     calls = []
 
-    def spoiled_once(region, z):
+    def spoiled_once(E, f, z):
         calls.append(z.copy())
         if len(calls) == 1:
             (basis,) = phase_two_basis
             z[[j for j in basis if j < z.size]] += 0.5
             return 1.0
-        return _residual(region, z)
+        return _residual(E, f, z)
 
     monkeypatch.setattr(lp_mod, "_run_simplex", recording)
     monkeypatch.setattr(lp_mod, "_residual", spoiled_once)
-    sol = solve_lp(p)
+    z, w = solve_lp(*p)
     # Phase 1: 5 rows, 3 variables, 2 slacks and 5 artificials.  Phase 2:
     # 4 rows, no artificial.
     assert shapes == [(5 + 1, 3 + 2 + 5 + 1), (4 + 1, 3 + 2 + 1)]
     assert len(calls) == 2
-    assert sol.status is LPStatus.OPTIMAL
-    np.testing.assert_allclose(sol.point, want.point, atol=1e-12)
-    np.testing.assert_allclose(sol.point[:3], [0.0, 2.0, 1.0], atol=1e-12)
-    assert calls[1].tobytes() == sol.point.tobytes()  # the point certified
+    assert w is None
+    np.testing.assert_allclose(z, want, atol=1e-12)
+    np.testing.assert_allclose(z[:3], [0.0, 2.0, 1.0], atol=1e-12)
+    assert calls[1].tobytes() == z.tobytes()  # the point certified
 
 
 def test_overflowed_optimum_is_a_solver_error():
@@ -910,15 +907,15 @@ def test_overflowed_optimum_is_a_solver_error():
     p = with_slacks(objective=[1.0], ineq_lhs=[[1e-10]], ineq_rhs=[1e300])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="overflows the float range") as err:
-            solve_lp(p)
+            solve_lp(*p)
     assert "solver bug" not in str(err.value)
 
 
 def test_degenerate_equalities_and_redundant_rows():
     # Duplicated equality rows force redundant phase-1 rows to be dropped.
     p = lp_program([1, 1], [[1, 1], [1, 1], [2, 2]], [1, 1, 2])
-    sol = solve_lp(p)
-    assert sol.status is LPStatus.OPTIMAL
+    sol = solve_lp(*p)
+    assert sol[1] is None
     assert abs(_objective(p, sol) - 1.0) <= 1e-9
 
 
@@ -953,33 +950,31 @@ def _random_infeasible_programs(rng, count):
             rng.uniform(-2, 2, me),
         )
         try:
-            sol = solve_lp(p)
+            z, w = solve_lp(*p)
         except RuntimeError as exc:
             assert "improving ray" in str(exc)
             continue
-        if sol.status is LPStatus.INFEASIBLE:
-            programs.append((p, sol))
+        if z is None:
+            programs.append((p, w))
     return programs
 
 
 def test_farkas_certifies_infeasibility():
     rng = np.random.default_rng(35)
     flipped = unflipped = 0
-    for p, sol in _random_infeasible_programs(rng, 300):
-        w = sol.farkas
-        assert w.shape == p.rhs.shape
+    for (_, E, f), w in _random_infeasible_programs(rng, 300):
+        assert w.shape == f.shape
         tol = 1e-9 * np.max(np.abs(w))
-        assert np.all(p.lhs.T @ w >= -tol)
-        assert p.rhs @ w < 0.0
-        flipped += int(np.sum(p.rhs < 0))
-        unflipped += int(np.sum(p.rhs >= 0))
+        assert np.all(E.T @ w >= -tol)
+        assert f @ w < 0.0
+        flipped += int(np.sum(f < 0))
+        unflipped += int(np.sum(f >= 0))
     assert flipped > 0 and unflipped > 0
 
 
 def test_farkas_only_on_infeasible():
-    optimal = solve_lp(with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1]))
-    infeasible = solve_lp(with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1]))
-    assert optimal.status is LPStatus.OPTIMAL and optimal.farkas is None
-    assert infeasible.status is LPStatus.INFEASIBLE
-    assert infeasible.farkas.tolist() == [1.0]  # z + s = -1 with z, s >= 0
-    assert infeasible.point is None
+    z, w = solve_lp(*with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[1]))
+    assert z.tolist() == [1.0, 0.0] and w is None
+    z, w = solve_lp(*with_slacks(objective=[1], ineq_lhs=[[1]], ineq_rhs=[-1]))
+    assert z is None
+    assert w.tolist() == [1.0]  # z + s = -1 with z, s >= 0

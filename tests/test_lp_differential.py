@@ -16,12 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import highs_oracle as highs
-from zerosum.lp import LPStatus, solve_lp
+from zerosum.lp import solve_lp
 from conftest import with_slacks
 
 pytest.importorskip("scipy.optimize")
 
-HIGHS_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE}
 HIGHS_UNBOUNDED = 3
 HIGHS_NUMERICAL_DIFFICULTIES = 4
 
@@ -60,16 +59,16 @@ def integer_programs(draw):
 @example(([1], [], [], [[0]], [0]))
 def test_solve_lp_matches_highs(program):
     c, G, h, E, f = program
-    p = with_slacks(c, G or None, h or None, E or None, f or None)
-    res = highs.solve(-p.objective, A_eq=p.lhs, b_eq=p.rhs)
+    objective, lhs, rhs = with_slacks(c, G or None, h or None, E or None, f or None)
+    res = highs.solve(-objective, A_eq=lhs, b_eq=rhs)
     if res.status == HIGHS_NUMERICAL_DIFFICULTIES:
         return
     if res.status == HIGHS_UNBOUNDED:
         with pytest.raises(RuntimeError, match="improving ray.*solver bug"):
-            solve_lp(p)
+            solve_lp(objective, lhs, rhs)
         return
-    sol = solve_lp(p)
-    assert sol.status is HIGHS_STATUS[res.status], res.message
-    if sol.status is LPStatus.OPTIMAL:
-        got = p.objective @ sol.point
+    z, _ = solve_lp(objective, lhs, rhs)
+    assert res.status == (highs.INFEASIBLE if z is None else highs.OPTIMAL), res.message
+    if z is not None:
+        got = objective @ z
         assert abs(got - (-res.fun)) <= 1e-9 * max(1.0, abs(res.fun))

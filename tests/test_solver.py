@@ -507,9 +507,21 @@ class TestAllRowOptimaDominated:
                 with pytest.raises(InputError, match="v must be finite"):
                     row_optima_column_extrema(rps, v, tol, solution=solution)
 
+    def test_v_above_the_value_is_an_input_error(self):
+        # Above the game's value by more than tol, no row strategy pays
+        # v - tol on every column: the region is empty because of the v
+        # given, not a solver fault.  The vertex gate refuses it too.
+        A = GameMatrix([[1, 2, 3], [4, 1, 2], [2, 3, 1]])
+        sol = solve_game(A)
+        v = sol.value + 1
+        for solution in (None, sol):
+            with pytest.raises(InputError, match=re.escape(f"v={v!r}")) as err:
+                row_optima_column_extrema(A, v, 1e-8, solution=solution)
+            assert "tol=1e-08" in str(err.value)
+
     def test_extrema_lps_are_the_documented_programs(self, internal_lps):
-        # Without a solution the extrema come from 2n LPs.  Each keeps the
-        # constructor's contract and is, bit for bit, maximize c.x over
+        # Without a solution the extrema come from 2n LPs.  Each keeps
+        # `solve_lp`'s contract and is, bit for bit, maximize c.x over
         # V^T x - s = (v - tol) 1, 1^T x = 1, x, s >= 0 with c a row of V^T,
         # then of -V^T, on degenerate3 (whose vertex gate refuses, so `verify` takes
         # this path) and five integer games.
@@ -528,7 +540,7 @@ class TestAllRowOptimaDominated:
             for p, c in zip(internal_lps, [*V.T, *-V.T]):
                 assert_program_contract(p)
                 want = [np.append(c, np.zeros(n)), lhs, rhs]
-                for g, w in zip([p.objective, p.lhs, p.rhs], want):
+                for g, w in zip(p, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_identity_boundary(self):
