@@ -229,7 +229,8 @@ def _cmd_analyze(args) -> tuple[int, dict]:
         report["perron"] = {
             "root": cert.perron_root,
             "vector": cert.perron_vector,
-            "residual": cert.residual,
+            "root_low": cert.root_low,
+            "root_high": cert.root_high,
         }
     else:
         report["perron"] = None

@@ -30,12 +30,7 @@ from .core import (
 )
 from .lp import FEAS_TOL, solve_lp
 
-PERRON_RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-9
-GORDAN_WITNESS_TOL = 1e-9
-# Absolute slack on the row-sum bracket: the bracket is an exact statement
-# about the true root, and the estimate differs from it by mere roundoff.
-BRACKET_ROUNDOFF = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -48,17 +43,23 @@ class InconsistentAlternativesError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralCert:
-    """Certified Perron pair of a strictly positive matrix: positive root,
-    positive stochastic vector, and the infinity-norm residual of
-    A v - root v, at most PERRON_RESIDUAL_TOL.  The vector comes from the
-    number of squarings of A / max A that Birkhoff's contraction bound
-    proves enough for 2^-52 relative accuracy in exact arithmetic: about
+    """Perron pair of a strictly positive matrix: positive root, positive
+    stochastic vector, and an interval [root_low, root_high] proven to hold
+    the spectral radius rho(A), and the root with it (`perron`).  The
+    interval bounds rho, not the vector.  The vector comes from the number
+    of squarings of A / max A that Birkhoff's contraction bound proves
+    enough for 2^-52 relative accuracy in exact arithmetic: about
     log2 R + 6 for R = max A / min A, 0 when R = 1, and 2103 at worst
-    (5e-324 beside the largest float)."""
+    (5e-324 beside the largest float).  In floating point an ill-conditioned
+    pair keeps a tight root and a looser vector: on
+    [[e^300, e^-300], [1, e^300]] the second entry is 1.6e-9 relative off,
+    since the eigenvalue gap 2 e^-150 lies far below one ulp of e^300.  A
+    vector enclosure (Rump, Acta Numerica 19, 2010) is out of scope."""
 
     perron_root: float
     perron_vector: np.ndarray
-    residual: float
+    root_low: float
+    root_high: float
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,30 @@ def perron(A: GameMatrix) -> SpectralCert:
     each other, so their products lie within [2^-800, 2^800].  One step
     v <- A v with L1 renormalization refines the row sums.  The root is
     the component-sum ratio sum(A v)/sum(v), which is robust when
-    individual components are small.  Raises ConvergenceError rather than
-    returning a pair whose vector is not positive, whose residual exceeds
-    PERRON_RESIDUAL_TOL, or whose root escapes the row-sum bracket; a
-    product that leaves the float range ends there too.
+    individual components are small.
+
+    The certificate is a Collatz-Wielandt enclosure (Horn & Johnson,
+    Matrix Analysis, 8.1): min_i (A v)_i / v_i <= rho(A) <= max_i of the
+    same, for any positive v.  A and v are positive, so |A||v| = A v, and
+    the computed c differs from A v by at most gamma_n (A v)_i plus
+    n 2^-1075 (1 + gamma_(n-1)), in any order of summation (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1: gamma_n =
+    n u / (1 - n u), u = 2^-53, and an underflowing product is off by at
+    most 2^-1075).  Each c_i is widened to c_i (1 +- gamma) +- n 2^-1074
+    and divided by v_i, and the least and the largest quotient are moved
+    one float outward (`math.nextafter`), a factor of at least 1 -+ u.
+    gamma = (2 n + 4) u pays n u for the product and 3 u for the
+    widening's own product, sum and quotient, less u for the outward
+    step.  What is left holds the root as well, whose two sums and
+    division put it at most (2 n - 1) u outside [min c_i / v_i,
+    max c_i / v_i].  The units to spare cover the second-order terms
+    while n < 2^26, and n 2^-1074 the underflow of the product and of the
+    widening (a 1 x 1 A rounds nothing: v = [1]).  So [root_low,
+    root_high] holds rho(A) with no tolerance, and scales with A.  It
+    bounds rho, not the vector (`SpectralCert`).  Raises ConvergenceError
+    rather than returning a pair whose vector is not positive or whose
+    interval misses the root or is not finite; a product that leaves the
+    float range ends there too.
     """
     if not A.is_square:
         raise InvalidMatrixError(f"perron requires a square matrix, got {A.rows}x{A.cols}")
@@ -119,22 +140,20 @@ def perron(A: GameMatrix) -> SpectralCert:
         v /= np.add.reduce(v)
         Av = V @ v
         root = float(np.add.reduce(Av) / np.add.reduce(v))
-        residual = float(np.maximum.reduce(np.abs(Av - root * v)))
-        row_sums = np.add.reduce(V, axis=1)
+        gamma, tiny = (2 * A.rows + 4) * 2.0**-53, A.rows * 2.0**-1074
+        low = float(np.minimum.reduce((Av * (1.0 - gamma) - tiny) / v))
+        high = float(np.maximum.reduce((Av * (1.0 + gamma) + tiny) / v))
+    root_low, root_high = math.nextafter(low, -math.inf), math.nextafter(high, math.inf)
     lowest = np.minimum.reduce(v)
-    if not (lowest > 0.0 and residual <= PERRON_RESIDUAL_TOL):
+    if not (lowest > 0.0 and root_low <= root <= root_high < math.inf):
         raise ConvergenceError(
             f"Perron pair fails its certificate: min(v) = {lowest:g}, "
-            f"residual {residual:g} (tol {PERRON_RESIDUAL_TOL:g})"
-        )
-    low, high = np.minimum.reduce(row_sums), np.maximum.reduce(row_sums)
-    if not (low - BRACKET_ROUNDOFF <= root <= high + BRACKET_ROUNDOFF):
-        raise ConvergenceError(
-            f"estimated root {root!r} escapes the row-sum bracket "
-            f"[{low!r}, {high!r}]"
+            f"root {root!r} against the enclosure [{root_low!r}, {root_high!r}]"
         )
     v.setflags(write=False)
-    return SpectralCert(perron_root=root, perron_vector=v, residual=residual)
+    return SpectralCert(
+        perron_root=root, perron_vector=v, root_low=root_low, root_high=root_high
+    )
 
 
 def _squarings(low: float, high: float) -> int:
@@ -307,16 +326,17 @@ def gordan(A: GameMatrix) -> GordanVerdict:
     nonnegative solution, the stochastic x it finds.  Branch 2: its y solves
     A^T y > 0 exactly when floor = min(A^T y), computed on A, is positive;
     y is scaled so that min(A^T y) = 1.  A witness that fails its
-    certificate, ||A x||_inf <= GORDAN_WITNESS_TOL or floor > 0, raises
+    certificate, ||A x||_inf <= FEAS_TOL (the test `_stochastic_kernel`
+    puts to x before cleanup) or floor > 0, raises
     InconsistentAlternativesError.
     """
     V = A.values
     x, y, floor = _stochastic_kernel(V)
     if y is None:
         x = normalized_strategy(x, Player.COL).weights
-        if float(np.maximum.reduce(np.abs(V @ x))) > GORDAN_WITNESS_TOL:
+        if float(np.maximum.reduce(np.abs(V @ x))) > FEAS_TOL:
             raise InconsistentAlternativesError(
-                "kernel witness fails ||A x||_inf <= 1e-9 after cleanup"
+                f"kernel witness fails ||A x||_inf <= {FEAS_TOL:g} after cleanup"
             )
         return GordanVerdict(branch=GordanBranch.NONNEGATIVE_KERNEL, witness=x)
     if not floor > 0.0:

@@ -174,13 +174,14 @@ def test_criterion_07_gordan_exclusivity():
 
 def test_criterion_08_perron_certificates():
     rng = np.random.default_rng(2008)
-    worst_res = worst_quad = 0.0
-    bracket_ok = positive_ok = True
+    worst_width = worst_quad = 0.0
+    bracket_ok = positive_ok = enclosure_ok = True
     for trial in range(200):
         n = 2 + trial % 8  # sizes 2..9
         A = GameMatrix(rng.uniform(0.1, 10.0, (n, n)))
         cert = perron(A)
-        worst_res = max(worst_res, cert.residual)
+        worst_width = max(worst_width, (cert.root_high - cert.root_low) / cert.perron_root)
+        enclosure_ok &= cert.root_low <= cert.perron_root <= cert.root_high
         positive_ok &= bool(np.all(cert.perron_vector > 0.0))
         row_sums = A.values.sum(axis=1)
         bracket_ok &= bool(
@@ -190,11 +191,17 @@ def test_criterion_08_perron_certificates():
             (a, b), (c, d) = A.values
             lam = (a + d + np.sqrt((a - d) ** 2 + 4 * b * c)) / 2
             worst_quad = max(worst_quad, abs(cert.perron_root - lam))
-    ok = worst_res <= 1e-10 and bracket_ok and positive_ok and worst_quad <= 1e-9
+    ok = (
+        worst_width <= 1e-14
+        and enclosure_ok
+        and bracket_ok
+        and positive_ok
+        and worst_quad <= 1e-9
+    )
     report(
         8,
         ok,
-        f"200 positive matrices: residual max {worst_res:.2e}, 2x2 quadratic "
+        f"200 positive matrices: relative enclosure width max {worst_width:.2e}, 2x2 quadratic "
         f"gap {worst_quad:.2e}",
     )
 

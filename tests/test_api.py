@@ -34,8 +34,9 @@ REMOVED = (
 # `start` basis.
 REMOVED_PARAMETERS = {"feas_tol", "lp_tol", "rank_tol", "start"}
 # The optimal-strategy extrema read their facets off the strategy pair, so no
-# solution carries the value LP's basis.
-REMOVED_FIELDS = {zerosum.GameSolution: "lp_basis"}
+# solution carries the value LP's basis.  A Perron pair carries the interval
+# that holds its root, not a residual.
+REMOVED_FIELDS = {zerosum.GameSolution: "lp_basis", zerosum.SpectralCert: "residual"}
 
 
 def test_every_exported_name_resolves_once():
@@ -78,6 +79,13 @@ def test_the_oracle_keeps_no_tolerance():
     # oracle_solve decides each support pair in exact rational arithmetic.
     for name in ("ORACLE_DEVIATION_TOL", "ORACLE_NONNEG_TOL", "_equalizing_weights"):
         assert not hasattr(zerosum.solver, name), name
+
+
+def test_perron_keeps_no_tolerance():
+    # perron proves its root with an enclosure, and gordan re-checks its
+    # kernel witness against the LP's own FEAS_TOL.
+    for name in ("PERRON_RESIDUAL_TOL", "BRACKET_ROUNDOFF", "GORDAN_WITNESS_TOL"):
+        assert not hasattr(zerosum.spectral, name), name
 
 
 def test_strategy_cleanup_keeps_no_tolerance():

@@ -386,6 +386,17 @@ class TestGoldenFiles:
         assert got_code == code
         assert out == (GOLDEN / golden).read_text()
 
+    def test_scaled_circulant_is_certified(self, capsys):
+        # [[1, 2, 3], [3, 1, 2], [2, 3, 1]] * 2^20 has rho = 6 * 2^20 exactly.
+        # Its residual is about 5e-10 in absolute terms; the enclosure is
+        # relative to the entries, so their scale does not matter.
+        code, out, _ = run(capsys, "analyze", "--input", str(DATA / "circulant3_2p20.csv"))
+        assert code == 0
+        assert out == (GOLDEN / "analyze_circulant3_2p20.json").read_text()
+        perron = strict_json(out)["perron"]
+        assert perron["root"] == 6 * 2**20
+        assert perron["root_low"] < 6 * 2**20 < perron["root_high"]
+
     def test_skew3_image_witness_proves_its_branch(self):
         A = np.loadtxt(DATA / "skew3_image.csv", delimiter=",")
         report = strict_json((GOLDEN / "analyze_skew3_image.json").read_text())

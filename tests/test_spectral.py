@@ -69,7 +69,7 @@ class TestPerron:
         # characteristic polynomial x^2 - 4x + 3 has roots 3 and 1
         assert cert.perron_root == pytest.approx(3.0, abs=1e-12)
         np.testing.assert_allclose(cert.perron_vector, [0.5, 0.5], atol=1e-12)
-        assert cert.residual <= 1e-10
+        assert cert.root_low < 3.0 < cert.root_high
 
     def test_scalar(self):
         cert = perron(GameMatrix([[4.25]]))
@@ -97,7 +97,8 @@ class TestPerron:
         lam, _ = perron_2x2_oracle(1.0, 1e-6, 1e-6, 1.0000001)
         cert = perron(GameMatrix(entries))
         assert abs(cert.perron_root - lam) <= 1e-12
-        assert cert.residual <= 1e-10
+        exact = exact_2x2_root(1.0, 1e-6, 1e-6, 1.0000001)
+        assert Decimal(cert.root_low) < exact < Decimal(cert.root_high)
         csv = tmp_path / "small_gap.csv"
         csv.write_text("\n".join(",".join(repr(x) for x in row) for row in entries))
         assert run_cli(["analyze", "--input", str(csv)]) == 0
@@ -122,13 +123,25 @@ class TestPerron:
     def test_root_within_4_ulp_of_quadratic_formula(self):
         rng = np.random.default_rng(44)
         worst = 0.0
+        plain_misses = 0
         for _ in range(2000):
             a, b, c, d = rng.uniform(0.1, 10.0, 4)
             exact = exact_2x2_root(a, b, c, d)
-            root = perron(GameMatrix([[a, b], [c, d]])).perron_root
-            ulps = float(abs(Decimal(root) - exact)) / math.ulp(float(exact))
+            V = np.array([[a, b], [c, d]])
+            cert = perron(GameMatrix(V))
+            ulps = float(abs(Decimal(cert.perron_root) - exact)) / math.ulp(float(exact))
             worst = max(worst, ulps)
+            assert Decimal(cert.root_low) <= exact <= Decimal(cert.root_high)
+            # The Collatz-Wielandt quotients of the float product, neither
+            # widened nor rounded outward.
+            v = cert.perron_vector
+            quotients = (V @ v) / v
+            plain_misses += not (
+                Decimal(float(quotients.min())) <= exact <= Decimal(float(quotients.max()))
+            )
         assert worst <= 4.0
+        # Roundoff alone moves the plain bounds past the root.
+        assert plain_misses > 0
 
     def test_random_certificates(self):
         rng = np.random.default_rng(42)
@@ -136,7 +149,8 @@ class TestPerron:
             n = int(rng.integers(1, 10))
             A = GameMatrix(rng.uniform(0.05, 10.0, (n, n)))
             cert = perron(A)
-            assert cert.residual <= 1e-10
+            assert cert.root_low <= cert.perron_root <= cert.root_high
+            assert cert.root_high - cert.root_low <= 1e-14 * cert.perron_root
             assert np.all(cert.perron_vector > 0.0)
             assert abs(cert.perron_vector.sum() - 1.0) <= 1e-12
             row_sums = A.values.sum(axis=1)
@@ -176,7 +190,7 @@ class TestPerron:
         for entries in itertools.product((1.0, 2.0, 3.0), repeat=9):
             assert_matches_eig(GameMatrix(np.reshape(entries, (3, 3))))
 
-    @pytest.mark.parametrize("k", [-40, -20])
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
     def test_power_of_two_scaling_keeps_the_bits(self, k):
         matrices = ensemble("Positive", 10, 20, 1) + [
             GameMatrix([[1.0, 2.0], [3.0, 4.0]]),
@@ -187,6 +201,8 @@ class TestPerron:
             scaled = perron(GameMatrix(A.values * 2.0**k))
             assert scaled.perron_root == cert.perron_root * 2.0**k
             assert scaled.perron_vector.tobytes() == cert.perron_vector.tobytes()
+            assert scaled.root_low == cert.root_low * 2.0**k
+            assert scaled.root_high == cert.root_high * 2.0**k
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
     @pytest.mark.parametrize("c", [1.0, 0.3, 7.25, 2.0**-1000])
@@ -253,8 +269,9 @@ class TestPerron:
             ([[math.exp(-300), 1.0], [2.0, math.exp(-300)]], True),
             ([[math.exp(-300), 2 * math.exp(-300)], [3 * math.exp(-300), math.exp(-300)]], True),
             ([[math.exp(300), math.exp(-300)], [1.0, math.exp(300)]], True),
-            # The absolute residual tolerance refuses it, as it did before.
-            ([[math.exp(300), 2 * math.exp(300)], [3 * math.exp(300), math.exp(300)]], False),
+            # Its residual is about 5e114 in absolute terms; the enclosure
+            # is relative to the entries, so their scale does not matter.
+            ([[math.exp(300), 2 * math.exp(300)], [3 * math.exp(300), math.exp(300)]], True),
             # Every product of the refining step underflows to 0; the
             # eigendecomposition warned of 0/0 here, then refused it too.
             ([[5e-324, 5e-324], [5e-324, 5e-324]], False),
@@ -272,14 +289,14 @@ class TestPerron:
             if certified:
                 cert = perron(GameMatrix(entries))
                 assert np.all(cert.perron_vector > 0.0)
-                assert cert.residual <= spectral_mod.PERRON_RESIDUAL_TOL
+                assert cert.root_low <= cert.perron_root <= cert.root_high
             else:
                 with pytest.raises(spectral_mod.ConvergenceError):
                     perron(GameMatrix(entries))
 
     def test_symmetric_matrix_past_the_corner_range_keeps_its_symmetry(self):
-        # The eigendecomposition certified (1, 2.7e-261): its eigenvalues
-        # e^300 +- e^-300 are one float, and the residual is absolute.
+        # An eigendecomposition gives (1, 2.7e-261) here: its eigenvalues
+        # e^300 +- e^-300 are one float.
         a, b = math.exp(300), math.exp(-300)
         cert = perron(GameMatrix([[a, b], [b, a]]))
         assert cert.perron_vector.tolist() == [0.5, 0.5]
