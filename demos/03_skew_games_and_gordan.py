@@ -38,5 +38,5 @@ A = GameMatrix([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
 rep = check_gordan_theorem3(A)
 print("rock-paper-scissors:", rep.computed["gordan_branch"],
       "| kernel optimum exists:", rep.computed["kernel_optimum_exists"])
-print("  claim as stated:", rep.computed["as_stated"],
+print("  claim as stated:", rep.verdict.value,
       "| polarity reversed:", rep.computed["polarity_reversed"])

@@ -74,10 +74,6 @@ class ClaimReport:
         return canonical_json(self.to_json_dict())
 
 
-def _listify(arr: np.ndarray) -> list:
-    return arr.ravel().tolist()
-
-
 def _report(
     claim: ClaimId, A: GameMatrix, computed: dict, tol: float, holds: bool | None = None
 ) -> ClaimReport:
@@ -139,8 +135,8 @@ def check_diagonal(
             "predicted_value": float(predicted_value),
             "observed_value": sol.value,
             "value_error": value_error,
-            "predicted_row_strategy": _listify(predicted_x),
-            "observed_row_strategy": _listify(x),
+            "predicted_row_strategy": predicted_x.tolist(),
+            "observed_row_strategy": x.tolist(),
             "strategy_error": strategy_error,
         }
     else:
@@ -156,7 +152,7 @@ def check_diagonal(
             "predicted_value": 0.0,
             "observed_value": sol.value,
             "value_error": value_error,
-            "observed_row_strategy": _listify(x),
+            "observed_row_strategy": x.tolist(),
             "negative_index_weight": negative_weight,
         }
     return _report(claim, A, computed, tol, holds)
@@ -168,10 +164,14 @@ def _skew_gate(
     if not A.is_square:
         return np.inf, _report(claim, A, {"reason": "matrix is not square"}, tol)
     V = A.values
-    residual = float(np.maximum.reduce(np.abs(V + V.T), axis=None))
+    with np.errstate(over="ignore"):
+        residual = float(np.maximum.reduce(np.abs(V + V.T), axis=None))
     if residual > tol:
+        # A + A^T past the float range rounds to inf, which JSON cannot hold:
+        # the residual reads null, and exceeds every finite tol.
+        reported = residual if np.isfinite(residual) else None
         return residual, _report(
-            claim, A, {"reason": "matrix is not skew-symmetric", "skew_residual": residual}, tol
+            claim, A, {"reason": "matrix is not skew-symmetric", "skew_residual": reported}, tol
         )
     return residual, None
 
@@ -272,8 +272,9 @@ def check_eigenspace_lemma5(
 
     For each candidate eigenvalue the checker looks for a stochastic
     eigenvector and tests whether it is an optimal strategy of the zero-value
-    skew game; finding one at a nonzero eigenvalue violates the claim.  The
-    lambda = 0 outcome is recorded as well since it feeds the Gordan audit.
+    skew game; finding one at a nonzero eigenvalue violates the claim.  Zero
+    is always a candidate, so `candidates` also holds the lambda = 0 outcome
+    that feeds the Gordan audit.
     """
     claim = ClaimId.EIGENSPACE_LEMMA5
     residual, na = _skew_gate(claim, A, tol)
@@ -282,23 +283,16 @@ def check_eigenspace_lemma5(
     candidates = sorted(set(float(l) for l in (lambdas or [])) | {0.0})
     findings = []
     violated = False
-    zero_eigen_optimal = False
     for lam in candidates:
         witness = stochastic_eigenvector(A, lam, Player.COL)
         found = witness is not None
         optimal = bool(found and _is_optimal_at_zero(A, witness.weights, tol))
         if found and abs(lam) > tol and optimal:
             violated = True
-        if lam == 0.0:
-            zero_eigen_optimal = optimal
         findings.append(
             {"lambda": lam, "witness_found": found, "is_optimal": optimal}
         )
-    computed = {
-        "skew_residual": residual,
-        "candidates": findings,
-        "zero_eigen_optimal": zero_eigen_optimal,
-    }
+    computed = {"skew_residual": residual, "candidates": findings}
     return _report(claim, A, computed, tol, not violated)
 
 
@@ -324,17 +318,14 @@ def check_gordan_theorem3(
     exists = not positive_image and _is_optimal_at_zero(
         A, verdict_branch.witness, tol
     )
-    as_stated = exists == positive_image
+    holds = exists == positive_image
     computed = {
         "skew_residual": residual,
         "gordan_branch": verdict_branch.branch.value,
         "kernel_optimum_exists": exists,
-        "as_stated": Verdict.HOLDS.value if as_stated else Verdict.VIOLATED.value,
-        "polarity_reversed": Verdict.VIOLATED.value
-        if as_stated
-        else Verdict.HOLDS.value,
+        "polarity_reversed": Verdict.VIOLATED.value if holds else Verdict.HOLDS.value,
     }
-    return _report(claim, A, computed, tol, as_stated)
+    return _report(claim, A, computed, tol, holds)
 
 
 def check_positive_dominated(
@@ -365,7 +356,7 @@ def check_positive_dominated(
     bracket_high = cert.perron_root * float(np.maximum.reduce(cert.perron_vector))
     base = {
         "perron_root": cert.perron_root,
-        "perron_vector": _listify(cert.perron_vector),
+        "perron_vector": cert.perron_vector.tolist(),
         "value": value,
         "bracket_low": bracket_low,
         "bracket_high": bracket_high,
@@ -375,8 +366,8 @@ def check_positive_dominated(
         return _report(claim, A, base, tol)
     mins, maxs = row_optima_column_extrema(A, value, tol, solution=sol)
     dominated = extrema_dominated(mins, maxs, value, tol)
-    base["column_payoff_minima"] = _listify(mins)
-    base["column_payoff_maxima"] = _listify(maxs)
+    base["column_payoff_minima"] = mins.tolist()
+    base["column_payoff_maxima"] = maxs.tolist()
     return _report(claim, A, base, tol, dominated)
 
 
@@ -418,8 +409,8 @@ def check_shifted_eigen(
     computed = {
         "lambda": lam,
         "shifted_value": float(value),
-        "row_witness": _listify(row_witness.weights),
-        "col_witness": _listify(col_witness.weights),
+        "row_witness": row_witness.weights.tolist(),
+        "col_witness": col_witness.weights.tolist(),
         "row_witness_max_deviation": row_dev,
         "col_witness_max_deviation": col_dev,
     }

@@ -25,13 +25,14 @@ from zerosum import (
     run_checker,
     solve_game,
 )
-from zerosum.solver import _support_equilibria, row_optima_column_extrema
+from zerosum.solver import _exact_solve, _support_equilibria, row_optima_column_extrema
 from conftest import (
     BAD_TOLERANCES,
     RPS_ENTRIES,
     ensemble,
     integer_positive_games,
     random_skew,
+    skew4,
 )
 
 
@@ -181,6 +182,17 @@ class TestCheckNegTranspose:
             cold = solve_game(GameMatrix(-A.values.T)).value
             assert abs(rep.computed["neg_transpose_value"] - cold) <= 1e-12
 
+    @pytest.mark.slow
+    def test_every_3x3_in_minus_1_to_1_holds_exactly(self):
+        # The identity holds exactly, so every verdict is Holds, and the
+        # value is the exact one within the report's tolerance.
+        for e in itertools.product((-1, 0, 1), repeat=9):
+            A = GameMatrix(np.reshape(e, (3, 3)))
+            rep = check_neg_transpose(A)
+            assert rep.verdict is Verdict.HOLDS, e
+            exact = next(_support_equilibria(A))[4]
+            assert abs(rep.computed["value"] - exact) <= rep.tolerance, e
+
     @pytest.mark.parametrize(
         "values,gate_refuses",
         [
@@ -205,16 +217,22 @@ class TestCheckNegTranspose:
             np.testing.assert_allclose(vertex, lp, rtol=0, atol=1e-9)
 
 
+def _zero_candidate(rep):
+    """The lambda = 0 entry of an EigenspaceLemma5 report's candidates."""
+    (finding,) = [f for f in rep.computed["candidates"] if f["lambda"] == 0.0]
+    return finding
+
+
 class TestEigenspaceLemma5:
     def test_rps_zero_witness_is_optimal(self, rps):
         rep = check_eigenspace_lemma5(rps)
         assert rep.verdict is Verdict.HOLDS
-        assert rep.computed["zero_eigen_optimal"] is True
+        assert _zero_candidate(rep)["is_optimal"] is True
 
     def test_trivial_kernel(self):
         rep = check_eigenspace_lemma5(GameMatrix([[0, 1], [-1, 0]]))
         assert rep.verdict is Verdict.HOLDS
-        assert rep.computed["zero_eigen_optimal"] is False
+        assert _zero_candidate(rep)["is_optimal"] is False
 
     def test_not_skew(self, saddle):
         rep = check_eigenspace_lemma5(saddle)
@@ -251,7 +269,6 @@ class TestGordanTheorem3:
         rep = check_gordan_theorem3(rps)
         assert rep.computed["gordan_branch"] == "NonnegativeKernel"
         assert rep.computed["kernel_optimum_exists"] is True
-        assert rep.computed["as_stated"] == "Violated"
         assert rep.computed["polarity_reversed"] == "Holds"
         assert rep.verdict is Verdict.VIOLATED
 
@@ -269,6 +286,79 @@ class TestGordanTheorem3:
 
     def test_not_skew(self, saddle):
         assert check_gordan_theorem3(saddle).verdict is Verdict.NOT_APPLICABLE
+
+
+def _exact_stochastic_kernel(M):
+    """An exact stochastic z (z >= 0, sum z = 1) with M z = 0, in Fractions,
+    or None when there is none.
+
+    One exists exactly when a basic one does (Chvatal, Linear Programming,
+    1983, ch. 3): a z whose support S makes the columns of B = [M_S; 1^T]
+    independent, so that z_S is the one solution of B z_S = e.  B^T B is
+    then nonsingular, and `_exact_solve` solves B^T B z_S = B^T e = 1; its
+    answer solves B z_S = e when that system is consistent, which is
+    checked.  A dependent S makes B^T B singular, and is skipped.
+    """
+    V = [[Fraction(e) for e in row] for row in np.asarray(M).tolist()]
+    n = len(V[0])
+    rhs = [0] * len(V) + [1]
+    for k in range(1, n + 1):
+        for S in itertools.combinations(range(n), k):
+            B = [[row[j] for j in S] for row in V] + [[1] * k]
+            gram = [[sum(r[i] * r[j] for r in B) for j in range(k)] for i in range(k)]
+            z = _exact_solve(gram, [1] * k)
+            if z is not None and min(z) >= 0 and all(
+                sum(b * w for b, w in zip(r, z)) == f for r, f in zip(B, rhs)
+            ):
+                on_support = dict(zip(S, z))
+                return [on_support.get(j, Fraction(0)) for j in range(n)]
+    return None
+
+
+def _skew4_disagreements(entries):
+    """Audit every 4 x 4 skew matrix whose strict upper triangle takes its
+    six entries from `entries` against exact answers.  Returns the matrices
+    on which a float answer is not the exact one, and how many have an
+    exact stochastic kernel vector.
+
+    For skew A, a stochastic z with A z = 0 pays 0 to both players, so it is
+    an optimal strategy at the value 0: GordanTheorem3's kernel optimum
+    exists exactly on the NonnegativeKernel branch, and the claim as stated
+    reads Violated on every skew matrix.  SkewZeroCor3 and SharedOptimaCor4
+    hold on every skew game, whose exact value is 0."""
+    wrong, kernels = [], 0
+    for upper in itertools.product(entries, repeat=6):
+        A = GameMatrix(skew4(upper))
+        exists = _exact_stochastic_kernel(A.values) is not None
+        kernels += exists
+        gordan_rep = check_gordan_theorem3(A)
+        got = (
+            gordan_rep.computed["gordan_branch"],
+            gordan_rep.verdict,
+            check_skew(A).verdict,
+            check_shared_optima(A).verdict,
+            next(_support_equilibria(A))[4],
+        )
+        branch = "NonnegativeKernel" if exists else "PositiveImage"
+        if got != (branch, Verdict.VIOLATED, Verdict.HOLDS, Verdict.HOLDS, 0):
+            wrong.append((upper, got))
+    return wrong, kernels
+
+
+class TestIntegerSkew4Exact:
+    def test_exact_kernel_oracle(self, rps):
+        assert _exact_stochastic_kernel(rps.values) == [Fraction(1, 3)] * 3
+        assert _exact_stochastic_kernel([[0, 1], [-1, 0]]) is None
+        # Not square, with a zero last column: e_6 is the kernel vector.
+        K = [[1, 2, -2, -1, 1, 0], [1, 1, 1, -2, 2, 0]]
+        assert _exact_stochastic_kernel(K) == [0, 0, 0, 0, 0, 1]
+
+    def test_every_matrix_in_minus_1_to_1_is_audited_exactly(self):
+        assert _skew4_disagreements(range(-1, 2)) == ([], 195)
+
+    @pytest.mark.slow
+    def test_every_matrix_in_minus_2_to_2_is_audited_exactly(self):
+        assert _skew4_disagreements(range(-2, 3)) == ([], 1637)
 
 
 def _exact_positive_dominated(A):

@@ -479,7 +479,7 @@ _ENSEMBLE_DIGESTS = [
     (
         ("GordanTheorem3", "Skew", 7, 1),
         1,
-        "72d723f18eded29528c1977a95089cc043faccfeba56eb80336dcad1ca7cd532",
+        "a6228c65beb5f3ffa6be1f11d3f88c4dcf39a9b0fcac8f56161296edd05c6168",
     ),
 ]
 
@@ -554,6 +554,24 @@ class TestExitCodes:
     def test_missing_input_is_2(self, capsys):
         code, _, err = run(capsys, "solve")
         assert code == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "claim", ["SkewZeroCor3", "SharedOptimaCor4", "EigenspaceLemma5", "GordanTheorem3"]
+    )
+    def test_skew_gate_past_the_float_range_is_0(self, capsys, claim):
+        # 1e308 * J is finite and not skew, but A + A^T overflows: the gate
+        # reads NotApplicable, with a null residual rather than inf.
+        code, out, err = run(
+            capsys, "verify", "--claim", claim, "--input", str(DATA / "skew_overflow.csv")
+        )
+        assert (code, err) == (0, "")
+        (report,) = strict_json(out)["reports"]
+        assert report["verdict"] == "NotApplicable"
+        assert report["computed"] == {
+            "reason": "matrix is not skew-symmetric",
+            "skew_residual": None,
+        }
 
     def test_unknown_claim_is_2(self, capsys):
         code, _, err = run(
